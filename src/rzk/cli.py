@@ -261,7 +261,7 @@ def _run_batch(build, out_dir):
     if build.ctrl is not None and cfg.kind == "W":
         member = build.unsafe.refined_membership(build.W)
         for k, w in enumerate(wins):
-            if member(w.latest_state):
+            if member(w.xs[:w.count]).any():
                 log.warning("initial condition %d starts inside the "
                             "excluded set", k)
     trajs = batch_integrate(build.dyn, build.ctrl, wins, build.settings,
@@ -291,19 +291,27 @@ def _run_batch(build, out_dir):
     return trajs, any(tr.diverged for tr in trajs)
 
 
-def _verify_batch(build, trajs):
-    """Construction + separation + per-trajectory checks; returns
-    (reports dict, per-trajectory list, all_pass)."""
-    cfg = build.cfg
-    point = {}
-    ok = True
-    if cfg.kind == "W":
-        point["construction"] = verify.clbrf_construction_check(
+def _point_checks(build):
+    """Certificate-level checks, construction and separation, of a W run:
+    they depend on psi, the gains and the seed, not on the starts."""
+    if build.cfg.kind != "W":
+        return {}
+    return {
+        "construction": verify.clbrf_construction_check(
             build.V, build.B, example_sandwich(), EXAMPLE_BOX, example_margin,
-            psi=cfg.psi, gains=(build.gains, build.gains), unsafe=build.unsafe,
-            seed=cfg.seed)
-        point["separation"] = verify.separation_check(build.unsafe, build.W)
-        ok = all(point[k].passed for k in point)
+            psi=build.cfg.psi, gains=(build.gains, build.gains),
+            unsafe=build.unsafe, seed=build.cfg.seed),
+        "separation": verify.separation_check(build.unsafe, build.W),
+    }
+
+
+def _verify_batch(build, trajs, point=None):
+    """Certificate-level checks (computed here unless point gives them)
+    plus per-trajectory checks; returns (point, per-trajectory list,
+    all_pass)."""
+    if point is None:
+        point = _point_checks(build)
+    ok = all(r.passed for r in point.values())
     per = []
     for tr in trajs:
         checks = {"safety": verify.safety_check(tr, build.unsafe)}
@@ -408,6 +416,7 @@ def cmd_sweep(args):
               "max_envelope_ratio"]
     lines = [",".join(header)]
     all_ok = True
+    point_checks = {}
     base = cfg.to_dict()
     base.pop("sweep")
     for idx, pt in enumerate(points):
@@ -429,7 +438,11 @@ def cmd_sweep(args):
                                 build.settings,
                                 fields={"V": build.V, "B": build.B,
                                         "W": build.W})
-        point, per, ok = _verify_batch(build, trajs)
+        # kind and seed are fixed across the sweep
+        key = (sub.psi, sub.gamma, sub.eta)
+        if key not in point_checks:
+            point_checks[key] = _point_checks(build)
+        point, per, ok = _verify_batch(build, trajs, point_checks[key])
         conv = all(not tr.diverged
                    and np.linalg.norm(tr.xs[-1]) < CONVERGED_NORM
                    for tr in trajs)

@@ -117,27 +117,37 @@ def _quintic_blend_d(s):
     return ((15.0 * s - 28.0) * s + 12.0) * s * s + 1.0
 
 
-def _hazard_pieces(X):
-    """Returns (value, d/draw wrt raw, raw gradient) of the clamped hazard."""
-    x1 = X[..., 0]
-    x2 = X[..., 1]
-    inside = EXAMPLE_BOX.contains_many(X)
-    # reciprocal arguments are positive only inside the box; mask before
-    # dividing so no invalid values are ever formed
-    d1 = np.where(inside, 1.0 - (x1 + 2.0) ** 2, 1.0)
-    d2 = np.where(inside, 1.0 - (x2 - 1.0) ** 2, 1.0)
-    d1 = np.maximum(d1, 1e-300)
-    d2 = np.maximum(d2, 1e-300)
+def _hazard_inbox(X, grad=True):
+    """Value of the clamped hazard on rows that all lie inside EXAMPLE_BOX,
+    where both reciprocal arguments are positive; with grad, the tuple
+    (value, d/draw wrt raw, raw gradient)."""
+    x1 = X[:, 0]
+    x2 = X[:, 1]
+    d1 = np.maximum(1.0 - (x1 + 2.0) ** 2, 1e-300)
+    d2 = np.maximum(1.0 - (x2 - 1.0) ** 2, 1e-300)
     raw = 1.0 / d1 + 1.0 / d2
-    s = np.clip((raw - H_BLEND_LO) / (H_MAX - H_BLEND_LO), 0.0, 1.0)
-    val = np.where(raw < H_BLEND_LO, raw,
-                   H_BLEND_LO + (H_MAX - H_BLEND_LO) * _quintic_blend(s))
-    val = np.where(inside, val, H_MAX)
-    dval = np.where(raw < H_BLEND_LO, 1.0, _quintic_blend_d(s))
-    dval = np.where(inside & (raw < H_MAX), dval, 0.0)
-    g1 = np.where(inside, 2.0 * (x1 + 2.0) / (d1 * d1), 0.0)
-    g2 = np.where(inside, 2.0 * (x2 - 1.0) / (d2 * d2), 0.0)
+    if raw.max() < H_BLEND_LO:
+        # below the blend band the clamp is the identity
+        val, dval = raw, 1.0
+    else:
+        s = np.clip((raw - H_BLEND_LO) / (H_MAX - H_BLEND_LO), 0.0, 1.0)
+        val = np.where(raw < H_BLEND_LO, raw,
+                       H_BLEND_LO + (H_MAX - H_BLEND_LO) * _quintic_blend(s))
+        dval = np.where(raw < H_BLEND_LO, 1.0, _quintic_blend_d(s))
+        dval = np.where(raw < H_MAX, dval, 0.0)
+    if not grad:
+        return val
+    g1 = 2.0 * (x1 + 2.0) / (d1 * d1)
+    g2 = 2.0 * (x2 - 1.0) / (d2 * d2)
     return val, dval, g1, g2
+
+
+def _in_box(X):
+    """Index of the rows of X inside EXAMPLE_BOX (a plain slice when every
+    row is, so no copy is made) and those rows."""
+    inside = EXAMPLE_BOX.contains_many(X)
+    idx = slice(None) if inside.all() else np.flatnonzero(inside)
+    return idx, X[idx]
 
 
 def example_hazard():
@@ -145,11 +155,19 @@ def example_hazard():
     H_MAX with a C^1 quintic blend over [45, 50]; H == H_MAX outside."""
 
     def value_many(X):
-        return _hazard_pieces(X)[0]
+        out = np.full(X.shape[0], H_MAX)
+        idx, Xin = _in_box(X)
+        if Xin.shape[0]:
+            out[idx] = _hazard_inbox(Xin, grad=False)
+        return out
 
     def grad_many(X):
-        _, dval, g1, g2 = _hazard_pieces(X)
-        return np.stack([dval * g1, dval * g2], axis=-1)
+        out = np.zeros(X.shape)
+        idx, Xin = _in_box(X)
+        if Xin.shape[0]:
+            _, dval, g1, g2 = _hazard_inbox(Xin)
+            out[idx] = np.stack([dval * g1, dval * g2], axis=-1)
+        return out
 
     return ScalarField(2, value_many, grad_many, name="H")
 
@@ -172,21 +190,25 @@ def example_barrier():
     """
 
     def value_many(X):
-        H, _, _, _ = _hazard_pieces(X)
         r2 = np.sum(X * X, axis=-1)
-        inside = EXAMPLE_BOX.contains_many(X)
-        coef = np.where(inside, np.exp(-H) - _E4, -_E4)
-        return coef * r2
+        out = -_E4 * r2
+        idx, Xin = _in_box(X)
+        if Xin.shape[0]:
+            H = _hazard_inbox(Xin, grad=False)
+            out[idx] = (np.exp(-H) - _E4) * r2[idx]
+        return out
 
     def grad_many(X):
-        H, dval, g1, g2 = _hazard_pieces(X)
-        r2 = np.sum(X * X, axis=-1)
-        inside = EXAMPLE_BOX.contains_many(X)
-        eH = np.exp(-H)
-        coef = np.where(inside, eH - _E4, -_E4)
-        out = 2.0 * coef[..., None] * X
-        out[..., 0] -= eH * dval * g1 * r2
-        out[..., 1] -= eH * dval * g2 * r2
+        out = (-2.0 * _E4) * X
+        idx, Xin = _in_box(X)
+        if Xin.shape[0]:
+            H, dval, g1, g2 = _hazard_inbox(Xin)
+            r2 = np.sum(Xin * Xin, axis=-1)
+            eH = np.exp(-H)
+            gin = 2.0 * (eH - _E4)[:, None] * Xin
+            gin[:, 0] -= eH * dval * g1 * r2
+            gin[:, 1] -= eH * dval * g2 * r2
+            out[idx] = gin
         return out
 
     return ScalarField(2, value_many, grad_many, name="B")

@@ -251,15 +251,16 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     else:
         wexp = None
 
-    # per-stage read tables: index offsets and basis weights are constant
-    # because both the sample grid and the theta grid are uniform
-    stage_c = (0.0, 0.5, 0.5, 1.0)
-    gtab = []
-    dtab = []
-    for c in stage_c:
-        off = c + thetas / h
-        gtab.append(_hermite_tables(off, h))
-        dtab.append(_hermite_tables(np.array([c - tau / h]), h))
+    # read tables by stage offset c (in steps): index offsets and basis
+    # weights are constant because both the sample grid and the theta grid
+    # are uniform.  A sup-grid read at (i + 1) h uses the c = 0 table one
+    # row on, so it is the same number for stage 3 of step i and stage 0 of
+    # step i + 1.  That table equals the c = 1 one bit for bit: every grid
+    # offset theta/h is <= -1 here (h < delta/(grid-1)), so adding 1 and
+    # taking the fractional part are exact
+    gtab = {c: _hermite_tables(c + thetas / h, h) for c in (0.0, 0.5)}
+    dtab = {c: _hermite_tables(np.array([c - tau / h]), h)
+            for c in (0.0, 0.5, 1.0)}
 
     cert = ctrl.certificate if ctrl is not None else None
     lam = ctrl.lam if ctrl is not None else 0.0
@@ -271,19 +272,19 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     # constant pre-history; handle those steps with masked gathers
     i_split = int(np.ceil(dyn.delta / h)) + 2
 
-    def read_grid(i, si):
-        """History states at the sup grid for stage si of step i: (g-1, K, 2)."""
-        i0, b00, b10, b01, b11 = gtab[si]
-        rows = i + i0
-        if i < i_split:
-            safe = np.clip(rows, 0, i)
-            nxt = np.minimum(safe + 1, i)
+    def read_grid(r, c):
+        """History states at the sup grid at time (r + c) h: (g-1, K, 2)."""
+        i0, b00, b10, b01, b11 = gtab[c]
+        rows = r + i0
+        if r < i_split:
+            safe = np.clip(rows, 0, r)
+            nxt = np.minimum(safe + 1, r)
             vals = (b00[:, None, None] * xs[safe]
                     + b10[:, None, None] * ms[safe]
                     + b01[:, None, None] * xs[nxt]
                     + b11[:, None, None] * ms[nxt])
             # reads at or before t=0 return the constant initial state
-            tread = (i + stage_c[si]) * h + thetas
+            tread = (r + c) * h + thetas
             pre = tread <= 1e-15
             return np.where(pre[:, None, None], ic[None], vals)
         return (b00[:, None, None] * xs[rows]
@@ -291,10 +292,10 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
                 + b01[:, None, None] * xs[rows + 1]
                 + b11[:, None, None] * ms[rows + 1])
 
-    def read_delay(i, si):
-        i0, b00, b10, b01, b11 = dtab[si]
+    def read_delay(i, c):
+        i0, b00, b10, b01, b11 = dtab[c]
         row = i + int(i0[0])
-        tread = (i + stage_c[si]) * h - tau
+        tread = (i + c) * h - tau
         if tread <= 1e-15:
             return ic[:, 1]
         row = max(row, 0)
@@ -302,21 +303,30 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         return (b00[0] * xs[row, :, 1] + b10[0] * ms[row, :, 1]
                 + b01[0] * xs[nxt, :, 1] + b11[0] * ms[nxt, :, 1])
 
-    def stage(i, si, S):
-        """Closed-loop derivative, control, margin at stage states S (K,2)."""
-        x2d = read_delay(i, si)
+    def stage(i, c, S, fric=None, gmax=None):
+        """Closed-loop derivative, control and margin at the stage states
+        S (K, 2) of stage offset c in step i, plus the delayed friction and
+        the weighted sup-grid max, which a stage at the same read time can
+        pass back in rather than recompute."""
+        if fric is None:
+            fric = friction(read_delay(i, c))
         f1 = S[:, 1]
-        f2 = -friction(x2d) - S[:, 0]
+        f2 = -fric - S[:, 0]
         if cert is None:
-            return np.stack([f1, f2], axis=1), np.zeros(K), np.full(K, np.nan)
-        gvals = read_grid(i, si)                          # (g-1, K, 2)
-        flat = gvals.reshape(-1, 2)
-        vall = cert.value_many(np.concatenate([flat, S], axis=0))
-        gv = vall[: flat.shape[0]].reshape(-1, K)
-        v0 = vall[flat.shape[0]:]
-        if wexp is not None:
-            gv = gv * wexp
-        sup = np.maximum(gv.max(axis=0), v0)              # theta = 0 included
+            return (np.stack([f1, f2], axis=1), np.zeros(K), np.full(K, np.nan),
+                    fric, None)
+        if gmax is None:
+            # one field call for the grid reads and the stage states
+            flat = read_grid(i + int(c), c % 1.0).reshape(-1, 2)
+            vall = cert.value_many(np.concatenate([flat, S], axis=0))
+            gv = vall[: flat.shape[0]].reshape(-1, K)
+            v0 = vall[flat.shape[0]:]
+            if wexp is not None:
+                gv = gv * wexp
+            gmax = gv.max(axis=0)
+        else:
+            v0 = cert.value_many(S)
+        sup = np.maximum(gmax, v0)                        # theta = 0 included
         gr = cert.grad_many(S)                            # (K, 2)
         Lf = gr[:, 0] * f1 + gr[:, 1] * f2
         q = gr[:, 1]                                      # g = (0, 1)
@@ -328,19 +338,20 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
             u_on = -(a + root) / q2 * q
         u = np.where(act, u_on, 0.0)
         margin = np.where(act, -root, a)
-        return np.stack([f1, f2 + u], axis=1), u, margin
+        return np.stack([f1, f2 + u], axis=1), u, margin, fric, gmax
 
     x = ic.copy()
+    g_end = None      # grid max at t_i, from stage 3 of the previous step
     for i in range(nsteps + 1):
-        k1, u, margin = stage(i, 0, x)
+        k1, u, margin, _, _ = stage(i, 0.0, x, gmax=g_end)
         ms[i] = k1
         us[i] = u
         margins[i] = margin
         if i == nsteps:
             break
-        k2, _, _ = stage(i, 1, x + 0.5 * h * k1)
-        k3, _, _ = stage(i, 2, x + 0.5 * h * k2)
-        k4, _, _ = stage(i, 3, x + h * k3)
+        k2, _, _, fric, g_mid = stage(i, 0.5, x + 0.5 * h * k1)
+        k3, _, _, _, _ = stage(i, 0.5, x + 0.5 * h * k2, fric, g_mid)
+        k4, _, _, _, g_end = stage(i, 1.0, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         xs[i + 1] = x
 

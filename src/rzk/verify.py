@@ -97,8 +97,9 @@ def _witness(t, x):
     return {"time": tv, "state": [float(v) for v in np.atleast_1d(x)]}
 
 
-def window_states(traj, grid=None):
-    """History states on the theta grid at every sample: (N, grid, n).
+def window_states(traj, grid=None, start=0, stop=None):
+    """History states on the theta grid at samples start..stop-1 (all by
+    default): (stop - start, grid, n).
 
     Reconstructs each window with the same cubic Hermite scheme the
     integrator used (traj.slopes holds the accepted derivatives); reads at
@@ -111,6 +112,8 @@ def window_states(traj, grid=None):
     xs = traj.xs
     ms = traj.slopes
     N, n = xs.shape
+    if stop is None:
+        stop = N
     thetas = hist.theta_grid(delta, grid)
     off = thetas / h
     i0 = np.floor(off).astype(int)
@@ -122,28 +125,40 @@ def window_states(traj, grid=None):
     b01 = -2.0 * s3 + 3.0 * s2
     b11 = (s3 - s2) * h
 
-    rows = np.arange(N)[:, None] + i0[None, :]
+    rows = np.arange(start, stop)[:, None] + i0[None, :]
     safe = np.clip(rows, 0, N - 1)
     nxt = np.clip(safe + 1, 0, N - 1)
     vals = (b00[None, :, None] * xs[safe] + b10[None, :, None] * ms[safe]
             + b01[None, :, None] * xs[nxt] + b11[None, :, None] * ms[nxt])
-    tread = traj.ts[:, None] + thetas[None, :]
+    tread = traj.ts[start:stop, None] + thetas[None, :]
     pre = tread <= 1e-15
     if pre.any():
         vals[pre] = traj.ic_window.interp_times(tread[pre])
     return vals
 
 
+# samples per block of field_sup_series: its windows and field
+# temporaries stay a few MB whatever the trajectory length
+SUP_BLOCK = 2048
+
+
 def field_sup_series(traj, field, mu=0.0, grid=None):
     """Weighted history sup of the field along the trajectory: (N,)."""
-    ws = window_states(traj, grid)
-    N, g, n = ws.shape
-    fv = field.value_many(ws.reshape(-1, n)).reshape(N, g)
+    if grid is None:
+        grid = traj.meta.get("grid", hist.DEFAULT_GRID)
+    N = traj.xs.shape[0]
+    weight = None
     if mu:
-        if grid is None:
-            grid = traj.meta.get("grid", hist.DEFAULT_GRID)
-        fv = fv * np.exp(mu * hist.theta_grid(traj.meta["delta"], grid))[None, :]
-    return fv.max(axis=1)
+        weight = np.exp(mu * hist.theta_grid(traj.meta["delta"], grid))
+    out = np.empty(N)
+    for start in range(0, N, SUP_BLOCK):
+        ws = window_states(traj, grid, start, min(start + SUP_BLOCK, N))
+        nb, g, n = ws.shape
+        fv = field.value_many(ws.reshape(-1, n)).reshape(nb, g)
+        if weight is not None:
+            fv = fv * weight[None, :]
+        out[start:start + nb] = fv.max(axis=1)
+    return out
 
 
 def safety_check(traj, unsafe, tol=SAFETY_TOL, grid=None):
@@ -151,7 +166,7 @@ def safety_check(traj, unsafe, tol=SAFETY_TOL, grid=None):
     least tol on every sample inside the region."""
     if traj.xs.shape[0] == 0:
         raise ValueError("trajectory must be non-empty")
-    ws0 = window_states(traj, grid)[0]
+    ws0 = window_states(traj, grid, 0, 1)[0]
     delta = traj.meta["delta"]
     g = ws0.shape[0]
     pre_ts = hist.theta_grid(delta, g)[:-1]
@@ -360,6 +375,10 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     return rep
 
 
+# rays per block of separation_check's coarse scan, to bound its memory
+RAY_BLOCK = 256
+
+
 def separation_check(unsafe, W, budget=4096, eps=1e-2, tol=SEPARATION_TOL,
                      anchor=None):
     """Shell sampling of the separation between the excluded set and the
@@ -407,8 +426,11 @@ def separation_check(unsafe, W, budget=4096, eps=1e-2, tol=SEPARATION_TOL,
     nscan = 64
     frac = np.linspace(0.0, 1.0, nscan)
     tgrid = t_wall[:, None] * frac[None, :]
-    pts = anchor[None, None, :] + tgrid[:, :, None] * d[:, None, :]
-    inside = member(pts.reshape(-1, 2)).reshape(nrays, nscan)
+    inside = np.empty((nrays, nscan), dtype=bool)
+    for r0 in range(0, nrays, RAY_BLOCK):
+        r1 = min(r0 + RAY_BLOCK, nrays)
+        pts = anchor[None, None, :] + tgrid[r0:r1, :, None] * d[r0:r1, None, :]
+        inside[r0:r1] = member(pts.reshape(-1, 2)).reshape(r1 - r0, nscan)
     last = np.where(inside.any(axis=1),
                     nscan - 1 - np.argmax(inside[:, ::-1], axis=1), -1)
 

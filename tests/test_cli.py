@@ -218,6 +218,25 @@ def test_log_level_env_var(tmp_path):
     assert "starts inside" not in r2.stderr   # suppressed at ERROR level
 
 
+def test_excluded_set_warning_reads_whole_initial_history(tmp_path, caplog):
+    # a straight history through the hazard centre (-2, 1) that ends at
+    # (-0.5, 2.5), outside the box: only a history sample lies in the
+    # excluded set
+    times = [-0.3 + 0.01 * k for k in range(31)]
+    times[-1] = 0.0
+    states = [[-2.5 + 2.0 * k / 30.0, 0.5 + 2.0 * k / 30.0] for k in range(31)]
+    crossing = {"times": times, "states": states}
+    for ics, warned in (([crossing], True), ([[4.0, -3.0]], False)):
+        cfgp = tmp_path / "c.json"
+        write_config(cfgp, initial_conditions=ics, integration={"T": 0.01})
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="rzk.cli"):
+            assert cli.main(["simulate", "--config", str(cfgp),
+                             "--out", str(tmp_path / "o")]) == 0
+        assert any("starts inside the excluded set" in r.getMessage()
+                   for r in caplog.records) is warned
+
+
 def test_config_dict_round_trip():
     d = cli.demo_config(82.0, 0, 66)
     assert cli.RunConfig(d).to_dict() == d

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzk
 from rzk import fields
@@ -157,3 +158,86 @@ def test_scalar_field_shapes():
     X = np.zeros((5, 2))
     assert V.value_many(X).shape == (5,)
     assert V.grad_many(X).shape == (5, 2)
+
+
+# -- in-box hazard against the whole-batch masked formula ------------------
+
+
+def _masked_reference(X):
+    """B, grad B, H, grad H by the masked whole-batch formula: the hazard
+    pipeline runs on every row and np.where picks the in-box results."""
+    x1, x2 = X[:, 0], X[:, 1]
+    inside = rzk.EXAMPLE_BOX.contains_many(X)
+    d1 = np.maximum(np.where(inside, 1.0 - (x1 + 2.0) ** 2, 1.0), 1e-300)
+    d2 = np.maximum(np.where(inside, 1.0 - (x2 - 1.0) ** 2, 1.0), 1e-300)
+    raw = 1.0 / d1 + 1.0 / d2
+    s = np.clip((raw - 45.0) / 5.0, 0.0, 1.0)
+    H = np.where(raw < 45.0, raw, 45.0 + 5.0 * fields._quintic_blend(s))
+    H = np.where(inside, H, 50.0)
+    dval = np.where(raw < 45.0, 1.0, fields._quintic_blend_d(s))
+    dval = np.where(inside & (raw < 50.0), dval, 0.0)
+    g1 = np.where(inside, 2.0 * (x1 + 2.0) / (d1 * d1), 0.0)
+    g2 = np.where(inside, 2.0 * (x2 - 1.0) / (d2 * d2), 0.0)
+    r2 = np.sum(X * X, axis=-1)
+    eH = np.exp(-H)
+    coef = np.where(inside, eH - np.exp(-4.0), -np.exp(-4.0))
+    gB = 2.0 * coef[:, None] * X
+    gB[:, 0] -= eH * dval * g1 * r2
+    gB[:, 1] -= eH * dval * g2 * r2
+    return coef * r2, gB, H, np.stack([dval * g1, dval * g2], axis=-1)
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+_IN = st.tuples(_open(-3.0, -1.0), _open(0.0, 2.0))
+_OUT = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(
+    lambda p: not (-3.0 < p[0] < -1.0 and 0.0 < p[1] < 2.0))
+_WALL = st.one_of(
+    st.tuples(st.sampled_from([-3.0, -1.0]), st.floats(-1.0, 3.0)),
+    st.tuples(st.floats(-4.0, 0.0), st.sampled_from([0.0, 2.0])))
+
+
+@st.composite
+def _blend_band(draw):
+    """An in-box point whose raw hazard lies in the blend band [45, 50]."""
+    raw = draw(st.floats(45.0, 50.0))
+    a = draw(st.floats(1.0, raw - 1.0))           # 1/d2, so 1/d1 = raw - a
+    s1, s2 = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+    return (-2.0 + s1 * np.sqrt(1.0 - 1.0 / (raw - a)),
+            1.0 + s2 * np.sqrt(1.0 - 1.0 / a))
+
+
+_BATCHES = st.one_of(
+    st.lists(_IN, min_size=1, max_size=40),
+    st.lists(_OUT, min_size=1, max_size=40),
+    st.lists(_WALL, min_size=1, max_size=40),
+    st.lists(_blend_band(), min_size=1, max_size=40),
+    st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band()), min_size=1,
+             max_size=60))
+
+
+# within about 1e-16 of a wall (x2 = 1e-17, say) d1 or d2 rounds to 0, the
+# raw gradient overflows and both formulas return NaN at the same entries,
+# which assert_array_equal counts as equal
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_BATCHES)
+def test_in_box_hazard_equals_masked_formula(points):
+    # the hazard runs on the same per-row arithmetic either way, so the
+    # values agree bit for bit
+    X = np.array(points, dtype=float)
+    B_ref, gB_ref, H_ref, gH_ref = _masked_reference(X)
+    B = rzk.example_barrier()
+    H = rzk.example_hazard()
+    np.testing.assert_array_equal(B.value_many(X), B_ref)
+    np.testing.assert_array_equal(B.grad_many(X), gB_ref)
+    np.testing.assert_array_equal(H.value_many(X), H_ref)
+    np.testing.assert_array_equal(H.grad_many(X), gH_ref)
+    V = rzk.example_lyapunov()
+    W = rzk.combine_clbrf(V, B, 82.0)
+    np.testing.assert_array_equal(W.value_many(X),
+                                  V.value_many(X) + 82.0 * B_ref)
+    np.testing.assert_array_equal(W.grad_many(X),
+                                  V.grad_many(X) + 82.0 * gB_ref)

@@ -134,3 +134,28 @@ def test_convergence_study_orders_on_smooth_plant():
     assert np.isnan(study["max_margins"][0])
     with pytest.raises(ValueError):
         rzk.convergence_study(dyn, None, xi, 1.0, [1e-2, 5e-3])
+
+
+def test_lockstep_evaluates_two_sup_grids_per_step(example_setup):
+    # stages 1 and 2 read the sup grid at t_i + h/2, stage 3 of step i and
+    # stage 0 of step i + 1 at t_{i+1}: one grid evaluation per read time
+    W = example_setup["W"]
+    grid_calls = []
+
+    def counted(X):
+        if X.shape[0] >= 65 * 4:
+            grid_calls.append(X.shape[0])
+        return W.value_many(X)
+
+    cert = rzk.ScalarField(2, counted, W.grad_many, name="W")
+    ctrl = rzk.ControllerSpec(cert, example_setup["gains"], 2.0)
+    ics = [hist.from_constant(np.array(x), 0.3)
+           for x in ((-4.0, 1.0), (-2.0, -1.0), (1.0, 2.0), (-2.0, 3.0))]
+    s = IntegrationSettings(h=1e-3, T=0.05)
+    out = rzk.batch_integrate(example_setup["dyn"], ctrl, ics, s)
+    nsteps = 50
+    assert grid_calls == [65 * 4 + 4] * (2 * nsteps + 1)
+    ref = rzk.batch_integrate(example_setup["dyn"], example_setup["ctrl"],
+                              ics, s)
+    for a, b in zip(out, ref):
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.us, b.us)

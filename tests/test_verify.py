@@ -216,3 +216,65 @@ def test_report_shape():
     assert set(d) == {"check", "pass", "worst", "witness", "tolerances",
                       "details"}
     assert bool(rep)
+
+
+def _crossing_history_run(example_setup, T=0.05):
+    """Closed-loop run from a sampled history through the hazard centre
+    (-2, 1): the pre-history reads go through the initial window."""
+    w = hist.HistoryWindow(2, 0.3)
+    for k in range(31):
+        s = k / 30.0
+        w.push(-0.3 + 0.01 * k, np.array([-2.5 + 2.0 * s, 0.5 + 2.0 * s]))
+    return rzk.integrate(example_setup["dyn"], example_setup["ctrl"], w,
+                         IntegrationSettings(h=1e-3, T=T))
+
+
+def test_window_states_row_range(example_setup):
+    tr = _crossing_history_run(example_setup)
+    full = verify.window_states(tr, 66)
+    np.testing.assert_array_equal(verify.window_states(tr, 66, 17, 40),
+                                  full[17:40])
+    np.testing.assert_array_equal(verify.window_states(tr, 66, 0, 1),
+                                  full[:1])
+
+
+def test_blocked_sup_series_equals_unblocked(example_setup, monkeypatch):
+    tr = _crossing_history_run(example_setup)
+    W = example_setup["W"]
+    N = tr.xs.shape[0]
+    for mu in (0.0, 0.7):
+        ws = verify.window_states(tr, 66)
+        ref = W.value_many(ws.reshape(-1, 2)).reshape(N, 66)
+        if mu:
+            ref = ref * np.exp(mu * hist.theta_grid(0.3, 66))[None, :]
+        ref = ref.max(axis=1)
+        # 7 does not divide N = 51: six full blocks and a short last one
+        monkeypatch.setattr(verify, "SUP_BLOCK", 7)
+        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu, 66),
+                                      ref)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu, 66),
+                                      ref)
+
+
+def test_safety_check_reads_initial_window_only(example_setup, runs,
+                                                monkeypatch):
+    trajs = [_crossing_history_run(example_setup), runs["closedW"],
+             runs["open_far"]]
+    new = [verify.safety_check(tr, example_setup["unsafe"]).as_dict()
+           for tr in trajs]
+    calls = []
+    full_build = verify.window_states
+
+    def every_window(traj, grid=None, start=0, stop=None):
+        # the earlier build: all N windows, of which the check keeps row 0
+        calls.append((start, stop))
+        return full_build(traj, grid)
+
+    monkeypatch.setattr(verify, "window_states", every_window)
+    old = [verify.safety_check(tr, example_setup["unsafe"]).as_dict()
+           for tr in trajs]
+    assert calls == [(0, 1)] * 3
+    assert new == old
+    # the crossing history runs through D: the witness is a history sample
+    assert not new[0]["pass"] and new[0]["witness"]["time"] < 0.0
