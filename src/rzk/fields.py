@@ -1,8 +1,9 @@
 """Scalar certificate fields: quadratic Lyapunov candidates, the example
 hazard/barrier pair, and the psi-weighted Lyapunov-barrier combination.
 
-Every field exposes value(x), grad(x) and vectorized value_many/grad_many;
-grad must track value to finite-difference accuracy (see finite_diff_check).
+Every field exposes value(x), grad(x) and vectorized value_many/grad_many,
+plus value_grad_many for both at once; grad must track value to
+finite-difference accuracy (see finite_diff_check).
 Piecewise definitions cover all of R^n.
 """
 
@@ -15,12 +16,18 @@ H_BLEND_LO = 45.0
 
 
 class ScalarField:
-    """C^1 scalar function of the state with an analytic gradient."""
+    """C^1 scalar function of the state with an analytic gradient.
 
-    def __init__(self, n, value_many, grad_many, name=""):
+    value_grad_many, if given, returns (value_many(X), grad_many(X)) bit for
+    bit from one pass over X; without it both are evaluated separately.
+    """
+
+    def __init__(self, n, value_many, grad_many, name="",
+                 value_grad_many=None):
         self.n = int(n)
         self._value_many = value_many
         self._grad_many = grad_many
+        self._value_grad_many = value_grad_many
         self.name = name
 
     def value(self, x):
@@ -38,6 +45,12 @@ class ScalarField:
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
         return self._grad_many(X)
+
+    def value_grad_many(self, X):
+        X = np.asarray(X, dtype=float)
+        if self._value_grad_many is None:
+            return self._value_many(X), self._grad_many(X)
+        return self._value_grad_many(X)
 
 
 class SandwichBounds:
@@ -71,7 +84,7 @@ class RegionBox:
 
     def contains_many(self, X):
         X = np.asarray(X, dtype=float)
-        return np.all((X > self.lo) & (X < self.hi), axis=-1)
+        return ((X > self.lo) & (X < self.hi)).all(axis=-1)
 
     def contains(self, x):
         return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -123,8 +136,9 @@ def _hazard_inbox(X, grad=True):
     (value, d/draw wrt raw, raw gradient)."""
     x1 = X[:, 0]
     x2 = X[:, 1]
-    d1 = np.maximum(1.0 - (x1 + 2.0) ** 2, 1e-300)
-    d2 = np.maximum(1.0 - (x2 - 1.0) ** 2, 1e-300)
+    # floored so that d * d in the gradient stays a normal number at a wall
+    d1 = np.maximum(1.0 - (x1 + 2.0) ** 2, 1e-150)
+    d2 = np.maximum(1.0 - (x2 - 1.0) ** 2, 1e-150)
     raw = 1.0 / d1 + 1.0 / d2
     if raw.max() < H_BLEND_LO:
         # below the blend band the clamp is the identity
@@ -198,20 +212,27 @@ def example_barrier():
             out[idx] = (np.exp(-H) - _E4) * r2[idx]
         return out
 
-    def grad_many(X):
-        out = (-2.0 * _E4) * X
+    def value_grad_many(X):
+        r2 = np.sum(X * X, axis=-1)
+        val = -_E4 * r2
+        grad = (-2.0 * _E4) * X
         idx, Xin = _in_box(X)
         if Xin.shape[0]:
             H, dval, g1, g2 = _hazard_inbox(Xin)
-            r2 = np.sum(Xin * Xin, axis=-1)
+            r2in = r2[idx]
             eH = np.exp(-H)
+            val[idx] = (eH - _E4) * r2in
             gin = 2.0 * (eH - _E4)[:, None] * Xin
-            gin[:, 0] -= eH * dval * g1 * r2
-            gin[:, 1] -= eH * dval * g2 * r2
-            out[idx] = gin
-        return out
+            gin[:, 0] -= eH * dval * g1 * r2in
+            gin[:, 1] -= eH * dval * g2 * r2in
+            grad[idx] = gin
+        return val, grad
 
-    return ScalarField(2, value_many, grad_many, name="B")
+    def grad_many(X):
+        return value_grad_many(X)[1]
+
+    return ScalarField(2, value_many, grad_many, name="B",
+                       value_grad_many=value_grad_many)
 
 
 def combine_clbrf(V, B, psi):
@@ -228,7 +249,13 @@ def combine_clbrf(V, B, psi):
     def grad_many(X):
         return V.grad_many(X) + psi * B.grad_many(X)
 
-    return ScalarField(V.n, value_many, grad_many, name="W")
+    def value_grad_many(X):
+        v, gv = V.value_grad_many(X)
+        b, gb = B.value_grad_many(X)
+        return v + psi * b, gv + psi * gb
+
+    return ScalarField(V.n, value_many, grad_many, name="W",
+                       value_grad_many=value_grad_many)
 
 
 def finite_diff_check(field, x, h=1e-5):

@@ -96,6 +96,11 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
 
     Returns (t, v) arrays including t=0.  Non-negative data stays
     non-negative (the sup term only feeds growth).
+
+    Each step's k1 reuses the slope stored at the end of the previous
+    step, whose sup was taken while the newest sample still carried the
+    provisional slope k4.  When step <= delta/(grid-1) no sup-grid read
+    weighs that slope, so k1 is the same number as a fresh sup would give.
     """
     if step > delta:
         raise ValueError("step must not exceed the delay horizon")
@@ -121,8 +126,8 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
 
     t = 0.0
     v = float(v0)
+    k1 = -gamma * v + eta * sup_now()
     for i in range(nsteps):
-        k1 = -gamma * v + eta * sup_now()
         k2 = stage_rate(t + 0.5 * step, v + 0.5 * step * k1, k1)
         k3 = stage_rate(t + 0.5 * step, v + 0.5 * step * k2, k2)
         k4 = stage_rate(t + step, v + step * k3, k3)
@@ -133,7 +138,8 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
         # accepted slope needs the sup over the accepted window; push with
         # a provisional slope, then overwrite in place
         w.push(t, np.array([v]), np.array([k4]))
-        w.ms[w.count - 1, 0] = -gamma * v + eta * sup_now()
+        k1 = -gamma * v + eta * sup_now()
+        w.ms[w.count - 1, 0] = k1
         ts[i + 1] = t
         vs[i + 1] = v
     return ts, vs

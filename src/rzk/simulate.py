@@ -230,6 +230,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     """Integrate K constant-start runs of the example plant in lockstep.
 
     Same reads and formulas as the general path; arrays carry a lane axis.
+    History reads are done in blocks of L steps, each block as soon as
+    every row its reads touch is final.
     """
     h = settings.h
     grid = settings.grid
@@ -239,8 +241,9 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     K = len(ics)
     ic = np.stack([w.const_state for w in ics])          # (K, 2)
 
-    xs = np.empty((N, K, 2))
-    ms = np.empty((N, K, 2))
+    # NaN until written, so a read of a row that is not final yet shows
+    xs = np.full((N, K, 2), np.nan)
+    ms = np.full((N, K, 2), np.nan)
     us = np.empty((N, K))
     margins = np.empty((N, K))
     xs[0] = ic
@@ -253,14 +256,24 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
 
     # read tables by stage offset c (in steps): index offsets and basis
     # weights are constant because both the sample grid and the theta grid
-    # are uniform.  A sup-grid read at (i + 1) h uses the c = 0 table one
-    # row on, so it is the same number for stage 3 of step i and stage 0 of
-    # step i + 1.  That table equals the c = 1 one bit for bit: every grid
-    # offset theta/h is <= -1 here (h < delta/(grid-1)), so adding 1 and
-    # taking the fractional part are exact
-    gtab = {c: _hermite_tables(c + thetas / h, h) for c in (0.0, 0.5)}
-    dtab = {c: _hermite_tables(np.array([c - tau / h]), h)
-            for c in (0.0, 0.5, 1.0)}
+    # are uniform.  Stages 1 and 2 share the reads at t_i + h/2; stage 3 of
+    # step i and stage 0 of step i + 1 share those at t_{i+1}.  The sup grid
+    # reads the latter through the c = 0 table one row on, which equals the
+    # c = 1 table bit for bit: every grid offset theta/h is <= -1 here
+    # (h < delta/(grid-1)), so adding 1 and taking the fractional part are
+    # exact.  The same holds for the delayed read's c = 1 table against
+    # c = 0, since tau >= h.
+    gc = np.array([0.5, 0.0])
+    gi0, *gb = _hermite_tables(gc[:, None] + thetas / h, h)  # (2, g-1)
+    gb = np.stack(gb)                                     # (4, 2, g-1)
+    di0, *db = _hermite_tables(np.array([0.5, 1.0]) - tau / h, h)
+    db = np.stack(db)                                     # (4, 2)
+
+    # the reads of step i touch rows up to i + top (the delayed read's
+    # next row is clamped to i); after stage 0 of step r rows 0..r are
+    # final, so the reads of steps r .. r + L - 1 can all be made then
+    top = max(gi0[0].max() + 1, gi0[1].max() + 2, min(di0.max() + 1, 0))
+    L = 1 - int(top)
 
     cert = ctrl.certificate if ctrl is not None else None
     lam = ctrl.lam if ctrl is not None else 0.0
@@ -269,65 +282,57 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     eta = ctrl.gains.eta if ctrl is not None else 0.0
 
     # during the first delta+h of model time some reads reach into the
-    # constant pre-history; handle those steps with masked gathers
+    # constant pre-history; handle those blocks with masked gathers
     i_split = int(np.ceil(dyn.delta / h)) + 2
 
-    def read_grid(r, c):
-        """History states at the sup grid at time (r + c) h: (g-1, K, 2)."""
-        i0, b00, b10, b01, b11 = gtab[c]
-        rows = r + i0
-        if r < i_split:
-            safe = np.clip(rows, 0, r)
-            nxt = np.minimum(safe + 1, r)
-            vals = (b00[:, None, None] * xs[safe]
-                    + b10[:, None, None] * ms[safe]
-                    + b01[:, None, None] * xs[nxt]
-                    + b11[:, None, None] * ms[nxt])
-            # reads at or before t=0 return the constant initial state
-            tread = (r + c) * h + thetas
-            pre = tread <= 1e-15
-            return np.where(pre[:, None, None], ic[None], vals)
-        return (b00[:, None, None] * xs[rows]
-                + b10[:, None, None] * ms[rows]
-                + b01[:, None, None] * xs[rows + 1]
-                + b11[:, None, None] * ms[rows + 1])
+    def gather(rows, nxt, b):
+        """Hermite reads between rows and nxt; b holds the four basis
+        weights, each broadcast against xs[rows]."""
+        return (b[0] * xs[rows] + b[1] * ms[rows]
+                + b[2] * xs[nxt] + b[3] * ms[nxt])
 
-    def read_delay(i, c):
-        i0, b00, b10, b01, b11 = dtab[c]
-        row = i + int(i0[0])
-        tread = (i + c) * h - tau
-        if tread <= 1e-15:
-            return ic[:, 1]
-        row = max(row, 0)
-        nxt = min(row + 1, i)
-        return (b00[0] * xs[row, :, 1] + b10[0] * ms[row, :, 1]
-                + b01[0] * xs[nxt, :, 1] + b11[0] * ms[nxt, :, 1])
-
-    def stage(i, c, S, fric=None, gmax=None):
-        """Closed-loop derivative, control and margin at the stage states
-        S (K, 2) of stage offset c in step i, plus the delayed friction and
-        the weighted sup-grid max, which a stage at the same read time can
-        pass back in rather than recompute."""
-        if fric is None:
-            fric = friction(read_delay(i, c))
-        f1 = S[:, 1]
-        f2 = -fric - S[:, 0]
+    def grid_max(base, t):
+        """Weighted sup-grid max at the times (base + gc[t]) h, through the
+        tables t (T,) at rows base (T, n): (T, n, K); zero without a
+        certificate, since nothing reads it then."""
         if cert is None:
-            return (np.stack([f1, f2], axis=1), np.zeros(K), np.full(K, np.nan),
-                    fric, None)
-        if gmax is None:
-            # one field call for the grid reads and the stage states
-            flat = read_grid(i + int(c), c % 1.0).reshape(-1, 2)
-            vall = cert.value_many(np.concatenate([flat, S], axis=0))
-            gv = vall[: flat.shape[0]].reshape(-1, K)
-            v0 = vall[flat.shape[0]:]
-            if wexp is not None:
-                gv = gv * wexp
-            gmax = gv.max(axis=0)
+            return np.zeros(base.shape + (K,))
+        rows = base[..., None] + gi0[t][:, None, :]       # (T, n, g-1)
+        b = gb[:, t, None, :, None, None]
+        if base.min() < i_split:
+            R = base[..., None]
+            safe = np.clip(rows, 0, R)
+            states = gather(safe, np.minimum(safe + 1, R), b)
+            # reads at or before t=0 return the constant initial state
+            tread = (base + gc[t][:, None])[..., None] * h + thetas
+            states = np.where((tread <= 1e-15)[..., None, None], ic, states)
         else:
-            v0 = cert.value_many(S)
+            states = gather(rows, rows + 1, b)
+        gv = cert.value_many(states.reshape(-1, 2)).reshape(states.shape[:-1])
+        if wexp is not None:
+            gv = gv * wexp
+        return gv.max(axis=-2)
+
+    def friction_reads(steps):
+        """Delayed friction at t_i + h/2 and t_{i+1} for the steps i:
+        (2, n, K)."""
+        rows = np.maximum(steps + di0[:, None], 0)        # (2, n)
+        nxt = np.minimum(rows + 1, steps)
+        v = gather(rows, nxt, db[:, :, None, None, None])[..., 1]
+        tread = (steps + np.array([0.5, 1.0])[:, None]) * h - tau
+        return friction(np.where((tread <= 1e-15)[..., None], ic[:, 1], v))
+
+    def stage(S, fric, gmax):
+        """Closed-loop derivative, control and margin at the stage states
+        S (K, 2), given the delayed friction and the weighted sup-grid max
+        at the stage's read time."""
+        k = np.empty((K, 2))
+        k[:, 0] = f1 = S[:, 1]
+        k[:, 1] = f2 = -fric - S[:, 0]
+        if cert is None:
+            return k, np.zeros(K), np.full(K, np.nan)
+        v0, gr = cert.value_grad_many(S)                  # (K,), (K, 2)
         sup = np.maximum(gmax, v0)                        # theta = 0 included
-        gr = cert.grad_many(S)                            # (K, 2)
         Lf = gr[:, 0] * f1 + gr[:, 1] * f2
         q = gr[:, 1]                                      # g = (0, 1)
         a = Lf + gam * v0 - eta * sup
@@ -338,20 +343,29 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
             u_on = -(a + root) / q2 * q
         u = np.where(act, u_on, 0.0)
         margin = np.where(act, -root, a)
-        return np.stack([f1, f2 + u], axis=1), u, margin, fric, gmax
+        k[:, 1] += u
+        return k, u, margin
 
     x = ic.copy()
-    g_end = None      # grid max at t_i, from stage 3 of the previous step
+    # stage 0 reads at t_i are those of stage 3 of the previous step
+    f_end = friction(ic[:, 1])
+    g_end = grid_max(np.zeros((1, 1), int), [1])[0, 0]
     for i in range(nsteps + 1):
-        k1, u, margin, _, _ = stage(i, 0.0, x, gmax=g_end)
+        k1, u, margin = stage(x, f_end, g_end)
         ms[i] = k1
         us[i] = u
         margins[i] = margin
         if i == nsteps:
             break
-        k2, _, _, fric, g_mid = stage(i, 0.5, x + 0.5 * h * k1)
-        k3, _, _, _, _ = stage(i, 0.5, x + 0.5 * h * k2, fric, g_mid)
-        k4, _, _, _, g_end = stage(i, 1.0, x + h * k3)
+        j = i % L
+        if j == 0:
+            steps = i + np.arange(min(L, nsteps - i))
+            fr = friction_reads(steps)
+            gm = grid_max(np.stack([steps, steps + 1]), [0, 1])
+        k2, _, _ = stage(x + 0.5 * h * k1, fr[0, j], gm[0, j])
+        k3, _, _ = stage(x + 0.5 * h * k2, fr[0, j], gm[0, j])
+        f_end, g_end = fr[1, j], gm[1, j]
+        k4, _, _ = stage(x + h * k3, f_end, g_end)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         xs[i + 1] = x
 
@@ -378,8 +392,9 @@ def batch_integrate(dyn, ctrl, ics, settings, fields=None, meta=None):
     """Independent integrations from each initial window, order preserved.
 
     Diverged members come back as truncated trajectories with
-    .diverged = True rather than raising.  Constant-start batches of the
-    example plant run in lockstep (bit-for-bit deterministic either way).
+    .diverged = True rather than raising.  The constant starts of the
+    example plant run together in one lockstep, any others on the general
+    path (bit-for-bit deterministic either way).
     """
     fields = dict(fields or {})
     meta = dict(meta or {})
@@ -387,14 +402,19 @@ def batch_integrate(dyn, ctrl, ics, settings, fields=None, meta=None):
     if not ics:
         return []
     _check_settings(dyn, settings)
-    if all(_fast_eligible(dyn, w, settings) for w in ics):
-        return _lockstep_example(dyn, ctrl, ics, settings, fields, meta)
-    out = []
-    for w in ics:
-        try:
-            out.append(integrate(dyn, ctrl, w, settings, fields, meta))
-        except IntegrationDiverged as e:
-            out.append(e.trajectory)
+    out = [None] * len(ics)
+    fast = [k for k, w in enumerate(ics) if _fast_eligible(dyn, w, settings)]
+    if fast:
+        trajs = _lockstep_example(dyn, ctrl, [ics[k] for k in fast], settings,
+                                  fields, meta)
+        for k, tr in zip(fast, trajs):
+            out[k] = tr
+    for k, w in enumerate(ics):
+        if out[k] is None:
+            try:
+                out[k] = integrate(dyn, ctrl, w, settings, fields, meta)
+            except IntegrationDiverged as e:
+                out[k] = e.trajectory
     return out
 
 
