@@ -195,6 +195,31 @@ def example_margin(r):
     return _E4 * np.asarray(r, dtype=float) ** 2
 
 
+def _barrier(X, value=True, grad=True):
+    """The example barrier's (value, gradient) on the rows of X, None for
+    the one not asked for; one box test and one hazard pass serve both."""
+    val = out = None
+    if value:
+        r2 = np.sum(X * X, axis=-1)
+        val = -_E4 * r2
+    if grad:
+        out = (-2.0 * _E4) * X
+    idx, Xin = _in_box(X)
+    if Xin.shape[0]:
+        hz = _hazard_inbox(Xin, grad)
+        eH = np.exp(-hz[0] if grad else -hz)
+        r2in = r2[idx] if value else np.sum(Xin * Xin, axis=-1)
+        if value:
+            val[idx] = (eH - _E4) * r2in
+        if grad:
+            _, dval, g1, g2 = hz
+            gin = 2.0 * (eH - _E4)[:, None] * Xin
+            gin[:, 0] -= eH * dval * g1 * r2in
+            gin[:, 1] -= eH * dval * g2 * r2in
+            out[idx] = gin
+    return val, out
+
+
 def example_barrier():
     """B = (e^{-H} - e^{-4})||x||^2 inside the box, -e^{-4}||x||^2 outside.
 
@@ -202,37 +227,9 @@ def example_barrier():
     the box.  C^1 via the hazard clamp (the e^{-H} term dies with zero
     gradient before the box boundary).
     """
-
-    def value_many(X):
-        r2 = np.sum(X * X, axis=-1)
-        out = -_E4 * r2
-        idx, Xin = _in_box(X)
-        if Xin.shape[0]:
-            H = _hazard_inbox(Xin, grad=False)
-            out[idx] = (np.exp(-H) - _E4) * r2[idx]
-        return out
-
-    def value_grad_many(X):
-        r2 = np.sum(X * X, axis=-1)
-        val = -_E4 * r2
-        grad = (-2.0 * _E4) * X
-        idx, Xin = _in_box(X)
-        if Xin.shape[0]:
-            H, dval, g1, g2 = _hazard_inbox(Xin)
-            r2in = r2[idx]
-            eH = np.exp(-H)
-            val[idx] = (eH - _E4) * r2in
-            gin = 2.0 * (eH - _E4)[:, None] * Xin
-            gin[:, 0] -= eH * dval * g1 * r2in
-            gin[:, 1] -= eH * dval * g2 * r2in
-            grad[idx] = gin
-        return val, grad
-
-    def grad_many(X):
-        return value_grad_many(X)[1]
-
-    return ScalarField(2, value_many, grad_many, name="B",
-                       value_grad_many=value_grad_many)
+    return ScalarField(2, lambda X: _barrier(X, grad=False)[0],
+                       lambda X: _barrier(X, value=False)[1], name="B",
+                       value_grad_many=_barrier)
 
 
 def combine_clbrf(V, B, psi):

@@ -97,10 +97,11 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
     Returns (t, v) arrays including t=0.  Non-negative data stays
     non-negative (the sup term only feeds growth).
 
-    Each step's k1 reuses the slope stored at the end of the previous
-    step, whose sup was taken while the newest sample still carried the
-    provisional slope k4.  When step <= delta/(grid-1) no sup-grid read
-    weighs that slope, so k1 is the same number as a fresh sup would give.
+    When the sup grid's spacing delta/(grid-1) exceeds the step, no grid
+    read lies inside the newest step, so the sup taken right after a push,
+    while the newest sample still carries the provisional slope k4, is the
+    same number as a fresh one: the next step's k1 reuses it.  On a finer
+    grid k1 is recomputed over the accepted window.
     """
     if step > delta:
         raise ValueError("step must not exceed the delay horizon")
@@ -124,6 +125,9 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
         w.pop_scratch()
         return -gamma * v_stage + eta * s
 
+    # the margin keeps a grid read that rounds onto the newest step's left
+    # end out of the reuse
+    reuse = delta / (grid - 1) > step * (1.0 + 1e-9)
     t = 0.0
     v = float(v0)
     k1 = -gamma * v + eta * sup_now()
@@ -140,6 +144,8 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
         w.push(t, np.array([v]), np.array([k4]))
         k1 = -gamma * v + eta * sup_now()
         w.ms[w.count - 1, 0] = k1
+        if not reuse:
+            k1 = -gamma * v + eta * sup_now()
         ts[i + 1] = t
         vs[i + 1] = v
     return ts, vs

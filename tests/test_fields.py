@@ -240,17 +240,19 @@ def test_in_box_hazard_equals_masked_formula(points):
 
 
 def test_gradient_is_finite_next_to_a_wall():
-    # at x2 = 1e-17 the distance 1 - (x2 - 1)^2 rounds to 0 and is floored;
-    # the floor keeps d * d a normal number, so the gradient stays finite
-    # (the hazard's weight there is 0, which picks the exterior gradient)
+    # next to the wall x2 = 0, at x2 = 1e-17, x2 - 1 rounds to -1, so the
+    # distance 1 - (x2 - 1)^2 rounds to 0 and is floored; the floor keeps
+    # d * d a normal number, so the gradient stays finite (the hazard's
+    # weight there is 0, which picks the exterior gradient).  The other
+    # walls leave a distance of at least 4e-16 at the nearest float inside.
+    x = np.array([-2.0, 1e-17])
+    assert rzk.EXAMPLE_BOX.contains(x)
     B = rzk.example_barrier()
     W = rzk.combine_clbrf(rzk.example_lyapunov(), B, 82.0)
-    for x in (np.array([-2.0, 1e-17]), np.array([-3.0 + 1e-17, 1.0])):
-        assert np.all(np.isfinite(B.grad(x)))
-        assert np.all(np.isfinite(W.grad(x)))
-        np.testing.assert_array_equal(B.grad(x), -2.0 * np.exp(-4.0) * x)
-    H = rzk.example_hazard()
-    np.testing.assert_array_equal(H.grad(np.array([-2.0, 1e-17])), [0.0, 0.0])
+    assert np.all(np.isfinite(B.grad(x)))
+    assert np.all(np.isfinite(W.grad(x)))
+    np.testing.assert_array_equal(B.grad(x), -2.0 * np.exp(-4.0) * x)
+    np.testing.assert_array_equal(rzk.example_hazard().grad(x), [0.0, 0.0])
 
 
 @settings(max_examples=200, deadline=None)

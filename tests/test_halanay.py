@@ -101,3 +101,23 @@ def test_comparison_sim_validation():
         halanay.scalar_comparison_sim(2.5, 2.0, 0.0, 0.3, -1.0, 1.0, 1e-3)
     with pytest.raises(ValueError):
         halanay.scalar_comparison_sim(2.5, 2.0, 0.0, 0.3, 1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("delta, sups_per_step", [(0.3, 4), (0.05, 5)])
+def test_comparison_sim_reuses_sup_only_on_coarse_grids(monkeypatch, delta,
+                                                         sups_per_step):
+    # at step 1e-3 and 66 grid points the reuse needs delta > 0.065; below
+    # that every step recomputes k1 over the accepted window
+    calls = []
+    sup = halanay.hist.weighted_sup
+
+    def counted(*args):
+        calls.append(1)
+        return sup(*args)
+
+    monkeypatch.setattr(halanay.hist, "weighted_sup", counted)
+    ts, vs = halanay.scalar_comparison_sim(2.5, 2.0, 0.0, delta, 1.0, 1.0,
+                                           1e-3)
+    assert len(calls) == 1 + sups_per_step * 1000
+    cert = halanay.DecayCertificate(2.5, 2.0, delta)
+    assert halanay.check_envelope(ts, vs, 1.0, cert.rho)["pass"]
