@@ -275,6 +275,8 @@ def _run_batch(build, out_dir):
                                             build.bound_column(tr))
         io.write_trajectory_csv(os.path.join(out_dir, fname), names, data)
         final = tr.xs[-1]
+        norms = np.linalg.norm(tr.xs, axis=1)
+        peak = int(np.argmax(norms))
         rows.append({
             "file": fname,
             "initial_state": [float(v) for v in tr.xs[0]],
@@ -284,6 +286,9 @@ def _run_batch(build, out_dir):
             "final_norm": float(np.linalg.norm(final)),
             "converged": bool(np.linalg.norm(final) < CONVERGED_NORM
                               and not tr.diverged),
+            "peak_norm": float(norms[peak]),
+            "peak_norm_time": float(tr.ts[peak]),
+            "peak_abs_u": float(np.max(np.abs(tr.us), initial=0.0)),
         })
     io.write_report_json(os.path.join(out_dir, "run.json"),
                          {"schema_version": SCHEMA_VERSION,

@@ -2,9 +2,10 @@
 hazard/barrier pair, and the psi-weighted Lyapunov-barrier combination.
 
 Every field exposes value(x), grad(x) and vectorized value_many/grad_many,
-plus value_grad_many for both at once; grad must track value to
-finite-difference accuracy (see finite_diff_check).
-Piecewise definitions cover all of R^n.
+plus value_grad for both at one point in plain floats; grad must track
+value to finite-difference accuracy (see finite_diff_check).  A row's value
+does not depend on its position in a batch.  Piecewise definitions cover
+all of R^n.
 """
 
 import numpy as np
@@ -18,16 +19,17 @@ H_BLEND_LO = 45.0
 class ScalarField:
     """C^1 scalar function of the state with an analytic gradient.
 
-    value_grad_many, if given, returns (value_many(X), grad_many(X)) bit for
-    bit from one pass over X; without it both are evaluated separately.
+    value_grad(x), for a point x given as a sequence of floats, returns the
+    value as a float and the gradient as a tuple of floats, bit for bit the
+    value_many/grad_many row of x.  Fields built without a per-point form
+    take it from one-row batch calls.
     """
 
-    def __init__(self, n, value_many, grad_many, name="",
-                 value_grad_many=None):
+    def __init__(self, n, value_many, grad_many, name="", value_grad=None):
         self.n = int(n)
         self._value_many = value_many
         self._grad_many = grad_many
-        self._value_grad_many = value_grad_many
+        self.value_grad = value_grad or self._value_grad_row
         self.name = name
 
     def value(self, x):
@@ -46,11 +48,10 @@ class ScalarField:
         X = np.asarray(X, dtype=float)
         return self._grad_many(X)
 
-    def value_grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        if self._value_grad_many is None:
-            return self._value_many(X), self._grad_many(X)
-        return self._value_grad_many(X)
+    def _value_grad_row(self, x):
+        X = np.asarray(x, dtype=float)[None, :]
+        return (float(self._value_many(X)[0]),
+                tuple(self._grad_many(X)[0].tolist()))
 
 
 class SandwichBounds:
@@ -95,21 +96,49 @@ EXAMPLE_BOX = RegionBox([(-3.0, -1.0), (0.0, 2.0)])
 
 
 def quadratic_field(Q, name="quadratic"):
-    """x^T Q x with gradient 2 Q x; Q must be symmetric."""
+    """x^T Q x with gradient 2 Q x; Q must be symmetric.
+
+    Both are built coordinate by coordinate in one fixed order, (Q x)_i =
+    sum_j Q_ij x_j and x^T Q x = sum_i x_i (Q x)_i, by the same arithmetic
+    on a batch's columns as on one point's floats, so a row's value does
+    not depend on its place in the batch.
+    """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
     n = Q.shape[0]
+    rows = Q.tolist()
+
+    def qx(xs):
+        # xs: the n coordinates, as batch columns or as floats
+        out = []
+        for qi in rows:
+            acc = qi[0] * xs[0]
+            for j in range(1, n):
+                acc = acc + qi[j] * xs[j]
+            out.append(acc)
+        return out
+
+    def form(xs, y):
+        acc = xs[0] * y[0]
+        for i in range(1, n):
+            acc = acc + xs[i] * y[i]
+        return acc
 
     def value_many(X):
-        return np.einsum("ij,jk,ik->i", X, Q, X)
+        return form(X.T, qx(X.T))
 
     def grad_many(X):
-        return 2.0 * X @ Q.T
+        return np.stack([2.0 * c for c in qx(X.T)], axis=-1)
 
-    return ScalarField(n, value_many, grad_many, name=name)
+    def value_grad(x):
+        y = qx(x)
+        return form(x, y), tuple([2.0 * c for c in y])
+
+    return ScalarField(n, value_many, grad_many, name=name,
+                       value_grad=value_grad)
 
 
 def example_lyapunov():
@@ -186,7 +215,9 @@ def example_hazard():
     return ScalarField(2, value_many, grad_many, name="H")
 
 
-_E4 = np.exp(-4.0)
+_E4 = float(np.exp(-4.0))
+_BOX_LO = tuple(EXAMPLE_BOX.lo.tolist())
+_BOX_HI = tuple(EXAMPLE_BOX.hi.tolist())
 
 
 def example_margin(r):
@@ -220,6 +251,38 @@ def _barrier(X, value=True, grad=True):
     return val, out
 
 
+def _hazard_point(x1, x2):
+    """_hazard_inbox with gradient at one in-box point, in floats: the same
+    arithmetic in the same order."""
+    t1 = x1 + 2.0
+    t2 = x2 - 1.0
+    d1 = max(1.0 - t1 * t1, 1e-150)
+    d2 = max(1.0 - t2 * t2, 1e-150)
+    raw = 1.0 / d1 + 1.0 / d2
+    if raw < H_BLEND_LO:
+        val, dval = raw, 1.0
+    else:
+        s = min((raw - H_BLEND_LO) / (H_MAX - H_BLEND_LO), 1.0)
+        val = H_BLEND_LO + (H_MAX - H_BLEND_LO) * _quintic_blend(s)
+        dval = _quintic_blend_d(s) if raw < H_MAX else 0.0
+    return val, dval, 2.0 * t1 / (d1 * d1), 2.0 * t2 / (d2 * d2)
+
+
+def _barrier_point(x):
+    """_barrier's value and gradient row at the point x, in floats; e^{-H}
+    goes through np.exp, which math.exp does not match in the last bit."""
+    x1, x2 = x
+    r2 = x1 * x1 + x2 * x2
+    if _BOX_LO[0] < x1 < _BOX_HI[0] and _BOX_LO[1] < x2 < _BOX_HI[1]:
+        hv, dval, g1, g2 = _hazard_point(x1, x2)
+        eH = float(np.exp(-hv))
+        c = 2.0 * (eH - _E4)
+        return ((eH - _E4) * r2, (c * x1 - eH * dval * g1 * r2,
+                                  c * x2 - eH * dval * g2 * r2))
+    c = -2.0 * _E4
+    return -_E4 * r2, (c * x1, c * x2)
+
+
 def example_barrier():
     """B = (e^{-H} - e^{-4})||x||^2 inside the box, -e^{-4}||x||^2 outside.
 
@@ -229,7 +292,7 @@ def example_barrier():
     """
     return ScalarField(2, lambda X: _barrier(X, grad=False)[0],
                        lambda X: _barrier(X, value=False)[1], name="B",
-                       value_grad_many=_barrier)
+                       value_grad=_barrier_point)
 
 
 def combine_clbrf(V, B, psi):
@@ -239,6 +302,8 @@ def combine_clbrf(V, B, psi):
     if psi <= 0:
         raise ValueError("psi must be positive")
     psi = float(psi)
+    v_point = V.value_grad
+    b_point = B.value_grad
 
     def value_many(X):
         return V.value_many(X) + psi * B.value_many(X)
@@ -246,13 +311,13 @@ def combine_clbrf(V, B, psi):
     def grad_many(X):
         return V.grad_many(X) + psi * B.grad_many(X)
 
-    def value_grad_many(X):
-        v, gv = V.value_grad_many(X)
-        b, gb = B.value_grad_many(X)
-        return v + psi * b, gv + psi * gb
+    def value_grad(x):
+        v, gv = v_point(x)
+        b, gb = b_point(x)
+        return v + psi * b, tuple([g + psi * c for g, c in zip(gv, gb)])
 
     return ScalarField(V.n, value_many, grad_many, name="W",
-                       value_grad_many=value_grad_many)
+                       value_grad=value_grad)
 
 
 def finite_diff_check(field, x, h=1e-5):

@@ -2,11 +2,16 @@
 
 Fixed-step classic RK4; delayed reads go through the history window, with
 provisional scratch extensions so every RK stage sees a stage-consistent
-history.  The feedback is recomputed at every stage.  A vectorized fast
-path integrates whole batches of constant-start runs of the example plant
-in lockstep; it reproduces the general path's arithmetic (same reads, same
-formulas) and exists purely for speed.
+history.  The feedback is recomputed at every stage.  A fast path
+integrates whole batches of constant-start runs of the example plant in
+lockstep; it reproduces the general path's arithmetic (same reads, same
+formulas) and exists purely for speed.  Its history reads stay vectorized
+over lanes and blocks of steps, while each RK stage runs per lane in plain
+floats on the certificate's per-point form, so a lane's result does not
+depend on the other lanes.
 """
+
+import math
 
 import numpy as np
 
@@ -84,10 +89,10 @@ def _stage_eval(dyn, ctrl, window):
         margin = np.nan
         return f, u, a, margin
     G = dyn.g(window)
-    gr = ctrl.certificate.grad(x)
+    vx, gr = ctrl.certificate.value_grad(x.tolist())
+    gr = np.array(gr)
     Lf = float(gr @ f)
     q = (gr @ G).ravel()
-    vx = ctrl.certificate.value(x)
     sup = hist.weighted_sup(window, ctrl.certificate, ctrl.gains.mu, ctrl.grid)
     a = Lf + ctrl.gains.gamma * vx - ctrl.gains.eta * sup
     q2 = float(q @ q)
@@ -229,9 +234,10 @@ def _hermite_tables(offsets, h):
 def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     """Integrate K constant-start runs of the example plant in lockstep.
 
-    Same reads and formulas as the general path; arrays carry a lane axis.
-    History reads are done in blocks of L steps, each block as soon as
-    every row its reads touch is final.
+    Same reads and formulas as the general path.  History reads are done
+    in blocks of L steps on arrays with a lane axis, each block as soon as
+    every row its reads touch is final; the RK stages run lane by lane in
+    floats, and the xs/ms/us/margins rows are written every step.
     """
     h = settings.h
     grid = settings.grid
@@ -322,51 +328,59 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         tread = (steps + np.array([0.5, 1.0])[:, None]) * h - tau
         return friction(np.where((tread <= 1e-15)[..., None], ic[:, 1], v))
 
-    def stage(S, fric, gmax):
-        """Closed-loop derivative, control and margin at the stage states
-        S (K, 2), given the delayed friction and the weighted sup-grid max
-        at the stage's read time."""
-        k = np.empty((K, 2))
-        k[:, 0] = f1 = S[:, 1]
-        k[:, 1] = f2 = -fric - S[:, 0]
-        if cert is None:
-            return k, np.zeros(K), np.full(K, np.nan)
-        v0, gr = cert.value_grad_many(S)                  # (K,), (K, 2)
-        sup = np.maximum(gmax, v0)                        # theta = 0 included
-        Lf = gr[:, 0] * f1 + gr[:, 1] * f2
-        q = gr[:, 1]                                      # g = (0, 1)
-        a = Lf + gam * v0 - eta * sup
-        q2 = q * q
-        act = q2 > qthr2
-        root = np.sqrt(a * a + lam * q2 * q2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_on = -(a + root) / q2 * q
-        u = np.where(act, u_on, 0.0)
-        margin = np.where(act, -root, a)
-        k[:, 1] += u
-        return k, u, margin
+    vg = cert.value_grad if cert is not None else None
+    hh = 0.5 * h
+    h6 = h / 6.0
 
-    x = ic.copy()
-    # stage 0 reads at t_i are those of stage 3 of the previous step
-    f_end = friction(ic[:, 1])
-    g_end = grid_max(np.zeros((1, 1), int), [1])[0, 0]
+    def stage(s0, s1, fric, gmax):
+        """Closed-loop derivative (k0, k1), control and margin of one lane
+        at the stage state (s0, s1), given its delayed friction and
+        weighted sup-grid max at the stage's read time."""
+        f2 = -fric - s0
+        if vg is None:
+            return s1, f2, 0.0, math.nan
+        v0, (g0, q) = vg((s0, s1))
+        # theta = 0 included; a NaN grid max stays NaN, as in np.maximum
+        sup = v0 if v0 > gmax else gmax
+        a = g0 * s1 + q * f2 + gam * v0 - eta * sup       # g = (0, 1)
+        q2 = q * q
+        if q2 > qthr2:
+            root = math.sqrt(a * a + lam * q2 * q2)
+            u = -(a + root) / q2 * q
+            return s1, f2 + u, u, -root
+        return s1, f2 + 0.0, 0.0, a
+
+    # per-lane state and the stage-0 reads at t_i, which are those of
+    # stage 3 of the previous step
+    x = ic.tolist()
+    f_end = friction(ic[:, 1]).tolist()
+    g_end = grid_max(np.zeros((1, 1), int), [1])[0, 0].tolist()
+    lanes = range(K)
     for i in range(nsteps + 1):
-        k1, u, margin = stage(x, f_end, g_end)
-        ms[i] = k1
-        us[i] = u
-        margins[i] = margin
+        k1 = [stage(x[k][0], x[k][1], f_end[k], g_end[k]) for k in lanes]
+        ms[i] = [r[:2] for r in k1]
+        us[i] = [r[2] for r in k1]
+        margins[i] = [r[3] for r in k1]
         if i == nsteps:
             break
         j = i % L
         if j == 0:
             steps = i + np.arange(min(L, nsteps - i))
-            fr = friction_reads(steps)
-            gm = grid_max(np.stack([steps, steps + 1]), [0, 1])
-        k2, _, _ = stage(x + 0.5 * h * k1, fr[0, j], gm[0, j])
-        k3, _, _ = stage(x + 0.5 * h * k2, fr[0, j], gm[0, j])
-        f_end, g_end = fr[1, j], gm[1, j]
-        k4, _, _ = stage(x + h * k3, f_end, g_end)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            fr = friction_reads(steps).tolist()
+            gm = grid_max(np.stack([steps, steps + 1]), [0, 1]).tolist()
+        f_mid, g_mid = fr[0][j], gm[0][j]
+        f_end, g_end = fr[1][j], gm[1][j]
+        for k in lanes:
+            x0, x1 = x[k]
+            a0, a1 = k1[k][:2]
+            b0, b1, _, _ = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
+                                 g_mid[k])
+            c0, c1, _, _ = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
+                                 g_mid[k])
+            d0, d1, _, _ = stage(x0 + h * c0, x1 + h * c1, f_end[k],
+                                 g_end[k])
+            x[k] = (x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0),
+                    x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1))
         xs[i + 1] = x
 
     ts = np.arange(N) * h

@@ -38,6 +38,29 @@ def test_demo_artifacts(demo_run):
         assert row["diverged"] is False
 
 
+def _assert_peaks_match_csv(out):
+    run = io.read_json(out / "run.json")
+    for row in run["trajectories"]:
+        names, data = io.read_trajectory_csv(out / row["file"])
+        norms = np.linalg.norm(data[:, 1:3], axis=1)
+        assert row["peak_norm"] == norms.max()
+        assert row["peak_norm_time"] == data[np.argmax(norms), 0]
+        assert row["peak_abs_u"] == np.abs(data[:, names.index("u1")]).max()
+    return run["trajectories"]
+
+
+def test_run_json_peak_diagnostics_match_csv(demo_run, tmp_path):
+    for row in _assert_peaks_match_csv(demo_run.path):
+        assert row["peak_norm"] >= row["final_norm"]
+    # at psi = 10 the start decays, so its peak is not its last sample
+    cfgp = tmp_path / "decay.json"
+    write_config(cfgp, certificate={"psi": 10.0})
+    out = tmp_path / "out"
+    cli.main(["simulate", "--config", str(cfgp), "--out", str(out)])
+    (row,) = _assert_peaks_match_csv(out)
+    assert row["peak_norm"] > row["final_norm"]
+
+
 def test_simulate_round_trip_is_bytewise(demo_run, tmp_path):
     out = tmp_path / "rt"
     code = cli.main(["simulate", "--config", str(demo_run.path / "config.json"),

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import history as hist, simulate
+from rzk import cli, history as hist, simulate
 from rzk.simulate import IntegrationDiverged, IntegrationSettings
 
 
@@ -213,3 +216,50 @@ def test_lockstep_matches_general_path(example_setup, case):
         ctrl = rzk.ControllerSpec(example_setup[kind], gains, 2.0)
     _assert_paths_agree(dyn, ctrl, IntegrationSettings(
         h=case.get("h", 2e-3), T=0.4, grid=case.get("grid", 66)))
+
+
+def _bits(a):
+    # bit patterns, so 0.0 and -0.0 differ
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def test_each_lockstep_lane_equals_its_one_lane_run(example_setup):
+    # the block reads pack every lane into one field call, so a lane's
+    # result must not depend on the other lanes or its place among them
+    dyn = example_setup["dyn"]
+    ctrl = example_setup["ctrl"]
+    s = IntegrationSettings(h=1e-3, T=1.0)
+    ics = [hist.from_constant(np.array(x), 0.3)
+           for x in cli.DEMO_INITIAL_CONDITIONS]
+    batch = rzk.batch_integrate(dyn, ctrl, ics, s)
+    for w, tr in zip(ics, batch):
+        single = rzk.integrate(dyn, ctrl, w.copy(), s)
+        for name in ("xs", "us", "margins", "slopes"):
+            assert _bits(getattr(tr, name)) == _bits(getattr(single, name)), \
+                name
+
+
+_Q = st.one_of(st.floats(1e-5, 1e3), st.floats(-1e3, -1e-5),
+               st.floats(-1e-13, 1e-13))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-1e6, 1e6), q=_Q, lam=st.floats(0.1, 10.0))
+def test_lane_stage_meets_the_margin_identity(example_setup, a, q, lam):
+    # a field of constant value a and gradient (0, q), gamma = 1 and
+    # eta = 0, at the state 0 where the drift and friction vanish: the
+    # first stage's activation is exactly a, its input-side term q
+    cert = rzk.ScalarField(2, lambda X: np.full(X.shape[0], a),
+                           lambda X: np.tile([0.0, q], (X.shape[0], 1)))
+    ctrl = rzk.ControllerSpec(cert, rzk.RazumikhinGains(1.0, 0.0), lam)
+    tr = simulate._lockstep_example(
+        example_setup["dyn"], ctrl, [hist.from_constant(np.zeros(2), 0.3)],
+        IntegrationSettings(h=1e-3, T=1e-3, records=()), {}, {})[0]
+    u, margin = float(tr.us[0, 0]), float(tr.margins[0])
+    if q * q <= ctrl.q_threshold ** 2:
+        assert u == 0.0 and margin == a
+        return
+    root = math.sqrt(a * a + lam * q ** 4)
+    assert margin == pytest.approx(-root, rel=1e-14, abs=0.0)
+    # closed loop: a + q u = -sqrt(a^2 + lambda q^4), up to rounding
+    assert abs(a + q * u + root) <= 8 * np.finfo(float).eps * (abs(a) + root)
