@@ -3,8 +3,10 @@
 A HistoryWindow is the computational stand-in for a continuous history
 segment: it stores time-stamped state samples spanning at least the delay
 horizon and answers interpolation queries at offsets theta in [-Delta, 0]
-measured from the latest sample.  All decrease inequalities in this package
-query histories only through `interpolate` and `weighted_sup`.
+measured from the latest sample.  Integrators on a uniform step read their
+own sample rows through the fixed weights of `hermite_tables` instead: the
+same cubic Hermite fit, with the interval and fraction of each read fixed
+by its offset in steps.
 """
 
 import numpy as np
@@ -214,6 +216,25 @@ def theta_grid(delta, grid=DEFAULT_GRID):
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     return np.linspace(-delta, 0.0, int(grid))
+
+
+def hermite_tables(offsets, h):
+    """Integer row offsets and cubic-Hermite basis weights for reads at
+    fixed fractional positions on a uniform grid of spacing h.
+
+    offsets are in grid steps relative to a current row; a read at offset
+    o is b00*x[i0] + b10*m[i0] + b01*x[i0+1] + b11*m[i0+1], with i0 the
+    floor of o and m the stored slopes.  Returns (i0, b00, b10, b01, b11).
+    """
+    i0 = np.floor(offsets).astype(int)
+    s = offsets - i0
+    s2 = s * s
+    s3 = s2 * s
+    b00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    b10 = (s3 - 2.0 * s2 + s) * h
+    b01 = -2.0 * s3 + 3.0 * s2
+    b11 = (s3 - s2) * h
+    return i0, b00, b10, b01, b11
 
 
 def weighted_sup(window, field, mu=0.0, grid=DEFAULT_GRID):

@@ -40,13 +40,13 @@ def trajectory_columns(traj, V, B, W, bound=None):
 
 
 def write_trajectory_csv(path, names, data):
-    lines = [",".join(names)]
-    for row in data:
-        # v + 0.0 folds negative zero into plain 0
-        lines.append(",".join("%.17g" % (v + 0.0) for v in row))
+    # + 0.0 folds negative zero into plain 0
+    data = np.asarray(data, dtype=float) + 0.0
+    fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+        f.write(",".join(names) + "\n")
+        # one row at a time, so no copy of the whole table is held
+        f.writelines(fmt % tuple(row.tolist()) for row in data)
 
 
 def read_trajectory_csv(path):

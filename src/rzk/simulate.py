@@ -217,20 +217,6 @@ def _fast_eligible(dyn, xi, settings):
     return True
 
 
-def _hermite_tables(offsets, h):
-    """Integer row offsets and Hermite basis weights for fixed fractional
-    read positions (index units relative to the current row)."""
-    i0 = np.floor(offsets).astype(int)
-    s = offsets - i0
-    s2 = s * s
-    s3 = s2 * s
-    b00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    b10 = (s3 - 2.0 * s2 + s) * h
-    b01 = -2.0 * s3 + 3.0 * s2
-    b11 = (s3 - s2) * h
-    return i0, b00, b10, b01, b11
-
-
 def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     """Integrate K constant-start runs of the example plant in lockstep.
 
@@ -270,9 +256,9 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     # exact.  The same holds for the delayed read's c = 1 table against
     # c = 0, since tau >= h.
     gc = np.array([0.5, 0.0])
-    gi0, *gb = _hermite_tables(gc[:, None] + thetas / h, h)  # (2, g-1)
+    gi0, *gb = hist.hermite_tables(gc[:, None] + thetas / h, h)  # (2, g-1)
     gb = np.stack(gb)                                     # (4, 2, g-1)
-    di0, *db = _hermite_tables(np.array([0.5, 1.0]) - tau / h, h)
+    di0, *db = hist.hermite_tables(np.array([0.5, 1.0]) - tau / h, h)
     db = np.stack(db)                                     # (4, 2)
 
     # the reads of step i touch rows up to i + top (the delayed read's

@@ -115,15 +115,7 @@ def window_states(traj, grid=None, start=0, stop=None):
     if stop is None:
         stop = N
     thetas = hist.theta_grid(delta, grid)
-    off = thetas / h
-    i0 = np.floor(off).astype(int)
-    s = off - i0
-    s2 = s * s
-    s3 = s2 * s
-    b00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    b10 = (s3 - 2.0 * s2 + s) * h
-    b01 = -2.0 * s3 + 3.0 * s2
-    b11 = (s3 - s2) * h
+    i0, b00, b10, b01, b11 = hist.hermite_tables(thetas / h, h)
 
     rows = np.arange(start, stop)[:, None] + i0[None, :]
     safe = np.clip(rows, 0, N - 1)

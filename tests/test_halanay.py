@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rzk import halanay
+from rzk import history as hist
 
 
 @pytest.fixture(scope="module")
@@ -101,23 +103,94 @@ def test_comparison_sim_validation():
         halanay.scalar_comparison_sim(2.5, 2.0, 0.0, 0.3, -1.0, 1.0, 1e-3)
     with pytest.raises(ValueError):
         halanay.scalar_comparison_sim(2.5, 2.0, 0.0, 0.3, 1.0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        halanay.scalar_comparison_sim(2.5, 2.0, -0.1, 0.3, 1.0, 1.0, 1e-3)
 
 
-@pytest.mark.parametrize("delta, sups_per_step", [(0.3, 4), (0.05, 5)])
-def test_comparison_sim_reuses_sup_only_on_coarse_grids(monkeypatch, delta,
-                                                         sups_per_step):
-    # at step 1e-3 and 66 grid points the reuse needs delta > 0.065; below
-    # that every step recomputes k1 over the accepted window
-    calls = []
-    sup = halanay.hist.weighted_sup
+class _Identity:
+    """Scalar pass-through, so a window of v goes through weighted_sup."""
 
-    def counted(*args):
-        calls.append(1)
-        return sup(*args)
+    @staticmethod
+    def value_many(X):
+        return X[..., 0]
 
-    monkeypatch.setattr(halanay.hist, "weighted_sup", counted)
-    ts, vs = halanay.scalar_comparison_sim(2.5, 2.0, 0.0, delta, 1.0, 1.0,
-                                           1e-3)
-    assert len(calls) == 1 + sups_per_step * 1000
+
+def _scratch_push_comparison(gamma, eta, mu, delta, v0, T, step,
+                             grid=hist.DEFAULT_GRID):
+    """Reference: the comparison run on a HistoryWindow, with a scratch push
+    and a weighted_sup for every RK stage.  Same scheme as
+    halanay.scalar_comparison_sim (slope 0 at t = 0, accepted rows keep
+    their first k1, k1 recomputed only when sup reads reach the newest
+    step), read through interp_times instead of fixed tables."""
+    w = hist.from_constant(np.array([float(v0)]), delta)
+    nsteps = int(round(T / step))
+    ts = np.empty(nsteps + 1)
+    vs = np.empty(nsteps + 1)
+    ts[0], vs[0] = 0.0, v0
+
+    def sup_now():
+        return hist.weighted_sup(w, _Identity, mu, grid)
+
+    def stage_rate(t_stage, v_stage, slope_guess):
+        w.push_scratch(t_stage, np.array([v_stage]), np.array([slope_guess]))
+        s = sup_now()
+        w.pop_scratch()
+        return -gamma * v_stage + eta * s
+
+    reuse = delta / (grid - 1) > step * (1.0 + 1e-9)
+    t = 0.0
+    v = float(v0)
+    k1 = -gamma * v + eta * sup_now()
+    for i in range(nsteps):
+        k2 = stage_rate(t + 0.5 * step, v + 0.5 * step * k1, k1)
+        k3 = stage_rate(t + 0.5 * step, v + 0.5 * step * k2, k2)
+        k4 = stage_rate(t + step, v + step * k3, k3)
+        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if -1e-12 < v < 0.0:
+            v = 0.0
+        t = (i + 1) * step
+        w.push(t, np.array([v]), np.array([k4]))
+        k1 = -gamma * v + eta * sup_now()
+        w.ms[w.count - 1, 0] = k1
+        if not reuse:
+            k1 = -gamma * v + eta * sup_now()
+        ts[i + 1] = t
+        vs[i + 1] = v
+    return ts, vs
+
+
+def _assert_matches_reference(gamma, eta, mu, delta, T, step=1e-3):
+    ts, vs = halanay.scalar_comparison_sim(gamma, eta, mu, delta, 1.0, T,
+                                           step)
+    ts_ref, vs_ref = _scratch_push_comparison(gamma, eta, mu, delta, 1.0, T,
+                                              step)
+    np.testing.assert_array_equal(ts, ts_ref)
+    np.testing.assert_allclose(vs, vs_ref, rtol=1e-13, atol=0.0)
+    return ts, vs
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=st.floats(0.5, 5.0), ratio=st.floats(0.05, 0.95),
+       mu=st.floats(0.0, 1.0), delta=st.floats(0.01, 0.5),
+       T=st.floats(0.05, 1.0), step=st.sampled_from([1e-3, 2.5e-3, 1e-2]))
+def test_comparison_sim_matches_scratch_push_reference(gamma, ratio, mu,
+                                                       delta, T, step):
+    assume(step <= delta)
+    _assert_matches_reference(gamma, ratio * gamma, mu, delta, T, step)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("delta", [0.01, 0.064, 0.065, 0.066])
+def test_comparison_sim_matches_reference_across_fine_grid_edge(delta, mu):
+    # at step 1e-3 and 66 grid points, sup reads land inside the current
+    # step for delta <= 0.065 and stay on accepted rows above it.  With
+    # mu = gamma - eta, the initial decay rate, the weighted history is
+    # nearly flat, so reads inside the step can hold the sup
+    _assert_matches_reference(2.5, 2.0, mu, delta, 0.5)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.05])
+def test_comparison_sim_matches_reference_and_envelope(delta):
+    ts, vs = _assert_matches_reference(2.5, 2.0, 0.0, delta, 1.0)
     cert = halanay.DecayCertificate(2.5, 2.0, delta)
     assert halanay.check_envelope(ts, vs, 1.0, cert.rho)["pass"]

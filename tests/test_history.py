@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rzk import history as hist
+from rzk import verify
+from rzk.simulate import Trajectory
 
 
 def test_from_constant_covers_delay_horizon():
@@ -45,6 +48,61 @@ def test_cubic_hermite_reproduces_cubic_polynomials(rng):
     tq = rng.uniform(0.0, 1.0, size=50)
     got = w.interp_times(tq)[:, 0]
     assert np.max(np.abs(got - p(tq))) < 1e-12
+
+
+_COEF = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c1=_COEF, c2=_COEF, h=st.floats(0.01, 0.1),
+       nrows=st.integers(2, 20), delta=st.floats(0.05, 0.5),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_every_hermite_reader_is_exact_on_cubics(c1, c2, h, nrows, delta,
+                                                 fracs):
+    # samples and slopes of a cubic, read back by each Hermite reader:
+    # HistoryWindow.interp_times, a hermite_tables gather and
+    # verify.window_states must all return the cubic itself
+    ps = [np.polynomial.Polynomial(c) for c in (c1, c2)]
+
+    def cubic(t):
+        return np.stack([p(t) for p in ps], axis=-1)
+
+    def slope(t):
+        return np.stack([p.deriv()(t) for p in ps], axis=-1)
+
+    ts = np.arange(nrows) * h
+    xs, ms = cubic(ts), slope(ts)
+    span = ts[-1]
+
+    w = hist.HistoryWindow(2, span)
+    for t, x, m in zip(ts, xs, ms):
+        w.push(t, x, m)
+    tq = np.array(fracs) * span
+    np.testing.assert_allclose(w.interp_times(tq), cubic(tq), rtol=0,
+                               atol=1e-12)
+
+    # offsets in steps behind the last row, as the integrators read them
+    last = nrows - 1
+    off = -np.array(fracs) * last
+    i0, b00, b10, b01, b11 = hist.hermite_tables(off, h)
+    rows = last + i0
+    nxt = np.minimum(rows + 1, last)
+    vals = (b00[:, None] * xs[rows] + b10[:, None] * ms[rows]
+            + b01[:, None] * xs[nxt] + b11[:, None] * ms[nxt])
+    np.testing.assert_allclose(vals, cubic((last + off) * h), rtol=0,
+                               atol=1e-12)
+
+    # the initial window carries the same cubic on [-delta, 0]
+    pre_n = int(np.ceil(delta / h)) + 1
+    ic = hist.HistoryWindow(2, delta)
+    for t in np.linspace(-delta, 0.0, pre_n):
+        ic.push(t, cubic(t), slope(t))
+    traj = Trajectory(ts, xs, np.zeros((nrows, 1)), np.zeros(nrows), ms, {},
+                      {"h": h, "delta": delta, "grid": 9}, ic)
+    thetas = hist.theta_grid(delta, 9)
+    np.testing.assert_allclose(verify.window_states(traj),
+                               cubic(ts[:, None] + thetas), rtol=0,
+                               atol=1e-12)
 
 
 def test_finite_difference_slope_fallback_is_linear_exact():
