@@ -101,7 +101,8 @@ def quadratic_field(Q, name="quadratic"):
     Both are built coordinate by coordinate in one fixed order, (Q x)_i =
     sum_j Q_ij x_j and x^T Q x = sum_i x_i (Q x)_i, by the same arithmetic
     on a batch's columns as on one point's floats, so a row's value does
-    not depend on its place in the batch.
+    not depend on its place in the batch.  For n = 2 the per-point form is
+    unrolled, in the same operation order.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -133,9 +134,18 @@ def quadratic_field(Q, name="quadratic"):
     def grad_many(X):
         return np.stack([2.0 * c for c in qx(X.T)], axis=-1)
 
-    def value_grad(x):
-        y = qx(x)
-        return form(x, y), tuple([2.0 * c for c in y])
+    if n == 2:
+        (q00, q01), (q10, q11) = rows
+
+        def value_grad(x):
+            x0, x1 = x
+            y0 = q00 * x0 + q01 * x1
+            y1 = q10 * x0 + q11 * x1
+            return x0 * y0 + x1 * y1, (2.0 * y0, 2.0 * y1)
+    else:
+        def value_grad(x):
+            y = qx(x)
+            return form(x, y), tuple([2.0 * c for c in y])
 
     return ScalarField(n, value_many, grad_many, name=name,
                        value_grad=value_grad)

@@ -83,8 +83,8 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
     non-negative (the sup term only feeds growth).
 
     The history is the cubic Hermite fit through the accepted samples and
-    their slopes (k1, except the t = 0 sample, which keeps slope 0), with
-    the constant v0 at and before t = 0.  The sample grid and the theta
+    their slopes (each sample's k1, as in the closed-loop integrators),
+    with the constant v0 at and before t = 0.  The sample grid and the theta
     grid are both uniform, so each sup-grid read of a stage at t_i + c*step
     is a fixed combination of rows: its weights come from
     `hist.hermite_tables` once per stage offset c in {1/2, 1}.  The reads
@@ -112,7 +112,9 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
     # NaN until written, so a read of a row that is not final yet shows
     vs = np.full(nsteps + 1, np.nan)
     ms = np.full(nsteps + 1, np.nan)
-    vs[0], ms[0] = v0, 0.0
+    # every read at t = 0 is v0, and e^{mu theta} <= 1
+    k1 = -gamma * v0 + eta * v0
+    vs[0], ms[0] = v0, k1
 
     thetas = hist.theta_grid(delta, grid)[:-1]       # theta = 0 is the stage
     cs = np.array([0.5, 1.0])
@@ -174,10 +176,7 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
 
     hh = 0.5 * h
     h6 = h / 6.0
-    v = v0
-    m = 0.0
-    # every read at t = 0 is v0, and e^{mu theta} <= 1
-    k1 = -gamma * v + eta * v
+    v, m = v0, k1
     for i in range(nsteps):
         j = i % L
         if j == 0:

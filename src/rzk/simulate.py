@@ -12,6 +12,7 @@ depend on the other lanes.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,15 +35,25 @@ class IntegrationSettings:
         self.grid = int(grid)
 
 
+# the weighted history sup sup_theta e^{mu theta} field(x(t + theta)) at
+# every sample, as the integrator computed it, with the field object, mu and
+# sup-grid size it was computed for; values is a read-only (N,) array
+HistorySup = namedtuple("HistorySup", "field mu grid values")
+
+
 class Trajectory:
     """Uniform-step samples of a single run plus recorded certificates.
 
     slopes holds the closed-loop state derivative at each sample (used by
-    verifiers to reconstruct history windows at full order).
+    verifiers to reconstruct history windows at full order).  history_sup
+    is a HistorySup or None: the lockstep records the controller's weighted
+    history sup on every lane that did not diverge and has no NaN margin,
+    so that verify.field_sup_series need not rebuild the windows; other
+    runs and trajectories read back from CSV carry None.
     """
 
     def __init__(self, ts, xs, us, margins, slopes, fields, meta, ic_window,
-                 diverged=False):
+                 diverged=False, history_sup=None):
         self.ts = ts
         self.xs = xs
         self.us = us
@@ -52,6 +63,7 @@ class Trajectory:
         self.meta = dict(meta)
         self.ic_window = ic_window
         self.diverged = diverged
+        self.history_sup = history_sup
 
     @property
     def n(self):
@@ -223,7 +235,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     Same reads and formulas as the general path.  History reads are done
     in blocks of L steps on arrays with a lane axis, each block as soon as
     every row its reads touch is final; the RK stages run lane by lane in
-    floats, and the xs/ms/us/margins rows are written every step.
+    floats, and the xs/ms/us/margins rows are written every step, with
+    the weighted history sup of each sample's first stage.
     """
     h = settings.h
     grid = settings.grid
@@ -238,6 +251,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     ms = np.full((N, K, 2), np.nan)
     us = np.empty((N, K))
     margins = np.empty((N, K))
+    sups = np.empty((N, K))
     xs[0] = ic
 
     thetas = hist.theta_grid(dyn.delta, grid)[:-1]       # exclude theta = 0
@@ -319,12 +333,13 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     h6 = h / 6.0
 
     def stage(s0, s1, fric, gmax):
-        """Closed-loop derivative (k0, k1), control and margin of one lane
-        at the stage state (s0, s1), given its delayed friction and
-        weighted sup-grid max at the stage's read time."""
+        """Closed-loop derivative (k0, k1), control, margin and weighted
+        history sup of one lane at the stage state (s0, s1), given its
+        delayed friction and weighted sup-grid max at the stage's read
+        time."""
         f2 = -fric - s0
         if vg is None:
-            return s1, f2, 0.0, math.nan
+            return s1, f2, 0.0, math.nan, math.nan
         v0, (g0, q) = vg((s0, s1))
         # theta = 0 included; a NaN grid max stays NaN, as in np.maximum
         sup = v0 if v0 > gmax else gmax
@@ -333,8 +348,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         if q2 > qthr2:
             root = math.sqrt(a * a + lam * q2 * q2)
             u = -(a + root) / q2 * q
-            return s1, f2 + u, u, -root
-        return s1, f2 + 0.0, 0.0, a
+            return s1, f2 + u, u, -root, sup
+        return s1, f2 + 0.0, 0.0, a, sup
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step
@@ -347,6 +362,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         ms[i] = [r[:2] for r in k1]
         us[i] = [r[2] for r in k1]
         margins[i] = [r[3] for r in k1]
+        sups[i] = [r[4] for r in k1]
         if i == nsteps:
             break
         j = i % L
@@ -359,12 +375,12 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         for k in lanes:
             x0, x1 = x[k]
             a0, a1 = k1[k][:2]
-            b0, b1, _, _ = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
-                                 g_mid[k])
-            c0, c1, _, _ = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
-                                 g_mid[k])
-            d0, d1, _, _ = stage(x0 + h * c0, x1 + h * c1, f_end[k],
-                                 g_end[k])
+            b0, b1, _, _, _ = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
+                                    g_mid[k])
+            c0, c1, _, _, _ = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
+                                    g_mid[k])
+            d0, d1, _, _, _ = stage(x0 + h * c0, x1 + h * c1, f_end[k],
+                                    g_end[k])
             x[k] = (x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0),
                     x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1))
         xs[i + 1] = x
@@ -373,6 +389,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     out = []
     md = dict(meta)
     md.update(h=h, T=settings.T, delta=dyn.delta, grid=grid)
+    sups.flags.writeable = False
     for k in range(K):
         lane_ok = np.isfinite(xs[:, k, :]).all()
         if lane_ok:
@@ -381,10 +398,15 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
             bad = np.argmax(~np.isfinite(xs[:, k, :]).all(axis=1))
             cut = int(bad)
         rec = _record_fields(settings.records, fields, xs[:cut, k, :])
+        # the stage's max differs from np.max only at a NaN certificate
+        # value, which makes the margin NaN: such lanes record nothing
+        sup = None
+        if cert is not None and lane_ok and not np.isnan(margins[:, k]).any():
+            sup = HistorySup(cert, ctrl.gains.mu, grid, sups[:, k])
         out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
                               us[:cut, k].reshape(-1, 1),
                               margins[:cut, k].copy(), ms[:cut, k, :].copy(),
-                              rec, md, ics[k].copy(), not lane_ok))
+                              rec, md, ics[k].copy(), not lane_ok, sup))
     return out
 
 

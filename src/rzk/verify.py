@@ -103,7 +103,9 @@ def window_states(traj, grid=None, start=0, stop=None):
 
     Reconstructs each window with the same cubic Hermite scheme the
     integrator used (traj.slopes holds the accepted derivatives); reads at
-    or before t = 0 resolve through the initial window.
+    or before t = 0 resolve through the initial window.  Each theta column
+    reads two contiguous row ranges; a column whose rows leave [0, N - 1]
+    gathers them clipped to it instead.
     """
     if grid is None:
         grid = traj.meta.get("grid", hist.DEFAULT_GRID)
@@ -117,11 +119,16 @@ def window_states(traj, grid=None, start=0, stop=None):
     thetas = hist.theta_grid(delta, grid)
     i0, b00, b10, b01, b11 = hist.hermite_tables(thetas / h, h)
 
-    rows = np.arange(start, stop)[:, None] + i0[None, :]
-    safe = np.clip(rows, 0, N - 1)
-    nxt = np.clip(safe + 1, 0, N - 1)
-    vals = (b00[None, :, None] * xs[safe] + b10[None, :, None] * ms[safe]
-            + b01[None, :, None] * xs[nxt] + b11[None, :, None] * ms[nxt])
+    vals = np.empty((stop - start, grid, n))
+    for j, o in enumerate(i0.tolist()):
+        lo, hi = start + o, stop + o
+        if lo >= 0 and hi <= N - 1:
+            row, nxt = slice(lo, hi), slice(lo + 1, hi + 1)
+        else:
+            row = np.clip(np.arange(lo, hi), 0, N - 1)
+            nxt = np.clip(row + 1, 0, N - 1)
+        vals[:, j] = (b00[j] * xs[row] + b10[j] * ms[row]
+                      + b01[j] * xs[nxt] + b11[j] * ms[nxt])
     tread = traj.ts[start:stop, None] + thetas[None, :]
     pre = tread <= 1e-15
     if pre.any():
@@ -135,9 +142,20 @@ SUP_BLOCK = 2048
 
 
 def field_sup_series(traj, field, mu=0.0, grid=None):
-    """Weighted history sup of the field along the trajectory: (N,)."""
+    """Weighted history sup of the field along the trajectory: (N,).
+
+    When the trajectory carries the integrator's own series for this very
+    field object, mu and grid (traj.history_sup, recorded by the lockstep
+    for its controller's certificate), that read-only series is returned:
+    it is the same arithmetic on the same rows, bit for bit.  Otherwise
+    the windows are rebuilt from the samples, block by block.
+    """
     if grid is None:
         grid = traj.meta.get("grid", hist.DEFAULT_GRID)
+    rec = traj.history_sup
+    if (rec is not None and rec.field is field and rec.mu == mu
+            and rec.grid == grid):
+        return rec.values
     N = traj.xs.shape[0]
     weight = None
     if mu:
@@ -191,7 +209,12 @@ def safety_check(traj, unsafe, tol=SAFETY_TOL, grid=None):
 
 def decrease_check(traj, field, gains, c=DECREASE_C, grid=None):
     """Forward-difference d(field)/dt against -gamma*field + eta*sup at each
-    interior sample; pass iff every residual is within c*h."""
+    interior sample; pass iff every residual is within c*h.
+
+    The sup series comes from field_sup_series: recorded by the lockstep
+    for the controller's own certificate on a lane that did not diverge,
+    rebuilt from the samples in every other case (a CSV re-check always
+    rebuilds it)."""
     h = traj.h
     tol = c * h
     tvalues = {"c": c, "h": h, "tol": tol}

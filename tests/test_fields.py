@@ -266,20 +266,27 @@ _NEAR_WALL = st.tuples(_open(-3.0, -1.0),
                        st.floats(0.0, 1e-12, exclude_min=True))
 
 
+_Q3 = [[2.0, -0.3, 0.7], [-0.3, 1.5, 0.1], [0.7, 0.1, 0.9]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL),
                 min_size=1, max_size=40))
 def test_per_point_form_equals_batch_rows(points):
-    # V, B and W have a native per-point form, the hazard the one-row
-    # fallback; each must give its batch row bit for bit
+    # V (unrolled for n = 2), B and W have a native per-point form, a 3x3
+    # quadratic the generic loop and the hazard the one-row fallback; each
+    # must give its batch row bit for bit
     X = np.array(points, dtype=float)
+    X3 = np.column_stack([X, X[:, 0] - 2.0 * X[:, 1]])
     V = rzk.example_lyapunov()
     B = rzk.example_barrier()
     W = rzk.combine_clbrf(V, B, 82.0)
-    for fld in (V, B, W, rzk.example_hazard()):
-        val = fld.value_many(X)
-        grad = fld.grad_many(X)
-        for row, p in enumerate(X.tolist()):
+    Q3 = rzk.quadratic_field(np.array(_Q3), name="Q3")
+    for fld, pts in ((V, X), (B, X), (W, X), (rzk.example_hazard(), X),
+                     (Q3, X3)):
+        val = fld.value_many(pts)
+        grad = fld.grad_many(pts)
+        for row, p in enumerate(pts.tolist()):
             v, g = fld.value_grad(tuple(p))
             assert type(v) is float and type(g) is tuple
             assert all(type(c) is float for c in g)
@@ -288,7 +295,7 @@ def test_per_point_form_equals_batch_rows(points):
 
 @pytest.mark.parametrize("Q", [
     [[1.0, 0.5], [0.5, 1.0]],
-    [[2.0, -0.3, 0.7], [-0.3, 1.5, 0.1], [0.7, 0.1, 0.9]]], ids=["V", "3x3"])
+    _Q3], ids=["V", "3x3"])
 def test_quadratic_rows_do_not_depend_on_batch_position(rng, Q):
     F = rzk.quadratic_field(np.array(Q))
     X = rng.normal(scale=3.0, size=(1003, len(Q)))

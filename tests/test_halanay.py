@@ -116,12 +116,14 @@ class _Identity:
 
 
 def _scratch_push_comparison(gamma, eta, mu, delta, v0, T, step,
-                             grid=hist.DEFAULT_GRID):
+                             grid=hist.DEFAULT_GRID, zero_start_slope=False):
     """Reference: the comparison run on a HistoryWindow, with a scratch push
     and a weighted_sup for every RK stage.  Same scheme as
-    halanay.scalar_comparison_sim (slope 0 at t = 0, accepted rows keep
-    their first k1, k1 recomputed only when sup reads reach the newest
-    step), read through interp_times instead of fixed tables."""
+    halanay.scalar_comparison_sim (every accepted row, the t = 0 one
+    included, keeps its first k1 as slope, k1 recomputed only when sup
+    reads reach the newest step), read through interp_times instead of
+    fixed tables.  zero_start_slope keeps the slope 0 of the constant
+    history at t = 0 instead, as the comparison run once did."""
     w = hist.from_constant(np.array([float(v0)]), delta)
     nsteps = int(round(T / step))
     ts = np.empty(nsteps + 1)
@@ -141,6 +143,8 @@ def _scratch_push_comparison(gamma, eta, mu, delta, v0, T, step,
     t = 0.0
     v = float(v0)
     k1 = -gamma * v + eta * sup_now()
+    if not zero_start_slope:
+        w.ms[0, 0] = k1
     for i in range(nsteps):
         k2 = stage_rate(t + 0.5 * step, v + 0.5 * step * k1, k1)
         k3 = stage_rate(t + 0.5 * step, v + 0.5 * step * k2, k2)
@@ -194,3 +198,44 @@ def test_comparison_sim_matches_reference_and_envelope(delta):
     ts, vs = _assert_matches_reference(2.5, 2.0, 0.0, delta, 1.0)
     cert = halanay.DecayCertificate(2.5, 2.0, delta)
     assert halanay.check_envelope(ts, vs, 1.0, cert.rho)["pass"]
+
+
+@pytest.mark.parametrize("mu, move", [(0.0, 9.3e-8), (0.5, 5.1e-6)])
+def test_start_slope_move_is_pinned(mu, move):
+    # storing k1 instead of 0 as the slope at t = 0 moves the samples by
+    # this much relative to the earlier scheme; the largest move is just
+    # after t = delta, so T = 1 sees the same maximum as T = 10
+    ts, vs = halanay.scalar_comparison_sim(2.5, 2.0, mu, 0.3, 1.0, 1.0, 1e-3)
+    _, old = _scratch_push_comparison(2.5, 2.0, mu, 0.3, 1.0, 1.0, 1e-3,
+                                      zero_start_slope=True)
+    rel = np.abs(vs - old) / old
+    assert rel.max() == pytest.approx(move, rel=0.01)
+    assert 0.3 < ts[np.argmax(rel)] < 0.31
+
+
+def _exact_comparison(gamma, eta, delta, t):
+    """v on [0, 2 delta] from v == 1 at mu = 0: v decreases, so the sup is
+    the read at theta = -delta and the method of steps solves
+    v' = -gamma v + eta v(t - delta) in closed form."""
+    c = eta / gamma
+    v1 = c + (1.0 - c) * np.exp(-gamma * t)
+    s = t - delta
+    v_delta = c + (1.0 - c) * np.exp(-gamma * delta)
+    v2 = (eta * c / gamma + eta * (1.0 - c) * s * np.exp(-gamma * s)
+          + (v_delta - eta * c / gamma) * np.exp(-gamma * s))
+    return np.where(t <= delta, v1, v2)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-2, 2.5e-2])
+def test_start_slope_does_not_grow_error_against_exact_solution(step):
+    gamma, eta, delta = 2.5, 2.0, 0.3
+    ts, vs = halanay.scalar_comparison_sim(gamma, eta, 0.0, delta, 1.0,
+                                           2.0 * delta, step)
+    _, old = _scratch_push_comparison(gamma, eta, 0.0, delta, 1.0,
+                                      2.0 * delta, step,
+                                      zero_start_slope=True)
+    exact = _exact_comparison(gamma, eta, delta, ts)
+    err = np.max(np.abs(vs - exact))
+    assert err <= np.max(np.abs(old - exact))
+    if step == 1e-3:
+        assert err < 1e-12

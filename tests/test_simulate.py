@@ -32,6 +32,26 @@ def test_pure_delay_matches_method_of_steps_exactly():
     assert np.max(np.abs(tr.xs[:, 0] - exact)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(0.05, 1.0), k=st.integers(4, 24), data=st.data(),
+       x0=st.floats(-5.0, 5.0))
+def test_pure_delay_matches_method_of_steps_on_random_grids(tau, k, data,
+                                                            x0):
+    # h = tau/k <= tau/4 puts the jump of x'' at t = tau on the grid; the
+    # constant history x0 gives x = x0 (1 - t) on [0, tau] and
+    # x = x0 (1 - tau - s + s^2/2), s = t - tau, on [tau, 2 tau]
+    h = tau / k
+    steps = data.draw(st.integers(1, 2 * k), label="steps")
+    pd = rzk.pure_delay_system(tau)
+    tr = rzk.integrate(pd, None, hist.from_constant(np.array([x0]), tau),
+                       IntegrationSettings(h=h, T=steps * h))
+    t = tr.ts
+    s = t - tau
+    exact = x0 * np.where(t <= tau, 1.0 - t, 1.0 - tau - s + 0.5 * s * s)
+    assert t.shape == (steps + 1,)
+    assert np.max(np.abs(tr.xs[:, 0] - exact)) <= 1e-8
+
+
 def test_delay_free_exponential_decay():
     dyn = exponential_plant()
     xi = hist.from_constant(np.array([1.0]), 0.3)

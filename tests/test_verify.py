@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import history as hist, verify
+from rzk import cli, io, history as hist, verify
 from rzk.simulate import IntegrationSettings, Trajectory
 
 
@@ -278,3 +279,151 @@ def test_safety_check_reads_initial_window_only(example_setup, runs,
     assert new == old
     # the crossing history runs through D: the witness is a history sample
     assert not new[0]["pass"] and new[0]["witness"]["time"] < 0.0
+
+
+def _fancy_window_states(traj, grid, start, stop):
+    """The earlier gather: one fancy-index copy of every row read, clipped
+    to [0, N - 1], then the pre-history through the initial window."""
+    h = traj.h
+    xs, ms = traj.xs, traj.slopes
+    N = xs.shape[0]
+    thetas = hist.theta_grid(traj.meta["delta"], grid)
+    i0, b00, b10, b01, b11 = hist.hermite_tables(thetas / h, h)
+    rows = np.arange(start, stop)[:, None] + i0[None, :]
+    safe = np.clip(rows, 0, N - 1)
+    nxt = np.clip(safe + 1, 0, N - 1)
+    vals = (b00[None, :, None] * xs[safe] + b10[None, :, None] * ms[safe]
+            + b01[None, :, None] * xs[nxt] + b11[None, :, None] * ms[nxt])
+    tread = traj.ts[start:stop, None] + thetas[None, :]
+    pre = tread <= 1e-15
+    if pre.any():
+        vals[pre] = traj.ic_window.interp_times(tread[pre])
+    return vals
+
+
+def _bits(a):
+    # bit patterns, so 0.0 and -0.0 differ
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.sampled_from([2, 10, 66]), h=st.floats(1e-3, 0.05),
+       span=st.floats(1.0, 40.0), nrows=st.integers(2, 120),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_window_states_slices_equal_fancy_gather(grid, h, span, nrows, seed,
+                                                 data):
+    # delta = span steps; start near 0 clips columns at row 0, stop = N
+    # the theta = 0 column at row N - 1, and the first delta of samples
+    # reads the sampled pre-history
+    rng = np.random.default_rng(seed)
+    delta = span * h
+    ic = hist.HistoryWindow(2, delta)
+    m = data.draw(st.integers(2, 12), label="history samples")
+    for t in np.linspace(-delta, 0.0, m):
+        ic.push(t, rng.normal(size=2), rng.normal(size=2))
+    xs = rng.normal(size=(nrows, 2))
+    xs[0] = ic.latest_state
+    tr = Trajectory(np.arange(nrows) * h, xs, np.zeros((nrows, 1)),
+                    np.zeros(nrows), rng.normal(size=(nrows, 2)), {},
+                    {"h": h, "delta": delta, "grid": grid}, ic)
+    start = data.draw(st.integers(0, nrows - 1), label="start")
+    stop = data.draw(st.integers(start, nrows), label="stop")
+    got = verify.window_states(tr, grid, start, stop)
+    assert got.shape == (stop - start, grid, 2)
+    assert _bits(got) == _bits(_fancy_window_states(tr, grid, start, stop))
+
+
+def _without_sup(tr):
+    """tr without the integrator's recorded sup, so checks rebuild it."""
+    return Trajectory(tr.ts, tr.xs, tr.us, tr.margins, tr.slopes, tr.fields,
+                      tr.meta, tr.ic_window, tr.diverged)
+
+
+@pytest.mark.parametrize("grid", [10, 66])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["V", "B", "W"])
+def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, grid):
+    # the lockstep's first-stage sup is the same arithmetic on the same
+    # rows as the windows the verifier rebuilds, so handing it over must
+    # not move a bit of the series or of the decrease report
+    field = example_setup[kind]
+    gains = rzk.RazumikhinGains(2.5, 2.0, mu)
+    ctrl = rzk.ControllerSpec(field, gains, 2.0, grid=grid)
+    ics = [hist.from_constant(np.array(x), 0.3)
+           for x in cli.DEMO_INITIAL_CONDITIONS]
+    trajs = rzk.batch_integrate(example_setup["dyn"], ctrl, ics,
+                                IntegrationSettings(h=1e-3, T=0.6,
+                                                    records=(), grid=grid))
+    for tr in trajs:
+        rec = tr.history_sup
+        assert not tr.diverged and rec is not None
+        assert rec.field is field and rec.mu == mu and rec.grid == grid
+        assert not rec.values.flags.writeable
+        plain = _without_sup(tr)
+        got = verify.field_sup_series(tr, field, mu, grid)
+        assert got is rec.values
+        assert _bits(got) == _bits(verify.field_sup_series(plain, field, mu,
+                                                           grid))
+        assert (repr(verify.decrease_check(tr, field, gains).as_dict())
+                == repr(verify.decrease_check(plain, field, gains).as_dict()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
+                                                       tmp_path, monkeypatch):
+    dyn = example_setup["dyn"]
+    V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
+    gains = example_setup["gains"]
+    # the first control of a field this steep overflows away from the
+    # origin, so that lane diverges; the lane at rest does not
+    steep = rzk.quadratic_field(1e200 * np.eye(2), name="steep")
+    blown, rest = rzk.batch_integrate(
+        dyn, rzk.ControllerSpec(steep, gains, 2.0),
+        [hist.from_constant(np.array(x), 0.3) for x in ((1.0, 1.0), (0, 0))],
+        IntegrationSettings(h=1e-3, T=0.05, records=()))
+    assert blown.diverged and blown.history_sup is None
+    assert not rest.diverged and rest.history_sup.field is steep
+    # NaN for x1 > 0.5, flat elsewhere: the open-loop state crosses into
+    # it at t = 0.1 while the older history reads stay finite, where the
+    # lockstep's max would skip the NaN that np.max keeps
+    holed = rzk.ScalarField(
+        2, lambda X: np.where(X[:, 0] > 0.5, np.nan, 0.0),
+        lambda X: np.zeros_like(X), name="holed")
+    crossed, = rzk.batch_integrate(
+        dyn, rzk.ControllerSpec(holed, gains, 2.0),
+        [hist.from_constant(np.array([0.4, 1.0]), 0.3)],
+        IntegrationSettings(h=1e-3, T=0.2, records=()))
+    assert not crossed.diverged and crossed.history_sup is None
+    general = _crossing_history_run(example_setup)
+    assert general.history_sup is None
+    lockstep = runs["closedW"]
+    assert lockstep.history_sup.field is W
+    path = tmp_path / "closedW.csv"
+    names, table = io.trajectory_columns(lockstep, V, B, W, bound=None)
+    io.write_trajectory_csv(path, names, table)
+    from_csv = io.trajectory_from_csv(*io.read_trajectory_csv(path), 0.3)
+    assert from_csv.history_sup is None
+
+    builds = []
+    build = verify.window_states
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "window_states", counted)
+    verify.field_sup_series(lockstep, W, 0.0)
+    verify.field_sup_series(rest, steep, gains.mu, 66)
+    assert builds == []
+    other_W = rzk.combine_clbrf(V, B, 82.0)
+    for tr, field, mu, grid in ((blown, steep, 0.0, None),
+                                (crossed, holed, 0.0, None),
+                                (general, W, 0.0, None),
+                                (from_csv, W, 0.0, None),
+                                (lockstep, other_W, 0.0, None),
+                                (lockstep, V, 0.0, None),
+                                (lockstep, W, 0.5, None),
+                                (lockstep, W, 0.0, 10)):
+        builds.clear()
+        verify.field_sup_series(tr, field, mu, grid)
+        assert builds and builds[0] is tr
