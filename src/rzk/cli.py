@@ -230,10 +230,8 @@ class _Build:
         out = []
         for entry in self.cfg.initial_conditions:
             if isinstance(entry, dict):
-                w = hist.HistoryWindow(2, self.cfg.delta)
-                for t, s in zip(entry["times"], entry["states"]):
-                    w.push(float(t), np.asarray(s, dtype=float))
-                out.append(w)
+                out.append(hist.from_samples(entry["times"], entry["states"],
+                                             self.cfg.delta))
             else:
                 out.append(hist.from_constant(np.asarray(entry, dtype=float),
                                               self.cfg.delta))
@@ -418,7 +416,7 @@ def cmd_sweep(args):
     names, points = _sweep_points(cfg)
     header = ["index", "tau", "psi", "lambda", "gamma", "eta", "trajectories",
               "converged", "checks_pass", "min_safety_margin",
-              "max_envelope_ratio"]
+              "max_envelope_ratio", "x0_1", "x0_2"]
     lines = [",".join(header)]
     all_ok = True
     point_checks = {}
@@ -455,10 +453,12 @@ def cmd_sweep(args):
                    if c["safety"].worst is not None]
         ratios = [c["envelope"].worst for c in per
                   if "envelope" in c and c["envelope"].details["form"] == "ratio"]
+        # x(0) of the point's start; NaN when the point has several
+        x0 = trajs[0].xs[0].tolist() if len(trajs) == 1 else [float("nan")] * 2
         row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(trajs),
                int(conv), int(ok),
                min(margins) if margins else float("inf"),
-               max(ratios) if ratios else float("nan")]
+               max(ratios) if ratios else float("nan")] + x0
         lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
                               for v in row))
         all_ok = all_ok and ok
@@ -475,10 +475,14 @@ def cmd_verify(args):
     build = _Build(cfg)
     trajs = []
     files = []
-    for k in range(len(cfg.initial_conditions)):
+    for k, w in enumerate(build.windows()):
         path = os.path.join(args.out, _trajectory_file(cfg.prefix, k))
         names, data = io.read_trajectory_csv(path)
-        trajs.append(io.trajectory_from_csv(names, data, cfg.delta, cfg.grid))
+        tr = io.trajectory_from_csv(names, data, cfg.delta, cfg.grid, ic=w)
+        if not np.array_equal(tr.xs[0], w.latest_state):
+            raise ConfigError(f"{path} does not start at "
+                              f"initial_conditions[{k}]")
+        trajs.append(tr)
         files.append(os.path.basename(path))
     # same suite the demo runs: certificate-level checks plus per-file ones
     point, per, ok = _verify_batch(build, trajs)

@@ -198,6 +198,26 @@ def from_constant(x0, delta, order=CUBIC):
     return w
 
 
+def from_samples(times, states, delta, order=CUBIC):
+    """Window holding the samples (times[k], states[k]) with the slopes
+    that pushing them one by one gives: zero at the first sample, the
+    secant from the previous sample at every other."""
+    ts = np.array(times, dtype=float)
+    xs = np.array(states, dtype=float)
+    if ts.ndim != 1 or xs.ndim != 2 or xs.shape[0] != ts.shape[0] or not ts.size:
+        raise ValueError("need one state row per sample time")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(xs))):
+        raise ValueError("non-finite sample")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("sample times must be strictly increasing")
+    w = HistoryWindow(xs.shape[1], delta, order=order)
+    ms = np.zeros_like(xs)
+    ms[1:] = np.diff(xs, axis=0) / np.diff(ts)[:, None]
+    w.ts, w.xs, w.ms = ts, xs, ms
+    w.count = ts.shape[0]
+    return w
+
+
 def push_sample(window, t, x, slope=None):
     """Functional alias for HistoryWindow.push (returns the window)."""
     window.push(t, x, slope)

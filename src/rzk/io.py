@@ -61,13 +61,14 @@ def read_trajectory_csv(path):
     return names, data
 
 
-def trajectory_from_csv(names, data, delta, grid=hist.DEFAULT_GRID):
+def trajectory_from_csv(names, data, delta, grid=hist.DEFAULT_GRID, ic=None):
     """Rebuild a Trajectory from CSV columns.
 
     State derivatives are estimated by central differences (one-sided at
     the ends), which is enough for the verifier's window reconstruction.
-    The initial window is taken as the constant pre-history at the first
-    sample; sampled-function starts are not recoverable from the CSV.
+    ic is the run's initial window, as its config gives it; without one
+    the pre-history is taken as constant at the first sample, since
+    sampled-function starts are not recoverable from the CSV.
     """
     col = {name: data[:, k] for k, name in enumerate(names)}
     ts = col["t"]
@@ -86,7 +87,8 @@ def trajectory_from_csv(names, data, delta, grid=hist.DEFAULT_GRID):
     slopes[-1] = (xs[-1] - xs[-2]) / h
     fields = {name: col[name] for name in ("V", "B", "W") if name in col}
     meta = {"h": h, "T": float(ts[-1]), "delta": float(delta), "grid": int(grid)}
-    ic = hist.from_constant(xs[0].copy(), delta)
+    if ic is None:
+        ic = hist.from_constant(xs[0].copy(), delta)
     return Trajectory(ts, xs, us, margins, slopes, fields, meta, ic)
 
 

@@ -3,12 +3,15 @@
 Fixed-step classic RK4; delayed reads go through the history window, with
 provisional scratch extensions so every RK stage sees a stage-consistent
 history.  The feedback is recomputed at every stage.  A fast path
-integrates whole batches of constant-start runs of the example plant in
-lockstep; it reproduces the general path's arithmetic (same reads, same
-formulas) and exists purely for speed.  Its history reads stay vectorized
-over lanes and blocks of steps, while each RK stage runs per lane in plain
-floats on the certificate's per-point form, so a lane's result does not
-depend on the other lanes.
+integrates whole batches of runs of the example plant in lockstep, from
+constant and sampled initial windows alike; it reproduces the general
+path's arithmetic (same reads, same formulas) and exists purely for
+speed.  Its history reads stay vectorized over lanes and blocks of steps,
+reads at t <= 0 going through each lane's own initial window, while each
+RK stage runs per lane in plain floats on the certificate's per-point
+form, so a lane's result does not depend on the other lanes.  Other
+plants, tau < h and sup grids spaced no wider than h still take the
+general path.
 """
 
 import math
@@ -47,9 +50,10 @@ class Trajectory:
     slopes holds the closed-loop state derivative at each sample (used by
     verifiers to reconstruct history windows at full order).  history_sup
     is a HistorySup or None: the lockstep records the controller's weighted
-    history sup on every lane that did not diverge and has no NaN margin,
-    so that verify.field_sup_series need not rebuild the windows; other
-    runs and trajectories read back from CSV carry None.
+    history sup on every constant-start lane that did not diverge and has
+    no NaN margin, so that verify.field_sup_series need not rebuild the
+    windows; sampled starts, other runs and trajectories read back from
+    CSV carry None.
     """
 
     def __init__(self, ts, xs, us, margins, slopes, fields, meta, ic_window,
@@ -218,7 +222,7 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
 def _fast_eligible(dyn, xi, settings):
     if dyn.name != _EXAMPLE_NAME:
         return False
-    if xi.const_state is None or xi.count != 1:
+    if not xi.span_ok():
         return False
     tau = -min(dyn.read_points)
     if tau < settings.h:
@@ -230,13 +234,16 @@ def _fast_eligible(dyn, xi, settings):
 
 
 def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
-    """Integrate K constant-start runs of the example plant in lockstep.
+    """Integrate K runs of the example plant in lockstep, each from its own
+    initial window, constant or sampled.
 
     Same reads and formulas as the general path.  History reads are done
     in blocks of L steps on arrays with a lane axis, each block as soon as
-    every row its reads touch is final; the RK stages run lane by lane in
-    floats, and the xs/ms/us/margins rows are written every step, with
-    the weighted history sup of each sample's first stage.
+    every row its reads touch is final; reads at t <= 0 go through each
+    lane's own initial window, whose t = 0 slope becomes the lane's k1
+    after the first stage, as on the general path.  The RK stages run lane
+    by lane in floats, and the xs/ms/us/margins rows are written every
+    step, with the weighted history sup of each sample's first stage.
     """
     h = settings.h
     grid = settings.grid
@@ -244,7 +251,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     N = nsteps + 1
     tau = -min(dyn.read_points)
     K = len(ics)
-    ic = np.stack([w.const_state for w in ics])          # (K, 2)
+    wins = [w.copy() for w in ics]
 
     # NaN until written, so a read of a row that is not final yet shows
     xs = np.full((N, K, 2), np.nan)
@@ -252,7 +259,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     us = np.empty((N, K))
     margins = np.empty((N, K))
     sups = np.empty((N, K))
-    xs[0] = ic
+    xs[0] = [w.latest_state for w in wins]
 
     thetas = hist.theta_grid(dyn.delta, grid)[:-1]       # exclude theta = 0
     if ctrl is not None and ctrl.gains.mu:
@@ -286,9 +293,12 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     qthr2 = ctrl.q_threshold ** 2 if ctrl is not None else 0.0
     gam = ctrl.gains.gamma if ctrl is not None else 0.0
     eta = ctrl.gains.eta if ctrl is not None else 0.0
+    if cert is None:
+        # nothing reads the sup grid without a certificate
+        thetas, gi0, gb = thetas[:0], gi0[:, :0], gb[..., :0]
 
     # during the first delta+h of model time some reads reach into the
-    # constant pre-history; handle those blocks with masked gathers
+    # initial windows; handle those blocks with masked gathers
     i_split = int(np.ceil(dyn.delta / h)) + 2
 
     def gather(rows, nxt, b):
@@ -297,36 +307,54 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         return (b[0] * xs[rows] + b[1] * ms[rows]
                 + b[2] * xs[nxt] + b[3] * ms[nxt])
 
-    def grid_max(base, t):
-        """Weighted sup-grid max at the times (base + gc[t]) h, through the
-        tables t (T,) at rows base (T, n): (T, n, K); zero without a
-        certificate, since nothing reads it then."""
+    def early(*treads):
+        """The reads at or before t = 0 among the read times of each array
+        in treads, through each lane's own initial window, in one
+        interp_times per lane: per array, (mask, values (P, K, 2))."""
+        masks = [tread <= 1e-15 for tread in treads]
+        times = np.concatenate([tread[m] for tread, m in zip(treads, masks)])
+        vals = np.empty((times.shape[0], K, 2))
+        for k, w in enumerate(wins):
+            vals[:, k] = w.interp_times(times + w.latest_time)
+        out = []
+        start = 0
+        for m in masks:
+            stop = start + np.count_nonzero(m)
+            out.append((m, vals[start:stop]))
+            start = stop
+        return out
+
+    def weighted_max(states):
+        """Weighted sup-grid max of states (..., g-1, K, 2): (..., K); zero
+        without a certificate, since nothing reads it then."""
         if cert is None:
-            return np.zeros(base.shape + (K,))
-        rows = base[..., None] + gi0[t][:, None, :]       # (T, n, g-1)
-        b = gb[:, t, None, :, None, None]
-        if base.min() < i_split:
-            R = base[..., None]
-            safe = np.clip(rows, 0, R)
-            states = gather(safe, np.minimum(safe + 1, R), b)
-            # reads at or before t=0 return the constant initial state
-            tread = (base + gc[t][:, None])[..., None] * h + thetas
-            states = np.where((tread <= 1e-15)[..., None, None], ic, states)
-        else:
-            states = gather(rows, rows + 1, b)
+            return np.zeros(states.shape[:-3] + (K,))
         gv = cert.value_many(states.reshape(-1, 2)).reshape(states.shape[:-1])
         if wexp is not None:
             gv = gv * wexp
         return gv.max(axis=-2)
 
-    def friction_reads(steps):
-        """Delayed friction at t_i + h/2 and t_{i+1} for the steps i:
-        (2, n, K)."""
+    def block_reads(steps):
+        """Delayed friction and weighted sup-grid max at t_i + h/2 and
+        t_{i+1} for the steps i: two (2, n, K) arrays."""
         rows = np.maximum(steps + di0[:, None], 0)        # (2, n)
         nxt = np.minimum(rows + 1, steps)
-        v = gather(rows, nxt, db[:, :, None, None, None])[..., 1]
-        tread = (steps + np.array([0.5, 1.0])[:, None]) * h - tau
-        return friction(np.where((tread <= 1e-15)[..., None], ic[:, 1], v))
+        v = gather(rows, nxt, db[:, :, None, None, None])
+        base = np.stack([steps, steps + 1])
+        rows = base[..., None] + gi0[:, None, :]          # (2, n, g-1)
+        b = gb[:, :, None, :, None, None]
+        if steps[0] < i_split:
+            R = base[..., None]
+            safe = np.clip(rows, 0, R)
+            states = gather(safe, np.minimum(safe + 1, R), b)
+            fread = (steps + np.array([0.5, 1.0])[:, None]) * h - tau
+            gread = (base + gc[:, None])[..., None] * h + thetas
+            (fm, fv), (gm, gv) = early(fread, gread)
+            v[fm] = fv
+            states[gm] = gv
+        else:
+            states = gather(rows, rows + 1, b)
+        return friction(v[..., 1]), weighted_max(states)
 
     vg = cert.value_grad if cert is not None else None
     hh = 0.5 * h
@@ -352,14 +380,20 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         return s1, f2 + 0.0, 0.0, a, sup
 
     # per-lane state and the stage-0 reads at t_i, which are those of
-    # stage 3 of the previous step
-    x = ic.tolist()
-    f_end = friction(ic[:, 1]).tolist()
-    g_end = grid_max(np.zeros((1, 1), int), [1])[0, 0].tolist()
+    # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
+    # windows with their stored slopes at t = 0; every later read finds
+    # the lane's k1 there instead
+    x = xs[0].tolist()
+    (_, fv), (_, gv) = early(np.array([-tau]), thetas)
+    f_end = friction(fv[0, :, 1]).tolist()
+    g_end = weighted_max(gv).tolist()
     lanes = range(K)
     for i in range(nsteps + 1):
         k1 = [stage(x[k][0], x[k][1], f_end[k], g_end[k]) for k in lanes]
         ms[i] = [r[:2] for r in k1]
+        if i == 0:
+            for w, m in zip(wins, ms[0]):
+                w.ms[w.count - 1] = m
         us[i] = [r[2] for r in k1]
         margins[i] = [r[3] for r in k1]
         sups[i] = [r[4] for r in k1]
@@ -368,8 +402,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         j = i % L
         if j == 0:
             steps = i + np.arange(min(L, nsteps - i))
-            fr = friction_reads(steps).tolist()
-            gm = grid_max(np.stack([steps, steps + 1]), [0, 1]).tolist()
+            fr, gm = (r.tolist() for r in block_reads(steps))
         f_mid, g_mid = fr[0][j], gm[0][j]
         f_end, g_end = fr[1][j], gm[1][j]
         for k in lanes:
@@ -399,9 +432,13 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
             cut = int(bad)
         rec = _record_fields(settings.records, fields, xs[:cut, k, :])
         # the stage's max differs from np.max only at a NaN certificate
-        # value, which makes the margin NaN: such lanes record nothing
+        # value, which makes the margin NaN: such lanes record nothing.
+        # Nor do sampled starts: the verifier reads their last pre-history
+        # interval with the stored slope at t = 0, the lanes with k1
         sup = None
-        if cert is not None and lane_ok and not np.isnan(margins[:, k]).any():
+        if (cert is not None and lane_ok and ics[k].count == 1
+                and ics[k].const_state is not None
+                and not np.isnan(margins[:, k]).any()):
             sup = HistorySup(cert, ctrl.gains.mu, grid, sups[:, k])
         out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
                               us[:cut, k].reshape(-1, 1),
@@ -414,9 +451,10 @@ def batch_integrate(dyn, ctrl, ics, settings, fields=None, meta=None):
     """Independent integrations from each initial window, order preserved.
 
     Diverged members come back as truncated trajectories with
-    .diverged = True rather than raising.  The constant starts of the
-    example plant run together in one lockstep, any others on the general
-    path (bit-for-bit deterministic either way).
+    .diverged = True rather than raising.  Every start of the example
+    plant, constant or sampled, runs in one lockstep when tau >= h and the
+    sup grid is spaced wider than h; other plants and settings take the
+    general path (bit-for-bit deterministic either way).
     """
     fields = dict(fields or {})
     meta = dict(meta or {})

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rzk import cli, io
+from rzk import cli, io, verify
 
 
 def write_config(path, **over):
@@ -187,6 +187,22 @@ def test_sweep_flags_failing_point(tmp_path):
     assert data[0, names.index("checks_pass")] == 0.0
 
 
+def test_sweep_rows_carry_their_start(tmp_path):
+    # x0_1, x0_2 follow the older columns, which keep their place
+    cfgp = tmp_path / "s.json"
+    starts = [[-4.0, 1.0], [1.0, 2.0]]
+    write_config(cfgp, integration={"T": 0.05},
+                 sweep={"psi": [82.0], "initial_conditions": starts})
+    out = tmp_path / "sw"
+    cli.main(["sweep", "--config", str(cfgp), "--out", str(out)])
+    names, data = io.read_trajectory_csv(out / "sweep.csv")
+    assert names == ["index", "tau", "psi", "lambda", "gamma", "eta",
+                     "trajectories", "converged", "checks_pass",
+                     "min_safety_margin", "max_envelope_ratio", "x0_1",
+                     "x0_2"]
+    assert data[:, -2:].tolist() == starts
+
+
 def test_sweep_empty_grid_writes_header_only(tmp_path):
     cfgp = tmp_path / "s.json"
     write_config(cfgp, sweep={})
@@ -223,6 +239,40 @@ def test_verify_flags_low_psi(tmp_path):
     assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 1
 
 
+def _hazard_crossing():
+    """A straight history through the hazard centre (-2, 1) that ends at
+    (-0.5, 2.5), outside the box."""
+    times = [-0.3 + 0.01 * k for k in range(31)]
+    times[-1] = 0.0
+    states = [[-2.5 + 2.0 * k / 30.0, 0.5 + 2.0 * k / 30.0] for k in range(31)]
+    return {"times": times, "states": states}
+
+
+def test_verify_reads_the_configured_initial_windows(tmp_path, capsys):
+    # only the history passes through the unsafe set; a re-check against a
+    # constant pre-history at x(0) would pass it
+    cfgp = tmp_path / "c.json"
+    write_config(cfgp, initial_conditions=[_hazard_crossing(), [1.0, 2.0]],
+                 integration={"T": 0.1})
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("trajectory_00.csv: safety: FAIL")
+    assert lines[3].startswith("trajectory_01.csv: safety: pass")
+    build = cli._Build(cli.RunConfig.from_file(cfgp))
+    trajs = cli.batch_integrate(build.dyn, build.ctrl, build.windows(),
+                                build.settings)
+    assert not verify.safety_check(trajs[0], build.unsafe).passed
+    assert verify.safety_check(trajs[1], build.unsafe).passed
+    # CSVs that did not start from the config's windows are not re-checked
+    write_config(cfgp, initial_conditions=[_hazard_crossing(), [1.0, 2.5]],
+                 integration={"T": 0.1})
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert "trajectory_01.csv does not start at" in capsys.readouterr().err
+
+
 def test_log_level_env_var(tmp_path):
     cfgp = tmp_path / "c.json"
     write_config(cfgp, initial_conditions=[[-2.5, 0.9]],
@@ -242,14 +292,8 @@ def test_log_level_env_var(tmp_path):
 
 
 def test_excluded_set_warning_reads_whole_initial_history(tmp_path, caplog):
-    # a straight history through the hazard centre (-2, 1) that ends at
-    # (-0.5, 2.5), outside the box: only a history sample lies in the
-    # excluded set
-    times = [-0.3 + 0.01 * k for k in range(31)]
-    times[-1] = 0.0
-    states = [[-2.5 + 2.0 * k / 30.0, 0.5 + 2.0 * k / 30.0] for k in range(31)]
-    crossing = {"times": times, "states": states}
-    for ics, warned in (([crossing], True), ([[4.0, -3.0]], False)):
+    # only a history sample of the hazard crossing lies in the excluded set
+    for ics, warned in (([_hazard_crossing()], True), ([[4.0, -3.0]], False)):
         cfgp = tmp_path / "c.json"
         write_config(cfgp, initial_conditions=ics, integration={"T": 0.01})
         caplog.clear()

@@ -36,6 +36,39 @@ def test_push_requires_increasing_times_and_matching_dimension():
         w.push(0.2, np.array([np.nan, 0.0]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), count=st.integers(1, 40))
+def test_from_samples_equals_pushing_each_sample(data, count):
+    gaps = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=count,
+                              max_size=count), label="gaps")
+    times = np.cumsum(gaps) - 1.0
+    states = np.array(data.draw(st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        min_size=count, max_size=count), label="states"))
+    w = hist.from_samples(times.tolist(), states.tolist(), 0.3)
+    ref = hist.HistoryWindow(2, 0.3)
+    for t, x in zip(times, states):
+        ref.push(t, x)
+    assert w.count == ref.count
+    for name in ("ts", "xs", "ms"):
+        a, b = getattr(w, name)[:w.count], getattr(ref, name)[:ref.count]
+        assert a.tobytes() == b.tobytes(), name
+    # later pushes grow the window as usual
+    w.push(times[-1] + 1.0, np.ones(2))
+    assert w.count == count + 1
+
+
+def test_from_samples_rejects_bad_samples():
+    with pytest.raises(ValueError):
+        hist.from_samples([0.0, 0.0], [[1.0, 2.0], [1.0, 2.0]], 0.3)
+    with pytest.raises(ValueError):
+        hist.from_samples([0.0, 0.1], [[1.0, np.nan], [1.0, 2.0]], 0.3)
+    with pytest.raises(ValueError):
+        hist.from_samples([0.0, 0.1], [[1.0, 2.0]], 0.3)
+    with pytest.raises(ValueError):
+        hist.from_samples([], [], 0.3)
+
+
 def test_cubic_hermite_reproduces_cubic_polynomials(rng):
     # degree-3 data with exact slopes interpolates exactly
     c = rng.standard_normal(4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import cli, history as hist, simulate
+from rzk import cli, history as hist, simulate, verify
 from rzk.simulate import IntegrationDiverged, IntegrationSettings
 
 
@@ -59,20 +59,54 @@ def test_delay_free_exponential_decay():
     assert abs(tr.final_state()[0] - np.exp(-1.0)) < 1e-8
 
 
-def _assert_paths_agree(dyn, ctrl, s, tol=1e-10):
-    # a plant of another name takes the general path
-    clone = rzk.DelayDynamics(dyn.n, dyn.m, dyn.f, dyn.g, dyn.delta,
-                              read_points=dyn.read_points, name="clone")
-    xi = hist.from_constant(np.array([-2.0, -1.0]), 0.3)
+def _assert_paths_agree(dyn, ctrl, s, xi=None, tol=1e-10):
+    # the lockstep against the general path, from the same initial window
+    if xi is None:
+        xi = hist.from_constant(np.array([-2.0, -1.0]), 0.3)
+    assert simulate._fast_eligible(dyn, xi, s)
     fast = rzk.integrate(dyn, ctrl, xi.copy(), s)
-    slow = rzk.integrate(clone, ctrl, xi.copy(), s)
+    slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s, {}, {})
     assert not fast.diverged and fast.xs.shape == slow.xs.shape
-    assert np.max(np.abs(fast.xs - slow.xs)) < tol
-    assert np.max(np.abs(fast.us - slow.us)) < tol
+    for name in ("xs", "us", "slopes"):
+        assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) < tol, \
+            name
     # an open-loop run has no certificate, so its margins are NaN on both
     # paths; a controlled run's margins must be finite and agree
     np.testing.assert_allclose(fast.margins, slow.margins, rtol=0, atol=tol,
                                equal_nan=ctrl is None)
+
+
+def _window(times, states, slopes=None):
+    w = hist.HistoryWindow(2, 0.3)
+    for k, (t, x) in enumerate(zip(times, states)):
+        w.push(t, np.asarray(x, dtype=float),
+               None if slopes is None else slopes[k])
+    return w
+
+
+def _hazard_line(last=0.0):
+    """A straight history through the hazard centre (-2, 1) that ends
+    outside the box at (-0.5, 2.5), its last sample at t = last."""
+    times = np.linspace(-0.3, 0.0, 61)
+    times[-1] = last
+    s = np.linspace(0.0, 1.0, 61)[:, None]
+    return _window(times, np.array([-2.5, 0.5]) + 2.0 * s)
+
+
+def _sampled_windows():
+    """Sampled starts for the lockstep-vs-general comparisons: the hazard
+    line, a radial history x(theta) = (1 + 0.3 (-theta/delta)^1.5) x0,
+    a curve on non-uniform sample times with given slopes, and the hazard
+    line ending at t = 1e-13 instead of 0."""
+    t = np.linspace(-0.3, 0.0, 31)
+    radial = (1.0 + 0.3 * (-t / 0.3) ** 1.5)[:, None] * np.array([1.2, -0.5])
+    u = np.linspace(0.0, 1.0, 17) ** 1.7
+    tn = -0.3 * (1.0 - u)
+    curve = np.column_stack([0.8 + np.sin(5.0 * tn), -0.4 + tn * tn])
+    dcurve = np.column_stack([5.0 * np.cos(5.0 * tn), 2.0 * tn])
+    return {"hazard": _hazard_line(), "radial": _window(t, radial),
+            "nonuniform": _window(tn, curve, dcurve),
+            "last=1e-13": _hazard_line(1e-13)}
 
 
 def test_fast_and_general_paths_agree(example_setup):
@@ -211,7 +245,7 @@ def test_mixed_batch_runs_constant_starts_in_one_lockstep(example_setup,
 
     monkeypatch.setattr(simulate, "_lockstep_example", counted)
     out = rzk.batch_integrate(dyn, ctrl, [sampled] + consts, s)
-    assert lanes == [2]
+    assert lanes == [3]
     single = rzk.integrate(dyn, ctrl, sampled.copy(), s)
     assert np.array_equal(out[0].xs, single.xs)
     pair = rzk.batch_integrate(dyn, ctrl, consts, s)
@@ -233,9 +267,40 @@ def test_lockstep_matches_general_path(example_setup, case):
     ctrl = None
     if kind is not None:
         gains = rzk.RazumikhinGains(2.5, 2.0, case.get("mu", 0.0))
-        ctrl = rzk.ControllerSpec(example_setup[kind], gains, 2.0)
-    _assert_paths_agree(dyn, ctrl, IntegrationSettings(
-        h=case.get("h", 2e-3), T=0.4, grid=case.get("grid", 66)))
+        ctrl = rzk.ControllerSpec(example_setup[kind], gains, 2.0,
+                                  grid=case.get("grid", 66))
+    s = IntegrationSettings(h=case.get("h", 2e-3), T=0.4,
+                            grid=case.get("grid", 66))
+    _assert_paths_agree(dyn, ctrl, s)
+    for name, xi in _sampled_windows().items():
+        try:
+            _assert_paths_agree(dyn, ctrl, s, xi)
+        except AssertionError as e:
+            raise AssertionError(f"{name}: {e}") from e
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), count=st.integers(2, 25),
+       slopes=st.booleans(), last=st.sampled_from([0.0, 1e-13]))
+def test_lockstep_matches_general_path_on_random_sampled_windows(
+        example_setup, data, count, slopes, last):
+    # random sample times spanning [-delta, 0], states around the box
+    # (-3, -1) x (0, 2), with given or secant slopes
+    gaps = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=count - 1,
+                                       max_size=count - 1), label="gaps"))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    times = -0.3 + 0.3 * times / times[-1]
+    times[-1] = last
+    coord = st.floats(-4.0, 2.0)
+    states = data.draw(st.lists(st.tuples(coord, coord), min_size=count,
+                                max_size=count), label="states")
+    m = None
+    if slopes:
+        m = data.draw(st.lists(st.tuples(coord, coord), min_size=count,
+                               max_size=count), label="slopes")
+    xi = _window(times, states, m)
+    _assert_paths_agree(example_setup["dyn"], example_setup["ctrl"],
+                        IntegrationSettings(h=2e-3, T=0.1), xi)
 
 
 def _bits(a):
@@ -257,6 +322,55 @@ def test_each_lockstep_lane_equals_its_one_lane_run(example_setup):
         for name in ("xs", "us", "margins", "slopes"):
             assert _bits(getattr(tr, name)) == _bits(getattr(single, name)), \
                 name
+
+
+def test_each_lane_of_a_mixed_batch_equals_its_one_lane_run(example_setup):
+    # a sampled lane reads its own window, so it neither disturbs nor
+    # depends on the constant lanes
+    dyn = example_setup["dyn"]
+    ctrl = example_setup["ctrl"]
+    s = IntegrationSettings(h=1e-3, T=0.5)
+    ics = [_hazard_line(), hist.from_constant(np.array([-2.0, -1.0]), 0.3),
+           hist.from_constant(np.array([1.0, 2.0]), 0.3)]
+    slopes = [_bits(w.ms[:w.count]) for w in ics]
+    batch = simulate._lockstep_example(dyn, ctrl, ics, s, {}, {})
+    for w, m, tr in zip(ics, slopes, batch):
+        # k1 goes into the lockstep's own copy of the window, not w
+        assert _bits(w.ms[:w.count]) == m
+        single = simulate._lockstep_example(dyn, ctrl, [w], s, {}, {})[0]
+        for name in ("xs", "us", "margins", "slopes"):
+            assert _bits(getattr(tr, name)) == _bits(getattr(single, name)), \
+                name
+
+
+def test_sampled_lanes_leave_the_history_sup_to_the_verifier(example_setup,
+                                                              monkeypatch):
+    # the verifier reads a sampled start's last pre-history interval with
+    # the window's stored slope at t = 0, the lane with k1, so only
+    # constant-start lanes hand their recorded sup to decrease_check
+    dyn = example_setup["dyn"]
+    ctrl = example_setup["ctrl"]
+    W = example_setup["W"]
+    gains = example_setup["gains"]
+    s = IntegrationSettings(h=1e-3, T=0.5)
+    sampled, const = rzk.batch_integrate(
+        dyn, ctrl, [_hazard_line(), hist.from_constant(np.array([1.0, 2.0]),
+                                                       0.3)], s)
+    assert sampled.history_sup is None
+    assert const.history_sup is not None
+    calls = []
+    window_states = verify.window_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return window_states(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "window_states", counted)
+    assert verify.decrease_check(const, W, gains).passed
+    assert calls == []
+    rep = verify.decrease_check(sampled, W, gains)
+    assert calls
+    assert rep.passed
 
 
 _Q = st.one_of(st.floats(1e-5, 1e3), st.floats(-1e3, -1e-5),
