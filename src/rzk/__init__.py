@@ -7,15 +7,14 @@ decay certificates, method-of-steps RK4 simulation, and numerical
 verification of the resulting closed loops.
 """
 
-from .history import (HistoryWindow, from_constant, push_sample, interpolate,
-                      weighted_sup, sup_norm, DEFAULT_GRID)
+from .history import HistoryWindow, from_constant, weighted_sup, DEFAULT_GRID
 from .fields import (ScalarField, SandwichBounds, RegionBox, quadratic_field,
                      example_lyapunov, example_hazard, example_barrier,
                      example_sandwich, example_margin, combine_clbrf,
                      finite_diff_check, check_sandwich, EXAMPLE_BOX)
-from .system import (DelayDynamics, ExampleConfig, friction, example_system,
-                     lie_derivatives, pure_delay_system)
-from .controller import (RazumikhinGains, ControllerSpec, kappa, activation,
+from .system import (DelayDynamics, ExampleConfig, ExampleDynamics, friction,
+                     example_system, pure_delay_system)
+from .controller import (RazumikhinGains, ControllerSpec, kappa, evaluate,
                          control, scp_probe)
 from .halanay import (DecayCertificate, decay_rate, gamma_fn,
                       scalar_comparison_sim, check_envelope,

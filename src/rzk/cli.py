@@ -214,8 +214,7 @@ class _Build:
         if self.active is None:
             self.ctrl = None
         else:
-            self.ctrl = ControllerSpec(self.active, self.gains, cfg.lam,
-                                       grid=cfg.grid)
+            self.ctrl = ControllerSpec(self.active, self.gains, cfg.lam)
         self.settings = IntegrationSettings(h=cfg.h, T=cfg.T,
                                             records=("V", "B", "W"),
                                             grid=cfg.grid)

@@ -1,21 +1,27 @@
-"""Closed-form universal controller and its activation terms.
+"""Closed-form universal controller and its one closed-loop evaluation.
 
 The feedback is kappa(lambda, a, q) with a the certificate's drift-side
 activation (Lie derivative plus gain terms minus the delay-weighted history
 sup) and q the input-side Lie derivative.  One formula serves the
 stabilizing, safety, and combined designs; only the certificate changes.
+`law` is that formula's one copy: `kappa`, the window-form `evaluate` that
+the general integrator steps on, and the lockstep's per-lane stages all
+call it.
 """
 
 import logging
+import math
+from collections import namedtuple
 
 import numpy as np
 
 from . import history as hist
-from .system import lie_derivatives
 
 log = logging.getLogger("rzk.controller")
 
+# ||q|| at or below this is the dead zone, where u = 0
 Q_THRESHOLD = 1e-12
+_Q2_THRESHOLD = Q_THRESHOLD ** 2
 
 
 class RazumikhinGains:
@@ -35,71 +41,91 @@ class RazumikhinGains:
 
 
 class ControllerSpec:
-    """Certificate field + gains + Sontag parameter lambda."""
+    """Certificate field + gains + Sontag parameter lambda.  The history
+    sup grid is not part of it: it belongs to the run
+    (IntegrationSettings.grid)."""
 
-    def __init__(self, certificate, gains, lam, q_threshold=Q_THRESHOLD,
-                 grid=hist.DEFAULT_GRID):
+    def __init__(self, certificate, gains, lam):
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        if q_threshold <= 0:
-            raise ValueError("q-threshold must be positive")
         self.certificate = certificate
         self.gains = gains
         self.lam = float(lam)
-        self.q_threshold = float(q_threshold)
-        self.grid = int(grid)
 
 
-def kappa(lam, p, q, q_threshold=Q_THRESHOLD):
+def law(a, q2, lam):
+    """The universal formula at activation a and q2 = ||q||^2: (c, margin)
+    with u = c q.  Above the threshold c = -(a + r)/q2 and margin = -r,
+    r = sqrt(a^2 + lambda q2^2), so a + q.u = margin.  In the dead zone c is
+    None and margin = a: u is exactly zero there (not 0 q, whose zeros
+    would carry the signs of q)."""
+    if q2 > _Q2_THRESHOLD:
+        root = math.sqrt(a * a + lam * q2 * q2)
+        return -(a + root) / q2, -root
+    return None, a
+
+
+def kappa(lam, p, q):
     """Sontag-type formula: 0 when ||q|| is numerically zero, otherwise
     -((p + sqrt(p^2 + lambda*||q||^4)) / ||q||^2) * q."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     q = np.asarray(q, dtype=float).ravel()
-    q2 = float(q @ q)
-    if np.sqrt(q2) <= q_threshold:
-        return np.zeros_like(q)
-    num = p + np.sqrt(p * p + lam * q2 * q2)
-    return (-num / q2) * q
+    c, _ = law(p, float(q @ q), lam)
+    return np.zeros_like(q) if c is None else c * q
 
 
-def activation(spec, dyn, window):
-    """(a, q): a = Lf + gamma*field(x) - eta*weighted_sup, q = Lg."""
-    Lf, q = lie_derivatives(spec.certificate, dyn, window)
-    x = window.latest_state
-    vx = spec.certificate.value(x)
-    sup = hist.weighted_sup(window, spec.certificate, spec.gains.mu, spec.grid)
-    a = Lf + spec.gains.gamma * vx - spec.gains.eta * sup
-    return a, q
+# one closed-loop evaluation at a window head: the state derivative
+# xdot = f + g u, the control u, the Lie derivatives lf = grad.f and
+# q = grad^T g, the activation a and the margin a + q.u
+Evaluation = namedtuple("Evaluation", "xdot u lf q a margin")
+
+
+def evaluate(spec, dyn, window, grid):
+    """The closed loop at the head of window, its history sup taken on a
+    grid of `grid` theta points: a = lf + gamma*field(x) - eta*sup and
+    u = kappa(lambda, a, q).  spec None is the open loop: u = 0, xdot = f,
+    and lf, q, a and the margin are not defined (None or NaN)."""
+    f = dyn.f(window)
+    if spec is None:
+        return Evaluation(f, np.zeros(dyn.m), math.nan, None, math.nan,
+                          math.nan)
+    cert = spec.certificate
+    G = dyn.g(window)
+    vx, gr = cert.value_grad(window.latest_state.tolist())
+    gr = np.array(gr)
+    lf = float(gr @ f)
+    q = (gr @ G).ravel()
+    sup = hist.weighted_sup(window, cert, spec.gains.mu, grid)
+    a = lf + spec.gains.gamma * vx - spec.gains.eta * sup
+    c, margin = law(a, float(q @ q), spec.lam)
+    u = np.zeros_like(q) if c is None else c * q
+    return Evaluation(f + G @ u, u, lf, q, a, margin)
 
 
 def control(spec, dyn, window, details=None):
-    """u = kappa(lambda, a, q).
+    """u = kappa(lambda, a, q) at the head of window, on the default sup
+    grid.
 
     Closed-loop margin Lf + q.u + gamma*field - eta*sup equals
     -sqrt(a^2 + lambda*||q||^4) when ||q|| is above threshold, else a.
-    If ||q|| is below threshold while a > 0 the certificate's strict
-    decrease condition failed at this window; that is reported (it
-    falsifies the candidate certificate) rather than hidden.
+    If ||q|| is below threshold while a > 0 (the only way the margin is
+    positive) the certificate's strict decrease condition failed at this
+    window; that is reported (it falsifies the candidate certificate)
+    rather than hidden.
 
     `details`, when given, is a dict filled with a/q/margin/flags.
     """
-    a, q = activation(spec, dyn, window)
-    qn = float(np.sqrt(q @ q))
-    u = kappa(spec.lam, a, q, spec.q_threshold)
-    if qn > spec.q_threshold:
-        margin = -np.sqrt(a * a + spec.lam * qn ** 4)
-    else:
-        margin = a
-        if a > 0:
-            log.warning("certificate violation: q ~ 0 but a = %.3e > 0", a)
-            if details is not None:
-                details["certificate_violation"] = True
+    ev = evaluate(spec, dyn, window, hist.DEFAULT_GRID)
+    if ev.margin > 0:
+        log.warning("certificate violation: q ~ 0 but a = %.3e > 0", ev.a)
+        if details is not None:
+            details["certificate_violation"] = True
     if details is not None:
-        details["a"] = float(a)
-        details["q"] = q
-        details["margin"] = float(margin)
-    return u
+        details["a"] = float(ev.a)
+        details["q"] = ev.q
+        details["margin"] = float(ev.margin)
+    return ev.u
 
 
 def scp_probe(spec, dyn, deltas, samples_per_delta=64, seed=0):

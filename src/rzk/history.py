@@ -15,12 +15,9 @@ import numpy as np
 # points plus both endpoints, so theta = 0 is always on the grid
 DEFAULT_GRID = 66
 
-LINEAR = "linear"
-CUBIC = "cubic-hermite"
-
 
 class HistoryWindow:
-    """Time-stamped samples with cubic-Hermite (or linear) interpolation.
+    """Time-stamped samples with cubic-Hermite interpolation.
 
     Samples before `const_until` are implied: the window was initialized
     from a constant initial function and reads there return `const_state`
@@ -29,15 +26,14 @@ class HistoryWindow:
     the affected interval.
     """
 
-    __slots__ = ("n", "delta", "order", "ts", "xs", "ms", "count",
+    __slots__ = ("n", "delta", "ts", "xs", "ms", "count",
                  "const_state", "const_until", "_scratch")
 
-    def __init__(self, n, delta, order=CUBIC):
+    def __init__(self, n, delta):
         if delta <= 0:
             raise ValueError("horizon must be positive")
         self.n = int(n)
         self.delta = float(delta)
-        self.order = order
         cap = 256
         self.ts = np.empty(cap)
         self.xs = np.empty((cap, self.n))
@@ -53,7 +49,6 @@ class HistoryWindow:
         w = HistoryWindow.__new__(HistoryWindow)
         w.n = self.n
         w.delta = self.delta
-        w.order = self.order
         w.ts = self.ts[: self.count].copy()
         w.xs = self.xs[: self.count].copy()
         w.ms = self.ms[: self.count].copy()
@@ -169,36 +164,29 @@ class HistoryWindow:
             i0 = i1 - 1
             t0 = ts[i0]
             dt = ts[i1] - t0
-            s = (tq - t0) / dt
-            x0 = self.xs[i0]
-            x1 = self.xs[i1]
-            if self.order == LINEAR:
-                vals = x0 + s[:, None] * (x1 - x0)
-            else:
-                m0 = self.ms[i0] * dt[:, None]
-                m1 = self.ms[i1] * dt[:, None]
-                s = s[:, None]
-                s2 = s * s
-                s3 = s2 * s
-                vals = ((2.0 * s3 - 3.0 * s2 + 1.0) * x0
-                        + (s3 - 2.0 * s2 + s) * m0
-                        + (-2.0 * s3 + 3.0 * s2) * x1
-                        + (s3 - s2) * m1)
-            out[live] = vals
+            s = ((tq - t0) / dt)[:, None]
+            m0 = self.ms[i0] * dt[:, None]
+            m1 = self.ms[i1] * dt[:, None]
+            s2 = s * s
+            s3 = s2 * s
+            out[live] = ((2.0 * s3 - 3.0 * s2 + 1.0) * self.xs[i0]
+                         + (s3 - 2.0 * s2 + s) * m0
+                         + (-2.0 * s3 + 3.0 * s2) * self.xs[i1]
+                         + (s3 - s2) * m1)
         return out
 
 
-def from_constant(x0, delta, order=CUBIC):
+def from_constant(x0, delta):
     """Window covering [-Delta, 0] that equals x0 everywhere on it."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    w = HistoryWindow(x0.shape[0], delta, order=order)
+    w = HistoryWindow(x0.shape[0], delta)
     w.const_state = x0.copy()
     w.const_until = 0.0
     w._append(0.0, x0, np.zeros(x0.shape[0]))
     return w
 
 
-def from_samples(times, states, delta, order=CUBIC):
+def from_samples(times, states, delta):
     """Window holding the samples (times[k], states[k]) with the slopes
     that pushing them one by one gives: zero at the first sample, the
     secant from the previous sample at every other."""
@@ -210,26 +198,12 @@ def from_samples(times, states, delta, order=CUBIC):
         raise ValueError("non-finite sample")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    w = HistoryWindow(xs.shape[1], delta, order=order)
+    w = HistoryWindow(xs.shape[1], delta)
     ms = np.zeros_like(xs)
     ms[1:] = np.diff(xs, axis=0) / np.diff(ts)[:, None]
     w.ts, w.xs, w.ms = ts, xs, ms
     w.count = ts.shape[0]
     return w
-
-
-def push_sample(window, t, x, slope=None):
-    """Functional alias for HistoryWindow.push (returns the window)."""
-    window.push(t, x, slope)
-    return window
-
-
-def interpolate(window, theta):
-    """State at offset theta in [-Delta, 0] from the latest sample time."""
-    theta = float(theta)
-    if theta < -window.delta - 1e-12 or theta > 1e-12:
-        raise ValueError("theta outside [-Delta, 0]")
-    return window.interp_times(np.array([window.latest_time + theta]))[0]
 
 
 def theta_grid(delta, grid=DEFAULT_GRID):
@@ -272,10 +246,3 @@ def weighted_sup(window, field, mu=0.0, grid=DEFAULT_GRID):
     if mu:
         vals = np.exp(mu * thetas) * vals
     return float(np.max(vals))
-
-
-def sup_norm(window, grid=DEFAULT_GRID):
-    """max Euclidean norm of the state over the theta-grid."""
-    thetas = theta_grid(window.delta, grid)
-    states = window.interp_times(window.latest_time + thetas)
-    return float(np.max(np.sqrt(np.sum(states * states, axis=1))))

@@ -11,7 +11,10 @@ reads at t <= 0 going through each lane's own initial window, while each
 RK stage runs per lane in plain floats on the certificate's per-point
 form, so a lane's result does not depend on the other lanes.  Other
 plants, tau < h and sup grids spaced no wider than h still take the
-general path.
+general path.  Both paths take the feedback from `controller`: the
+general path steps on `controller.evaluate`, the lockstep's stages on
+`controller.law`, and both read the history sup on the run's grid,
+`IntegrationSettings.grid`.
 """
 
 import math
@@ -20,13 +23,13 @@ from collections import namedtuple
 import numpy as np
 
 from . import history as hist
-from .system import friction
-
-_EXAMPLE_NAME = "example"
+from .controller import evaluate, law
+from .system import ExampleDynamics, friction
 
 
 class IntegrationSettings:
-    """Step, horizon, and which certificate fields to log."""
+    """Step, horizon, which certificate fields to log, and the number of
+    theta points of the controller's history sup grid."""
 
     def __init__(self, h=1e-3, T=20.0, records=("V", "B", "W"),
                  grid=hist.DEFAULT_GRID):
@@ -39,9 +42,10 @@ class IntegrationSettings:
 
 
 # the weighted history sup sup_theta e^{mu theta} field(x(t + theta)) at
-# every sample, as the integrator computed it, with the field object, mu and
-# sup-grid size it was computed for; values is a read-only (N,) array
-HistorySup = namedtuple("HistorySup", "field mu grid values")
+# every sample, as the integrator computed it on the run's grid
+# (meta["grid"]), with the field object and mu it was computed for; values
+# is a read-only (N,) array
+HistorySup = namedtuple("HistorySup", "field mu values")
 
 
 class Trajectory:
@@ -95,33 +99,6 @@ def _check_settings(dyn, settings):
         raise ValueError("step must satisfy h <= Delta/4")
 
 
-def _stage_eval(dyn, ctrl, window):
-    """Closed-loop derivative plus controller bookkeeping at the window head."""
-    x = window.latest_state
-    f = dyn.f(window)
-    if ctrl is None:
-        u = np.zeros(dyn.m)
-        a = np.nan
-        margin = np.nan
-        return f, u, a, margin
-    G = dyn.g(window)
-    vx, gr = ctrl.certificate.value_grad(x.tolist())
-    gr = np.array(gr)
-    Lf = float(gr @ f)
-    q = (gr @ G).ravel()
-    sup = hist.weighted_sup(window, ctrl.certificate, ctrl.gains.mu, ctrl.grid)
-    a = Lf + ctrl.gains.gamma * vx - ctrl.gains.eta * sup
-    q2 = float(q @ q)
-    if np.sqrt(q2) > ctrl.q_threshold:
-        root = np.sqrt(a * a + ctrl.lam * q2 * q2)
-        u = (-(a + root) / q2) * q
-        margin = -root
-    else:
-        u = np.zeros_like(q)
-        margin = a
-    return f + G @ u, u, a, margin
-
-
 def _record_fields(names, field_map, X):
     out = {}
     for name in names:
@@ -158,6 +135,7 @@ def integrate(dyn, ctrl, xi, settings, fields=None, meta=None):
 
 def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
     h = settings.h
+    grid = settings.grid
     nsteps = int(round(settings.T / h))
     w = xi.copy()
     n = dyn.n
@@ -177,7 +155,7 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
     def finish(count, diverged):
         rec = _record_fields(settings.records, fields, xs[:count])
         md = dict(meta)
-        md.update(h=h, T=settings.T, delta=dyn.delta, grid=settings.grid)
+        md.update(h=h, T=settings.T, delta=dyn.delta, grid=grid)
         return Trajectory(ts[:count], xs[:count], us[:count], margins[:count],
                           slopes[:count], rec, md, xi.copy(), diverged)
 
@@ -186,17 +164,18 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
         if not np.all(np.isfinite(y)):
             return None
         w.push_scratch(t_stage, y, slope)
-        k, _, _, _ = _stage_eval(dyn, ctrl, w)
+        k = evaluate(ctrl, dyn, w, grid).xdot
         w.pop_scratch()
         return k
 
     for i in range(nsteps + 1):
         # stage 1 doubles as the recorded sample evaluation; overwrite the
         # stored slope so the just-closed interval interpolates at full order
-        k1, u, a, margin = _stage_eval(dyn, ctrl, w)
+        ev = evaluate(ctrl, dyn, w, grid)
+        k1 = ev.xdot
         w.ms[w.count - 1] = k1
-        us[i] = u
-        margins[i] = margin
+        us[i] = ev.u
+        margins[i] = ev.margin
         slopes[i] = k1
         if i == nsteps:
             break
@@ -220,12 +199,11 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
 
 
 def _fast_eligible(dyn, xi, settings):
-    if dyn.name != _EXAMPLE_NAME:
+    if not isinstance(dyn, ExampleDynamics):
         return False
     if not xi.span_ok():
         return False
-    tau = -min(dyn.read_points)
-    if tau < settings.h:
+    if dyn.tau < settings.h:
         return False
     # all sup-grid stage reads must stay within already-accepted history
     if settings.h >= dyn.delta / (settings.grid - 1):
@@ -249,7 +227,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
     grid = settings.grid
     nsteps = int(round(settings.T / h))
     N = nsteps + 1
-    tau = -min(dyn.read_points)
+    tau = dyn.tau
     K = len(ics)
     wins = [w.copy() for w in ics]
 
@@ -290,7 +268,6 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
 
     cert = ctrl.certificate if ctrl is not None else None
     lam = ctrl.lam if ctrl is not None else 0.0
-    qthr2 = ctrl.q_threshold ** 2 if ctrl is not None else 0.0
     gam = ctrl.gains.gamma if ctrl is not None else 0.0
     eta = ctrl.gains.eta if ctrl is not None else 0.0
     if cert is None:
@@ -372,12 +349,9 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         # theta = 0 included; a NaN grid max stays NaN, as in np.maximum
         sup = v0 if v0 > gmax else gmax
         a = g0 * s1 + q * f2 + gam * v0 - eta * sup       # g = (0, 1)
-        q2 = q * q
-        if q2 > qthr2:
-            root = math.sqrt(a * a + lam * q2 * q2)
-            u = -(a + root) / q2 * q
-            return s1, f2 + u, u, -root, sup
-        return s1, f2 + 0.0, 0.0, a, sup
+        c, margin = law(a, q * q, lam)
+        u = 0.0 if c is None else c * q
+        return s1, f2 + u, u, margin, sup
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
@@ -439,7 +413,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         if (cert is not None and lane_ok and ics[k].count == 1
                 and ics[k].const_state is not None
                 and not np.isnan(margins[:, k]).any()):
-            sup = HistorySup(cert, ctrl.gains.mu, grid, sups[:, k])
+            sup = HistorySup(cert, ctrl.gains.mu, sups[:, k])
         out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
                               us[:cut, k].reshape(-1, 1),
                               margins[:cut, k].copy(), ms[:cut, k, :].copy(),

@@ -47,36 +47,36 @@ def friction(v):
     return out if out.ndim else float(out)
 
 
+class ExampleDynamics(DelayDynamics):
+    """The example plant x1dot = x2, x2dot = -h(x2(t-tau)) - x1 + u, with g
+    the constant column (0, 1).  It carries tau, so an integrator can
+    recognise this plant by its type and read its delay; f and g are the
+    base class's."""
+
+    def __init__(self, tau, delta):
+        tau = self.tau = float(tau)
+
+        def drift(window):
+            now = window.latest_state
+            xd = window.interp_times(np.array([window.latest_time - tau]))[0]
+            return np.array([now[1], -friction(xd[1]) - now[0]])
+
+        G = np.array([[0.0], [1.0]])
+
+        def input_map(window):
+            return G
+
+        super().__init__(2, 1, drift, input_map, delta,
+                         read_points=(0.0, -tau), name="example")
+
+
 def example_system(cfg=None):
     """x1dot = x2, x2dot = -h(x2(t-tau)) - x1 + u; g is the constant column
     (0, 1) (kept as printed even though it does not vanish at the origin;
     the closed loop still has an equilibrium there because u does)."""
     if cfg is None:
         cfg = ExampleConfig()
-    tau = cfg.tau
-
-    def drift(window):
-        now = window.latest_state
-        xd = window.interp_times(np.array([window.latest_time - tau]))[0]
-        return np.array([now[1], -friction(xd[1]) - now[0]])
-
-    G = np.array([[0.0], [1.0]])
-
-    def input_map(window):
-        return G
-
-    return DelayDynamics(2, 1, drift, input_map, cfg.delta,
-                         read_points=(0.0, -tau), name="example")
-
-
-def lie_derivatives(field, dyn, window):
-    """(Lf, Lg) = (grad . f(window), grad^T g(window)) at x = window head."""
-    if field.n != dyn.n:
-        raise ValueError("field/dynamics dimension mismatch")
-    gr = field.grad(window.latest_state)
-    Lf = float(gr @ dyn.f(window))
-    Lg = gr @ dyn.g(window)
-    return Lf, np.asarray(Lg, dtype=float).ravel()
+    return ExampleDynamics(cfg.tau, cfg.delta)
 
 
 def pure_delay_system(tau=0.3, delta=None):

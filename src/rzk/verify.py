@@ -3,7 +3,8 @@
 Every check returns a VerificationReport: pass flag, worst observed value,
 witness (time, state) when one is meaningful, and the tolerances used.
 These are sampled proxies, not formal proofs; sample counts and shell
-widths are configurable and reported.
+widths are configurable and reported.  History windows are rebuilt on the
+run's own sup grid, traj.meta["grid"], the one its controller read.
 """
 
 import numpy as np
@@ -97,9 +98,10 @@ def _witness(t, x):
     return {"time": tv, "state": [float(v) for v in np.atleast_1d(x)]}
 
 
-def window_states(traj, grid=None, start=0, stop=None):
-    """History states on the theta grid at samples start..stop-1 (all by
-    default): (stop - start, grid, n).
+def window_states(traj, start=0, stop=None):
+    """History states on the run's theta grid (meta["grid"] points, the
+    default grid for a trajectory whose meta names none) at samples
+    start..stop-1 (all by default): (stop - start, grid, n).
 
     Reconstructs each window with the same cubic Hermite scheme the
     integrator used (traj.slopes holds the accepted derivatives); reads at
@@ -107,8 +109,7 @@ def window_states(traj, grid=None, start=0, stop=None):
     reads two contiguous row ranges; a column whose rows leave [0, N - 1]
     gathers them clipped to it instead.
     """
-    if grid is None:
-        grid = traj.meta.get("grid", hist.DEFAULT_GRID)
+    grid = traj.meta.get("grid", hist.DEFAULT_GRID)
     delta = traj.meta["delta"]
     h = traj.h
     xs = traj.xs
@@ -141,42 +142,37 @@ def window_states(traj, grid=None, start=0, stop=None):
 SUP_BLOCK = 2048
 
 
-def field_sup_series(traj, field, mu=0.0, grid=None):
-    """Weighted history sup of the field along the trajectory: (N,).
+def field_sup_series(traj, field, mu=0.0):
+    """Weighted history sup of the field along the trajectory, on the run's
+    theta grid: (N,).
 
     When the trajectory carries the integrator's own series for this very
-    field object, mu and grid (traj.history_sup, recorded by the lockstep
-    for its controller's certificate), that read-only series is returned:
-    it is the same arithmetic on the same rows, bit for bit.  Otherwise
-    the windows are rebuilt from the samples, block by block.
+    field object and mu (traj.history_sup, recorded by the lockstep for
+    its controller's certificate on the same grid), that read-only series
+    is returned: it is the same arithmetic on the same rows, bit for bit.
+    Otherwise the windows are rebuilt from the samples, block by block.
     """
-    if grid is None:
-        grid = traj.meta.get("grid", hist.DEFAULT_GRID)
     rec = traj.history_sup
-    if (rec is not None and rec.field is field and rec.mu == mu
-            and rec.grid == grid):
+    if rec is not None and rec.field is field and rec.mu == mu:
         return rec.values
     N = traj.xs.shape[0]
-    weight = None
-    if mu:
-        weight = np.exp(mu * hist.theta_grid(traj.meta["delta"], grid))
     out = np.empty(N)
     for start in range(0, N, SUP_BLOCK):
-        ws = window_states(traj, grid, start, min(start + SUP_BLOCK, N))
+        ws = window_states(traj, start, min(start + SUP_BLOCK, N))
         nb, g, n = ws.shape
         fv = field.value_many(ws.reshape(-1, n)).reshape(nb, g)
-        if weight is not None:
-            fv = fv * weight[None, :]
+        if mu:
+            fv = fv * np.exp(mu * hist.theta_grid(traj.meta["delta"], g))
         out[start:start + nb] = fv.max(axis=1)
     return out
 
 
-def safety_check(traj, unsafe, tol=SAFETY_TOL, grid=None):
+def safety_check(traj, unsafe, tol=SAFETY_TOL):
     """No sample (initial history included) in D, and hazard clearance of at
     least tol on every sample inside the region."""
     if traj.xs.shape[0] == 0:
         raise ValueError("trajectory must be non-empty")
-    ws0 = window_states(traj, grid, 0, 1)[0]
+    ws0 = window_states(traj, 0, 1)[0]
     delta = traj.meta["delta"]
     g = ws0.shape[0]
     pre_ts = hist.theta_grid(delta, g)[:-1]
@@ -207,7 +203,7 @@ def safety_check(traj, unsafe, tol=SAFETY_TOL, grid=None):
     return VerificationReport("safety", True, None, None, tvalues, details)
 
 
-def decrease_check(traj, field, gains, c=DECREASE_C, grid=None):
+def decrease_check(traj, field, gains, c=DECREASE_C):
     """Forward-difference d(field)/dt against -gamma*field + eta*sup at each
     interior sample; pass iff every residual is within c*h.
 
@@ -222,7 +218,7 @@ def decrease_check(traj, field, gains, c=DECREASE_C, grid=None):
     if N < 2:
         return VerificationReport("decrease", True, 0.0, None, tvalues,
                                   {"samples": N, "violations": 0})
-    sup = field_sup_series(traj, field, gains.mu, grid)
+    sup = field_sup_series(traj, field, gains.mu)
     fv = field.value_many(traj.xs)
     fwd = np.diff(fv) / h
     res = fwd - (-gains.gamma * fv[:-1] + gains.eta * sup[:-1])

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import history as hist
+from rzk import controller, history as hist
 
 
 def scalar_plant(g_gain):
@@ -62,9 +63,47 @@ def test_control_details_match_hand_computation():
     assert details["a"] == pytest.approx(-0.5, abs=1e-14)
     assert np.allclose(details["q"], [1.0])
     assert details["margin"] == pytest.approx(-1.5, abs=1e-14)
-    a, q = rzk.activation(spec, dyn, w)
-    assert a == pytest.approx(-0.5, abs=1e-14)
-    assert np.allclose(q, [1.0])
+    ev = rzk.evaluate(spec, dyn, w, rzk.DEFAULT_GRID)
+    assert ev.lf == pytest.approx(-2.0, abs=1e-14)
+    assert ev.a == pytest.approx(-0.5, abs=1e-14)
+    assert np.allclose(ev.q, [1.0])
+    assert ev.u[0] == pytest.approx(-1.0, abs=1e-14)
+    assert ev.margin == pytest.approx(-1.5, abs=1e-14)
+    # closed loop: xdot = -x + 0.5 u
+    assert ev.xdot[0] == pytest.approx(-1.5, abs=1e-14)
+
+
+_Q = st.one_of(st.floats(1e-5, 1e3), st.floats(-1e3, -1e-5),
+               st.floats(-1e-13, 1e-13))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-1e6, 1e6), lam=st.floats(0.1, 10.0),
+       q=st.lists(_Q, min_size=1, max_size=3))
+def test_evaluate_meets_the_margin_identity(a, lam, q):
+    # x in R^1 with xdot = g u, g the row q; a field of constant value a
+    # and gradient 1 with gamma = 1 and eta = 0, so the activation is
+    # exactly a and the input-side Lie derivative exactly q
+    q = np.array(q)
+    dyn = rzk.DelayDynamics(1, q.size, lambda w: np.zeros(1),
+                            lambda w: q[None, :], 0.3)
+    cert = rzk.ScalarField(1, lambda X: np.full(X.shape[0], a),
+                           lambda X: np.ones_like(X))
+    spec = rzk.ControllerSpec(cert, rzk.RazumikhinGains(1.0, 0.0), lam)
+    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.zeros(1), 0.3),
+                      rzk.DEFAULT_GRID)
+    assert ev.a == a and np.array_equal(ev.q, q)
+    q2 = float(q @ q)
+    if q2 <= controller.Q_THRESHOLD ** 2:
+        # the dead zone: u is +0.0 exactly, whatever the signs of q
+        assert ev.u.tobytes() == np.zeros(q.size).tobytes()
+        assert ev.margin == a
+        return
+    root = math.sqrt(a * a + lam * q2 * q2)
+    assert ev.margin == pytest.approx(-root, rel=1e-14, abs=0.0)
+    # closed loop: a + q.u = -sqrt(a^2 + lambda ||q||^4), up to rounding
+    assert (abs(a + float(q @ ev.u) - ev.margin)
+            <= 16 * np.finfo(float).eps * (abs(a) + root))
 
 
 def test_margin_falls_back_to_a_when_input_side_dead():
@@ -110,8 +149,6 @@ def test_spec_validation():
     gains = rzk.RazumikhinGains(2.5, 2.0)
     with pytest.raises(ValueError):
         rzk.ControllerSpec(V, gains, 0.0)
-    with pytest.raises(ValueError):
-        rzk.ControllerSpec(V, gains, 2.0, q_threshold=0.0)
 
 
 def test_scp_probe_decays_with_delta(example_setup):

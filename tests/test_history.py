@@ -10,17 +10,7 @@ from rzk.simulate import Trajectory
 def test_from_constant_covers_delay_horizon():
     w = hist.from_constant(np.array([1.0, 2.0]), 0.3)
     assert w.span_ok()
-    assert np.allclose(hist.interpolate(w, -0.3), [1.0, 2.0])
-    assert np.allclose(hist.interpolate(w, -0.17), [1.0, 2.0])
-    assert np.allclose(hist.interpolate(w, 0.0), [1.0, 2.0])
-
-
-def test_interpolate_rejects_theta_outside_window():
-    w = hist.from_constant(np.array([1.0]), 0.3)
-    with pytest.raises(ValueError):
-        hist.interpolate(w, -0.31)
-    with pytest.raises(ValueError):
-        hist.interpolate(w, 0.1)
+    assert np.allclose(w.interp_times([-0.3, -0.17, 0.0]), [1.0, 2.0])
 
 
 def test_push_requires_increasing_times_and_matching_dimension():
@@ -211,13 +201,6 @@ def test_weighted_sup_is_signed_not_absolute():
     assert hist.weighted_sup(w, Ident, 0.0) == pytest.approx(-5.0)
 
 
-def test_sup_norm_of_window():
-    w = hist.from_constant(np.array([3.0, 4.0]), 0.3)
-    assert hist.sup_norm(w) == pytest.approx(5.0)
-    w.push(0.2, np.array([6.0, 8.0]))
-    assert hist.sup_norm(w) == pytest.approx(10.0)
-
-
 def test_copy_is_independent():
     w = hist.from_constant(np.array([1.0]), 0.3)
     c = w.copy()
@@ -225,9 +208,3 @@ def test_copy_is_independent():
     assert c.count == 1
     assert c.latest_time == 0.0
 
-
-def test_push_sample_alias_returns_window():
-    w = hist.from_constant(np.array([0.0]), 0.3)
-    out = hist.push_sample(w, 0.1, np.array([1.0]))
-    assert out is w
-    assert w.count == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import cli, history as hist, simulate, verify
+from rzk import cli, controller, history as hist, simulate, verify
 from rzk.simulate import IntegrationDiverged, IntegrationSettings
 
 
@@ -112,6 +112,22 @@ def _sampled_windows():
 def test_fast_and_general_paths_agree(example_setup):
     _assert_paths_agree(example_setup["dyn"], example_setup["ctrl"],
                         IntegrationSettings(h=1e-3, T=1.0))
+
+
+def test_lockstep_takes_the_example_plant_by_type_not_by_name():
+    # a plant that only shares the example's name integrates its own
+    # equations: xdot = 0 stays at its start exactly
+    still = rzk.DelayDynamics(2, 1, lambda w: np.zeros(2),
+                              lambda w: np.array([[0.0], [1.0]]), 0.3,
+                              read_points=(0.0, -0.3), name="example")
+    xi = hist.from_constant(np.array([1.0, 1.0]), 0.3)
+    s = IntegrationSettings(h=1e-3, T=0.5)
+    assert not simulate._fast_eligible(still, xi, s)
+    for tr in (rzk.integrate(still, None, xi, s),
+               rzk.batch_integrate(still, None, [xi], s)[0]):
+        assert np.array_equal(tr.xs, np.ones((501, 2)))
+    # the example plant itself, built directly, is recognised
+    assert simulate._fast_eligible(rzk.ExampleDynamics(0.3, 0.3), xi, s)
 
 
 def test_integration_is_deterministic(example_setup):
@@ -267,8 +283,9 @@ def test_lockstep_matches_general_path(example_setup, case):
     ctrl = None
     if kind is not None:
         gains = rzk.RazumikhinGains(2.5, 2.0, case.get("mu", 0.0))
-        ctrl = rzk.ControllerSpec(example_setup[kind], gains, 2.0,
-                                  grid=case.get("grid", 66))
+        ctrl = rzk.ControllerSpec(example_setup[kind], gains, 2.0)
+    # the sup grid is the run's alone: at grid = 10 a path that read
+    # another grid would part from the other on the sampled windows
     s = IntegrationSettings(h=case.get("h", 2e-3), T=0.4,
                             grid=case.get("grid", 66))
     _assert_paths_agree(dyn, ctrl, s)
@@ -390,7 +407,7 @@ def test_lane_stage_meets_the_margin_identity(example_setup, a, q, lam):
         example_setup["dyn"], ctrl, [hist.from_constant(np.zeros(2), 0.3)],
         IntegrationSettings(h=1e-3, T=1e-3, records=()), {}, {})[0]
     u, margin = float(tr.us[0, 0]), float(tr.margins[0])
-    if q * q <= ctrl.q_threshold ** 2:
+    if q * q <= controller.Q_THRESHOLD ** 2:
         assert u == 0.0 and margin == a
         return
     root = math.sqrt(a * a + lam * q ** 4)

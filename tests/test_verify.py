@@ -198,14 +198,14 @@ def test_separation_check_vacuous_and_validation(example_setup):
 
 def test_window_states_reconstruction(runs, example_setup):
     tr = runs["closedV"]
-    ws = verify.window_states(tr, 66)
+    ws = verify.window_states(tr)
     assert ws.shape == (tr.xs.shape[0], 66, 2)
     # sample 0: the whole window is the constant initial history
     assert np.allclose(ws[0], tr.xs[0], atol=1e-12)
     # the head of every window is the sample itself
     assert np.allclose(ws[:, -1, :], tr.xs, atol=1e-12)
     V = example_setup["V"]
-    sup = verify.field_sup_series(tr, V, 0.0, 66)
+    sup = verify.field_sup_series(tr, V, 0.0)
     assert sup[0] == pytest.approx(V.value(tr.xs[0]))
     assert np.all(sup >= V.value_many(tr.xs) - 1e-12)
 
@@ -232,10 +232,10 @@ def _crossing_history_run(example_setup, T=0.05):
 
 def test_window_states_row_range(example_setup):
     tr = _crossing_history_run(example_setup)
-    full = verify.window_states(tr, 66)
-    np.testing.assert_array_equal(verify.window_states(tr, 66, 17, 40),
+    full = verify.window_states(tr)
+    np.testing.assert_array_equal(verify.window_states(tr, 17, 40),
                                   full[17:40])
-    np.testing.assert_array_equal(verify.window_states(tr, 66, 0, 1),
+    np.testing.assert_array_equal(verify.window_states(tr, 0, 1),
                                   full[:1])
 
 
@@ -244,18 +244,16 @@ def test_blocked_sup_series_equals_unblocked(example_setup, monkeypatch):
     W = example_setup["W"]
     N = tr.xs.shape[0]
     for mu in (0.0, 0.7):
-        ws = verify.window_states(tr, 66)
+        ws = verify.window_states(tr)
         ref = W.value_many(ws.reshape(-1, 2)).reshape(N, 66)
         if mu:
             ref = ref * np.exp(mu * hist.theta_grid(0.3, 66))[None, :]
         ref = ref.max(axis=1)
         # 7 does not divide N = 51: six full blocks and a short last one
         monkeypatch.setattr(verify, "SUP_BLOCK", 7)
-        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu, 66),
-                                      ref)
+        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu), ref)
         monkeypatch.undo()
-        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu, 66),
-                                      ref)
+        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu), ref)
 
 
 def test_safety_check_reads_initial_window_only(example_setup, runs,
@@ -267,10 +265,10 @@ def test_safety_check_reads_initial_window_only(example_setup, runs,
     calls = []
     full_build = verify.window_states
 
-    def every_window(traj, grid=None, start=0, stop=None):
+    def every_window(traj, start=0, stop=None):
         # the earlier build: all N windows, of which the check keeps row 0
         calls.append((start, stop))
-        return full_build(traj, grid)
+        return full_build(traj)
 
     monkeypatch.setattr(verify, "window_states", every_window)
     old = [verify.safety_check(tr, example_setup["unsafe"]).as_dict()
@@ -328,7 +326,7 @@ def test_window_states_slices_equal_fancy_gather(grid, h, span, nrows, seed,
                     {"h": h, "delta": delta, "grid": grid}, ic)
     start = data.draw(st.integers(0, nrows - 1), label="start")
     stop = data.draw(st.integers(start, nrows), label="stop")
-    got = verify.window_states(tr, grid, start, stop)
+    got = verify.window_states(tr, start, stop)
     assert got.shape == (stop - start, grid, 2)
     assert _bits(got) == _bits(_fancy_window_states(tr, grid, start, stop))
 
@@ -348,7 +346,7 @@ def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, grid):
     # not move a bit of the series or of the decrease report
     field = example_setup[kind]
     gains = rzk.RazumikhinGains(2.5, 2.0, mu)
-    ctrl = rzk.ControllerSpec(field, gains, 2.0, grid=grid)
+    ctrl = rzk.ControllerSpec(field, gains, 2.0)
     ics = [hist.from_constant(np.array(x), 0.3)
            for x in cli.DEMO_INITIAL_CONDITIONS]
     trajs = rzk.batch_integrate(example_setup["dyn"], ctrl, ics,
@@ -357,13 +355,13 @@ def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, grid):
     for tr in trajs:
         rec = tr.history_sup
         assert not tr.diverged and rec is not None
-        assert rec.field is field and rec.mu == mu and rec.grid == grid
+        assert rec.field is field and rec.mu == mu
+        assert tr.meta["grid"] == grid
         assert not rec.values.flags.writeable
         plain = _without_sup(tr)
-        got = verify.field_sup_series(tr, field, mu, grid)
+        got = verify.field_sup_series(tr, field, mu)
         assert got is rec.values
-        assert _bits(got) == _bits(verify.field_sup_series(plain, field, mu,
-                                                           grid))
+        assert _bits(got) == _bits(verify.field_sup_series(plain, field, mu))
         assert (repr(verify.decrease_check(tr, field, gains).as_dict())
                 == repr(verify.decrease_check(plain, field, gains).as_dict()))
 
@@ -413,17 +411,13 @@ def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
 
     monkeypatch.setattr(verify, "window_states", counted)
     verify.field_sup_series(lockstep, W, 0.0)
-    verify.field_sup_series(rest, steep, gains.mu, 66)
+    verify.field_sup_series(rest, steep, gains.mu)
     assert builds == []
     other_W = rzk.combine_clbrf(V, B, 82.0)
-    for tr, field, mu, grid in ((blown, steep, 0.0, None),
-                                (crossed, holed, 0.0, None),
-                                (general, W, 0.0, None),
-                                (from_csv, W, 0.0, None),
-                                (lockstep, other_W, 0.0, None),
-                                (lockstep, V, 0.0, None),
-                                (lockstep, W, 0.5, None),
-                                (lockstep, W, 0.0, 10)):
+    for tr, field, mu in ((blown, steep, 0.0), (crossed, holed, 0.0),
+                          (general, W, 0.0), (from_csv, W, 0.0),
+                          (lockstep, other_W, 0.0), (lockstep, V, 0.0),
+                          (lockstep, W, 0.5)):
         builds.clear()
-        verify.field_sup_series(tr, field, mu, grid)
+        verify.field_sup_series(tr, field, mu)
         assert builds and builds[0] is tr
