@@ -39,11 +39,10 @@ def main():
     print(f"separation:   {'pass' if sep.passed else 'FAIL'} "
           f"(max shell W = {sep.worst:.4f})")
 
-    settings = IntegrationSettings(h=1e-3, T=20.0, records=("V", "B", "W"))
-    fields = {"V": V, "B": B, "W": W}
+    settings = IntegrationSettings(h=1e-3, T=20.0)
     windows = [hist.from_constant(np.array(x0), dyn.delta) for x0 in STARTS]
     print(f"\nintegrating {len(STARTS)} starts, T = {settings.T} ...")
-    trajs = rzk.batch_integrate(dyn, ctrl, windows, settings, fields=fields)
+    trajs = rzk.batch_integrate(dyn, ctrl, windows, settings)
 
     print(f"\n{'start':>14} {'safety':>8} {'decrease':>9} {'max margin':>11} "
           f"{'|x(T)|':>10}")

@@ -47,8 +47,7 @@ def run(psi):
 
     windows = [hist.from_constant(np.array(x0), dyn.delta) for x0 in STARTS]
     trajs = rzk.batch_integrate(dyn, ctrl, windows,
-                                IntegrationSettings(h=1e-3, T=T),
-                                fields={"W": W})
+                                IntegrationSettings(h=1e-3, T=T))
     for x0, tr in zip(STARTS, trajs):
         saf = verify.safety_check(tr, unsafe)
         norm = np.linalg.norm(tr.xs[-1])

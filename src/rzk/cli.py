@@ -215,9 +215,7 @@ class _Build:
             self.ctrl = None
         else:
             self.ctrl = ControllerSpec(self.active, self.gains, cfg.lam)
-        self.settings = IntegrationSettings(h=cfg.h, T=cfg.T,
-                                            records=("V", "B", "W"),
-                                            grid=cfg.grid)
+        self.settings = IntegrationSettings(h=cfg.h, T=cfg.T, grid=cfg.grid)
         self.unsafe = verify.example_unsafe_set()
         if cfg.eta > 0:
             self.cert = halanay.DecayCertificate(cfg.gamma, cfg.eta,
@@ -261,9 +259,7 @@ def _run_batch(build, out_dir):
             if member(w.xs[:w.count]).any():
                 log.warning("initial condition %d starts inside the "
                             "excluded set", k)
-    trajs = batch_integrate(build.dyn, build.ctrl, wins, build.settings,
-                            fields={"V": build.V, "B": build.B,
-                                    "W": build.W})
+    trajs = batch_integrate(build.dyn, build.ctrl, wins, build.settings)
     io.write_report_json(os.path.join(out_dir, "config.json"), cfg.to_dict())
     rows = []
     for k, tr in enumerate(trajs):
@@ -399,7 +395,6 @@ def cmd_halanay(args):
 
 def _sweep_points(cfg):
     axes = [(k, cfg.sweep[k]) for k in _SWEEP_KEYS if k in cfg.sweep]
-    axes = [(k, v) for k, v in axes if v]
     if not axes or any(not v for _, v in axes):
         return [], []
     names = [k for k, _ in axes]
@@ -437,9 +432,7 @@ def cmd_sweep(args):
         sub = RunConfig(d)
         build = _Build(sub)
         trajs = batch_integrate(build.dyn, build.ctrl, build.windows(),
-                                build.settings,
-                                fields={"V": build.V, "B": build.B,
-                                        "W": build.W})
+                                build.settings)
         # kind and seed are fixed across the sweep
         key = (sub.psi, sub.gamma, sub.eta)
         if key not in point_checks:

@@ -26,16 +26,11 @@ def trajectory_columns(traj, V, B, W, bound=None):
     names = (["t"] + [f"x{i + 1}" for i in range(n)]
              + [f"u{j + 1}" for j in range(m)]
              + ["V", "B", "W", "margin", "envelope-bound"])
-
-    def logged(name, field):
-        if name in traj.fields:
-            return np.asarray(traj.fields[name], dtype=float)
-        return field.value_many(traj.xs)
-
     cols = ([traj.ts] + [traj.xs[:, i] for i in range(n)]
             + [traj.us[:, j] for j in range(m)]
-            + [logged("V", V), logged("B", B), logged("W", W),
-               traj.margins, np.asarray(bound, dtype=float)])
+            + [V.value_many(traj.xs), B.value_many(traj.xs),
+               W.value_many(traj.xs), traj.margins,
+               np.asarray(bound, dtype=float)])
     return names, np.column_stack(cols)
 
 
@@ -85,11 +80,10 @@ def trajectory_from_csv(names, data, delta, grid=hist.DEFAULT_GRID, ic=None):
     slopes[1:-1] = (xs[2:] - xs[:-2]) / (2.0 * h)
     slopes[0] = (xs[1] - xs[0]) / h
     slopes[-1] = (xs[-1] - xs[-2]) / h
-    fields = {name: col[name] for name in ("V", "B", "W") if name in col}
     meta = {"h": h, "T": float(ts[-1]), "delta": float(delta), "grid": int(grid)}
     if ic is None:
         ic = hist.from_constant(xs[0].copy(), delta)
-    return Trajectory(ts, xs, us, margins, slopes, fields, meta, ic)
+    return Trajectory(ts, xs, us, margins, slopes, meta, ic)
 
 
 def _clean(obj):

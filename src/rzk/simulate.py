@@ -1,5 +1,11 @@
 """Method-of-steps closed-loop integration.
 
+`batch_integrate(dyn, ctrl, ics, settings)` is the one entry: it checks the
+settings and every initial window, then picks a path once for the whole
+batch; `integrate` is its one-start form.  Trajectories carry states,
+inputs, margins and slopes; callers evaluate the certificate fields they
+need on `Trajectory.xs`.
+
 Fixed-step classic RK4; delayed reads go through the history window, with
 provisional scratch extensions so every RK stage sees a stage-consistent
 history.  The feedback is recomputed at every stage.  A fast path
@@ -28,16 +34,16 @@ from .system import ExampleDynamics, friction
 
 
 class IntegrationSettings:
-    """Step, horizon, which certificate fields to log, and the number of
-    theta points of the controller's history sup grid."""
+    """Step, horizon and the number of theta points of the controller's
+    history sup grid."""
 
-    def __init__(self, h=1e-3, T=20.0, records=("V", "B", "W"),
-                 grid=hist.DEFAULT_GRID):
+    def __init__(self, h=1e-3, T=20.0, grid=hist.DEFAULT_GRID):
         if h <= 0 or T <= 0:
             raise ValueError("need h > 0 and T > 0")
+        if int(grid) < 2:
+            raise ValueError("need grid >= 2")
         self.h = float(h)
         self.T = float(T)
-        self.records = tuple(records)
         self.grid = int(grid)
 
 
@@ -49,7 +55,7 @@ HistorySup = namedtuple("HistorySup", "field mu values")
 
 
 class Trajectory:
-    """Uniform-step samples of a single run plus recorded certificates.
+    """Uniform-step samples of a single run.
 
     slopes holds the closed-loop state derivative at each sample (used by
     verifiers to reconstruct history windows at full order).  history_sup
@@ -60,14 +66,13 @@ class Trajectory:
     CSV carry None.
     """
 
-    def __init__(self, ts, xs, us, margins, slopes, fields, meta, ic_window,
+    def __init__(self, ts, xs, us, margins, slopes, meta, ic_window,
                  diverged=False, history_sup=None):
         self.ts = ts
         self.xs = xs
         self.us = us
         self.margins = margins
         self.slopes = slopes
-        self.fields = fields          # name -> (N,) array
         self.meta = dict(meta)
         self.ic_window = ic_window
         self.diverged = diverged
@@ -99,41 +104,42 @@ def _check_settings(dyn, settings):
         raise ValueError("step must satisfy h <= Delta/4")
 
 
-def _record_fields(names, field_map, X):
-    out = {}
-    for name in names:
-        fld = field_map.get(name)
-        if fld is not None:
-            out[name] = fld.value_many(X)
-    return out
-
-
-def integrate(dyn, ctrl, xi, settings, fields=None, meta=None):
-    """Integrate the closed loop from the initial window xi.
+def batch_integrate(dyn, ctrl, ics, settings):
+    """Independent integrations from each initial window, order preserved.
 
     ctrl is a ControllerSpec or None (None means u == 0; margins are then
-    recorded with u = 0 against ctrl_margin if supplied in meta).  fields
-    maps record names to ScalarFields for logging.  Raises
-    IntegrationDiverged (carrying the partial trajectory) on non-finite
-    states.
+    NaN).  Raises ValueError before any work if the settings or any window
+    cannot serve the plant's delay horizon.  Diverged members come back as
+    truncated trajectories with .diverged = True rather than raising.  The
+    whole batch of the example plant, constant and sampled starts alike,
+    runs in one lockstep when tau >= h and the sup grid is spaced wider
+    than h; other plants and settings take the general path, start by
+    start (bit-for-bit deterministic either way).
     """
+    ics = list(ics)
     _check_settings(dyn, settings)
-    if not xi.span_ok():
+    if not all(w.span_ok() for w in ics):
         raise ValueError("initial window must span the delay horizon")
-    fields = dict(fields or {})
-    meta = dict(meta or {})
-    fast = _fast_eligible(dyn, xi, settings)
-    if fast:
-        trajs = _lockstep_example(dyn, ctrl, [xi], settings, fields, meta)
-        tr = trajs[0]
-        if tr.diverged:
-            # step index = first sample the integrator failed to produce
-            raise IntegrationDiverged(tr, tr.xs.shape[0])
-        return tr
-    return _integrate_general(dyn, ctrl, xi, settings, fields, meta)
+    if not ics:
+        return []
+    if _fast_eligible(dyn, settings):
+        return _lockstep_example(dyn, ctrl, ics, settings)
+    return [_integrate_general(dyn, ctrl, w, settings) for w in ics]
 
 
-def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
+def integrate(dyn, ctrl, xi, settings):
+    """Integrate the closed loop from the initial window xi: the one-start
+    batch_integrate, except that a run going non-finite raises
+    IntegrationDiverged, carrying the partial trajectory.
+    """
+    tr, = batch_integrate(dyn, ctrl, [xi], settings)
+    if tr.diverged:
+        # step index = first sample the integrator failed to produce
+        raise IntegrationDiverged(tr, tr.xs.shape[0])
+    return tr
+
+
+def _integrate_general(dyn, ctrl, xi, settings):
     h = settings.h
     grid = settings.grid
     nsteps = int(round(settings.T / h))
@@ -153,11 +159,9 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
     xs[0] = x
 
     def finish(count, diverged):
-        rec = _record_fields(settings.records, fields, xs[:count])
-        md = dict(meta)
-        md.update(h=h, T=settings.T, delta=dyn.delta, grid=grid)
+        md = dict(h=h, T=settings.T, delta=dyn.delta, grid=grid)
         return Trajectory(ts[:count], xs[:count], us[:count], margins[:count],
-                          slopes[:count], rec, md, xi.copy(), diverged)
+                          slopes[:count], md, xi.copy(), diverged)
 
     def stage(t_stage, y, slope):
         # a non-finite stage state means the step blew up mid-evaluation
@@ -186,8 +190,7 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
         if k4 is not None:
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if k4 is None or not np.all(np.isfinite(x)):
-            return_traj = finish(i + 1, True)
-            raise IntegrationDiverged(return_traj, i + 1)
+            return finish(i + 1, True)
         xs[i + 1] = x
         # provisional slope; replaced by the next stage-1 evaluation
         w.push(t + h, x, k4)
@@ -198,20 +201,13 @@ def _integrate_general(dyn, ctrl, xi, settings, fields, meta):
 # lockstep fast path for the example plant
 
 
-def _fast_eligible(dyn, xi, settings):
-    if not isinstance(dyn, ExampleDynamics):
-        return False
-    if not xi.span_ok():
-        return False
-    if dyn.tau < settings.h:
-        return False
+def _fast_eligible(dyn, settings):
     # all sup-grid stage reads must stay within already-accepted history
-    if settings.h >= dyn.delta / (settings.grid - 1):
-        return False
-    return True
+    return (isinstance(dyn, ExampleDynamics) and dyn.tau >= settings.h
+            and settings.h < dyn.delta / (settings.grid - 1))
 
 
-def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
+def _lockstep_example(dyn, ctrl, ics, settings):
     """Integrate K runs of the example plant in lockstep, each from its own
     initial window, constant or sampled.
 
@@ -394,8 +390,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
 
     ts = np.arange(N) * h
     out = []
-    md = dict(meta)
-    md.update(h=h, T=settings.T, delta=dyn.delta, grid=grid)
+    md = dict(h=h, T=settings.T, delta=dyn.delta, grid=grid)
     sups.flags.writeable = False
     for k in range(K):
         lane_ok = np.isfinite(xs[:, k, :]).all()
@@ -404,7 +399,6 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         else:
             bad = np.argmax(~np.isfinite(xs[:, k, :]).all(axis=1))
             cut = int(bad)
-        rec = _record_fields(settings.records, fields, xs[:cut, k, :])
         # the stage's max differs from np.max only at a NaN certificate
         # value, which makes the margin NaN: such lanes record nothing.
         # Nor do sampled starts: the verifier reads their last pre-history
@@ -417,42 +411,11 @@ def _lockstep_example(dyn, ctrl, ics, settings, fields, meta):
         out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
                               us[:cut, k].reshape(-1, 1),
                               margins[:cut, k].copy(), ms[:cut, k, :].copy(),
-                              rec, md, ics[k].copy(), not lane_ok, sup))
+                              md, ics[k].copy(), not lane_ok, sup))
     return out
 
 
-def batch_integrate(dyn, ctrl, ics, settings, fields=None, meta=None):
-    """Independent integrations from each initial window, order preserved.
-
-    Diverged members come back as truncated trajectories with
-    .diverged = True rather than raising.  Every start of the example
-    plant, constant or sampled, runs in one lockstep when tau >= h and the
-    sup grid is spaced wider than h; other plants and settings take the
-    general path (bit-for-bit deterministic either way).
-    """
-    fields = dict(fields or {})
-    meta = dict(meta or {})
-    ics = list(ics)
-    if not ics:
-        return []
-    _check_settings(dyn, settings)
-    out = [None] * len(ics)
-    fast = [k for k, w in enumerate(ics) if _fast_eligible(dyn, w, settings)]
-    if fast:
-        trajs = _lockstep_example(dyn, ctrl, [ics[k] for k in fast], settings,
-                                  fields, meta)
-        for k, tr in zip(fast, trajs):
-            out[k] = tr
-    for k, w in enumerate(ics):
-        if out[k] is None:
-            try:
-                out[k] = integrate(dyn, ctrl, w, settings, fields, meta)
-            except IntegrationDiverged as e:
-                out[k] = e.trajectory
-    return out
-
-
-def convergence_study(dyn, ctrl, xi, T, h_list, fields=None, grid=hist.DEFAULT_GRID):
+def convergence_study(dyn, ctrl, xi, T, h_list):
     """Step-halving study: integrate at each h, report final states and the
     empirical order slope between successive refinements.
 
@@ -465,8 +428,7 @@ def convergence_study(dyn, ctrl, xi, T, h_list, fields=None, grid=hist.DEFAULT_G
     finals = []
     max_margins = []
     for h in h_list:
-        s = IntegrationSettings(h=h, T=T, records=(), grid=grid)
-        tr = integrate(dyn, ctrl, xi, s, fields=fields or {})
+        tr = integrate(dyn, ctrl, xi, IntegrationSettings(h=h, T=T))
         finals.append(tr.final_state())
         max_margins.append(float(np.max(tr.margins)) if ctrl is not None
                            else float("nan"))

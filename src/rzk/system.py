@@ -9,18 +9,14 @@ class DelayDynamics:
     """The pair of history functionals (f, g).
 
     drift(window) -> (n,) vector, input_map(window) -> (n, m) matrix.
-    `read_points` lists the theta offsets the maps actually consume, so
-    integrators can reason about required history accuracy.
     """
 
-    def __init__(self, n, m, drift, input_map, delta, read_points=(0.0,), name=""):
+    def __init__(self, n, m, drift, input_map, delta):
         self.n = int(n)
         self.m = int(m)
         self.drift = drift
         self.input_map = input_map
         self.delta = float(delta)
-        self.read_points = tuple(read_points)
-        self.name = name
 
     def f(self, window):
         return np.asarray(self.drift(window), dtype=float)
@@ -66,8 +62,7 @@ class ExampleDynamics(DelayDynamics):
         def input_map(window):
             return G
 
-        super().__init__(2, 1, drift, input_map, delta,
-                         read_points=(0.0, -tau), name="example")
+        super().__init__(2, 1, drift, input_map, delta)
 
 
 def example_system(cfg=None):
@@ -94,5 +89,4 @@ def pure_delay_system(tau=0.3, delta=None):
     def input_map(window):
         return np.zeros((1, 1))
 
-    return DelayDynamics(1, 1, drift, input_map, delta,
-                         read_points=(-tau,), name="pure-delay")
+    return DelayDynamics(1, 1, drift, input_map, delta)

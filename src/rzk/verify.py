@@ -238,18 +238,14 @@ def decrease_check(traj, field, gains, c=DECREASE_C):
 
 
 def envelope_check(traj, field, certificate, tol=1e-6):
-    """Logged field values against the exponential envelope.
+    """Field values along the run against the exponential envelope.
 
     Non-negative start: ratio test against field(0)*e^{-rho t}.  Negative
     start (the barrier-side case): the envelope statement degenerates to
     forward invariance of the nonpositive sublevel set, so the check is
     that the field never becomes positive.
     """
-    name = getattr(field, "name", "")
-    if name and name in traj.fields:
-        vs = np.asarray(traj.fields[name], dtype=float)
-    else:
-        vs = field.value_many(traj.xs)
+    vs = field.value_many(traj.xs)
     v0 = float(vs[0])
     if v0 < 0.0:
         k = int(np.argmax(vs))

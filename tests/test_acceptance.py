@@ -157,8 +157,7 @@ def test_low_weight_candidate_is_rejected(example_setup):
 def test_open_loop_far_start_fails_decrease(example_setup):
     tr = rzk.integrate(example_setup["dyn"], None,
                        hist.from_constant(np.array([2.0, 2.0]), 0.3),
-                       IntegrationSettings(h=1e-3, T=5.0),
-                       fields={"V": example_setup["V"]})
+                       IntegrationSettings(h=1e-3, T=5.0))
     rep = verify.decrease_check(tr, example_setup["V"], example_setup["gains"])
     assert not rep.passed
     assert rep.worst > 0.1

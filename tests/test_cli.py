@@ -203,9 +203,11 @@ def test_sweep_rows_carry_their_start(tmp_path):
     assert data[:, -2:].tolist() == starts
 
 
-def test_sweep_empty_grid_writes_header_only(tmp_path):
+@pytest.mark.parametrize("sweep", [{}, {"psi": [], "tau": [0.3]}],
+                         ids=["no-axes", "empty-axis"])
+def test_sweep_empty_grid_writes_header_only(tmp_path, sweep):
     cfgp = tmp_path / "s.json"
-    write_config(cfgp, sweep={})
+    write_config(cfgp, sweep=sweep)
     out = tmp_path / "sw"
     assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()

@@ -18,7 +18,7 @@ def scalar_plant(g_gain):
     def input_map(w):
         return np.array([[g_gain]])
 
-    return rzk.DelayDynamics(1, 1, drift, input_map, 0.3, name="scalar")
+    return rzk.DelayDynamics(1, 1, drift, input_map, 0.3)
 
 
 def make_spec(g_gain, gamma=2.0, eta=0.5, lam=2.0):

@@ -120,7 +120,7 @@ def test_every_hermite_reader_is_exact_on_cubics(c1, c2, h, nrows, delta,
     ic = hist.HistoryWindow(2, delta)
     for t in np.linspace(-delta, 0.0, pre_n):
         ic.push(t, cubic(t), slope(t))
-    traj = Trajectory(ts, xs, np.zeros((nrows, 1)), np.zeros(nrows), ms, {},
+    traj = Trajectory(ts, xs, np.zeros((nrows, 1)), np.zeros(nrows), ms,
                       {"h": h, "delta": delta, "grid": 9}, ic)
     thetas = hist.theta_grid(delta, 9)
     np.testing.assert_allclose(verify.window_states(traj),

@@ -8,11 +8,9 @@ from rzk.simulate import IntegrationSettings
 
 @pytest.fixture(scope="module")
 def short_run(example_setup):
-    fields = {"V": example_setup["V"], "B": example_setup["B"],
-              "W": example_setup["W"]}
     return rzk.integrate(example_setup["dyn"], example_setup["ctrl"],
                          hist.from_constant(np.array([-2.0, -1.0]), 0.3),
-                         IntegrationSettings(h=1e-3, T=0.5), fields=fields)
+                         IntegrationSettings(h=1e-3, T=0.5))
 
 
 def test_column_layout(short_run, example_setup):

@@ -12,13 +12,13 @@ from rzk.simulate import IntegrationDiverged, IntegrationSettings
 def exponential_plant():
     """xdot = -x(t), no delayed reads; exact solution e^{-t}."""
     return rzk.DelayDynamics(1, 1, lambda w: -w.latest_state.copy(),
-                             lambda w: np.zeros((1, 1)), 0.3, name="exp")
+                             lambda w: np.zeros((1, 1)), 0.3)
 
 
 def blowup_plant():
     """xdot = x^2 escapes to infinity in finite time."""
     return rzk.DelayDynamics(1, 1, lambda w: w.latest_state ** 2,
-                             lambda w: np.zeros((1, 1)), 0.3, name="blowup")
+                             lambda w: np.zeros((1, 1)), 0.3)
 
 
 def test_pure_delay_matches_method_of_steps_exactly():
@@ -63,9 +63,9 @@ def _assert_paths_agree(dyn, ctrl, s, xi=None, tol=1e-10):
     # the lockstep against the general path, from the same initial window
     if xi is None:
         xi = hist.from_constant(np.array([-2.0, -1.0]), 0.3)
-    assert simulate._fast_eligible(dyn, xi, s)
+    assert simulate._fast_eligible(dyn, s)
     fast = rzk.integrate(dyn, ctrl, xi.copy(), s)
-    slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s, {}, {})
+    slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s)
     assert not fast.diverged and fast.xs.shape == slow.xs.shape
     for name in ("xs", "us", "slopes"):
         assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) < tol, \
@@ -115,19 +115,18 @@ def test_fast_and_general_paths_agree(example_setup):
 
 
 def test_lockstep_takes_the_example_plant_by_type_not_by_name():
-    # a plant that only shares the example's name integrates its own
+    # a plant with the example's shape and input map integrates its own
     # equations: xdot = 0 stays at its start exactly
     still = rzk.DelayDynamics(2, 1, lambda w: np.zeros(2),
-                              lambda w: np.array([[0.0], [1.0]]), 0.3,
-                              read_points=(0.0, -0.3), name="example")
+                              lambda w: np.array([[0.0], [1.0]]), 0.3)
     xi = hist.from_constant(np.array([1.0, 1.0]), 0.3)
     s = IntegrationSettings(h=1e-3, T=0.5)
-    assert not simulate._fast_eligible(still, xi, s)
+    assert not simulate._fast_eligible(still, s)
     for tr in (rzk.integrate(still, None, xi, s),
                rzk.batch_integrate(still, None, [xi], s)[0]):
         assert np.array_equal(tr.xs, np.ones((501, 2)))
     # the example plant itself, built directly, is recognised
-    assert simulate._fast_eligible(rzk.ExampleDynamics(0.3, 0.3), xi, s)
+    assert simulate._fast_eligible(rzk.ExampleDynamics(0.3, 0.3), s)
 
 
 def test_integration_is_deterministic(example_setup):
@@ -175,11 +174,14 @@ def test_batch_matches_single_runs(example_setup):
     assert rzk.batch_integrate(dyn, ctrl, [], s) == []
 
 
-def test_settings_and_window_validation(example_setup):
+def test_settings_and_window_validation(example_setup, monkeypatch):
     with pytest.raises(ValueError):
         IntegrationSettings(h=0.0, T=1.0)
     with pytest.raises(ValueError):
         IntegrationSettings(h=1e-3, T=0.0)
+    for grid in (1, 0, -3):
+        with pytest.raises(ValueError):
+            IntegrationSettings(h=1e-3, T=1.0, grid=grid)
     dyn = example_setup["dyn"]
     with pytest.raises(ValueError):
         rzk.integrate(dyn, None, hist.from_constant(np.zeros(2), 0.3),
@@ -191,16 +193,15 @@ def test_settings_and_window_validation(example_setup):
     assert not short.span_ok()
     with pytest.raises(ValueError):
         rzk.integrate(dyn, None, short, IntegrationSettings(h=1e-3, T=1.0))
-
-
-def test_trajectory_field_logging(example_setup):
-    dyn = example_setup["dyn"]
-    V = example_setup["V"]
-    xi = hist.from_constant(np.array([0.5, -0.5]), 0.3)
-    s = IntegrationSettings(h=1e-2, T=0.2, records=("V",))
-    tr = rzk.integrate(dyn, None, xi, s, fields={"V": V})
-    assert "V" in tr.fields
-    assert np.allclose(tr.fields["V"], V.value_many(tr.xs))
+    # the batch checks every window before it integrates any
+    ran = []
+    monkeypatch.setattr(simulate, "_lockstep_example",
+                        lambda *args: ran.append(args))
+    good = hist.from_constant(np.zeros(2), 0.3)
+    with pytest.raises(ValueError, match="span the delay horizon"):
+        rzk.batch_integrate(dyn, None, [good, short],
+                            IntegrationSettings(h=1e-3, T=1.0))
+    assert ran == []
 
 
 def test_convergence_study_orders_on_smooth_plant():
@@ -350,11 +351,11 @@ def test_each_lane_of_a_mixed_batch_equals_its_one_lane_run(example_setup):
     ics = [_hazard_line(), hist.from_constant(np.array([-2.0, -1.0]), 0.3),
            hist.from_constant(np.array([1.0, 2.0]), 0.3)]
     slopes = [_bits(w.ms[:w.count]) for w in ics]
-    batch = simulate._lockstep_example(dyn, ctrl, ics, s, {}, {})
+    batch = simulate._lockstep_example(dyn, ctrl, ics, s)
     for w, m, tr in zip(ics, slopes, batch):
         # k1 goes into the lockstep's own copy of the window, not w
         assert _bits(w.ms[:w.count]) == m
-        single = simulate._lockstep_example(dyn, ctrl, [w], s, {}, {})[0]
+        single = simulate._lockstep_example(dyn, ctrl, [w], s)[0]
         for name in ("xs", "us", "margins", "slopes"):
             assert _bits(getattr(tr, name)) == _bits(getattr(single, name)), \
                 name
@@ -405,7 +406,7 @@ def test_lane_stage_meets_the_margin_identity(example_setup, a, q, lam):
     ctrl = rzk.ControllerSpec(cert, rzk.RazumikhinGains(1.0, 0.0), lam)
     tr = simulate._lockstep_example(
         example_setup["dyn"], ctrl, [hist.from_constant(np.zeros(2), 0.3)],
-        IntegrationSettings(h=1e-3, T=1e-3, records=()), {}, {})[0]
+        IntegrationSettings(h=1e-3, T=1e-3))[0]
     u, margin = float(tr.us[0, 0]), float(tr.margins[0])
     if q * q <= controller.Q_THRESHOLD ** 2:
         assert u == 0.0 and margin == a

@@ -12,17 +12,16 @@ def runs(example_setup):
     """Short closed- and open-loop example runs shared across checks."""
     dyn = example_setup["dyn"]
     V = example_setup["V"]
-    fields = {"V": V, "B": example_setup["B"], "W": example_setup["W"]}
     ctrlV = rzk.ControllerSpec(V, example_setup["gains"], 2.0)
     closedV = rzk.integrate(dyn, ctrlV,
                             hist.from_constant(np.array([-2.0, -1.0]), 0.3),
-                            IntegrationSettings(h=1e-3, T=2.0), fields=fields)
+                            IntegrationSettings(h=1e-3, T=2.0))
     closedW = rzk.integrate(dyn, example_setup["ctrl"],
                             hist.from_constant(np.array([-2.0, -1.0]), 0.3),
-                            IntegrationSettings(h=1e-3, T=1.0), fields=fields)
+                            IntegrationSettings(h=1e-3, T=1.0))
     open_far = rzk.integrate(dyn, None,
                              hist.from_constant(np.array([2.0, 2.0]), 0.3),
-                             IntegrationSettings(h=1e-3, T=5.0), fields=fields)
+                             IntegrationSettings(h=1e-3, T=5.0))
     return {"closedV": closedV, "closedW": closedW, "open_far": open_far}
 
 
@@ -78,7 +77,7 @@ def test_safety_check_catches_excursion_mid_run(example_setup):
     ts = np.array([0.0, 0.5, 1.0])
     xs = np.array([[0.0, 0.5], [-2.0, 1.0], [0.0, 1.5]])
     tr = Trajectory(ts, xs, np.zeros((3, 1)), np.zeros(3), np.zeros((3, 2)),
-                    {}, {"delta": 0.3, "h": 0.5}, hist.from_constant(xs[0], 0.3),
+                    {"delta": 0.3, "h": 0.5}, hist.from_constant(xs[0], 0.3),
                     False)
     rep = verify.safety_check(tr, example_setup["unsafe"])
     assert not rep.passed
@@ -130,15 +129,6 @@ def test_envelope_check_signed_form(runs, example_setup):
     assert rep.passed
     assert rep.details["form"] == "signed"
     assert rep.worst < 0.0
-
-
-def test_envelope_check_recomputes_unlogged_field(runs, example_setup):
-    tr = runs["closedV"]
-    stripped = Trajectory(tr.ts, tr.xs, tr.us, tr.margins, tr.slopes,
-                          {}, dict(tr.meta), tr.ic_window, False)
-    a = verify.envelope_check(tr, example_setup["V"], example_setup["cert"])
-    b = verify.envelope_check(stripped, example_setup["V"], example_setup["cert"])
-    assert a.worst == pytest.approx(b.worst, rel=1e-12)
 
 
 def test_construction_check_full_pass(example_setup):
@@ -322,7 +312,7 @@ def test_window_states_slices_equal_fancy_gather(grid, h, span, nrows, seed,
     xs = rng.normal(size=(nrows, 2))
     xs[0] = ic.latest_state
     tr = Trajectory(np.arange(nrows) * h, xs, np.zeros((nrows, 1)),
-                    np.zeros(nrows), rng.normal(size=(nrows, 2)), {},
+                    np.zeros(nrows), rng.normal(size=(nrows, 2)),
                     {"h": h, "delta": delta, "grid": grid}, ic)
     start = data.draw(st.integers(0, nrows - 1), label="start")
     stop = data.draw(st.integers(start, nrows), label="stop")
@@ -333,8 +323,8 @@ def test_window_states_slices_equal_fancy_gather(grid, h, span, nrows, seed,
 
 def _without_sup(tr):
     """tr without the integrator's recorded sup, so checks rebuild it."""
-    return Trajectory(tr.ts, tr.xs, tr.us, tr.margins, tr.slopes, tr.fields,
-                      tr.meta, tr.ic_window, tr.diverged)
+    return Trajectory(tr.ts, tr.xs, tr.us, tr.margins, tr.slopes, tr.meta,
+                      tr.ic_window, tr.diverged)
 
 
 @pytest.mark.parametrize("grid", [10, 66])
@@ -350,8 +340,7 @@ def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, grid):
     ics = [hist.from_constant(np.array(x), 0.3)
            for x in cli.DEMO_INITIAL_CONDITIONS]
     trajs = rzk.batch_integrate(example_setup["dyn"], ctrl, ics,
-                                IntegrationSettings(h=1e-3, T=0.6,
-                                                    records=(), grid=grid))
+                                IntegrationSettings(h=1e-3, T=0.6, grid=grid))
     for tr in trajs:
         rec = tr.history_sup
         assert not tr.diverged and rec is not None
@@ -378,7 +367,7 @@ def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
     blown, rest = rzk.batch_integrate(
         dyn, rzk.ControllerSpec(steep, gains, 2.0),
         [hist.from_constant(np.array(x), 0.3) for x in ((1.0, 1.0), (0, 0))],
-        IntegrationSettings(h=1e-3, T=0.05, records=()))
+        IntegrationSettings(h=1e-3, T=0.05))
     assert blown.diverged and blown.history_sup is None
     assert not rest.diverged and rest.history_sup.field is steep
     # NaN for x1 > 0.5, flat elsewhere: the open-loop state crosses into
@@ -390,7 +379,7 @@ def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
     crossed, = rzk.batch_integrate(
         dyn, rzk.ControllerSpec(holed, gains, 2.0),
         [hist.from_constant(np.array([0.4, 1.0]), 0.3)],
-        IntegrationSettings(h=1e-3, T=0.2, records=()))
+        IntegrationSettings(h=1e-3, T=0.2))
     assert not crossed.diverged and crossed.history_sup is None
     general = _crossing_history_run(example_setup)
     assert general.history_sup is None
