@@ -7,7 +7,7 @@ decay certificates, method-of-steps RK4 simulation, and numerical
 verification of the resulting closed loops.
 """
 
-from .history import HistoryWindow, from_constant, weighted_sup, DEFAULT_GRID
+from .history import HistoryWindow, from_constant, weighted_sup
 from .fields import (ScalarField, SandwichBounds, RegionBox, quadratic_field,
                      example_lyapunov, example_hazard, example_barrier,
                      example_sandwich, example_margin, combine_clbrf,

@@ -44,7 +44,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def demo_config(psi=DEFAULT_PSI, seed=0, grid=hist.DEFAULT_GRID):
+def demo_config(psi=DEFAULT_PSI, seed=0):
     return {
         "schema_version": SCHEMA_VERSION,
         "system": {"name": "example", "tau": 0.3, "delta": 0.3},
@@ -52,7 +52,7 @@ def demo_config(psi=DEFAULT_PSI, seed=0, grid=hist.DEFAULT_GRID):
         "gains": {"gamma": 2.5, "eta": 2.0, "mu": 0.0},
         "lambda": 2.0,
         "initial_conditions": [list(p) for p in DEMO_INITIAL_CONDITIONS],
-        "integration": {"h": 1e-3, "T": 20.0, "grid": int(grid)},
+        "integration": {"h": 1e-3, "T": 20.0},
         "outputs": {"prefix": "trajectory"},
         "seed": int(seed),
     }
@@ -148,12 +148,14 @@ class RunConfig:
         integ = data.get("integration", {})
         self.h = _number(integ.get("h", 1e-3), "integration.h")
         self.T = _number(integ.get("T", 20.0), "integration.T")
-        self.grid = int(_number(integ.get("grid", hist.DEFAULT_GRID), "integration.grid"))
+        if "grid" in integ:
+            # written by configs from before the sup was taken on the rows
+            log.warning("integration.grid is ignored: the history sup is "
+                        "taken on the run's own sample rows")
         _require(self.h > 0 and self.T > 0, "integration.h and .T must be "
                  "positive")
         _require(self.h <= self.delta / 4.0 + 1e-15,
                  "integration.h must satisfy h <= delta/4")
-        _require(self.grid >= 2, "integration.grid must be at least 2")
 
         self.prefix = str(data.get("outputs", {}).get("prefix", "trajectory"))
         _require(self.prefix and all(c.isalnum() or c in "-_"
@@ -190,7 +192,7 @@ class RunConfig:
             "lambda": self.lam,
             "initial_conditions": [dict(e) if isinstance(e, dict) else list(e)
                                    for e in self.initial_conditions],
-            "integration": {"h": self.h, "T": self.T, "grid": self.grid},
+            "integration": {"h": self.h, "T": self.T},
             "outputs": {"prefix": self.prefix},
             "seed": self.seed,
         }
@@ -215,7 +217,7 @@ class _Build:
             self.ctrl = None
         else:
             self.ctrl = ControllerSpec(self.active, self.gains, cfg.lam)
-        self.settings = IntegrationSettings(h=cfg.h, T=cfg.T, grid=cfg.grid)
+        self.settings = IntegrationSettings(h=cfg.h, T=cfg.T)
         self.unsafe = verify.example_unsafe_set()
         if cfg.eta > 0:
             self.cert = halanay.DecayCertificate(cfg.gamma, cfg.eta,
@@ -325,8 +327,7 @@ def _verify_batch(build, trajs, point=None):
 
 
 def cmd_demo(args):
-    cfg = RunConfig(demo_config(psi=args.psi, seed=args.seed,
-                                grid=args.grid_points))
+    cfg = RunConfig(demo_config(psi=args.psi, seed=args.seed))
     build = _Build(cfg)
     os.makedirs(args.out, exist_ok=True)
     trajs, _ = _run_batch(build, args.out)
@@ -470,7 +471,7 @@ def cmd_verify(args):
     for k, w in enumerate(build.windows()):
         path = os.path.join(args.out, _trajectory_file(cfg.prefix, k))
         names, data = io.read_trajectory_csv(path)
-        tr = io.trajectory_from_csv(names, data, cfg.delta, cfg.grid, ic=w)
+        tr = io.trajectory_from_csv(names, data, cfg.delta, ic=w)
         if not np.array_equal(tr.xs[0], w.latest_state):
             raise ConfigError(f"{path} does not start at "
                               f"initial_conditions[{k}]")
@@ -506,8 +507,6 @@ def _parser():
     d.add_argument("--psi", type=float, default=DEFAULT_PSI,
                    help="barrier weight in W = V + psi B")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--grid-points", type=int, default=hist.DEFAULT_GRID,
-                   dest="grid_points", help="history sup-grid size")
     d.set_defaults(fn=cmd_demo)
 
     s = sub.add_parser("simulate", help="run one config")

@@ -5,8 +5,8 @@ activation (Lie derivative plus gain terms minus the delay-weighted history
 sup) and q the input-side Lie derivative.  One formula serves the
 stabilizing, safety, and combined designs; only the certificate changes.
 `law` is that formula's one copy: `kappa`, the window-form `evaluate` that
-the general integrator steps on, and the lockstep's per-lane stages all
-call it.
+the general integrator steps on (its sup on the window's own rows), and
+the lockstep's per-lane stages all call it.
 """
 
 import logging
@@ -41,9 +41,7 @@ class RazumikhinGains:
 
 
 class ControllerSpec:
-    """Certificate field + gains + Sontag parameter lambda.  The history
-    sup grid is not part of it: it belongs to the run
-    (IntegrationSettings.grid)."""
+    """Certificate field + gains + Sontag parameter lambda."""
 
     def __init__(self, certificate, gains, lam):
         if lam <= 0:
@@ -81,9 +79,9 @@ def kappa(lam, p, q):
 Evaluation = namedtuple("Evaluation", "xdot u lf q a margin")
 
 
-def evaluate(spec, dyn, window, grid):
-    """The closed loop at the head of window, its history sup taken on a
-    grid of `grid` theta points: a = lf + gamma*field(x) - eta*sup and
+def evaluate(spec, dyn, window):
+    """The closed loop at the head of window, its history sup taken on the
+    window's rows: a = lf + gamma*field(x) - eta*sup and
     u = kappa(lambda, a, q).  spec None is the open loop: u = 0, xdot = f,
     and lf, q, a and the margin are not defined (None or NaN)."""
     f = dyn.f(window)
@@ -96,7 +94,7 @@ def evaluate(spec, dyn, window, grid):
     gr = np.array(gr)
     lf = float(gr @ f)
     q = (gr @ G).ravel()
-    sup = hist.weighted_sup(window, cert, spec.gains.mu, grid)
+    sup = hist.weighted_sup(window, cert, spec.gains.mu)
     a = lf + spec.gains.gamma * vx - spec.gains.eta * sup
     c, margin = law(a, float(q @ q), spec.lam)
     u = np.zeros_like(q) if c is None else c * q
@@ -104,8 +102,7 @@ def evaluate(spec, dyn, window, grid):
 
 
 def control(spec, dyn, window, details=None):
-    """u = kappa(lambda, a, q) at the head of window, on the default sup
-    grid.
+    """u = kappa(lambda, a, q) at the head of window.
 
     Closed-loop margin Lf + q.u + gamma*field - eta*sup equals
     -sqrt(a^2 + lambda*||q||^4) when ||q|| is above threshold, else a.
@@ -116,7 +113,7 @@ def control(spec, dyn, window, details=None):
 
     `details`, when given, is a dict filled with a/q/margin/flags.
     """
-    ev = evaluate(spec, dyn, window, hist.DEFAULT_GRID)
+    ev = evaluate(spec, dyn, window)
     if ev.margin > 0:
         log.warning("certificate violation: q ~ 0 but a = %.3e > 0", ev.a)
         if details is not None:

@@ -5,12 +5,14 @@ variants of Gamma are in circulation; both are implemented) and validates
 e^{-rho t} envelopes against scalar comparison simulations.
 
 The comparison simulation is an RK4 method of steps on uniform samples of
-v.  Its history reads are fixed cubic Hermite tables over the accepted
-samples (`history.hermite_tables`), gathered in numpy once per block of
-steps, while the RK stages run in Python floats.  When the sup grid is
-finer than the step, the reads inside the current step come from the
-Hermite fit between the newest sample and the stage value.
+v, with the history sup taken on its own rows as in `history`.  Its reads
+at theta = -delta are fixed cubic Hermite tables over the accepted samples
+(`history.hermite_tables`), gathered in numpy once per block of steps
+together with the max over the rows the block's steps share, while the RK
+stages and the rows written inside the block run in Python floats.
 """
+
+import math
 
 import numpy as np
 
@@ -73,8 +75,7 @@ class DecayCertificate:
         return v0 * np.exp(-self.rho * np.asarray(t, dtype=float))
 
 
-def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
-                          grid=hist.DEFAULT_GRID):
+def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step):
     """Integrate the worst-case comparison dynamics
     vdot = -gamma*v + eta*sup_theta e^{mu theta} v(t+theta)
     from the constant history v == v0, by RK4 method of steps.
@@ -82,22 +83,16 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
     Returns (t, v) arrays including t=0.  Non-negative data stays
     non-negative (the sup term only feeds growth).
 
-    The history is the cubic Hermite fit through the accepted samples and
-    their slopes (each sample's k1, as in the closed-loop integrators),
-    with the constant v0 at and before t = 0.  The sample grid and the theta
-    grid are both uniform, so each sup-grid read of a stage at t_i + c*step
-    is a fixed combination of rows: its weights come from
-    `hist.hermite_tables` once per stage offset c in {1/2, 1}.  The reads
-    of accepted rows are made in blocks of steps, one gather for as many
-    steps as have their rows final; stages 2 and 3 share the c = 1/2
-    reads, and stage 4 shares the c = 1 reads with the next step's k1.
-    The theta = 0 read is the stage value itself.
-
-    On a fine grid (spacing delta/(grid-1) at most the step) some reads
-    land inside the current step.  Those come from the Hermite fit between
-    the newest row (value, slope k1) and the stage point (stage value, the
-    previous stage's slope), whose weights are fixed per stage too; there
-    k1 is also recomputed once the new row's slope is stored.
+    The sup at a stage at t = t_i + c*step, c in {1/2, 1}, is the max of
+    the read at theta = -delta, of every accepted row in [t - delta, t] and
+    of the stage value, each weighted by e^{mu theta}.  The read is the
+    cubic Hermite fit through the accepted samples and their slopes (each
+    sample's k1, as in the closed-loop integrators), v0 at and before
+    t = 0, from fixed `hist.hermite_tables` per c.  A block of as many
+    steps as have their rows final, from step r, gathers those reads and
+    the max over the rows up to r in reach; the rows written after r join
+    as a running max, both weighted relative to row r.  Stages 2 and 3
+    share the c = 1/2 terms, stage 4 and the next step's k1 the c = 1 ones.
     """
     if step > delta:
         raise ValueError("step must not exceed the delay horizon")
@@ -116,88 +111,79 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step,
     k1 = -gamma * v0 + eta * v0
     vs[0], ms[0] = v0, k1
 
-    thetas = hist.theta_grid(delta, grid)[:-1]       # theta = 0 is the stage
     cs = np.array([0.5, 1.0])
-    off = cs[:, None] + thetas / h                   # (2, grid-1) in steps
-    # reads of accepted rows (off <= 0), padded to one length with the
-    # theta = -delta read, which every stage has since step <= delta
-    idx = [np.flatnonzero(o <= 0.0) for o in off]
-    width = max(len(ix) for ix in idx)
-    idx = np.stack([np.pad(ix, (width - len(ix), 0), mode="edge")
-                    for ix in idx])
-    th = thetas[idx]
-    ri0, *rb = hist.hermite_tables(cs[:, None] + th / h, h)
-    wexp = np.exp(mu * th) if mu else None
-    # reads inside the step, between row i and the stage point at c*h:
-    # per stage a list of (b00, b10, b01, b11, e^{mu theta}) in floats
-    inner = []
-    for c, o in zip(cs, off):
-        sel = o > 0.0
-        _, *b = hist.hermite_tables(o[sel] / c, c * h)
-        e = np.exp(mu * thetas[sel])
-        inner.append(list(zip(*(w.tolist() for w in b), e.tolist())))
-    in_half, in_one = inner
+    dsteps = hist.delay_steps(delta, h)
+    ri0, *rb = hist.hermite_tables(cs - dsteps, h)       # (2,) each
+    ew = math.exp(-mu * delta)
+    # the rows i - l, l = 0 .. reach[c], lie in [t - delta, t] for the
+    # stage at t = t_i + c*step; back[l] = e^{-mu l step}
+    reach = np.floor(dsteps - cs).astype(int)
+    M = int(reach.max())
+    back = np.exp(-mu * h * np.arange(M + 1))
 
     # the reads of step i touch rows up to i + top; after step r - 1 rows
-    # 0..r are final, so the reads of steps r .. r + L - 1 can all be made
-    top = min(int(ri0.max()) + 1, 0)
-    L = 1 - top
-    # during the first delta + step of model time some reads reach into
-    # the constant history; those blocks clip their rows and mask
-    i_split = int(np.ceil(delta / h)) + 2
+    # 0..r are final, so the reads of steps r .. r + L - 1 can all be made.
+    # L - 1 <= reach[1] <= reach[0], so every row before the block's first
+    # is in reach of the block's first step
+    L = 1 - min(int(ri0.max()) + 1, 0)
+    # per step j of a block and offset c, e^{-mu (j + c) step}: the weight
+    # relative to the block's first row
+    rel = np.exp(-mu * h * (np.arange(L)[:, None] + cs))    # (L, 2)
+    rel_f = rel.tolist()
+    fwd = np.exp(mu * h * np.arange(L)).tolist()
 
-    def row_max(steps):
-        """Weighted max over the row reads of the steps at c = 1/2 and
-        c = 1: (len(steps), 2)."""
-        base = steps[:, None, None]
-        rows = base + ri0
-        if steps[0] < i_split:
-            rows = np.maximum(rows, 0)
+    def block(steps):
+        """Per step of the block and offset c, the max of the weighted read
+        at theta = -delta and of the rows up to the block's first: (n, 2)."""
+        r = int(steps[0])
+        base = steps[:, None]
+        rows = np.maximum(base + ri0, 0)
         nxt = np.minimum(rows + 1, base)
-        vals = rb[0] * vs[rows] + rb[1] * ms[rows] + rb[2] * vs[nxt] \
+        end = rb[0] * vs[rows] + rb[1] * ms[rows] + rb[2] * vs[nxt] \
             + rb[3] * ms[nxt]
-        if steps[0] < i_split:
-            tread = (base + cs[:, None]) * h + th
-            vals = np.where(tread <= 1e-15, v0, vals)
-        if wexp is not None:
-            vals = vals * wexp
-        return vals.max(axis=-1)
-
-    def sup(row, reads, v, m, y, ym):
-        """Sup at a stage with value y and slope guess ym, given the max of
-        the row reads, the in-step reads and the newest row's value v and
-        slope m."""
-        s = row if row > y else y
-        for b00, b10, b01, b11, e in reads:
-            r = e * (b00 * v + b10 * m + b01 * y + b11 * ym)
-            if r > s:
-                s = r
-        return s
+        # reads at or before t = 0 are the constant history
+        end = np.where((base + cs) * h - delta <= 1e-15, v0, end)
+        # suffix maxima of the rows a .. r weighted relative to row r
+        a = max(r - M, 0)
+        u = vs[a:r + 1] * back[r - a::-1]
+        suf = np.maximum.accumulate(u[::-1])[::-1]
+        old = suf[np.maximum(base - reach - a, 0)] * rel[:len(steps)]
+        return np.maximum(end * ew, old)
 
     hh = 0.5 * h
     h6 = h / 6.0
-    v, m = v0, k1
+    v = v0
     for i in range(nsteps):
         j = i % L
         if j == 0:
-            maxes = row_max(i + np.arange(min(L, nsteps - i))).tolist()
-        r_half, r_one = maxes[j]
+            terms = block(i + np.arange(min(L, nsteps - i))).tolist()
+            z = -math.inf
+        else:
+            # row i joins the rows written since the block's first
+            u = fwd[j] * v
+            if u > z:
+                z = u
+        s_half, s_one = terms[j]
+        w_half, w_one = rel_f[j]
+        u = w_half * z
+        if u > s_half:
+            s_half = u
+        u = w_one * z
+        if u > s_one:
+            s_one = u
         y = v + hh * k1
-        k2 = -gamma * y + eta * sup(r_half, in_half, v, m, y, k1)
+        k2 = -gamma * y + eta * (y if y > s_half else s_half)
         y = v + hh * k2
-        k3 = -gamma * y + eta * sup(r_half, in_half, v, m, y, k2)
+        k3 = -gamma * y + eta * (y if y > s_half else s_half)
         y = v + h * k3
-        k4 = -gamma * y + eta * sup(r_one, in_one, v, m, y, k3)
+        k4 = -gamma * y + eta * (y if y > s_one else s_one)
         vn = v + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if -1e-12 < vn < 0.0:
             vn = 0.0
-        # the new row's slope is its k1 read with the provisional slope k4
-        mn = -gamma * vn + eta * sup(r_one, in_one, v, m, vn, k4)
-        k1 = mn
-        if in_one:
-            k1 = -gamma * vn + eta * sup(r_one, in_one, v, m, vn, mn)
+        # the new row's slope is its k1; no read of it touches its slope
+        k1 = -gamma * vn + eta * (vn if vn > s_one else s_one)
         vs[i + 1] = v = vn
-        ms[i + 1] = m = mn
+        ms[i + 1] = k1
     return ts, vs
 
 

@@ -1,4 +1,4 @@
-"""Bounded-history trajectory windows.
+"""Bounded-history trajectory windows and the Razumikhin history sup.
 
 A HistoryWindow is the computational stand-in for a continuous history
 segment: it stores time-stamped state samples spanning at least the delay
@@ -7,13 +7,18 @@ measured from the latest sample.  Integrators on a uniform step read their
 own sample rows through the fixed weights of `hermite_tables` instead: the
 same cubic Hermite fit, with the interval and fraction of each read fixed
 by its offset in steps.
+
+The weighted history sup sup_{theta in [-Delta, 0]} e^{mu theta} W(x(t +
+theta)) is taken on the run's own rows: the max of the read at theta =
+-Delta and of every sample in [t - Delta, t], theta = 0 included.
 """
+
+import math
 
 import numpy as np
 
-# default number of theta-grid points for sup evaluations: 64 interior-ish
-# points plus both endpoints, so theta = 0 is always on the grid
-DEFAULT_GRID = 66
+# a row this close behind t - Delta still counts as inside the window
+ROW_TOL = 1e-12
 
 
 class HistoryWindow:
@@ -206,10 +211,13 @@ def from_samples(times, states, delta):
     return w
 
 
-def theta_grid(delta, grid=DEFAULT_GRID):
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    return np.linspace(-delta, 0.0, int(grid))
+def delay_steps(delta, h):
+    """delta/h, snapped to the nearest integer D when within rounding of it
+    (0.3/1e-3 is 299.99999999999994), so that the read at theta = -delta of
+    a sample lands on the row D steps back with weights (1, 0, 0, 0)."""
+    q = delta / h
+    d = round(q)
+    return float(d) if abs(q - d) < 1e-9 else q
 
 
 def hermite_tables(offsets, h):
@@ -231,18 +239,45 @@ def hermite_tables(offsets, h):
     return i0, b00, b10, b01, b11
 
 
-def weighted_sup(window, field, mu=0.0, grid=DEFAULT_GRID):
-    """max over the theta-grid of e^{mu*theta} * field(x(t+theta)).
+def lag_weights(mu, h, q):
+    """e^{-mu lag h} for lags 0, 1/2, 1, ... steps up to q = delay_steps:
+    entry m is lag m/2.  A read at t_i + c h weights row i - l by entry
+    2 (l + c), so every reader takes equal lags from this one table and
+    forms bit-identical products."""
+    return np.exp(-mu * h * (0.5 * np.arange(math.floor(2.0 * q) + 1)))
 
-    The sup defining the Razumikhin history term, discretized on a uniform
-    grid with both endpoints included.  Signed: no absolute value is taken,
-    so for sign-indefinite fields the result can be negative.
-    """
+
+def row_sup(s, vals, times, delta, mu=0.0):
+    """For each read time t in times, the max of e^{mu s_k} vals_k over the
+    rows at times s_k in [t - delta, t], times e^{-mu t}; -inf where no row
+    is in reach: (len(times),)."""
+    if mu:
+        vals = vals * np.exp(mu * s)
+    inside = ((s >= times[:, None] - delta - ROW_TOL)
+              & (s <= times[:, None]))
+    out = np.where(inside, vals, -np.inf).max(axis=1, initial=-np.inf)
+    if mu:
+        out = out * np.exp(-mu * times)
+    return out
+
+
+def pre_rows(window):
+    """The samples before the latest, at times relative to it: (s, states);
+    of an initial window, the pre-history rows."""
+    c = window.count - 1
+    return window.ts[:c] - window.latest_time, window.xs[:c]
+
+
+def weighted_sup(window, field, mu=0.0):
+    """sup over theta in [-Delta, 0] of e^{mu theta} field(x(t + theta)) at
+    the window's latest time t, on its rows: the max over the read at theta
+    = -Delta and every sample in [t - Delta, t], the latest one included.
+    Signed, so for sign-indefinite fields the result can be negative."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    thetas = theta_grid(window.delta, grid)
-    states = window.interp_times(window.latest_time + thetas)
-    vals = field.value_many(states)
-    if mu:
-        vals = np.exp(mu * thetas) * vals
-    return float(np.max(vals))
+    t, d, c = window.latest_time, window.delta, window.count
+    lo = int(np.searchsorted(window.ts[:c], t - d - ROW_TOL))
+    vals = field.value_many(np.concatenate([window.interp_times(t - d),
+                                            window.xs[lo:c]]))
+    rows = row_sup(window.ts[lo:c] - t, vals[1:], np.zeros(1), d, mu)
+    return float(np.maximum(vals[0] * math.exp(-mu * d), rows[0]))

@@ -56,11 +56,12 @@ def read_trajectory_csv(path):
     return names, data
 
 
-def trajectory_from_csv(names, data, delta, grid=hist.DEFAULT_GRID, ic=None):
+def trajectory_from_csv(names, data, delta, ic=None):
     """Rebuild a Trajectory from CSV columns.
 
     State derivatives are estimated by central differences (one-sided at
-    the ends), which is enough for the verifier's window reconstruction.
+    the ends); the verifier's reads at theta = -delta need them where
+    delta/h is not an integer and the read falls between rows.
     ic is the run's initial window, as its config gives it; without one
     the pre-history is taken as constant at the first sample, since
     sampled-function starts are not recoverable from the CSV.
@@ -80,7 +81,7 @@ def trajectory_from_csv(names, data, delta, grid=hist.DEFAULT_GRID, ic=None):
     slopes[1:-1] = (xs[2:] - xs[:-2]) / (2.0 * h)
     slopes[0] = (xs[1] - xs[0]) / h
     slopes[-1] = (xs[-1] - xs[-2]) / h
-    meta = {"h": h, "T": float(ts[-1]), "delta": float(delta), "grid": int(grid)}
+    meta = {"h": h, "T": float(ts[-1]), "delta": float(delta)}
     if ic is None:
         ic = hist.from_constant(xs[0].copy(), delta)
     return Trajectory(ts, xs, us, margins, slopes, meta, ic)

@@ -16,11 +16,12 @@ speed.  Its history reads stay vectorized over lanes and blocks of steps,
 reads at t <= 0 going through each lane's own initial window, while each
 RK stage runs per lane in plain floats on the certificate's per-point
 form, so a lane's result does not depend on the other lanes.  Other
-plants, tau < h and sup grids spaced no wider than h still take the
-general path.  Both paths take the feedback from `controller`: the
-general path steps on `controller.evaluate`, the lockstep's stages on
-`controller.law`, and both read the history sup on the run's grid,
-`IntegrationSettings.grid`.
+plants and tau < h still take the general path.  Both paths take the
+feedback from `controller`: the general path steps on
+`controller.evaluate`, the lockstep's stages on `controller.law`.  Both
+take the history sup on the run's own rows (see `history`): the read at
+theta = -Delta, every accepted row in [t - Delta, t], the initial window's
+samples included, and the stage value at theta = 0.
 """
 
 import math
@@ -34,23 +35,17 @@ from .system import ExampleDynamics, friction
 
 
 class IntegrationSettings:
-    """Step, horizon and the number of theta points of the controller's
-    history sup grid."""
+    """Step and horizon of a run, both finite and positive."""
 
-    def __init__(self, h=1e-3, T=20.0, grid=hist.DEFAULT_GRID):
-        if h <= 0 or T <= 0:
-            raise ValueError("need h > 0 and T > 0")
-        if int(grid) < 2:
-            raise ValueError("need grid >= 2")
-        self.h = float(h)
-        self.T = float(T)
-        self.grid = int(grid)
+    def __init__(self, h=1e-3, T=20.0):
+        self.h, self.T = float(h), float(T)
+        if not (0.0 < self.h < math.inf and 0.0 < self.T < math.inf):
+            raise ValueError("need finite h > 0 and T > 0")
 
 
 # the weighted history sup sup_theta e^{mu theta} field(x(t + theta)) at
-# every sample, as the integrator computed it on the run's grid
-# (meta["grid"]), with the field object and mu it was computed for; values
-# is a read-only (N,) array
+# every sample, as the integrator computed it on the run's rows, with the
+# field object and mu it was computed for; values is a read-only (N,) array
 HistorySup = namedtuple("HistorySup", "field mu values")
 
 
@@ -58,12 +53,11 @@ class Trajectory:
     """Uniform-step samples of a single run.
 
     slopes holds the closed-loop state derivative at each sample (used by
-    verifiers to reconstruct history windows at full order).  history_sup
+    verifiers to reconstruct history reads at full order).  history_sup
     is a HistorySup or None: the lockstep records the controller's weighted
-    history sup on every constant-start lane that did not diverge and has
-    no NaN margin, so that verify.field_sup_series need not rebuild the
-    windows; sampled starts, other runs and trajectories read back from
-    CSV carry None.
+    history sup on every lane that did not diverge and has no NaN margin,
+    so that verify.field_sup_series need not rebuild it; runs of the
+    general path and trajectories read back from CSV carry None.
     """
 
     def __init__(self, ts, xs, us, margins, slopes, meta, ic_window,
@@ -112,9 +106,8 @@ def batch_integrate(dyn, ctrl, ics, settings):
     cannot serve the plant's delay horizon.  Diverged members come back as
     truncated trajectories with .diverged = True rather than raising.  The
     whole batch of the example plant, constant and sampled starts alike,
-    runs in one lockstep when tau >= h and the sup grid is spaced wider
-    than h; other plants and settings take the general path, start by
-    start (bit-for-bit deterministic either way).
+    runs in one lockstep when tau >= h; other plants and settings take the
+    general path, start by start (bit-for-bit deterministic either way).
     """
     ics = list(ics)
     _check_settings(dyn, settings)
@@ -141,7 +134,6 @@ def integrate(dyn, ctrl, xi, settings):
 
 def _integrate_general(dyn, ctrl, xi, settings):
     h = settings.h
-    grid = settings.grid
     nsteps = int(round(settings.T / h))
     w = xi.copy()
     n = dyn.n
@@ -159,7 +151,7 @@ def _integrate_general(dyn, ctrl, xi, settings):
     xs[0] = x
 
     def finish(count, diverged):
-        md = dict(h=h, T=settings.T, delta=dyn.delta, grid=grid)
+        md = dict(h=h, T=settings.T, delta=dyn.delta)
         return Trajectory(ts[:count], xs[:count], us[:count], margins[:count],
                           slopes[:count], md, xi.copy(), diverged)
 
@@ -168,14 +160,14 @@ def _integrate_general(dyn, ctrl, xi, settings):
         if not np.all(np.isfinite(y)):
             return None
         w.push_scratch(t_stage, y, slope)
-        k = evaluate(ctrl, dyn, w, grid).xdot
+        k = evaluate(ctrl, dyn, w).xdot
         w.pop_scratch()
         return k
 
     for i in range(nsteps + 1):
         # stage 1 doubles as the recorded sample evaluation; overwrite the
         # stored slope so the just-closed interval interpolates at full order
-        ev = evaluate(ctrl, dyn, w, grid)
+        ev = evaluate(ctrl, dyn, w)
         k1 = ev.xdot
         w.ms[w.count - 1] = k1
         us[i] = ev.u
@@ -202,28 +194,29 @@ def _integrate_general(dyn, ctrl, xi, settings):
 
 
 def _fast_eligible(dyn, settings):
-    # all sup-grid stage reads must stay within already-accepted history
-    return (isinstance(dyn, ExampleDynamics) and dyn.tau >= settings.h
-            and settings.h < dyn.delta / (settings.grid - 1))
+    # every stage's delayed read must stay within already-accepted history
+    return isinstance(dyn, ExampleDynamics) and dyn.tau >= settings.h
 
 
 def _lockstep_example(dyn, ctrl, ics, settings):
     """Integrate K runs of the example plant in lockstep, each from its own
     initial window, constant or sampled.
 
-    Same reads and formulas as the general path.  History reads are done
-    in blocks of L steps on arrays with a lane axis, each block as soon as
-    every row its reads touch is final; reads at t <= 0 go through each
-    lane's own initial window, whose t = 0 slope becomes the lane's k1
-    after the first stage, as on the general path.  The RK stages run lane
-    by lane in floats, and the xs/ms/us/margins rows are written every
-    step, with the weighted history sup of each sample's first stage.
+    Same reads and formulas as the general path.  The delayed reads and the
+    sup's reads at theta = -delta are made in blocks of L steps with a lane
+    axis, each block once every row it touches is final; reads at t <= 0
+    go through each lane's own initial window, whose t = 0 slope becomes
+    the lane's k1 after the first stage.  The sup's rows are each step's
+    first-stage certificate values, weighted from `history.lag_weights`,
+    and the initial windows' own samples.  The RK stages run lane by lane
+    in floats; each step writes the xs/ms/us/margins rows and the first
+    stage's weighted history sup.
     """
     h = settings.h
-    grid = settings.grid
     nsteps = int(round(settings.T / h))
     N = nsteps + 1
     tau = dyn.tau
+    delta = dyn.delta
     K = len(ics)
     wins = [w.copy() for w in ics]
 
@@ -233,130 +226,105 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     us = np.empty((N, K))
     margins = np.empty((N, K))
     sups = np.empty((N, K))
+    wv = np.empty((K, N))             # certificate per lane and row
     xs[0] = [w.latest_state for w in wins]
 
-    thetas = hist.theta_grid(dyn.delta, grid)[:-1]       # exclude theta = 0
-    if ctrl is not None and ctrl.gains.mu:
-        wexp = np.exp(ctrl.gains.mu * thetas)[:, None]
-    else:
-        wexp = None
-
-    # read tables by stage offset c (in steps): index offsets and basis
-    # weights are constant because both the sample grid and the theta grid
-    # are uniform.  Stages 1 and 2 share the reads at t_i + h/2; stage 3 of
-    # step i and stage 0 of step i + 1 share those at t_{i+1}.  The sup grid
-    # reads the latter through the c = 0 table one row on, which equals the
-    # c = 1 table bit for bit: every grid offset theta/h is <= -1 here
-    # (h < delta/(grid-1)), so adding 1 and taking the fractional part are
-    # exact.  The same holds for the delayed read's c = 1 table against
-    # c = 0, since tau >= h.
-    gc = np.array([0.5, 0.0])
-    gi0, *gb = hist.hermite_tables(gc[:, None] + thetas / h, h)  # (2, g-1)
-    gb = np.stack(gb)                                     # (4, 2, g-1)
-    di0, *db = hist.hermite_tables(np.array([0.5, 1.0]) - tau / h, h)
-    db = np.stack(db)                                     # (4, 2)
-
-    # the reads of step i touch rows up to i + top (the delayed read's
-    # next row is clamped to i); after stage 0 of step r rows 0..r are
-    # final, so the reads of steps r .. r + L - 1 can all be made then
-    top = max(gi0[0].max() + 1, gi0[1].max() + 2, min(di0.max() + 1, 0))
-    L = 1 - int(top)
+    # read tables by stage offset c (in steps past t_i): stages 1 and 2 read
+    # at t_i + h/2, stage 3 of step i and stage 0 of step i + 1 at t_{i+1}.
+    # Row 0 holds the delayed reads at t - tau, row 1 the sup's reads at
+    # t - delta; the sample grid is uniform, so index offsets and basis
+    # weights are constant.  With delta/h an integer D the read at
+    # t_{i+1} - delta is row i + 1 - D itself, weights (1, 0, 0, 0)
+    cs = np.array([0.5, 1.0])
+    delays = np.array([tau, delta]).reshape(2, 1, 1)
+    dsteps = hist.delay_steps(delta, h)
+    ri0, *rb = hist.hermite_tables(np.stack([cs - tau / h, cs - dsteps]), h)
+    rb = np.stack(rb)[..., None, None, None]              # (4, 2, 2, 1, 1, 1)
+    # the reads of step i touch rows up to i + top (the next row of a read
+    # is clamped to i); after stage 0 of step r rows 0..r are final, so the
+    # reads of steps r .. r + L - 1 can all be made then
+    L = 1 - min(int(ri0.max()) + 1, 0)
 
     cert = ctrl.certificate if ctrl is not None else None
-    lam = ctrl.lam if ctrl is not None else 0.0
-    gam = ctrl.gains.gamma if ctrl is not None else 0.0
-    eta = ctrl.gains.eta if ctrl is not None else 0.0
-    if cert is None:
-        # nothing reads the sup grid without a certificate
-        thetas, gi0, gb = thetas[:0], gi0[:, :0], gb[..., :0]
+    lam, gam, eta, mu = ((ctrl.lam, ctrl.gains.gamma, ctrl.gains.eta,
+                          ctrl.gains.mu) if ctrl is not None else (0.0,) * 4)
+    # the rows i - l behind the reads at t_i + h/2 and t_{i+1} have lags
+    # l + 1/2 and l + 1: their weights, oldest row first
+    lagw = hist.lag_weights(mu, h, dsteps)
+    tabs = [lagw[1::2][::-1], lagw[2::2][::-1]]
+    ew = math.exp(-mu * delta)
+    if cert is not None:
+        pre = [(s, cert.value_many(X)) for s, X in map(hist.pre_rows, wins)]
 
-    # during the first delta+h of model time some reads reach into the
-    # initial windows; handle those blocks with masked gathers
-    i_split = int(np.ceil(dyn.delta / h)) + 2
-
-    def gather(rows, nxt, b):
-        """Hermite reads between rows and nxt; b holds the four basis
-        weights, each broadcast against xs[rows]."""
-        return (b[0] * xs[rows] + b[1] * ms[rows]
-                + b[2] * xs[nxt] + b[3] * ms[nxt])
-
-    def early(*treads):
-        """The reads at or before t = 0 among the read times of each array
-        in treads, through each lane's own initial window, in one
-        interp_times per lane: per array, (mask, values (P, K, 2))."""
-        masks = [tread <= 1e-15 for tread in treads]
-        times = np.concatenate([tread[m] for tread, m in zip(treads, masks)])
-        vals = np.empty((times.shape[0], K, 2))
-        for k, w in enumerate(wins):
-            vals[:, k] = w.interp_times(times + w.latest_time)
-        out = []
-        start = 0
-        for m in masks:
-            stop = start + np.count_nonzero(m)
-            out.append((m, vals[start:stop]))
-            start = stop
-        return out
-
-    def weighted_max(states):
-        """Weighted sup-grid max of states (..., g-1, K, 2): (..., K); zero
-        without a certificate, since nothing reads it then."""
+    def reads(t, v):
+        """From the reads v (2, ..., K, 2) at t - tau and t - delta, those
+        at or before t = 0 made again in each lane's initial window: the
+        delayed friction at the read times t (...), and the sup's terms
+        besides the run's rows, e^{-mu delta} W at theta = -delta and the
+        initial windows' samples in reach (None without a certificate)."""
+        tread = t - delays
+        early = tread <= 1e-15
+        if early.any():
+            for k, w in enumerate(wins):
+                v[early, k] = w.interp_times(tread[early] + w.latest_time)
+        fric = friction(v[0, ..., 1])
         if cert is None:
-            return np.zeros(states.shape[:-3] + (K,))
-        gv = cert.value_many(states.reshape(-1, 2)).reshape(states.shape[:-1])
-        if wexp is not None:
-            gv = gv * wexp
-        return gv.max(axis=-2)
+            return fric, None
+        g = cert.value_many(v[1].reshape(-1, 2)).reshape(fric.shape)
+        if mu:
+            g = g * ew
+        if t.min() < delta + hist.ROW_TOL:
+            rs = [hist.row_sup(s, p, t.ravel(), delta, mu) for s, p in pre]
+            g = np.maximum(g, np.stack(rs, axis=-1).reshape(g.shape))
+        return fric, g
 
     def block_reads(steps):
-        """Delayed friction and weighted sup-grid max at t_i + h/2 and
-        t_{i+1} for the steps i: two (2, n, K) arrays."""
-        rows = np.maximum(steps + di0[:, None], 0)        # (2, n)
+        """`reads` at t_i + h/2 and t_{i+1} for the steps i: (2, n, K)."""
+        rows = np.maximum(steps + ri0[..., None], 0)       # (2, 2, n)
         nxt = np.minimum(rows + 1, steps)
-        v = gather(rows, nxt, db[:, :, None, None, None])
-        base = np.stack([steps, steps + 1])
-        rows = base[..., None] + gi0[:, None, :]          # (2, n, g-1)
-        b = gb[:, :, None, :, None, None]
-        if steps[0] < i_split:
-            R = base[..., None]
-            safe = np.clip(rows, 0, R)
-            states = gather(safe, np.minimum(safe + 1, R), b)
-            fread = (steps + np.array([0.5, 1.0])[:, None]) * h - tau
-            gread = (base + gc[:, None])[..., None] * h + thetas
-            (fm, fv), (gm, gv) = early(fread, gread)
-            v[fm] = fv
-            states[gm] = gv
-        else:
-            states = gather(rows, rows + 1, b)
-        return friction(v[..., 1]), weighted_max(states)
+        return reads((steps + cs[:, None]) * h,
+                     rb[0] * xs[rows] + rb[1] * ms[rows]
+                     + rb[2] * xs[nxt] + rb[3] * ms[nxt])
+
+    def row_max(i):
+        """Weighted max over the rows behind the reads at t_i + h/2 and
+        t_{i+1}: (2, K)."""
+        out = np.empty((2, K))
+        for c, w in enumerate(tabs):
+            a = wv[:, max(i + 1 - w.shape[0], 0):i + 1]
+            if mu:
+                a = a * w[w.shape[0] - a.shape[1]:]
+            a.max(axis=1, out=out[c])
+        return out
 
     vg = cert.value_grad if cert is not None else None
     hh = 0.5 * h
     h6 = h / 6.0
 
     def stage(s0, s1, fric, gmax):
-        """Closed-loop derivative (k0, k1), control, margin and weighted
-        history sup of one lane at the stage state (s0, s1), given its
-        delayed friction and weighted sup-grid max at the stage's read
-        time."""
+        """Closed-loop derivative (k0, k1), control, margin, weighted
+        history sup and certificate value of one lane at the stage state
+        (s0, s1), given its delayed friction and the max of its sup terms
+        behind theta = 0 at the stage's read time."""
         f2 = -fric - s0
         if vg is None:
-            return s1, f2, 0.0, math.nan, math.nan
+            return s1, f2, 0.0, math.nan, math.nan, math.nan
         v0, (g0, q) = vg((s0, s1))
-        # theta = 0 included; a NaN grid max stays NaN, as in np.maximum
+        # theta = 0 included; a NaN history max stays NaN, as in np.maximum
         sup = v0 if v0 > gmax else gmax
         a = g0 * s1 + q * f2 + gam * v0 - eta * sup       # g = (0, 1)
         c, margin = law(a, q * q, lam)
         u = 0.0 if c is None else c * q
-        return s1, f2 + u, u, margin, sup
+        return s1, f2 + u, u, margin, sup, v0
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
     # windows with their stored slopes at t = 0; every later read finds
     # the lane's k1 there instead
     x = xs[0].tolist()
-    (_, fv), (_, gv) = early(np.array([-tau]), thetas)
-    f_end = friction(fv[0, :, 1]).tolist()
-    g_end = weighted_max(gv).tolist()
+    fr, far = reads(np.zeros((1, 1)), np.empty((2, 1, 1, K, 2)))
+    f_end = fr[0, 0].tolist()
+    g_mid = g_end = [0.0] * K if cert is None else far[0, 0].tolist()
     lanes = range(K)
     for i in range(nsteps + 1):
         k1 = [stage(x[k][0], x[k][1], f_end[k], g_end[k]) for k in lanes]
@@ -372,42 +340,39 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         j = i % L
         if j == 0:
             steps = i + np.arange(min(L, nsteps - i))
-            fr, gm = (r.tolist() for r in block_reads(steps))
-        f_mid, g_mid = fr[0][j], gm[0][j]
-        f_end, g_end = fr[1][j], gm[1][j]
+            fr, far = block_reads(steps)
+            fr = fr.tolist()
+        f_mid, f_end = fr[0][j], fr[1][j]
+        if cert is not None:
+            wv[:, i] = [r[5] for r in k1]
+            g_mid, g_end = np.maximum(row_max(i), far[:, j]).tolist()
         for k in lanes:
             x0, x1 = x[k]
             a0, a1 = k1[k][:2]
-            b0, b1, _, _, _ = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
-                                    g_mid[k])
-            c0, c1, _, _, _ = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
-                                    g_mid[k])
-            d0, d1, _, _, _ = stage(x0 + h * c0, x1 + h * c1, f_end[k],
-                                    g_end[k])
+            b0, b1 = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
+                           g_mid[k])[:2]
+            c0, c1 = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
+                           g_mid[k])[:2]
+            d0, d1 = stage(x0 + h * c0, x1 + h * c1, f_end[k],
+                           g_end[k])[:2]
             x[k] = (x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0),
                     x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1))
         xs[i + 1] = x
 
     ts = np.arange(N) * h
     out = []
-    md = dict(h=h, T=settings.T, delta=dyn.delta, grid=grid)
+    md = dict(h=h, T=settings.T, delta=delta)
     sups.flags.writeable = False
     for k in range(K):
-        lane_ok = np.isfinite(xs[:, k, :]).all()
-        if lane_ok:
-            cut = N
-        else:
-            bad = np.argmax(~np.isfinite(xs[:, k, :]).all(axis=1))
-            cut = int(bad)
+        finite = np.isfinite(xs[:, k, :]).all(axis=1)
+        lane_ok = bool(finite.all())
+        cut = N if lane_ok else int(np.argmax(~finite))
         # the stage's max differs from np.max only at a NaN certificate
-        # value, which makes the margin NaN: such lanes record nothing.
-        # Nor do sampled starts: the verifier reads their last pre-history
-        # interval with the stored slope at t = 0, the lanes with k1
+        # value, which makes the margin NaN: such lanes record nothing
         sup = None
-        if (cert is not None and lane_ok and ics[k].count == 1
-                and ics[k].const_state is not None
+        if (cert is not None and lane_ok
                 and not np.isnan(margins[:, k]).any()):
-            sup = HistorySup(cert, ctrl.gains.mu, sups[:, k])
+            sup = HistorySup(cert, mu, sups[:, k])
         out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
                               us[:cut, k].reshape(-1, 1),
                               margins[:cut, k].copy(), ms[:cut, k, :].copy(),

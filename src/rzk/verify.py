@@ -3,11 +3,14 @@
 Every check returns a VerificationReport: pass flag, worst observed value,
 witness (time, state) when one is meaningful, and the tolerances used.
 These are sampled proxies, not formal proofs; sample counts and shell
-widths are configurable and reported.  History windows are rebuilt on the
-run's own sup grid, traj.meta["grid"], the one its controller read.
+widths are configurable and reported.  The history sup is rebuilt on the
+run's own rows, as its controller took it (see `history`).
 """
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import halanay
 from . import history as hist
@@ -99,72 +102,83 @@ def _witness(t, x):
 
 
 def window_states(traj, start=0, stop=None):
-    """History states on the run's theta grid (meta["grid"] points, the
-    default grid for a trajectory whose meta names none) at samples
-    start..stop-1 (all by default): (stop - start, grid, n).
+    """The history read x(t_i - delta) behind samples start..stop-1 (all by
+    default): (stop - start, n).
 
-    Reconstructs each window with the same cubic Hermite scheme the
-    integrator used (traj.slopes holds the accepted derivatives); reads at
-    or before t = 0 resolve through the initial window.  Each theta column
-    reads two contiguous row ranges; a column whose rows leave [0, N - 1]
-    gathers them clipped to it instead.
+    The integrator's cubic Hermite scheme on traj.slopes; with delta/h an
+    integer D the read is row i - D itself.  Reads at or before t = 0 go
+    through the initial window, with the run's k1 as its slope at t = 0, as
+    the integrators read it after their first stage.  The rows read form
+    two contiguous ranges, gathered clipped to [0, N - 1] where they leave
+    it.
     """
-    grid = traj.meta.get("grid", hist.DEFAULT_GRID)
     delta = traj.meta["delta"]
     h = traj.h
     xs = traj.xs
     ms = traj.slopes
-    N, n = xs.shape
+    N = xs.shape[0]
     if stop is None:
         stop = N
-    thetas = hist.theta_grid(delta, grid)
-    i0, b00, b10, b01, b11 = hist.hermite_tables(thetas / h, h)
-
-    vals = np.empty((stop - start, grid, n))
-    for j, o in enumerate(i0.tolist()):
-        lo, hi = start + o, stop + o
-        if lo >= 0 and hi <= N - 1:
-            row, nxt = slice(lo, hi), slice(lo + 1, hi + 1)
-        else:
-            row = np.clip(np.arange(lo, hi), 0, N - 1)
-            nxt = np.clip(row + 1, 0, N - 1)
-        vals[:, j] = (b00[j] * xs[row] + b10[j] * ms[row]
-                      + b01[j] * xs[nxt] + b11[j] * ms[nxt])
-    tread = traj.ts[start:stop, None] + thetas[None, :]
+    i0, b00, b10, b01, b11 = hist.hermite_tables(
+        np.array([-hist.delay_steps(delta, h)]), h)
+    lo, hi = start + int(i0[0]), stop + int(i0[0])
+    if lo >= 0 and hi <= N - 1:
+        row, nxt = slice(lo, hi), slice(lo + 1, hi + 1)
+    else:
+        row = np.clip(np.arange(lo, hi), 0, N - 1)
+        nxt = np.clip(row + 1, 0, N - 1)
+    vals = (b00[0] * xs[row] + b10[0] * ms[row]
+            + b01[0] * xs[nxt] + b11[0] * ms[nxt])
+    tread = traj.ts[start:stop] - delta
     pre = tread <= 1e-15
     if pre.any():
-        vals[pre] = traj.ic_window.interp_times(tread[pre])
+        w = traj.ic_window.copy()
+        w.ms[w.count - 1] = ms[0]
+        vals[pre] = w.interp_times(tread[pre] + w.latest_time)
     return vals
 
 
-# samples per block of field_sup_series: its windows and field
-# temporaries stay a few MB whatever the trajectory length
+# samples per block of field_sup_series' sliding max, to bound its memory
 SUP_BLOCK = 2048
 
 
 def field_sup_series(traj, field, mu=0.0):
-    """Weighted history sup of the field along the trajectory, on the run's
-    theta grid: (N,).
+    """Weighted history sup of the field at every sample, on the run's rows:
+    (N,).
 
     When the trajectory carries the integrator's own series for this very
-    field object and mu (traj.history_sup, recorded by the lockstep for
-    its controller's certificate on the same grid), that read-only series
-    is returned: it is the same arithmetic on the same rows, bit for bit.
-    Otherwise the windows are rebuilt from the samples, block by block.
+    field object and mu (traj.history_sup, recorded by the lockstep for its
+    controller's certificate), that read-only series is returned: it is the
+    same products of the same rows, bit for bit.  Otherwise it is rebuilt:
+    a sliding max over the field at the samples, weighted by lag from
+    `history.lag_weights`, the read at theta = -delta and the initial
+    window's samples in reach.
     """
     rec = traj.history_sup
     if rec is not None and rec.field is field and rec.mu == mu:
         return rec.values
-    N = traj.xs.shape[0]
+    delta = traj.meta["delta"]
+    h = traj.h
+    fv = field.value_many(traj.xs)
+    N = fv.shape[0]
+    lagw = hist.lag_weights(mu, h, hist.delay_steps(delta, h))[::2][::-1]
+    R = lagw.shape[0]
+    rows = sliding_window_view(np.concatenate([np.full(R - 1, -np.inf), fv]),
+                               R)
     out = np.empty(N)
     for start in range(0, N, SUP_BLOCK):
-        ws = window_states(traj, start, min(start + SUP_BLOCK, N))
-        nb, g, n = ws.shape
-        fv = field.value_many(ws.reshape(-1, n)).reshape(nb, g)
+        blk = rows[start:start + SUP_BLOCK]
         if mu:
-            fv = fv * np.exp(mu * hist.theta_grid(traj.meta["delta"], g))
-        out[start:start + nb] = fv.max(axis=1)
-    return out
+            blk = blk * lagw
+        out[start:start + blk.shape[0]] = blk.max(axis=1)
+    end = field.value_many(window_states(traj))
+    if mu:
+        end = end * math.exp(-mu * delta)
+    np.maximum(out, end, out=out)
+    s, X = hist.pre_rows(traj.ic_window)
+    n = int(np.searchsorted(traj.ts, delta + hist.ROW_TOL))
+    return np.maximum(out, np.concatenate([hist.row_sup(
+        s, field.value_many(X), traj.ts[:n], delta, mu), out[n:]]))
 
 
 def safety_check(traj, unsafe, tol=SAFETY_TOL):
@@ -172,12 +186,14 @@ def safety_check(traj, unsafe, tol=SAFETY_TOL):
     least tol on every sample inside the region."""
     if traj.xs.shape[0] == 0:
         raise ValueError("trajectory must be non-empty")
-    ws0 = window_states(traj, 0, 1)[0]
+    # the initial function: its read at -delta and its samples after that
+    ic = traj.ic_window
     delta = traj.meta["delta"]
-    g = ws0.shape[0]
-    pre_ts = hist.theta_grid(delta, g)[:-1]
-    states = np.concatenate([ws0[:-1], traj.xs], axis=0)
-    times = np.concatenate([pre_ts, traj.ts])
+    s, X = hist.pre_rows(ic)
+    keep = s > -delta + hist.ROW_TOL
+    states = np.concatenate([ic.interp_times(ic.latest_time - delta),
+                             X[keep], traj.xs])
+    times = np.concatenate([[-delta], s[keep], traj.ts])
 
     member = unsafe.membership_many(states)
     in_region = unsafe.region.contains_many(states)

@@ -12,7 +12,7 @@ from rzk import cli, io, verify
 
 def write_config(path, **over):
     """Small fast config; overrides are applied onto the demo layout."""
-    cfg = cli.demo_config(82.0, 0, 66)
+    cfg = cli.demo_config(82.0, 0)
     cfg["integration"]["T"] = 0.5
     cfg["initial_conditions"] = [[0.5, 0.5]]
     for key, val in over.items():
@@ -229,6 +229,17 @@ def test_verify_recheck_of_demo(demo_run, tmp_path, capsys):
     assert set(summary["checks"]) == {"construction", "separation"}
     out = capsys.readouterr().out
     assert "trajectory_00.csv" in out
+    # the re-check reaches the in-memory checks exactly: delta/h = 300 puts
+    # every history read on a CSV row, so no estimated slope enters the sup
+    demo = io.read_json(demo_run.path / "summary.json")
+    assert [r["file"] for r in summary["results"]] \
+        == [r["file"] for r in demo["trajectories"]]
+    for again, first in zip(summary["results"], demo["trajectories"]):
+        assert set(again["checks"]) == set(first["checks"])
+        for name, check in again["checks"].items():
+            for key in ("pass", "worst", "witness", "details"):
+                assert check[key] == first["checks"][name][key], (
+                    again["file"], name, key)
 
 
 def test_verify_flags_low_psi(tmp_path):
@@ -307,5 +318,28 @@ def test_excluded_set_warning_reads_whole_initial_history(tmp_path, caplog):
 
 
 def test_config_dict_round_trip():
-    d = cli.demo_config(82.0, 0, 66)
+    d = cli.demo_config(82.0, 0)
     assert cli.RunConfig(d).to_dict() == d
+
+
+def test_integration_grid_is_accepted_and_ignored(tmp_path, caplog):
+    # configs written before the sup was taken on the run's rows carry
+    # integration.grid; they still run, with one warning, and the config
+    # the run writes drops the key
+    cfgp = tmp_path / "c.json"
+    write_config(cfgp, integration={"T": 0.05, "grid": 66})
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="rzk"):
+        assert cli.main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 0
+    warned = [r for r in caplog.records if "integration.grid" in r.getMessage()]
+    assert len(warned) == 1 and warned[0].name.startswith("rzk")
+    written = io.read_json(tmp_path / "o" / "config.json")
+    assert written["integration"] == {"h": 1e-3, "T": 0.05}
+    base = tmp_path / "base"
+    write_config(cfgp, integration={"T": 0.05})
+    assert cli.main(["simulate", "--config", str(cfgp),
+                     "--out", str(base)]) == 0
+    for name in ("trajectory_00.csv", "run.json", "config.json"):
+        assert (base / name).read_bytes() \
+            == (tmp_path / "o" / name).read_bytes()

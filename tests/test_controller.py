@@ -63,7 +63,7 @@ def test_control_details_match_hand_computation():
     assert details["a"] == pytest.approx(-0.5, abs=1e-14)
     assert np.allclose(details["q"], [1.0])
     assert details["margin"] == pytest.approx(-1.5, abs=1e-14)
-    ev = rzk.evaluate(spec, dyn, w, rzk.DEFAULT_GRID)
+    ev = rzk.evaluate(spec, dyn, w)
     assert ev.lf == pytest.approx(-2.0, abs=1e-14)
     assert ev.a == pytest.approx(-0.5, abs=1e-14)
     assert np.allclose(ev.q, [1.0])
@@ -90,8 +90,7 @@ def test_evaluate_meets_the_margin_identity(a, lam, q):
     cert = rzk.ScalarField(1, lambda X: np.full(X.shape[0], a),
                            lambda X: np.ones_like(X))
     spec = rzk.ControllerSpec(cert, rzk.RazumikhinGains(1.0, 0.0), lam)
-    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.zeros(1), 0.3),
-                      rzk.DEFAULT_GRID)
+    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.zeros(1), 0.3))
     assert ev.a == a and np.array_equal(ev.q, q)
     q2 = float(q @ q)
     if q2 <= controller.Q_THRESHOLD ** 2:

@@ -121,11 +121,9 @@ def test_every_hermite_reader_is_exact_on_cubics(c1, c2, h, nrows, delta,
     for t in np.linspace(-delta, 0.0, pre_n):
         ic.push(t, cubic(t), slope(t))
     traj = Trajectory(ts, xs, np.zeros((nrows, 1)), np.zeros(nrows), ms,
-                      {"h": h, "delta": delta, "grid": 9}, ic)
-    thetas = hist.theta_grid(delta, 9)
-    np.testing.assert_allclose(verify.window_states(traj),
-                               cubic(ts[:, None] + thetas), rtol=0,
-                               atol=1e-12)
+                      {"h": h, "delta": delta}, ic)
+    np.testing.assert_allclose(verify.window_states(traj), cubic(ts - delta),
+                               rtol=0, atol=1e-12)
 
 
 def test_finite_difference_slope_fallback_is_linear_exact():
@@ -148,12 +146,22 @@ def test_scratch_push_pop_restores_state():
     assert (w.count, w.latest_time, float(w.latest_state[0])) == before
 
 
-def test_theta_grid_endpoints_and_size():
-    g = hist.theta_grid(0.3, 66)
-    assert g.shape == (66,)
-    assert g[0] == pytest.approx(-0.3)
-    assert g[-1] == 0.0
-    assert np.all(np.diff(g) > 0)
+def test_delay_steps_snap_to_rows():
+    # 0.3/1e-3 is 299.99999999999994: snapped, so the read at theta = -delta
+    # of a sample is the row 300 back with weights (1, 0, 0, 0)
+    q = hist.delay_steps(0.3, 1e-3)
+    assert q == 300.0
+    i0, b00, b10, b01, b11 = hist.hermite_tables(np.array([-q, 1.0 - q]), 1e-3)
+    assert i0.tolist() == [-300, -299]
+    for b, want in ((b00, 1.0), (b10, 0.0), (b01, 0.0), (b11, 0.0)):
+        assert b.tolist() == [want, want]
+    assert hist.delay_steps(0.3, 0.0017) == 0.3 / 0.0017
+    # lag weights: entry m is lag m/2 steps, up to delta
+    w = hist.lag_weights(0.5, 0.0017, hist.delay_steps(0.3, 0.0017))
+    assert w.shape == (int(2 * 0.3 / 0.0017) + 1,)
+    np.testing.assert_allclose(w, np.exp(-0.5 * 0.0017 * 0.5 * np.arange(353)),
+                               rtol=1e-15)
+    assert np.all(hist.lag_weights(0.0, 1e-3, 300.0) == 1.0)
 
 
 def test_weighted_sup_constant_window_is_field_value():

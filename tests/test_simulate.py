@@ -179,9 +179,12 @@ def test_settings_and_window_validation(example_setup, monkeypatch):
         IntegrationSettings(h=0.0, T=1.0)
     with pytest.raises(ValueError):
         IntegrationSettings(h=1e-3, T=0.0)
-    for grid in (1, 0, -3):
-        with pytest.raises(ValueError):
-            IntegrationSettings(h=1e-3, T=1.0, grid=grid)
+    # NaN fails every comparison, so it must be refused by name, as must
+    # an unbounded horizon, before the run divides T by h
+    for h, T in ((math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf),
+                 (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            IntegrationSettings(h=h, T=T)
     dyn = example_setup["dyn"]
     with pytest.raises(ValueError):
         rzk.integrate(dyn, None, hist.from_constant(np.zeros(2), 0.3),
@@ -216,27 +219,28 @@ def test_convergence_study_orders_on_smooth_plant():
         rzk.convergence_study(dyn, None, xi, 1.0, [1e-2, 5e-3])
 
 
-def test_lockstep_evaluates_two_sup_grids_per_step(example_setup):
-    # stages 1 and 2 read the sup grid at t_i + h/2, stage 3 of step i and
-    # stage 0 of step i + 1 at t_{i+1}.  Those reads lie at least 4.6 steps
-    # back, so they are made for blocks of L = 4 steps in one field call:
-    # one call at t = 0, then one of 2 L grids per block
+def test_lockstep_evaluates_the_certificate_on_rows_and_endpoints(
+        example_setup):
+    # the sup's rows are the values each step's first stage computes per
+    # point; the only batch evaluations are the reads at theta = -delta,
+    # K at t = 0 and then 2 K per step (t_i + h/2 and t_{i+1}), made for
+    # blocks of L = 299 steps at delta/h = 300
     W = example_setup["W"]
-    grid_calls = []
+    batch_calls = []
 
     def counted(X):
-        if X.shape[0] >= 65 * 4:
-            grid_calls.append(X.shape[0])
+        if X.shape[0]:
+            batch_calls.append(X.shape[0])
         return W.value_many(X)
 
-    cert = rzk.ScalarField(2, counted, W.grad_many, name="W")
+    cert = rzk.ScalarField(2, counted, W.grad_many, name="W",
+                           value_grad=W.value_grad)
     ctrl = rzk.ControllerSpec(cert, example_setup["gains"], 2.0)
     ics = [hist.from_constant(np.array(x), 0.3)
            for x in ((-4.0, 1.0), (-2.0, -1.0), (1.0, 2.0), (-2.0, 3.0))]
-    s = IntegrationSettings(h=1e-3, T=0.05)
+    s = IntegrationSettings(h=1e-3, T=0.7)
     out = rzk.batch_integrate(example_setup["dyn"], ctrl, ics, s)
-    grid = 65 * 4
-    assert grid_calls == [grid] + [2 * 4 * grid] * 12 + [2 * 2 * grid]
+    assert batch_calls == [4] + [2 * 299 * 4] * 2 + [2 * 102 * 4]
     ref = rzk.batch_integrate(example_setup["dyn"], example_setup["ctrl"],
                               ics, s)
     for a, b in zip(out, ref):
@@ -271,24 +275,22 @@ def test_mixed_batch_runs_constant_starts_in_one_lockstep(example_setup,
 
 
 @pytest.mark.parametrize("case", [
-    {"tau": 2e-3}, {"tau": 3e-3}, {"grid": 10}, {"h": 4e-3}, {"mu": 0.5},
+    {"tau": 2e-3}, {"tau": 3e-3}, {"h": 1.7e-3}, {"h": 4e-3}, {"mu": 0.5},
     {"kind": "V"}, {"kind": "B"}, {"kind": None}],
-    ids=["tau=h", "tau=1.5h", "grid=10", "h=4e-3", "mu", "V", "B", "open"])
+    ids=["tau=h", "tau=1.5h", "h=1.7e-3", "h=4e-3", "mu", "V", "B", "open"])
 def test_lockstep_matches_general_path(example_setup, case):
     # the lockstep's unwritten rows are NaN, so a read ahead of the accepted
     # history would show here; tau = h and 1.5 h put the delayed read next
-    # to the frontier, grid = 10 gives blocks of L = 33 steps, h = 4e-3
-    # blocks of one step
+    # to the frontier (blocks of one step), h = 1.7e-3 puts the read at
+    # theta = -delta between rows (delta/h = 176.5), h = 4e-3 on a row of
+    # a coarse run
     dyn = rzk.example_system(rzk.ExampleConfig(case.get("tau", 0.3)))
     kind = case.get("kind", "W")
     ctrl = None
     if kind is not None:
         gains = rzk.RazumikhinGains(2.5, 2.0, case.get("mu", 0.0))
         ctrl = rzk.ControllerSpec(example_setup[kind], gains, 2.0)
-    # the sup grid is the run's alone: at grid = 10 a path that read
-    # another grid would part from the other on the sampled windows
-    s = IntegrationSettings(h=case.get("h", 2e-3), T=0.4,
-                            grid=case.get("grid", 66))
+    s = IntegrationSettings(h=case.get("h", 2e-3), T=0.4)
     _assert_paths_agree(dyn, ctrl, s)
     for name, xi in _sampled_windows().items():
         try:
@@ -361,21 +363,20 @@ def test_each_lane_of_a_mixed_batch_equals_its_one_lane_run(example_setup):
                 name
 
 
-def test_sampled_lanes_leave_the_history_sup_to_the_verifier(example_setup,
-                                                              monkeypatch):
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_sampled_lanes_record_their_history_sup(example_setup, monkeypatch,
+                                                mu):
     # the verifier reads a sampled start's last pre-history interval with
-    # the window's stored slope at t = 0, the lane with k1, so only
-    # constant-start lanes hand their recorded sup to decrease_check
+    # the lane's k1 at t = 0, as the lockstep does, and takes the initial
+    # window's own samples as rows: the recorded sup is the rebuilt one,
+    # bit for bit, and decrease_check reads it without a rebuild
     dyn = example_setup["dyn"]
-    ctrl = example_setup["ctrl"]
     W = example_setup["W"]
-    gains = example_setup["gains"]
-    s = IntegrationSettings(h=1e-3, T=0.5)
-    sampled, const = rzk.batch_integrate(
-        dyn, ctrl, [_hazard_line(), hist.from_constant(np.array([1.0, 2.0]),
-                                                       0.3)], s)
-    assert sampled.history_sup is None
-    assert const.history_sup is not None
+    gains = rzk.RazumikhinGains(2.5, 2.0, mu)
+    ctrl = rzk.ControllerSpec(W, gains, 2.0)
+    wins = _sampled_windows()
+    trajs = rzk.batch_integrate(dyn, ctrl, list(wins.values()),
+                                IntegrationSettings(h=1e-3, T=0.5))
     calls = []
     window_states = verify.window_states
 
@@ -383,12 +384,87 @@ def test_sampled_lanes_leave_the_history_sup_to_the_verifier(example_setup,
         calls.append(1)
         return window_states(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "window_states", counted)
-    assert verify.decrease_check(const, W, gains).passed
+    for name, tr in zip(wins, trajs):
+        rec = tr.history_sup
+        assert rec is not None and rec.field is W and rec.mu == mu, name
+        plain = simulate.Trajectory(tr.ts, tr.xs, tr.us, tr.margins,
+                                    tr.slopes, tr.meta, tr.ic_window)
+        assert _bits(verify.field_sup_series(plain, W, mu)) \
+            == _bits(rec.values), name
+        monkeypatch.setattr(verify, "window_states", counted)
+        assert verify.decrease_check(tr, W, gains).passed
+        monkeypatch.undo()
     assert calls == []
-    rep = verify.decrease_check(sampled, W, gains)
-    assert calls
-    assert rep.passed
+
+
+def _whole_history(tr):
+    """One HistoryWindow holding the initial window and every row of tr,
+    each row with its slope, at the initial window's times."""
+    w = tr.ic_window.copy()
+    t0 = w.latest_time
+    w.ms[w.count - 1] = tr.slopes[0]
+    for t, x, m in zip(tr.ts[1:], tr.xs[1:], tr.slopes[1:]):
+        w.push(t0 + t, x, m)
+    return w, t0
+
+
+def _brute_force_sup(tr, field, mu):
+    """The weighted history sup at every sample of tr by brute force: every
+    row in [t - delta, t], the initial window's samples and the sample
+    itself included, and the read at theta = -delta through
+    HistoryWindow.interp_times, each weighted by e^{mu theta}.  Sample 0
+    reads the initial window with its own slope at t = 0, as the
+    integrators' first stage does."""
+    delta = tr.meta["delta"]
+    whole, t0 = _whole_history(tr)
+    times = whole.ts[:whole.count]
+    vals = field.value_many(whole.xs[:whole.count])
+    out = np.empty(tr.ts.shape[0])
+    for i, t in enumerate(t0 + tr.ts):
+        reader = tr.ic_window if i == 0 else whole
+        end = field.value(reader.interp_times([t - delta])[0])
+        rows = (times >= t - delta - 1e-12) & (times <= t + 1e-12)
+        theta = np.concatenate([[-delta], times[rows] - t])
+        out[i] = np.max(np.exp(mu * theta)
+                        * np.concatenate([[end], vals[rows]]))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.one_of(st.integers(4, 60).map(float),
+                       st.floats(4.0, 60.0)),
+       mu=st.sampled_from([0.0, 0.5]),
+       start=st.sampled_from(["constant", "hazard", "radial", "nonuniform",
+                              "last=1e-13"]))
+def test_history_sup_is_rows_endpoint_and_stage(example_setup, steps, mu,
+                                                start):
+    # delta/h integer or not; the lockstep records its sup, the general
+    # path's first stages are caught at the one weighted_sup they call
+    dyn = example_setup["dyn"]
+    W = example_setup["W"]
+    ctrl = rzk.ControllerSpec(W, rzk.RazumikhinGains(2.5, 2.0, mu), 2.0)
+    h = 0.3 / steps
+    s = IntegrationSettings(h=h, T=round(0.75 / h) * h)
+    if start == "constant":
+        xi = hist.from_constant(np.array([-2.0, -1.0]), 0.3)
+    else:
+        xi = _sampled_windows()[start]
+    fast = rzk.integrate(dyn, ctrl, xi.copy(), s)
+    got = []
+    sup = hist.weighted_sup
+
+    def caught(window, field, mu=0.0):
+        out = sup(window, field, mu)
+        if window._scratch == 0:
+            got.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hist, "weighted_sup", caught)
+        slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s)
+    for tr, values in ((fast, fast.history_sup.values), (slow, got)):
+        ref = _brute_force_sup(tr, W, mu)
+        np.testing.assert_allclose(values, ref, rtol=1e-10, atol=1e-10)
 
 
 _Q = st.one_of(st.floats(1e-5, 1e3), st.floats(-1e3, -1e-5),

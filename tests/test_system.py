@@ -46,12 +46,10 @@ def test_lie_derivative_oracles():
     dyn = rzk.example_system(rzk.ExampleConfig(0.3))
     spec = rzk.ControllerSpec(rzk.example_lyapunov(),
                               rzk.RazumikhinGains(2.5, 2.0), 2.0)
-    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.array([1.0, 0.0]), 0.3),
-                      rzk.DEFAULT_GRID)
+    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.array([1.0, 0.0]), 0.3))
     assert ev.lf == pytest.approx(-1.0)
     assert np.allclose(ev.q, [1.0])
-    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.array([0.0, 1.0]), 0.3),
-                      rzk.DEFAULT_GRID)
+    ev = rzk.evaluate(spec, dyn, hist.from_constant(np.array([0.0, 1.0]), 0.3))
     assert ev.lf == pytest.approx(-2.5999999934043085, rel=1e-14)
     assert np.allclose(ev.q, [2.0])
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import cli, io, history as hist, verify
+from rzk import cli, io, history as hist, simulate, verify
 from rzk.simulate import IntegrationSettings, Trajectory
 
 
@@ -189,15 +189,15 @@ def test_separation_check_vacuous_and_validation(example_setup):
 def test_window_states_reconstruction(runs, example_setup):
     tr = runs["closedV"]
     ws = verify.window_states(tr)
-    assert ws.shape == (tr.xs.shape[0], 66, 2)
-    # sample 0: the whole window is the constant initial history
-    assert np.allclose(ws[0], tr.xs[0], atol=1e-12)
-    # the head of every window is the sample itself
-    assert np.allclose(ws[:, -1, :], tr.xs, atol=1e-12)
+    assert ws.shape == (tr.xs.shape[0], 2)
+    # through t = delta the read at theta = -delta is the constant initial
+    # history; after it, delta/h = 300 puts it on the row 300 back exactly
+    assert np.array_equal(ws[:301], np.tile(tr.xs[0], (301, 1)))
+    assert np.array_equal(ws[300:], tr.xs[:-300])
     V = example_setup["V"]
     sup = verify.field_sup_series(tr, V, 0.0)
-    assert sup[0] == pytest.approx(V.value(tr.xs[0]))
-    assert np.all(sup >= V.value_many(tr.xs) - 1e-12)
+    assert sup[0] == V.value(tr.xs[0])
+    assert np.all(sup >= V.value_many(tr.xs))
 
 
 def test_report_shape():
@@ -232,18 +232,25 @@ def test_window_states_row_range(example_setup):
 def test_blocked_sup_series_equals_unblocked(example_setup, monkeypatch):
     tr = _crossing_history_run(example_setup)
     W = example_setup["W"]
-    N = tr.xs.shape[0]
+    delta = tr.meta["delta"]
+    ic = tr.ic_window
+    whole = np.concatenate([ic.xs[:ic.count - 1], tr.xs])
+    times = np.concatenate([ic.ts[:ic.count - 1], tr.ts])
     for mu in (0.0, 0.7):
-        ws = verify.window_states(tr)
-        ref = W.value_many(ws.reshape(-1, 2)).reshape(N, 66)
-        if mu:
-            ref = ref * np.exp(mu * hist.theta_grid(0.3, 66))[None, :]
-        ref = ref.max(axis=1)
+        # every row in [t - delta, t], pre-history samples included, and
+        # the read at theta = -delta
+        ref = np.array([max(
+            np.max(np.exp(mu * (times[sel] - t)) * W.value_many(whole[sel])),
+            np.exp(-mu * delta) * W.value(end))
+            for t, end in zip(tr.ts, verify.window_states(tr))
+            for sel in [(times >= t - delta - 1e-12) & (times <= t)]])
         # 7 does not divide N = 51: six full blocks and a short last one
         monkeypatch.setattr(verify, "SUP_BLOCK", 7)
-        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu), ref)
+        blocked = verify.field_sup_series(tr, W, mu)
         monkeypatch.undo()
-        np.testing.assert_array_equal(verify.field_sup_series(tr, W, mu), ref)
+        whole_run = verify.field_sup_series(tr, W, mu)
+        assert _bits(blocked) == _bits(whole_run)
+        np.testing.assert_allclose(whole_run, ref, rtol=1e-14, atol=0.0)
 
 
 def test_safety_check_reads_initial_window_only(example_setup, runs,
@@ -253,39 +260,43 @@ def test_safety_check_reads_initial_window_only(example_setup, runs,
     new = [verify.safety_check(tr, example_setup["unsafe"]).as_dict()
            for tr in trajs]
     calls = []
-    full_build = verify.window_states
 
-    def every_window(traj, start=0, stop=None):
-        # the earlier build: all N windows, of which the check keeps row 0
-        calls.append((start, stop))
-        return full_build(traj)
+    def every_window(*args):
+        calls.append(args)
 
+    # the pre-history is the initial window's read at -delta and its own
+    # samples; no history read behind a later sample enters
     monkeypatch.setattr(verify, "window_states", every_window)
-    old = [verify.safety_check(tr, example_setup["unsafe"]).as_dict()
-           for tr in trajs]
-    assert calls == [(0, 1)] * 3
-    assert new == old
+    again = [verify.safety_check(tr, example_setup["unsafe"]).as_dict()
+             for tr in trajs]
+    assert calls == []
+    assert new == again
     # the crossing history runs through D: the witness is a history sample
     assert not new[0]["pass"] and new[0]["witness"]["time"] < 0.0
+    assert new[0]["details"]["samples"] == 30 + trajs[0].xs.shape[0]
 
 
-def _fancy_window_states(traj, grid, start, stop):
+def _fancy_window_states(traj, start, stop):
     """The earlier gather: one fancy-index copy of every row read, clipped
-    to [0, N - 1], then the pre-history through the initial window."""
+    to [0, N - 1], then the pre-history through the initial window with the
+    run's k1 as its slope at t = 0."""
     h = traj.h
     xs, ms = traj.xs, traj.slopes
     N = xs.shape[0]
-    thetas = hist.theta_grid(traj.meta["delta"], grid)
-    i0, b00, b10, b01, b11 = hist.hermite_tables(thetas / h, h)
-    rows = np.arange(start, stop)[:, None] + i0[None, :]
+    delta = traj.meta["delta"]
+    i0, b00, b10, b01, b11 = hist.hermite_tables(
+        np.array([-hist.delay_steps(delta, h)]), h)
+    rows = np.arange(start, stop) + i0[0]
     safe = np.clip(rows, 0, N - 1)
     nxt = np.clip(safe + 1, 0, N - 1)
-    vals = (b00[None, :, None] * xs[safe] + b10[None, :, None] * ms[safe]
-            + b01[None, :, None] * xs[nxt] + b11[None, :, None] * ms[nxt])
-    tread = traj.ts[start:stop, None] + thetas[None, :]
+    vals = (b00[0] * xs[safe] + b10[0] * ms[safe]
+            + b01[0] * xs[nxt] + b11[0] * ms[nxt])
+    tread = traj.ts[start:stop] - delta
     pre = tread <= 1e-15
     if pre.any():
-        vals[pre] = traj.ic_window.interp_times(tread[pre])
+        ic = traj.ic_window.copy()
+        ic.ms[ic.count - 1] = ms[0]
+        vals[pre] = ic.interp_times(tread[pre] + ic.latest_time)
     return vals
 
 
@@ -295,14 +306,13 @@ def _bits(a):
 
 
 @settings(max_examples=150, deadline=None)
-@given(grid=st.sampled_from([2, 10, 66]), h=st.floats(1e-3, 0.05),
-       span=st.floats(1.0, 40.0), nrows=st.integers(2, 120),
-       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_window_states_slices_equal_fancy_gather(grid, h, span, nrows, seed,
-                                                 data):
-    # delta = span steps; start near 0 clips columns at row 0, stop = N
-    # the theta = 0 column at row N - 1, and the first delta of samples
-    # reads the sampled pre-history
+@given(h=st.floats(1e-3, 0.05), span=st.one_of(st.floats(1.0, 40.0),
+                                               st.integers(1, 40)),
+       nrows=st.integers(2, 120), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_window_states_slices_equal_fancy_gather(h, span, nrows, seed, data):
+    # delta = span steps, an integer or not; start near 0 clips the rows at
+    # row 0, and the first delta of samples reads the sampled pre-history
     rng = np.random.default_rng(seed)
     delta = span * h
     ic = hist.HistoryWindow(2, delta)
@@ -313,12 +323,12 @@ def test_window_states_slices_equal_fancy_gather(grid, h, span, nrows, seed,
     xs[0] = ic.latest_state
     tr = Trajectory(np.arange(nrows) * h, xs, np.zeros((nrows, 1)),
                     np.zeros(nrows), rng.normal(size=(nrows, 2)),
-                    {"h": h, "delta": delta, "grid": grid}, ic)
+                    {"h": h, "delta": delta}, ic)
     start = data.draw(st.integers(0, nrows - 1), label="start")
     stop = data.draw(st.integers(start, nrows), label="stop")
     got = verify.window_states(tr, start, stop)
-    assert got.shape == (stop - start, grid, 2)
-    assert _bits(got) == _bits(_fancy_window_states(tr, grid, start, stop))
+    assert got.shape == (stop - start, 2)
+    assert _bits(got) == _bits(_fancy_window_states(tr, start, stop))
 
 
 def _without_sup(tr):
@@ -327,25 +337,26 @@ def _without_sup(tr):
                       tr.ic_window, tr.diverged)
 
 
-@pytest.mark.parametrize("grid", [10, 66])
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 @pytest.mark.parametrize("kind", ["V", "B", "W"])
-def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, grid):
-    # the lockstep's first-stage sup is the same arithmetic on the same
-    # rows as the windows the verifier rebuilds, so handing it over must
-    # not move a bit of the series or of the decrease report
+def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, tmp_path):
+    # the lockstep's first-stage sup is the same products of the same rows
+    # as the series the verifier rebuilds, so handing it over must not move
+    # a bit of the series or of the decrease report; the re-check from the
+    # CSV rebuilds the same bits, since delta/h = 300 puts every read at
+    # theta = -delta on a row
     field = example_setup[kind]
     gains = rzk.RazumikhinGains(2.5, 2.0, mu)
     ctrl = rzk.ControllerSpec(field, gains, 2.0)
     ics = [hist.from_constant(np.array(x), 0.3)
            for x in cli.DEMO_INITIAL_CONDITIONS]
     trajs = rzk.batch_integrate(example_setup["dyn"], ctrl, ics,
-                                IntegrationSettings(h=1e-3, T=0.6, grid=grid))
-    for tr in trajs:
+                                IntegrationSettings(h=1e-3, T=0.6))
+    V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
+    for k, tr in enumerate(trajs):
         rec = tr.history_sup
         assert not tr.diverged and rec is not None
         assert rec.field is field and rec.mu == mu
-        assert tr.meta["grid"] == grid
         assert not rec.values.flags.writeable
         plain = _without_sup(tr)
         got = verify.field_sup_series(tr, field, mu)
@@ -353,6 +364,12 @@ def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, grid):
         assert _bits(got) == _bits(verify.field_sup_series(plain, field, mu))
         assert (repr(verify.decrease_check(tr, field, gains).as_dict())
                 == repr(verify.decrease_check(plain, field, gains).as_dict()))
+        path = tmp_path / f"{k}.csv"
+        io.write_trajectory_csv(path, *io.trajectory_columns(tr, V, B, W))
+        from_csv = io.trajectory_from_csv(*io.read_trajectory_csv(path), 0.3,
+                                          ic=ics[k])
+        assert _bits(verify.field_sup_series(from_csv, field, mu)) \
+            == _bits(got)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -381,7 +398,12 @@ def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
         [hist.from_constant(np.array([0.4, 1.0]), 0.3)],
         IntegrationSettings(h=1e-3, T=0.2))
     assert not crossed.diverged and crossed.history_sup is None
-    general = _crossing_history_run(example_setup)
+    sampled = _crossing_history_run(example_setup)
+    assert sampled.history_sup.field is W
+    general = simulate._integrate_general(
+        dyn, example_setup["ctrl"],
+        hist.from_constant(np.array([-2.0, -1.0]), 0.3),
+        IntegrationSettings(h=1e-3, T=0.05))
     assert general.history_sup is None
     lockstep = runs["closedW"]
     assert lockstep.history_sup.field is W
@@ -401,6 +423,7 @@ def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
     monkeypatch.setattr(verify, "window_states", counted)
     verify.field_sup_series(lockstep, W, 0.0)
     verify.field_sup_series(rest, steep, gains.mu)
+    verify.field_sup_series(sampled, W, 0.0)
     assert builds == []
     other_W = rzk.combine_clbrf(V, B, 82.0)
     for tr, field, mu in ((blown, steep, 0.0), (crossed, holed, 0.0),
