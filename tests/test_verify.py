@@ -337,21 +337,24 @@ def _without_sup(tr):
                       tr.ic_window, tr.diverged)
 
 
+@pytest.mark.parametrize("steps", [10, 66, 300])
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 @pytest.mark.parametrize("kind", ["V", "B", "W"])
-def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, tmp_path):
+def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, steps,
+                                         tmp_path):
     # the lockstep's first-stage sup is the same products of the same rows
     # as the series the verifier rebuilds, so handing it over must not move
     # a bit of the series or of the decrease report; the re-check from the
-    # CSV rebuilds the same bits, since delta/h = 300 puts every read at
-    # theta = -delta on a row
+    # CSV rebuilds the same bits, since an integer delta/h (steps rows per
+    # window; 300 is the demo's h = 1e-3) puts every read at theta = -delta
+    # on a row
     field = example_setup[kind]
     gains = rzk.RazumikhinGains(2.5, 2.0, mu)
     ctrl = rzk.ControllerSpec(field, gains, 2.0)
     ics = [hist.from_constant(np.array(x), 0.3)
            for x in cli.DEMO_INITIAL_CONDITIONS]
     trajs = rzk.batch_integrate(example_setup["dyn"], ctrl, ics,
-                                IntegrationSettings(h=1e-3, T=0.6))
+                                IntegrationSettings(h=0.3 / steps, T=0.6))
     V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
     for k, tr in enumerate(trajs):
         rec = tr.history_sup
