@@ -154,6 +154,8 @@ class RunConfig:
                         "taken on the run's own sample rows")
         _require(self.h > 0 and self.T > 0, "integration.h and .T must be "
                  "positive")
+        _require(self.T >= self.h,
+                 "integration.T must be at least one step, integration.h")
         _require(self.h <= self.delta / 4.0 + 1e-15,
                  "integration.h must satisfy h <= delta/4")
 
@@ -470,8 +472,11 @@ def cmd_verify(args):
     files = []
     for k, w in enumerate(build.windows()):
         path = os.path.join(args.out, _trajectory_file(cfg.prefix, k))
-        names, data = io.read_trajectory_csv(path)
-        tr = io.trajectory_from_csv(names, data, cfg.delta, ic=w)
+        try:
+            tr = io.trajectory_from_csv(*io.read_trajectory_csv(path),
+                                        cfg.delta, w)
+        except ValueError as e:
+            raise ConfigError(f"{path} is not a trajectory CSV: {e}") from None
         if not np.array_equal(tr.xs[0], w.latest_state):
             raise ConfigError(f"{path} does not start at "
                               f"initial_conditions[{k}]")

@@ -9,7 +9,6 @@ import json
 
 import numpy as np
 
-from . import history as hist
 from .simulate import Trajectory
 
 
@@ -51,27 +50,32 @@ def read_trajectory_csv(path):
     names = header.split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(names):
-        raise ValueError(f"{path}: {len(names)} columns in header, "
+        raise ValueError(f"{len(names)} columns in header, "
                          f"{data.shape[1]} in data")
     return names, data
 
 
-def trajectory_from_csv(names, data, delta, ic=None):
+def trajectory_from_csv(names, data, delta, ic):
     """Rebuild a Trajectory from CSV columns.
 
     State derivatives are estimated by central differences (one-sided at
     the ends); the verifier's reads at theta = -delta need them where
     delta/h is not an integer and the read falls between rows.
-    ic is the run's initial window, as its config gives it; without one
-    the pre-history is taken as constant at the first sample, since
-    sampled-function starts are not recoverable from the CSV.
+    ic is the run's initial window, as its config gives it: the pre-history
+    is not recoverable from the CSV.  Raises ValueError when a column is
+    missing or there are fewer than two samples.
     """
     col = {name: data[:, k] for k, name in enumerate(names)}
-    ts = col["t"]
     nx = sum(1 for name in names if name.startswith("x") and name[1:].isdigit())
     nu = sum(1 for name in names if name.startswith("u") and name[1:].isdigit())
-    xs = np.column_stack([col[f"x{i + 1}"] for i in range(nx)])
-    us = np.column_stack([col[f"u{j + 1}"] for j in range(nu)])
+    xn = [f"x{i + 1}" for i in range(max(nx, 1))]
+    un = [f"u{j + 1}" for j in range(max(nu, 1))]
+    missing = [c for c in ["t", *xn, *un, "margin"] if c not in col]
+    if missing:
+        raise ValueError(f"missing columns: {', '.join(missing)}")
+    ts = col["t"]
+    xs = np.column_stack([col[c] for c in xn])
+    us = np.column_stack([col[c] for c in un])
     margins = col["margin"]
     N = ts.shape[0]
     if N < 2:
@@ -82,8 +86,6 @@ def trajectory_from_csv(names, data, delta, ic=None):
     slopes[0] = (xs[1] - xs[0]) / h
     slopes[-1] = (xs[-1] - xs[-2]) / h
     meta = {"h": h, "T": float(ts[-1]), "delta": float(delta)}
-    if ic is None:
-        ic = hist.from_constant(xs[0].copy(), delta)
     return Trajectory(ts, xs, us, margins, slopes, meta, ic)
 
 

@@ -25,7 +25,6 @@ samples included, and the stage value at theta = 0.
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -43,25 +42,17 @@ class IntegrationSettings:
             raise ValueError("need finite h > 0 and T > 0")
 
 
-# the weighted history sup sup_theta e^{mu theta} field(x(t + theta)) at
-# every sample, as the integrator computed it on the run's rows, with the
-# field object and mu it was computed for; values is a read-only (N,) array
-HistorySup = namedtuple("HistorySup", "field mu values")
-
-
 class Trajectory:
     """Uniform-step samples of a single run.
 
     slopes holds the closed-loop state derivative at each sample (used by
-    verifiers to reconstruct history reads at full order).  history_sup
-    is a HistorySup or None: the lockstep records the controller's weighted
-    history sup on every lane that did not diverge and has no NaN margin,
-    so that verify.field_sup_series need not rebuild it; runs of the
-    general path and trajectories read back from CSV carry None.
+    verifiers to reconstruct history reads at full order).  The weighted
+    history sup is not kept: verify.field_sup_series rebuilds it from the
+    rows, for a run in memory and one read back from CSV alike.
     """
 
     def __init__(self, ts, xs, us, margins, slopes, meta, ic_window,
-                 diverged=False, history_sup=None):
+                 diverged=False):
         self.ts = ts
         self.xs = xs
         self.us = us
@@ -70,7 +61,6 @@ class Trajectory:
         self.meta = dict(meta)
         self.ic_window = ic_window
         self.diverged = diverged
-        self.history_sup = history_sup
 
     @property
     def n(self):
@@ -209,8 +199,7 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     the lane's k1 after the first stage.  The sup's rows are each step's
     first-stage certificate values, weighted from `history.lag_weights`,
     and the initial windows' own samples.  The RK stages run lane by lane
-    in floats; each step writes the xs/ms/us/margins rows and the first
-    stage's weighted history sup.
+    in floats; each step writes the xs/ms/us/margins rows.
     """
     h = settings.h
     nsteps = int(round(settings.T / h))
@@ -225,7 +214,6 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     ms = np.full((N, K, 2), np.nan)
     us = np.empty((N, K))
     margins = np.empty((N, K))
-    sups = np.empty((N, K))
     wv = np.empty((K, N))             # certificate per lane and row
     xs[0] = [w.latest_state for w in wins]
 
@@ -302,20 +290,20 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     h6 = h / 6.0
 
     def stage(s0, s1, fric, gmax):
-        """Closed-loop derivative (k0, k1), control, margin, weighted
-        history sup and certificate value of one lane at the stage state
-        (s0, s1), given its delayed friction and the max of its sup terms
-        behind theta = 0 at the stage's read time."""
+        """Closed-loop derivative (k0, k1), control, margin and certificate
+        value of one lane at the stage state (s0, s1), given its delayed
+        friction and the max of its sup terms behind theta = 0 at the
+        stage's read time."""
         f2 = -fric - s0
         if vg is None:
-            return s1, f2, 0.0, math.nan, math.nan, math.nan
+            return s1, f2, 0.0, math.nan, math.nan
         v0, (g0, q) = vg((s0, s1))
         # theta = 0 included; a NaN history max stays NaN, as in np.maximum
         sup = v0 if v0 > gmax else gmax
         a = g0 * s1 + q * f2 + gam * v0 - eta * sup       # g = (0, 1)
         c, margin = law(a, q * q, lam)
         u = 0.0 if c is None else c * q
-        return s1, f2 + u, u, margin, sup, v0
+        return s1, f2 + u, u, margin, v0
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
@@ -334,7 +322,6 @@ def _lockstep_example(dyn, ctrl, ics, settings):
                 w.ms[w.count - 1] = m
         us[i] = [r[2] for r in k1]
         margins[i] = [r[3] for r in k1]
-        sups[i] = [r[4] for r in k1]
         if i == nsteps:
             break
         j = i % L
@@ -344,7 +331,7 @@ def _lockstep_example(dyn, ctrl, ics, settings):
             fr = fr.tolist()
         f_mid, f_end = fr[0][j], fr[1][j]
         if cert is not None:
-            wv[:, i] = [r[5] for r in k1]
+            wv[:, i] = [r[4] for r in k1]
             g_mid, g_end = np.maximum(row_max(i), far[:, j]).tolist()
         for k in lanes:
             x0, x1 = x[k]
@@ -362,21 +349,14 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     ts = np.arange(N) * h
     out = []
     md = dict(h=h, T=settings.T, delta=delta)
-    sups.flags.writeable = False
     for k in range(K):
         finite = np.isfinite(xs[:, k, :]).all(axis=1)
         lane_ok = bool(finite.all())
         cut = N if lane_ok else int(np.argmax(~finite))
-        # the stage's max differs from np.max only at a NaN certificate
-        # value, which makes the margin NaN: such lanes record nothing
-        sup = None
-        if (cert is not None and lane_ok
-                and not np.isnan(margins[:, k]).any()):
-            sup = HistorySup(cert, mu, sups[:, k])
         out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
                               us[:cut, k].reshape(-1, 1),
                               margins[:cut, k].copy(), ms[:cut, k, :].copy(),
-                              md, ics[k].copy(), not lane_ok, sup))
+                              md, ics[k].copy(), not lane_ok))
     return out
 
 

@@ -101,35 +101,27 @@ def _witness(t, x):
     return {"time": tv, "state": [float(v) for v in np.atleast_1d(x)]}
 
 
-def window_states(traj, start=0, stop=None):
-    """The history read x(t_i - delta) behind samples start..stop-1 (all by
-    default): (stop - start, n).
+def window_states(traj):
+    """The history read x(t_i - delta) behind every sample: (N, n).
 
     The integrator's cubic Hermite scheme on traj.slopes; with delta/h an
     integer D the read is row i - D itself.  Reads at or before t = 0 go
     through the initial window, with the run's k1 as its slope at t = 0, as
-    the integrators read it after their first stage.  The rows read form
-    two contiguous ranges, gathered clipped to [0, N - 1] where they leave
-    it.
+    the integrators read it after their first stage; the rows gathered for
+    them are clipped to row 0.
     """
     delta = traj.meta["delta"]
     h = traj.h
     xs = traj.xs
     ms = traj.slopes
     N = xs.shape[0]
-    if stop is None:
-        stop = N
     i0, b00, b10, b01, b11 = hist.hermite_tables(
         np.array([-hist.delay_steps(delta, h)]), h)
-    lo, hi = start + int(i0[0]), stop + int(i0[0])
-    if lo >= 0 and hi <= N - 1:
-        row, nxt = slice(lo, hi), slice(lo + 1, hi + 1)
-    else:
-        row = np.clip(np.arange(lo, hi), 0, N - 1)
-        nxt = np.clip(row + 1, 0, N - 1)
+    row = np.maximum(np.arange(N) + int(i0[0]), 0)
+    nxt = np.minimum(row + 1, N - 1)
     vals = (b00[0] * xs[row] + b10[0] * ms[row]
             + b01[0] * xs[nxt] + b11[0] * ms[nxt])
-    tread = traj.ts[start:stop] - delta
+    tread = traj.ts - delta
     pre = tread <= 1e-15
     if pre.any():
         w = traj.ic_window.copy()
@@ -143,20 +135,13 @@ SUP_BLOCK = 2048
 
 
 def field_sup_series(traj, field, mu=0.0):
-    """Weighted history sup of the field at every sample, on the run's rows:
-    (N,).
+    """Weighted history sup of the field at every sample, rebuilt on the
+    run's rows as the integrators take it: (N,).
 
-    When the trajectory carries the integrator's own series for this very
-    field object and mu (traj.history_sup, recorded by the lockstep for its
-    controller's certificate), that read-only series is returned: it is the
-    same products of the same rows, bit for bit.  Otherwise it is rebuilt:
-    a sliding max over the field at the samples, weighted by lag from
+    A sliding max over the field at the samples, weighted by lag from
     `history.lag_weights`, the read at theta = -delta and the initial
     window's samples in reach.
     """
-    rec = traj.history_sup
-    if rec is not None and rec.field is field and rec.mu == mu:
-        return rec.values
     delta = traj.meta["delta"]
     h = traj.h
     fv = field.value_many(traj.xs)
@@ -223,10 +208,8 @@ def decrease_check(traj, field, gains, c=DECREASE_C):
     """Forward-difference d(field)/dt against -gamma*field + eta*sup at each
     interior sample; pass iff every residual is within c*h.
 
-    The sup series comes from field_sup_series: recorded by the lockstep
-    for the controller's own certificate on a lane that did not diverge,
-    rebuilt from the samples in every other case (a CSV re-check always
-    rebuilds it)."""
+    The sup series is rebuilt from the samples by field_sup_series, for a
+    run in memory as for one read back from CSV."""
     h = traj.h
     tol = c * h
     tvalues = {"c": c, "h": h, "tol": tol}

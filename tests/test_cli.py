@@ -95,6 +95,7 @@ def test_zero_start_stays_at_zero(tmp_path):
                              "states": [[0.0, 0.0], [0.0, 0.0]]}]},
     {"system": {"name": "other"}},
     {"outputs": {"prefix": "../escape"}},
+    {"integration": {"T": 4e-4}},                      # T < h: no step
 ])
 def test_config_validation_exits_2(tmp_path, capsys, mangle):
     cfgp = tmp_path / "bad.json"
@@ -250,6 +251,27 @@ def test_verify_flags_low_psi(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
     assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("mangle", ["no u1 and margin", "one row"])
+def test_verify_reports_an_unreadable_csv_as_config_error(tmp_path, capsys,
+                                                          mangle):
+    cfgp = tmp_path / "c.json"
+    write_config(cfgp, integration={"T": 0.05})
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    path = out / "trajectory_00.csv"
+    names, data = io.read_trajectory_csv(path)
+    if mangle == "one row":
+        data = data[:1]
+    else:
+        keep = [k for k, n in enumerate(names) if n not in ("u1", "margin")]
+        names, data = [names[k] for k in keep], data[:, keep]
+    io.write_trajectory_csv(path, names, data)
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
 
 
 def _hazard_crossing():

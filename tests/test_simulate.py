@@ -363,38 +363,34 @@ def test_each_lane_of_a_mixed_batch_equals_its_one_lane_run(example_setup):
                 name
 
 
+def _dead_zone(field):
+    """field's values with a zero gradient: the feedback is u = 0 and the
+    margin is the activation a = gamma field(x) - eta sup, so a run's
+    margins show the sup its engine acted on."""
+    return rzk.ScalarField(2, field.value_many, lambda X: np.zeros(X.shape),
+                           name="dead-zone")
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.5])
-def test_sampled_lanes_record_their_history_sup(example_setup, monkeypatch,
-                                                mu):
+def test_sampled_lanes_act_on_the_rebuilt_sup(example_setup, mu):
     # the verifier reads a sampled start's last pre-history interval with
     # the lane's k1 at t = 0, as the lockstep does, and takes the initial
-    # window's own samples as rows: the recorded sup is the rebuilt one,
-    # bit for bit, and decrease_check reads it without a rebuild
+    # window's own samples as rows: the sup each lane acted on is the
+    # rebuilt one, bit for bit
     dyn = example_setup["dyn"]
-    W = example_setup["W"]
+    cert = _dead_zone(example_setup["W"])
     gains = rzk.RazumikhinGains(2.5, 2.0, mu)
-    ctrl = rzk.ControllerSpec(W, gains, 2.0)
+    ctrl = rzk.ControllerSpec(cert, gains, 2.0)
     wins = _sampled_windows()
     trajs = rzk.batch_integrate(dyn, ctrl, list(wins.values()),
                                 IntegrationSettings(h=1e-3, T=0.5))
-    calls = []
-    window_states = verify.window_states
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return window_states(*args, **kwargs)
-
     for name, tr in zip(wins, trajs):
-        rec = tr.history_sup
-        assert rec is not None and rec.field is W and rec.mu == mu, name
-        plain = simulate.Trajectory(tr.ts, tr.xs, tr.us, tr.margins,
-                                    tr.slopes, tr.meta, tr.ic_window)
-        assert _bits(verify.field_sup_series(plain, W, mu)) \
-            == _bits(rec.values), name
-        monkeypatch.setattr(verify, "window_states", counted)
-        assert verify.decrease_check(tr, W, gains).passed
-        monkeypatch.undo()
-    assert calls == []
+        assert not tr.diverged and np.all(tr.us == 0.0), name
+        sup = verify.field_sup_series(tr, cert, mu)
+        np.testing.assert_array_equal(
+            tr.margins,
+            gains.gamma * cert.value_many(tr.xs) - gains.eta * sup,
+            err_msg=name)
 
 
 def _whole_history(tr):
@@ -436,13 +432,15 @@ def _brute_force_sup(tr, field, mu):
        mu=st.sampled_from([0.0, 0.5]),
        start=st.sampled_from(["constant", "hazard", "radial", "nonuniform",
                               "last=1e-13"]))
-def test_history_sup_is_rows_endpoint_and_stage(example_setup, steps, mu,
-                                                start):
-    # delta/h integer or not; the lockstep records its sup, the general
-    # path's first stages are caught at the one weighted_sup they call
+def test_engines_take_the_sup_on_rows_endpoint_and_stage(example_setup,
+                                                         steps, mu, start):
+    # delta/h integer or not; under a dead-zone certificate each sample's
+    # margin is gamma W(x_i) - eta sup_i, so the sup each engine acted on
+    # is read back from its margins
     dyn = example_setup["dyn"]
-    W = example_setup["W"]
-    ctrl = rzk.ControllerSpec(W, rzk.RazumikhinGains(2.5, 2.0, mu), 2.0)
+    cert = _dead_zone(example_setup["W"])
+    gains = rzk.RazumikhinGains(2.5, 2.0, mu)
+    ctrl = rzk.ControllerSpec(cert, gains, 2.0)
     h = 0.3 / steps
     s = IntegrationSettings(h=h, T=round(0.75 / h) * h)
     if start == "constant":
@@ -450,21 +448,11 @@ def test_history_sup_is_rows_endpoint_and_stage(example_setup, steps, mu,
     else:
         xi = _sampled_windows()[start]
     fast = rzk.integrate(dyn, ctrl, xi.copy(), s)
-    got = []
-    sup = hist.weighted_sup
-
-    def caught(window, field, mu=0.0):
-        out = sup(window, field, mu)
-        if window._scratch == 0:
-            got.append(out)
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hist, "weighted_sup", caught)
-        slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s)
-    for tr, values in ((fast, fast.history_sup.values), (slow, got)):
-        ref = _brute_force_sup(tr, W, mu)
-        np.testing.assert_allclose(values, ref, rtol=1e-10, atol=1e-10)
+    slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s)
+    for tr in (fast, slow):
+        got = (gains.gamma * cert.value_many(tr.xs) - tr.margins) / gains.eta
+        ref = _brute_force_sup(tr, cert, mu)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
 
 _Q = st.one_of(st.floats(1e-5, 1e3), st.floats(-1e3, -1e-5),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import cli, io, history as hist, simulate, verify
+from rzk import cli, io, history as hist, verify
 from rzk.simulate import IntegrationSettings, Trajectory
 
 
@@ -220,15 +220,6 @@ def _crossing_history_run(example_setup, T=0.05):
                          IntegrationSettings(h=1e-3, T=T))
 
 
-def test_window_states_row_range(example_setup):
-    tr = _crossing_history_run(example_setup)
-    full = verify.window_states(tr)
-    np.testing.assert_array_equal(verify.window_states(tr, 17, 40),
-                                  full[17:40])
-    np.testing.assert_array_equal(verify.window_states(tr, 0, 1),
-                                  full[:1])
-
-
 def test_blocked_sup_series_equals_unblocked(example_setup, monkeypatch):
     tr = _crossing_history_run(example_setup)
     W = example_setup["W"]
@@ -276,65 +267,50 @@ def test_safety_check_reads_initial_window_only(example_setup, runs,
     assert new[0]["details"]["samples"] == 30 + trajs[0].xs.shape[0]
 
 
-def _fancy_window_states(traj, start, stop):
-    """The earlier gather: one fancy-index copy of every row read, clipped
-    to [0, N - 1], then the pre-history through the initial window with the
-    run's k1 as its slope at t = 0."""
-    h = traj.h
-    xs, ms = traj.xs, traj.slopes
-    N = xs.shape[0]
-    delta = traj.meta["delta"]
-    i0, b00, b10, b01, b11 = hist.hermite_tables(
-        np.array([-hist.delay_steps(delta, h)]), h)
-    rows = np.arange(start, stop) + i0[0]
-    safe = np.clip(rows, 0, N - 1)
-    nxt = np.clip(safe + 1, 0, N - 1)
-    vals = (b00[0] * xs[safe] + b10[0] * ms[safe]
-            + b01[0] * xs[nxt] + b11[0] * ms[nxt])
-    tread = traj.ts[start:stop] - delta
-    pre = tread <= 1e-15
-    if pre.any():
-        ic = traj.ic_window.copy()
-        ic.ms[ic.count - 1] = ms[0]
-        vals[pre] = ic.interp_times(tread[pre] + ic.latest_time)
-    return vals
-
-
 def _bits(a):
     # bit patterns, so 0.0 and -0.0 differ
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
-@given(h=st.floats(1e-3, 0.05), span=st.one_of(st.floats(1.0, 40.0),
-                                               st.integers(1, 40)),
+@given(k=st.integers(5, 10),
+       span=st.one_of(st.integers(1, 40), st.floats(1.0, 40.0).filter(
+           lambda q: q.is_integer() or abs(q - round(q)) > 1e-6)),
        nrows=st.integers(2, 120), seed=st.integers(0, 2 ** 32 - 1),
-       data=st.data())
-def test_window_states_slices_equal_fancy_gather(h, span, nrows, seed, data):
-    # delta = span steps, an integer or not; start near 0 clips the rows at
-    # row 0, and the first delta of samples reads the sampled pre-history
+       constant=st.booleans(), data=st.data())
+def test_window_states_equal_whole_history_reads(k, span, nrows, seed,
+                                                 constant, data):
+    # h = 2^-k keeps every sample time and, for an integer span, delta and
+    # each read time t_i - delta exact; the oracle reads one HistoryWindow
+    # holding the initial window and every row with its slope, the initial
+    # window's slope at t = 0 being the run's k1.  Spans within 1e-6 of an
+    # integer are left out: delay_steps snaps those within 1e-9 to the row
     rng = np.random.default_rng(seed)
+    h = 2.0 ** -k
     delta = span * h
-    ic = hist.HistoryWindow(2, delta)
-    m = data.draw(st.integers(2, 12), label="history samples")
-    for t in np.linspace(-delta, 0.0, m):
-        ic.push(t, rng.normal(size=2), rng.normal(size=2))
+    if constant:
+        ic = hist.from_constant(rng.normal(size=2), delta)
+    else:
+        ic = hist.HistoryWindow(2, delta)
+        m = data.draw(st.integers(2, 12), label="history samples")
+        for t in np.linspace(-delta, 0.0, m):
+            ic.push(t, rng.normal(size=2), rng.normal(size=2))
     xs = rng.normal(size=(nrows, 2))
     xs[0] = ic.latest_state
     tr = Trajectory(np.arange(nrows) * h, xs, np.zeros((nrows, 1)),
                     np.zeros(nrows), rng.normal(size=(nrows, 2)),
                     {"h": h, "delta": delta}, ic)
-    start = data.draw(st.integers(0, nrows - 1), label="start")
-    stop = data.draw(st.integers(start, nrows), label="stop")
-    got = verify.window_states(tr, start, stop)
-    assert got.shape == (stop - start, 2)
-    assert _bits(got) == _bits(_fancy_window_states(tr, start, stop))
-
-
-def _without_sup(tr):
-    """tr without the integrator's recorded sup, so checks rebuild it."""
-    return Trajectory(tr.ts, tr.xs, tr.us, tr.margins, tr.slopes, tr.meta,
-                      tr.ic_window, tr.diverged)
+    whole = ic.copy()
+    whole.ms[whole.count - 1] = tr.slopes[0]
+    for t, x, m in zip(tr.ts[1:], tr.xs[1:], tr.slopes[1:]):
+        whole.push(t, x, m)
+    ref = whole.interp_times(tr.ts - delta)
+    got = verify.window_states(tr)
+    assert got.shape == (nrows, 2)
+    if float(span).is_integer():
+        assert _bits(got) == _bits(ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("steps", [10, 66, 300])
@@ -342,12 +318,11 @@ def _without_sup(tr):
 @pytest.mark.parametrize("kind", ["V", "B", "W"])
 def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, steps,
                                          tmp_path):
-    # the lockstep's first-stage sup is the same products of the same rows
-    # as the series the verifier rebuilds, so handing it over must not move
-    # a bit of the series or of the decrease report; the re-check from the
-    # CSV rebuilds the same bits, since an integer delta/h (steps rows per
-    # window; 300 is the demo's h = 1e-3) puts every read at theta = -delta
-    # on a row
+    # the re-check from a run's CSV rebuilds the sup of the run recorded in
+    # memory bit for bit, and so reaches the same decrease report: an
+    # integer delta/h (steps rows per window; 300 is the demo's h = 1e-3)
+    # puts every read at theta = -delta on a row, so no estimated slope
+    # enters
     field = example_setup[kind]
     gains = rzk.RazumikhinGains(2.5, 2.0, mu)
     ctrl = rzk.ControllerSpec(field, gains, 2.0)
@@ -357,82 +332,12 @@ def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, steps,
                                 IntegrationSettings(h=0.3 / steps, T=0.6))
     V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
     for k, tr in enumerate(trajs):
-        rec = tr.history_sup
-        assert not tr.diverged and rec is not None
-        assert rec.field is field and rec.mu == mu
-        assert not rec.values.flags.writeable
-        plain = _without_sup(tr)
-        got = verify.field_sup_series(tr, field, mu)
-        assert got is rec.values
-        assert _bits(got) == _bits(verify.field_sup_series(plain, field, mu))
-        assert (repr(verify.decrease_check(tr, field, gains).as_dict())
-                == repr(verify.decrease_check(plain, field, gains).as_dict()))
+        assert not tr.diverged
         path = tmp_path / f"{k}.csv"
         io.write_trajectory_csv(path, *io.trajectory_columns(tr, V, B, W))
         from_csv = io.trajectory_from_csv(*io.read_trajectory_csv(path), 0.3,
-                                          ic=ics[k])
+                                          ics[k])
         assert _bits(verify.field_sup_series(from_csv, field, mu)) \
-            == _bits(got)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sup_is_rebuilt_unless_recorded_for_that_field(example_setup, runs,
-                                                       tmp_path, monkeypatch):
-    dyn = example_setup["dyn"]
-    V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
-    gains = example_setup["gains"]
-    # the first control of a field this steep overflows away from the
-    # origin, so that lane diverges; the lane at rest does not
-    steep = rzk.quadratic_field(1e200 * np.eye(2), name="steep")
-    blown, rest = rzk.batch_integrate(
-        dyn, rzk.ControllerSpec(steep, gains, 2.0),
-        [hist.from_constant(np.array(x), 0.3) for x in ((1.0, 1.0), (0, 0))],
-        IntegrationSettings(h=1e-3, T=0.05))
-    assert blown.diverged and blown.history_sup is None
-    assert not rest.diverged and rest.history_sup.field is steep
-    # NaN for x1 > 0.5, flat elsewhere: the open-loop state crosses into
-    # it at t = 0.1 while the older history reads stay finite, where the
-    # lockstep's max would skip the NaN that np.max keeps
-    holed = rzk.ScalarField(
-        2, lambda X: np.where(X[:, 0] > 0.5, np.nan, 0.0),
-        lambda X: np.zeros_like(X), name="holed")
-    crossed, = rzk.batch_integrate(
-        dyn, rzk.ControllerSpec(holed, gains, 2.0),
-        [hist.from_constant(np.array([0.4, 1.0]), 0.3)],
-        IntegrationSettings(h=1e-3, T=0.2))
-    assert not crossed.diverged and crossed.history_sup is None
-    sampled = _crossing_history_run(example_setup)
-    assert sampled.history_sup.field is W
-    general = simulate._integrate_general(
-        dyn, example_setup["ctrl"],
-        hist.from_constant(np.array([-2.0, -1.0]), 0.3),
-        IntegrationSettings(h=1e-3, T=0.05))
-    assert general.history_sup is None
-    lockstep = runs["closedW"]
-    assert lockstep.history_sup.field is W
-    path = tmp_path / "closedW.csv"
-    names, table = io.trajectory_columns(lockstep, V, B, W, bound=None)
-    io.write_trajectory_csv(path, names, table)
-    from_csv = io.trajectory_from_csv(*io.read_trajectory_csv(path), 0.3)
-    assert from_csv.history_sup is None
-
-    builds = []
-    build = verify.window_states
-
-    def counted(*args, **kwargs):
-        builds.append(args[0])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "window_states", counted)
-    verify.field_sup_series(lockstep, W, 0.0)
-    verify.field_sup_series(rest, steep, gains.mu)
-    verify.field_sup_series(sampled, W, 0.0)
-    assert builds == []
-    other_W = rzk.combine_clbrf(V, B, 82.0)
-    for tr, field, mu in ((blown, steep, 0.0), (crossed, holed, 0.0),
-                          (general, W, 0.0), (from_csv, W, 0.0),
-                          (lockstep, other_W, 0.0), (lockstep, V, 0.0),
-                          (lockstep, W, 0.5)):
-        builds.clear()
-        verify.field_sup_series(tr, field, mu)
-        assert builds and builds[0] is tr
+            == _bits(verify.field_sup_series(tr, field, mu))
+        assert (repr(verify.decrease_check(from_csv, field, gains).as_dict())
+                == repr(verify.decrease_check(tr, field, gains).as_dict()))
