@@ -92,7 +92,9 @@ def evaluate(spec, dyn, window):
     G = dyn.g(window)
     vx, gr = cert.value_grad(window.latest_state.tolist())
     gr = np.array(gr)
-    lf = float(gr @ f)
+    # an elementwise sum, not a BLAS dot, which may fuse its products: the
+    # lockstep's per-lane floats form the same sum
+    lf = float((gr * f).sum())
     q = (gr @ G).ravel()
     sup = hist.weighted_sup(window, cert, spec.gains.mu)
     a = lf + spec.gains.gamma * vx - spec.gains.eta * sup

@@ -165,17 +165,19 @@ def _integrate_general(dyn, ctrl, xi, settings):
         slopes[i] = k1
         if i == nsteps:
             break
-        t = t0 + i * h
-        k2 = stage(t + 0.5 * h, x + 0.5 * h * k1, k1)
-        k3 = None if k2 is None else stage(t + 0.5 * h, x + 0.5 * h * k2, k2)
-        k4 = None if k3 is None else stage(t + h, x + h * k3, k3)
+        # stage times and the RK sum as the lockstep forms them, so that
+        # the two paths round alike
+        tm, t1 = t0 + (i + 0.5) * h, t0 + (i + 1) * h
+        k2 = stage(tm, x + 0.5 * h * k1, k1)
+        k3 = None if k2 is None else stage(tm, x + 0.5 * h * k2, k2)
+        k4 = None if k3 is None else stage(t1, x + h * k3, k3)
         if k4 is not None:
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if k4 is None or not np.all(np.isfinite(x)):
             return finish(i + 1, True)
         xs[i + 1] = x
         # provisional slope; replaced by the next stage-1 evaluation
-        w.push(t + h, x, k4)
+        w.push(t1, x, k4)
     return finish(N, False)
 
 
@@ -254,7 +256,9 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         early = tread <= 1e-15
         if early.any():
             for k, w in enumerate(wins):
-                v[early, k] = w.interp_times(tread[early] + w.latest_time)
+                # the read time as the general path's window forms it
+                v[early, k] = w.interp_times(
+                    ((t + w.latest_time) - delays)[early])
         fric = friction(v[0, ..., 1])
         if cert is None:
             return fric, None

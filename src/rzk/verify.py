@@ -126,7 +126,7 @@ def window_states(traj):
     if pre.any():
         w = traj.ic_window.copy()
         w.ms[w.count - 1] = ms[0]
-        vals[pre] = w.interp_times(tread[pre] + w.latest_time)
+        vals[pre] = w.interp_times((traj.ts + w.latest_time - delta)[pre])
     return vals
 
 

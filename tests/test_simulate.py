@@ -323,6 +323,32 @@ def test_lockstep_matches_general_path_on_random_sampled_windows(
                         IntegrationSettings(h=2e-3, T=0.1), xi)
 
 
+def test_general_path_equals_lockstep_before_tau(example_setup):
+    # while every delayed read falls in the initial window (t <= tau) the
+    # two paths make the same reads at the same times and combine the
+    # same products in the same order, so they agree bit for bit.  From
+    # the boundary start (-1.96875, 0) the closed loop grows any rounding
+    # difference, to 6e-10 in u by T = 0.1 at h = 2e-3
+    times = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 5.625])
+    times = -0.3 + 0.3 * times / times[-1]
+    times[-1] = 0.0
+    boundary = _window(times, [(0.0, 0.0), (0.0, -1.75), (0.0, -3.0),
+                               (0.0, 0.0), (0.0, 0.0), (0.0, 0.0),
+                               (0.0, 0.0), (-1.96875, 0.0)])
+    wins = dict(_sampled_windows(), boundary=boundary,
+                constant=hist.from_constant(np.array([-2.0, -1.0]), 0.3))
+    s = IntegrationSettings(h=2e-3, T=0.3)
+    for name, xi in wins.items():
+        fast = rzk.integrate(example_setup["dyn"], example_setup["ctrl"],
+                             xi.copy(), s)
+        slow = simulate._integrate_general(example_setup["dyn"],
+                                           example_setup["ctrl"], xi.copy(), s)
+        for col in ("xs", "us", "margins", "slopes"):
+            np.testing.assert_array_equal(getattr(fast, col),
+                                          getattr(slow, col),
+                                          err_msg=f"{name} {col}")
+
+
 def _bits(a):
     # bit patterns, so 0.0 and -0.0 differ
     return np.ascontiguousarray(a, dtype=float).tobytes()
