@@ -474,7 +474,7 @@ def cmd_verify(args):
         path = os.path.join(args.out, _trajectory_file(cfg.prefix, k))
         try:
             tr = io.trajectory_from_csv(*io.read_trajectory_csv(path),
-                                        cfg.delta, w)
+                                        build.dyn, w)
         except ValueError as e:
             raise ConfigError(f"{path} is not a trajectory CSV: {e}") from None
         if not np.array_equal(tr.xs[0], w.latest_state):

@@ -321,10 +321,16 @@ def combine_clbrf(V, B, psi):
     def grad_many(X):
         return V.grad_many(X) + psi * B.grad_many(X)
 
-    def value_grad(x):
-        v, gv = v_point(x)
-        b, gb = b_point(x)
-        return v + psi * b, tuple([g + psi * c for g, c in zip(gv, gb)])
+    if V.n == 2:
+        def value_grad(x):
+            v, (g0, g1) = v_point(x)
+            b, (c0, c1) = b_point(x)
+            return v + psi * b, (g0 + psi * c0, g1 + psi * c1)
+    else:
+        def value_grad(x):
+            v, gv = v_point(x)
+            b, gb = b_point(x)
+            return v + psi * b, tuple([g + psi * c for g, c in zip(gv, gb)])
 
     return ScalarField(V.n, value_many, grad_many, name="W",
                        value_grad=value_grad)

@@ -55,12 +55,14 @@ def read_trajectory_csv(path):
     return names, data
 
 
-def trajectory_from_csv(names, data, delta, ic):
-    """Rebuild a Trajectory from CSV columns.
+def trajectory_from_csv(names, data, dyn, ic):
+    """Rebuild a Trajectory from CSV columns of a run of the plant dyn.
 
     State derivatives are estimated by central differences (one-sided at
-    the ends); the verifier's reads at theta = -delta need them where
-    delta/h is not an integer and the read falls between rows.
+    the end); the verifier's reads at theta = -delta need them where
+    delta/h is not an integer and the read falls between rows.  The one at
+    t = 0, the initial window's slope in the reads at or before t = 0, is
+    the run's own: the plant's xdot on the window with the recorded u.
     ic is the run's initial window, as its config gives it: the pre-history
     is not recoverable from the CSV.  Raises ValueError when a column is
     missing or there are fewer than two samples.
@@ -73,19 +75,20 @@ def trajectory_from_csv(names, data, delta, ic):
     missing = [c for c in ["t", *xn, *un, "margin"] if c not in col]
     if missing:
         raise ValueError(f"missing columns: {', '.join(missing)}")
-    ts = col["t"]
+    # copies, so that the trajectory does not hold the whole table
+    ts = col["t"].copy()
     xs = np.column_stack([col[c] for c in xn])
     us = np.column_stack([col[c] for c in un])
-    margins = col["margin"]
+    margins = col["margin"].copy()
     N = ts.shape[0]
     if N < 2:
         raise ValueError("need at least two samples")
     h = float(ts[1] - ts[0])
     slopes = np.empty_like(xs)
     slopes[1:-1] = (xs[2:] - xs[:-2]) / (2.0 * h)
-    slopes[0] = (xs[1] - xs[0]) / h
+    slopes[0] = dyn.f(ic) + dyn.g(ic) @ us[0]
     slopes[-1] = (xs[-1] - xs[-2]) / h
-    meta = {"h": h, "T": float(ts[-1]), "delta": float(delta)}
+    meta = {"h": h, "T": float(ts[-1]), "delta": dyn.delta}
     return Trajectory(ts, xs, us, margins, slopes, meta, ic)
 
 

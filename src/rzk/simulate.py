@@ -15,7 +15,9 @@ path's arithmetic (same reads, same formulas) and exists purely for
 speed.  Its history reads stay vectorized over lanes and blocks of steps,
 reads at t <= 0 going through each lane's own initial window, while each
 RK stage runs per lane in plain floats on the certificate's per-point
-form, so a lane's result does not depend on the other lanes.  Other
+form, so a lane's result does not depend on the other lanes.  Each step
+writes its row of one state/slope/input/margin table once and takes the
+sup's rows with one max for both of its read times.  Other
 plants and tau < h still take the general path.  Both paths take the
 feedback from `controller`: the general path steps on
 `controller.evaluate`, the lockstep's stages on `controller.law`.  Both
@@ -34,12 +36,15 @@ from .system import ExampleDynamics, friction
 
 
 class IntegrationSettings:
-    """Step and horizon of a run, both finite and positive."""
+    """Step and horizon of a run, both finite and positive, the horizon at
+    least one step."""
 
     def __init__(self, h=1e-3, T=20.0):
         self.h, self.T = float(h), float(T)
         if not (0.0 < self.h < math.inf and 0.0 < self.T < math.inf):
             raise ValueError("need finite h > 0 and T > 0")
+        if self.T < self.h:
+            raise ValueError("need T >= h: a run takes at least one step")
 
 
 class Trajectory:
@@ -201,7 +206,9 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     the lane's k1 after the first stage.  The sup's rows are each step's
     first-stage certificate values, weighted from `history.lag_weights`,
     and the initial windows' own samples.  The RK stages run lane by lane
-    in floats; each step writes the xs/ms/us/margins rows.
+    in floats; each step writes its row of the one (state, slope, input,
+    margin) table and its certificate values once, at its first stage,
+    and takes one max over the rows behind both its read times.
     """
     h = settings.h
     nsteps = int(round(settings.T / h))
@@ -211,13 +218,11 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     K = len(ics)
     wins = [w.copy() for w in ics]
 
-    # NaN until written, so a read of a row that is not final yet shows
-    xs = np.full((N, K, 2), np.nan)
-    ms = np.full((N, K, 2), np.nan)
-    us = np.empty((N, K))
-    margins = np.empty((N, K))
+    # per row and lane the state, its k1, the input and the margin; NaN
+    # until written, so a read of a row that is not final yet shows
+    tab = np.full((N, K, 6), np.nan)
+    xs, ms, us, margins = tab[..., :2], tab[..., 2:4], tab[..., 4], tab[..., 5]
     wv = np.empty((K, N))             # certificate per lane and row
-    xs[0] = [w.latest_state for w in wins]
 
     # read tables by stage offset c (in steps past t_i): stages 1 and 2 read
     # at t_i + h/2, stage 3 of step i and stage 0 of step i + 1 at t_{i+1}.
@@ -239,9 +244,13 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     lam, gam, eta, mu = ((ctrl.lam, ctrl.gains.gamma, ctrl.gains.eta,
                           ctrl.gains.mu) if ctrl is not None else (0.0,) * 4)
     # the rows i - l behind the reads at t_i + h/2 and t_{i+1} have lags
-    # l + 1/2 and l + 1: their weights, oldest row first
+    # l + 1/2 and l + 1: their weights, oldest row first, stacked over the
+    # M rows both reads reach.  Where floor(2 delta/h) is odd the read at
+    # t_i + h/2 also reaches row i - M, at lag M + 1/2
     lagw = hist.lag_weights(mu, h, dsteps)
-    tabs = [lagw[1::2][::-1], lagw[2::2][::-1]]
+    M = (lagw.shape[0] - 1) // 2
+    lagm = np.stack([lagw[1:2 * M:2], lagw[2::2]])[:, None, ::-1]
+    w_old = lagw[-1] if lagw.shape[0] % 2 == 0 else None
     ew = math.exp(-mu * delta)
     if cert is not None:
         pre = [(s, cert.value_many(X)) for s, X in map(hist.pre_rows, wins)]
@@ -278,16 +287,17 @@ def _lockstep_example(dyn, ctrl, ics, settings):
                      rb[0] * xs[rows] + rb[1] * ms[rows]
                      + rb[2] * xs[nxt] + rb[3] * ms[nxt])
 
-    def row_max(i):
-        """Weighted max over the rows behind the reads at t_i + h/2 and
-        t_{i+1}: (2, K)."""
-        out = np.empty((2, K))
-        for c, w in enumerate(tabs):
-            a = wv[:, max(i + 1 - w.shape[0], 0):i + 1]
-            if mu:
-                a = a * w[w.shape[0] - a.shape[1]:]
-            a.max(axis=1, out=out[c])
-        return out
+    def sup_max(i, g):
+        """The max of the sup terms g (2, K) of the reads at t_i + h/2 and
+        t_{i+1} and of the weighted rows behind them, as (2, K) floats."""
+        a = wv[:, max(i + 1 - M, 0):i + 1]
+        # at mu = 0 every weight is 1.0, so one max serves both reads
+        if mu:
+            a = a * lagm[..., M - a.shape[1]:]
+        g = np.maximum(a.max(axis=-1), g)
+        if w_old is not None and i >= M:
+            np.maximum(g[0], wv[:, i - M] * w_old, out=g[0])
+        return g.tolist()
 
     vg = cert.value_grad if cert is not None else None
     hh = 0.5 * h
@@ -313,19 +323,17 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
     # windows with their stored slopes at t = 0; every later read finds
     # the lane's k1 there instead
-    x = xs[0].tolist()
+    x = [tuple(w.latest_state.tolist()) for w in wins]
     fr, far = reads(np.zeros((1, 1)), np.empty((2, 1, 1, K, 2)))
     f_end = fr[0, 0].tolist()
     g_mid = g_end = [0.0] * K if cert is None else far[0, 0].tolist()
     lanes = range(K)
     for i in range(nsteps + 1):
         k1 = [stage(x[k][0], x[k][1], f_end[k], g_end[k]) for k in lanes]
-        ms[i] = [r[:2] for r in k1]
+        tab[i] = [x[k] + k1[k][:4] for k in lanes]
         if i == 0:
             for w, m in zip(wins, ms[0]):
                 w.ms[w.count - 1] = m
-        us[i] = [r[2] for r in k1]
-        margins[i] = [r[3] for r in k1]
         if i == nsteps:
             break
         j = i % L
@@ -336,7 +344,7 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         f_mid, f_end = fr[0][j], fr[1][j]
         if cert is not None:
             wv[:, i] = [r[4] for r in k1]
-            g_mid, g_end = np.maximum(row_max(i), far[:, j]).tolist()
+            g_mid, g_end = sup_max(i, far[:, j])
         for k in lanes:
             x0, x1 = x[k]
             a0, a1 = k1[k][:2]
@@ -348,7 +356,6 @@ def _lockstep_example(dyn, ctrl, ics, settings):
                            g_end[k])[:2]
             x[k] = (x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0),
                     x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1))
-        xs[i + 1] = x
 
     ts = np.arange(N) * h
     out = []
@@ -357,10 +364,10 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         finite = np.isfinite(xs[:, k, :]).all(axis=1)
         lane_ok = bool(finite.all())
         cut = N if lane_ok else int(np.argmax(~finite))
-        out.append(Trajectory(ts[:cut], xs[:cut, k, :].copy(),
-                              us[:cut, k].reshape(-1, 1),
-                              margins[:cut, k].copy(), ms[:cut, k, :].copy(),
-                              md, ics[k].copy(), not lane_ok))
+        # views, not copies: the table lives as long as the lanes' runs
+        out.append(Trajectory(ts[:cut], xs[:cut, k], us[:cut, k, None],
+                              margins[:cut, k], ms[:cut, k], md,
+                              ics[k].copy(), not lane_ok))
     return out
 
 

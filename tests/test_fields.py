@@ -267,23 +267,25 @@ _NEAR_WALL = st.tuples(_open(-3.0, -1.0),
 
 
 _Q3 = [[2.0, -0.3, 0.7], [-0.3, 1.5, 0.1], [0.7, 0.1, 0.9]]
+_Q3_NEG = [[-0.4, 0.2, 0.0], [0.2, -1.1, 0.3], [0.0, 0.3, -0.6]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL),
                 min_size=1, max_size=40))
 def test_per_point_form_equals_batch_rows(points):
-    # V (unrolled for n = 2), B and W have a native per-point form, a 3x3
-    # quadratic the generic loop and the hazard the one-row fallback; each
-    # must give its batch row bit for bit
+    # V and W (unrolled for n = 2) and B have a native per-point form, a
+    # 3x3 quadratic and a W built from two of them the generic loops, the
+    # hazard the one-row fallback; each must give its batch row bit for bit
     X = np.array(points, dtype=float)
     X3 = np.column_stack([X, X[:, 0] - 2.0 * X[:, 1]])
     V = rzk.example_lyapunov()
     B = rzk.example_barrier()
     W = rzk.combine_clbrf(V, B, 82.0)
     Q3 = rzk.quadratic_field(np.array(_Q3), name="Q3")
+    W3 = rzk.combine_clbrf(Q3, rzk.quadratic_field(np.array(_Q3_NEG)), 82.0)
     for fld, pts in ((V, X), (B, X), (W, X), (rzk.example_hazard(), X),
-                     (Q3, X3)):
+                     (Q3, X3), (W3, X3)):
         val = fld.value_many(pts)
         grad = fld.grad_many(pts)
         for row, p in enumerate(pts.tolist()):

@@ -59,7 +59,8 @@ def test_trajectory_from_csv_reconstruction(tmp_path, short_run, example_setup):
         bound=None)
     io.write_trajectory_csv(p, names, data)
     names2, data2 = io.read_trajectory_csv(p)
-    tr = io.trajectory_from_csv(names2, data2, 0.3, short_run.ic_window)
+    tr = io.trajectory_from_csv(names2, data2, example_setup["dyn"],
+                                short_run.ic_window)
     assert np.array_equal(tr.xs, short_run.xs)
     assert np.array_equal(tr.ts, short_run.ts)
     assert tr.meta["delta"] == 0.3

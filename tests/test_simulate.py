@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import cli, controller, history as hist, simulate, verify
+from rzk import cli, controller, history as hist, io, simulate, verify
 from rzk.simulate import IntegrationDiverged, IntegrationSettings
 
 
@@ -179,6 +179,10 @@ def test_settings_and_window_validation(example_setup, monkeypatch):
         IntegrationSettings(h=0.0, T=1.0)
     with pytest.raises(ValueError):
         IntegrationSettings(h=1e-3, T=0.0)
+    # a horizon shorter than one step would give a one-sample run, which
+    # the decrease check would pass vacuously
+    with pytest.raises(ValueError, match="at least one step"):
+        IntegrationSettings(h=1e-3, T=4e-4)
     # NaN fails every comparison, so it must be refused by name, as must
     # an unbounded horizon, before the run divides T by h
     for h, T in ((math.nan, 1.0), (1e-3, math.nan), (1e-3, math.inf),
@@ -275,15 +279,18 @@ def test_mixed_batch_runs_constant_starts_in_one_lockstep(example_setup,
 
 
 @pytest.mark.parametrize("case", [
-    {"tau": 2e-3}, {"tau": 3e-3}, {"h": 1.7e-3}, {"h": 4e-3}, {"mu": 0.5},
+    {"tau": 2e-3}, {"tau": 3e-3}, {"h": 1.7e-3}, {"h": 0.3 / 176.5},
+    {"h": 0.3 / 176.5, "mu": 0.5}, {"h": 4e-3}, {"mu": 0.5},
     {"kind": "V"}, {"kind": "B"}, {"kind": None}],
-    ids=["tau=h", "tau=1.5h", "h=1.7e-3", "h=4e-3", "mu", "V", "B", "open"])
+    ids=["tau=h", "tau=1.5h", "h=1.7e-3", "D=176.5", "D=176.5,mu",
+         "h=4e-3", "mu", "V", "B", "open"])
 def test_lockstep_matches_general_path(example_setup, case):
     # the lockstep's unwritten rows are NaN, so a read ahead of the accepted
     # history would show here; tau = h and 1.5 h put the delayed read next
     # to the frontier (blocks of one step), h = 1.7e-3 puts the read at
-    # theta = -delta between rows (delta/h = 176.5), h = 4e-3 on a row of
-    # a coarse run
+    # theta = -delta between rows (delta/h = 176.47), h = 4e-3 on a row of
+    # a coarse run.  At delta/h = 176.5 the read at t_i + h/2 reaches one
+    # row more than the read at t_{i+1}, the oldest, at lag 176.5 steps
     dyn = rzk.example_system(rzk.ExampleConfig(case.get("tau", 0.3)))
     kind = case.get("kind", "W")
     ctrl = None
@@ -419,6 +426,27 @@ def test_sampled_lanes_act_on_the_rebuilt_sup(example_setup, mu):
             err_msg=name)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_csv_recheck_reads_the_sampled_start_with_the_runs_k1(
+        example_setup, mu, tmp_path):
+    # a CSV holds no slopes; the re-check takes the one at t = 0, through
+    # which the reads of the last pre-history interval go, from the plant
+    # and the recorded u, so it rebuilds the run's sup exactly
+    dyn = example_setup["dyn"]
+    V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
+    ctrl = rzk.ControllerSpec(W, rzk.RazumikhinGains(2.5, 2.0, mu), 2.0)
+    wins = _sampled_windows()
+    trajs = rzk.batch_integrate(dyn, ctrl, list(wins.values()),
+                                IntegrationSettings(h=1e-3, T=1.0))
+    for (name, w), tr in zip(wins.items(), trajs):
+        path = tmp_path / "tr.csv"
+        io.write_trajectory_csv(path, *io.trajectory_columns(tr, V, B, W))
+        back = io.trajectory_from_csv(*io.read_trajectory_csv(path), dyn, w)
+        assert _bits(back.slopes[0]) == _bits(tr.slopes[0]), name
+        assert _bits(verify.field_sup_series(back, W, mu)) \
+            == _bits(verify.field_sup_series(tr, W, mu)), name
+
+
 def _whole_history(tr):
     """One HistoryWindow holding the initial window and every row of tr,
     each row with its slope, at the initial window's times."""
@@ -479,6 +507,55 @@ def test_engines_take_the_sup_on_rows_endpoint_and_stage(example_setup,
         got = (gains.gamma * cert.value_many(tr.xs) - tr.margins) / gains.eta
         ref = _brute_force_sup(tr, cert, mu)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("steps", [176.5, 176.9, 300.0])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_lockstep_mid_step_sup_takes_every_row_in_reach(example_setup,
+                                                        monkeypatch, steps,
+                                                        mu):
+    # the margins show the sup at the samples only; the sup at t_i + h/2,
+    # which stages 1 and 2 act on, is read back from each stage's
+    # activation a = gamma W - eta sup under a dead-zone certificate.  Where
+    # floor(2 delta/h) is odd (176.5, 176.9) that read reaches one row more
+    # than the read at t_{i+1}, the oldest, at lag floor(2 delta/h)/2 steps;
+    # from this start, at 176.9, it beats every other row and the endpoint
+    # read at three steps
+    W = example_setup["W"]
+    vals, acts = [], []
+
+    def point(x):
+        v = float(W.value_many(np.array([x]))[0])
+        vals.append(v)
+        return v, (0.0, 0.0)
+
+    def law(a, qq, lam):
+        acts.append(a)
+        return controller.law(a, qq, lam)
+
+    cert = rzk.ScalarField(2, W.value_many, lambda X: np.zeros(X.shape),
+                           value_grad=point)
+    gains = rzk.RazumikhinGains(2.5, 2.0, mu)
+    monkeypatch.setattr(simulate, "law", law)
+    h = 0.3 / steps
+    tr = simulate._lockstep_example(
+        example_setup["dyn"], rzk.ControllerSpec(cert, gains, 2.0),
+        [hist.from_constant(np.array([0.5, -2.0]), 0.3)],
+        IntegrationSettings(h=h, T=3.0))[0]
+    got = ((gains.gamma * np.array(vals) - np.array(acts))
+           / gains.eta)[:-1].reshape(-1, 4)
+    whole, _ = _whole_history(tr)
+    times = whole.ts[:whole.count]
+    rows = W.value_many(whole.xs[:whole.count])
+    for i, t in enumerate(tr.ts[:-1] + 0.5 * h):
+        end = W.value(whole.interp_times([t - 0.3])[0])
+        near = (times >= t - 0.3 - 1e-12) & (times <= t)
+        ref = np.max(np.exp(mu * np.concatenate([[-0.3], times[near] - t]))
+                     * np.concatenate([[end], rows[near]]))
+        for k in (1, 2):
+            v = vals[4 * i + k]
+            np.testing.assert_allclose(got[i, k], max(ref, v), rtol=1e-10,
+                                       atol=1e-10, err_msg=f"step {i}")
 
 
 _Q = st.one_of(st.floats(1e-5, 1e3), st.floats(-1e3, -1e-5),

@@ -335,8 +335,8 @@ def test_recorded_sup_equals_rebuilt_sup(example_setup, kind, mu, steps,
         assert not tr.diverged
         path = tmp_path / f"{k}.csv"
         io.write_trajectory_csv(path, *io.trajectory_columns(tr, V, B, W))
-        from_csv = io.trajectory_from_csv(*io.read_trajectory_csv(path), 0.3,
-                                          ics[k])
+        from_csv = io.trajectory_from_csv(*io.read_trajectory_csv(path),
+                                          example_setup["dyn"], ics[k])
         assert _bits(verify.field_sup_series(from_csv, field, mu)) \
             == _bits(verify.field_sup_series(tr, field, mu))
         assert (repr(verify.decrease_check(from_csv, field, gains).as_dict())
