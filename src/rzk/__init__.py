@@ -13,7 +13,7 @@ from .fields import (ScalarField, SandwichBounds, RegionBox, quadratic_field,
                      example_sandwich, example_margin, combine_clbrf,
                      finite_diff_check, check_sandwich, EXAMPLE_BOX)
 from .system import (DelayDynamics, ExampleConfig, ExampleDynamics, friction,
-                     example_system, pure_delay_system)
+                     example_system)
 from .controller import (RazumikhinGains, ControllerSpec, kappa, evaluate,
                          control, scp_probe)
 from .halanay import (DecayCertificate, decay_rate, gamma_fn,

@@ -22,7 +22,7 @@ from . import history as hist
 from .controller import ControllerSpec, RazumikhinGains
 from .fields import (EXAMPLE_BOX, combine_clbrf, example_barrier,
                      example_lyapunov, example_margin, example_sandwich)
-from .simulate import IntegrationSettings, batch_integrate
+from .simulate import IntegrationSettings, _check_settings, batch_integrate
 from .system import ExampleConfig, example_system
 
 log = logging.getLogger("rzk.cli")
@@ -72,6 +72,12 @@ def _number(val, name):
     return out
 
 
+def _section(data, key):
+    sec = data.get(key, {})
+    _require(isinstance(sec, dict), f"{key} must be an object")
+    return sec
+
+
 class RunConfig:
     """Validated run description; see demo_config() for the full shape."""
 
@@ -82,16 +88,14 @@ class RunConfig:
         _require(data.get("schema_version") == SCHEMA_VERSION,
                  f"schema_version must be {SCHEMA_VERSION}")
 
-        system = data.get("system", {})
+        system = _section(data, "system")
         _require(system.get("name") == "example",
                  "system.name must be 'example'")
         self.delta = _number(system.get("delta", 0.3), "system.delta")
         _require(self.delta > 0, "system.delta must be positive")
         self.tau = _number(system.get("tau", self.delta), "system.tau")
-        _require(0.0 <= self.tau <= self.delta,
-                 "system.tau must lie in [0, system.delta]")
 
-        cert = data.get("certificate", {})
+        cert = _section(data, "certificate")
         self.kind = cert.get("kind", "W")
         _require(self.kind in ("V", "B", "W", "none"),
                  "certificate.kind must be one of V, B, W, none")
@@ -99,7 +103,7 @@ class RunConfig:
         if self.kind == "W":
             _require(self.psi > 0, "certificate.psi must be positive")
 
-        gains = data.get("gains", {})
+        gains = _section(data, "gains")
         self.gamma = _number(gains.get("gamma", 2.5), "gains.gamma")
         self.eta = _number(gains.get("eta", 2.0), "gains.eta")
         self.mu = _number(gains.get("mu", 0.0), "gains.mu")
@@ -119,6 +123,11 @@ class RunConfig:
                 _require(set(entry) == {"times", "states"},
                          f"initial_conditions[{k}]: sampled entries need "
                          "exactly 'times' and 'states'")
+                _require(isinstance(entry["times"], list)
+                         and isinstance(entry["states"], list)
+                         and all(isinstance(s, list) for s in entry["states"]),
+                         f"initial_conditions[{k}]: times and states must be "
+                         "lists")
                 times = [_number(t, f"initial_conditions[{k}].times")
                          for t in entry["times"]]
                 states = [[_number(v, f"initial_conditions[{k}].states")
@@ -145,25 +154,28 @@ class RunConfig:
                          f"initial_conditions[{k}] must have 2 components")
                 self.initial_conditions.append(vec)
 
-        integ = data.get("integration", {})
+        integ = _section(data, "integration")
         self.h = _number(integ.get("h", 1e-3), "integration.h")
         self.T = _number(integ.get("T", 20.0), "integration.T")
         if "grid" in integ:
             # written by configs from before the sup was taken on the rows
             log.warning("integration.grid is ignored: the history sup is "
                         "taken on the run's own sample rows")
-        _require(self.h > 0 and self.T > 0, "integration.h and .T must be "
-                 "positive")
-        _require(self.T >= self.h,
-                 "integration.T must be at least one step, integration.h")
-        _require(self.h <= self.delta / 4.0 + 1e-15,
-                 "integration.h must satisfy h <= delta/4")
+        # the plant's and the step's rules, checked as batch_integrate does
+        try:
+            _check_settings(example_system(ExampleConfig(self.tau,
+                                                         self.delta)),
+                            IntegrationSettings(h=self.h, T=self.T))
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
-        self.prefix = str(data.get("outputs", {}).get("prefix", "trajectory"))
+        self.prefix = str(_section(data, "outputs").get("prefix",
+                                                        "trajectory"))
         _require(self.prefix and all(c.isalnum() or c in "-_"
                                      for c in self.prefix),
                  "outputs.prefix must be a plain file name stem")
-        self.seed = int(data.get("seed", 0))
+        self.seed = data.get("seed", 0)
+        _require(type(self.seed) is int, "seed must be an integer")
 
         self.sweep = data.get("sweep")
         if self.sweep is not None:

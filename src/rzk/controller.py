@@ -4,9 +4,9 @@ The feedback is kappa(lambda, a, q) with a the certificate's drift-side
 activation (Lie derivative plus gain terms minus the delay-weighted history
 sup) and q the input-side Lie derivative.  One formula serves the
 stabilizing, safety, and combined designs; only the certificate changes.
-`law` is that formula's one copy: `kappa`, the window-form `evaluate` that
-the general integrator steps on (its sup on the window's own rows), and
-the lockstep's per-lane stages all call it.
+`law` is that formula's one copy: `kappa`, the window-form `evaluate`
+(its sup on the window's own rows) behind `control`, `scp_probe` and the
+reference integrator, and the lockstep's per-lane stages all call it.
 """
 
 import logging
@@ -103,27 +103,19 @@ def evaluate(spec, dyn, window):
     return Evaluation(f + G @ u, u, lf, q, a, margin)
 
 
-def control(spec, dyn, window, details=None):
+def control(spec, dyn, window):
     """u = kappa(lambda, a, q) at the head of window.
 
     Closed-loop margin Lf + q.u + gamma*field - eta*sup equals
     -sqrt(a^2 + lambda*||q||^4) when ||q|| is above threshold, else a.
     If ||q|| is below threshold while a > 0 (the only way the margin is
     positive) the certificate's strict decrease condition failed at this
-    window; that is reported (it falsifies the candidate certificate)
-    rather than hidden.
-
-    `details`, when given, is a dict filled with a/q/margin/flags.
+    window; that is logged (it falsifies the candidate certificate)
+    rather than hidden.  `evaluate` returns a, q and the margin.
     """
     ev = evaluate(spec, dyn, window)
     if ev.margin > 0:
         log.warning("certificate violation: q ~ 0 but a = %.3e > 0", ev.a)
-        if details is not None:
-            details["certificate_violation"] = True
-    if details is not None:
-        details["a"] = float(ev.a)
-        details["q"] = ev.q
-        details["margin"] = float(ev.margin)
     return ev.u
 
 

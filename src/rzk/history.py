@@ -119,7 +119,8 @@ class HistoryWindow:
         self._append(t, x, m)
 
     def push_scratch(self, t, x, slope=None):
-        """Push a provisional stage sample; removable with pop_scratch."""
+        """Push a provisional stage sample, as the reference integrator
+        does at each RK stage; removable with pop_scratch."""
         self.push(t, x, slope)
         self._scratch += 1
 

@@ -1,29 +1,23 @@
 """Method-of-steps closed-loop integration.
 
 `batch_integrate(dyn, ctrl, ics, settings)` is the one entry: it checks the
-settings and every initial window, then picks a path once for the whole
-batch; `integrate` is its one-start form.  Trajectories carry states,
-inputs, margins and slopes; callers evaluate the certificate fields they
-need on `Trajectory.xs`.
+plant, the settings and every initial window, then integrates the whole
+batch of runs of the example plant in one lockstep, at tau = 0 or tau >= h;
+`integrate` is its one-start form.  Trajectories carry states, inputs,
+margins and slopes; callers evaluate the certificate fields they need on
+`Trajectory.xs`.
 
-Fixed-step classic RK4; delayed reads go through the history window, with
-provisional scratch extensions so every RK stage sees a stage-consistent
-history.  The feedback is recomputed at every stage.  A fast path
-integrates whole batches of runs of the example plant in lockstep, from
-constant and sampled initial windows alike; it reproduces the general
-path's arithmetic (same reads, same formulas) and exists purely for
-speed.  Its history reads stay vectorized over lanes and blocks of steps,
-reads at t <= 0 going through each lane's own initial window, while each
-RK stage runs per lane in plain floats on the certificate's per-point
-form, so a lane's result does not depend on the other lanes.  Each step
-writes its row of one state/slope/input/margin table once and takes the
-sup's rows with one max for both of its read times.  Other
-plants and tau < h still take the general path.  Both paths take the
-feedback from `controller`: the general path steps on
-`controller.evaluate`, the lockstep's stages on `controller.law`.  Both
-take the history sup on the run's own rows (see `history`): the read at
-theta = -Delta, every accepted row in [t - Delta, t], the initial window's
-samples included, and the stage value at theta = 0.
+Fixed-step classic RK4, the feedback recomputed at every stage.  The
+lockstep's history reads are vectorized over lanes and blocks of steps,
+reads at t <= 0 going through each lane's own initial window, constant or
+sampled, while each RK stage runs per lane in plain floats on the
+certificate's per-point form and `controller.law`, so a lane's result does
+not depend on the other lanes.  Each step writes its row of one
+state/slope/input/margin table once and takes the sup's rows with one max
+for both of its read times.  The history sup is taken on the run's own
+rows (see `history`): the read at theta = -Delta, every accepted row in
+[t - Delta, t], the initial window's samples included, and the stage value
+at theta = 0.  `_integrate_general` is the tests' reference integrator.
 """
 
 import math
@@ -91,28 +85,31 @@ class IntegrationDiverged(RuntimeError):
 def _check_settings(dyn, settings):
     if settings.h > dyn.delta / 4.0 + 1e-15:
         raise ValueError("step must satisfy h <= Delta/4")
+    if 0.0 < dyn.tau < settings.h:
+        raise ValueError("need tau = 0 or tau >= h: a delayed read at "
+                         "0 < tau < h falls inside the step being taken")
 
 
 def batch_integrate(dyn, ctrl, ics, settings):
     """Independent integrations from each initial window, order preserved.
 
-    ctrl is a ControllerSpec or None (None means u == 0; margins are then
-    NaN).  Raises ValueError before any work if the settings or any window
-    cannot serve the plant's delay horizon.  Diverged members come back as
-    truncated trajectories with .diverged = True rather than raising.  The
-    whole batch of the example plant, constant and sampled starts alike,
-    runs in one lockstep when tau >= h; other plants and settings take the
-    general path, start by start (bit-for-bit deterministic either way).
+    dyn is an ExampleDynamics (TypeError otherwise); ctrl is a
+    ControllerSpec or None (None means u == 0; margins are then NaN).
+    Raises ValueError before any work if the settings or any window cannot
+    serve the plant's delays.  Diverged members come back as truncated
+    trajectories with .diverged = True rather than raising.  The whole
+    batch, constant and sampled starts alike, runs in one lockstep.
     """
+    if not isinstance(dyn, ExampleDynamics):
+        raise TypeError("batch_integrate integrates the example plant only, "
+                        f"not {type(dyn).__name__}")
     ics = list(ics)
     _check_settings(dyn, settings)
     if not all(w.span_ok() for w in ics):
         raise ValueError("initial window must span the delay horizon")
     if not ics:
         return []
-    if _fast_eligible(dyn, settings):
-        return _lockstep_example(dyn, ctrl, ics, settings)
-    return [_integrate_general(dyn, ctrl, w, settings) for w in ics]
+    return _lockstep_example(dyn, ctrl, ics, settings)
 
 
 def integrate(dyn, ctrl, xi, settings):
@@ -128,6 +125,9 @@ def integrate(dyn, ctrl, xi, settings):
 
 
 def _integrate_general(dyn, ctrl, xi, settings):
+    """Reference integrator for any DelayDynamics, not called by the
+    package: each RK stage is `controller.evaluate` on the window with the
+    stage pushed as a provisional sample."""
     h = settings.h
     nsteps = int(round(settings.T / h))
     w = xi.copy()
@@ -187,28 +187,24 @@ def _integrate_general(dyn, ctrl, xi, settings):
 
 
 # ---------------------------------------------------------------------------
-# lockstep fast path for the example plant
-
-
-def _fast_eligible(dyn, settings):
-    # every stage's delayed read must stay within already-accepted history
-    return isinstance(dyn, ExampleDynamics) and dyn.tau >= settings.h
+# the lockstep engine for the example plant
 
 
 def _lockstep_example(dyn, ctrl, ics, settings):
     """Integrate K runs of the example plant in lockstep, each from its own
     initial window, constant or sampled.
 
-    Same reads and formulas as the general path.  The delayed reads and the
-    sup's reads at theta = -delta are made in blocks of L steps with a lane
-    axis, each block once every row it touches is final; reads at t <= 0
-    go through each lane's own initial window, whose t = 0 slope becomes
-    the lane's k1 after the first stage.  The sup's rows are each step's
-    first-stage certificate values, weighted from `history.lag_weights`,
-    and the initial windows' own samples.  The RK stages run lane by lane
-    in floats; each step writes its row of the one (state, slope, input,
-    margin) table and its certificate values once, at its first stage,
-    and takes one max over the rows behind both its read times.
+    Same reads and formulas as `_integrate_general`.  The delayed reads and
+    the sup's reads at theta = -delta are made in blocks of L steps with a
+    lane axis, each block once every row it touches is final; reads at
+    t <= 0 go through each lane's own initial window, whose t = 0 slope
+    becomes the lane's k1 after the first stage.  The sup's rows are each
+    step's first-stage certificate values, weighted from
+    `history.lag_weights`, and the initial windows' own samples.  The RK
+    stages run lane by lane in floats; each step writes its row of the one
+    (state, slope, input, margin) table and its certificate values once,
+    at its first stage, and takes one max over the rows behind both its
+    read times.
     """
     h = settings.h
     nsteps = int(round(settings.T / h))
@@ -229,11 +225,14 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     # Row 0 holds the delayed reads at t - tau, row 1 the sup's reads at
     # t - delta; the sample grid is uniform, so index offsets and basis
     # weights are constant.  With delta/h an integer D the read at
-    # t_{i+1} - delta is row i + 1 - D itself, weights (1, 0, 0, 0)
+    # t_{i+1} - delta is row i + 1 - D itself, weights (1, 0, 0, 0).
+    # At tau = 0 the friction reads the stage's own x2 (see `stage`), so
+    # row 0 is aimed at t - delta too, where every row it touches is final
     cs = np.array([0.5, 1.0])
-    delays = np.array([tau, delta]).reshape(2, 1, 1)
+    delays = np.array([tau or delta, delta]).reshape(2, 1, 1)
     dsteps = hist.delay_steps(delta, h)
-    ri0, *rb = hist.hermite_tables(np.stack([cs - tau / h, cs - dsteps]), h)
+    ri0, *rb = hist.hermite_tables(np.stack([cs - (tau / h if tau else dsteps),
+                                             cs - dsteps]), h)
     rb = np.stack(rb)[..., None, None, None]              # (4, 2, 2, 1, 1, 1)
     # the reads of step i touch rows up to i + top (the next row of a read
     # is clamped to i); after stage 0 of step r rows 0..r are final, so the
@@ -265,7 +264,7 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         early = tread <= 1e-15
         if early.any():
             for k, w in enumerate(wins):
-                # the read time as the general path's window forms it
+                # the read time as the reference's window forms it
                 v[early, k] = w.interp_times(
                     ((t + w.latest_time) - delays)[early])
         fric = friction(v[0, ..., 1])
@@ -318,6 +317,14 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         c, margin = law(a, q * q, lam)
         u = 0.0 if c is None else c * q
         return s1, f2 + u, u, margin, v0
+
+    if not tau:
+        # the friction of the stage's own x2, which the reference's read
+        # at the latest time returns exactly (weights (0, 0, 1, 0))
+        lane_stage = stage
+
+        def stage(s0, s1, fric, gmax):
+            return lane_stage(s0, s1, friction(s1), gmax)
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial

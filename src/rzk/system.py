@@ -27,7 +27,8 @@ class DelayDynamics:
 
 
 class ExampleConfig:
-    """Delay parameter for the example plant; tau in [0, 0.3]."""
+    """Delays of the example plant: the friction's tau in [0, delta] and
+    the history horizon delta."""
 
     def __init__(self, tau=0.3, delta=0.3):
         if not (0.0 <= tau <= delta):
@@ -72,21 +73,3 @@ def example_system(cfg=None):
     if cfg is None:
         cfg = ExampleConfig()
     return ExampleDynamics(cfg.tau, cfg.delta)
-
-
-def pure_delay_system(tau=0.3, delta=None):
-    """Scalar test plant xdot = -x(t - tau), u unused (m=1, g=0).
-
-    Method of steps gives piecewise polynomials, handy as an exact oracle.
-    """
-    if delta is None:
-        delta = tau
-
-    def drift(window):
-        xd = window.interp_times(np.array([window.latest_time - tau]))[0]
-        return -xd
-
-    def input_map(window):
-        return np.zeros((1, 1))
-
-    return DelayDynamics(1, 1, drift, input_map, delta)

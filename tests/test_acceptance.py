@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import rzk
-from rzk import halanay, history as hist, io, verify
+from rzk import halanay, history as hist, io, simulate, verify
 from rzk.simulate import IntegrationSettings
+
+from plants import pure_delay_system
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +111,10 @@ def test_step_refinement_shows_fourth_order(study):
 
 
 def test_pure_delay_reference_is_exact():
-    pd = rzk.pure_delay_system(0.3)
-    tr = rzk.integrate(pd, None, hist.from_constant(np.array([1.0]), 0.3),
-                       IntegrationSettings(h=1e-3, T=0.6))
+    pd = pure_delay_system(0.3)
+    tr = simulate._integrate_general(
+        pd, None, hist.from_constant(np.array([1.0]), 0.3),
+        IntegrationSettings(h=1e-3, T=0.6))
     exact = np.where(tr.ts <= 0.3, 1.0 - tr.ts,
                      0.5 * tr.ts ** 2 - 1.3 * tr.ts + 1.045)
     assert np.max(np.abs(tr.xs[:, 0] - exact)) <= 1e-8

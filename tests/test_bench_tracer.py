@@ -1,8 +1,9 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps rzk entry points
-by name and reads some of their arguments by position.  This runs it on a
-tiny simulate call, so a rename that would break a traced benchmark run
+by name and reads some of their arguments by position.  This runs it on
+tiny simulate calls, so a rename that would break a traced benchmark run
 shows here.  It only reads the benchmark's files."""
 
+import collections
 import json
 import os
 
@@ -13,18 +14,12 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
 
-def test_tracer_sees_sampled_and_constant_starts_in_one_lockstep(
-        tmp_path, monkeypatch):
+def _traced_simulate(cfg, tmp_path, monkeypatch):
+    """Run `rzk simulate` on cfg under the tracer: (exit code, per-layer
+    metrics, traced calls by span name)."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import spans
 
-    cfg = cli.demo_config()
-    cfg["integration"]["T"] = 0.02
-    times = [-0.3 + 0.01 * k for k in range(31)]
-    times[-1] = 0.0
-    cfg["initial_conditions"] = [
-        {"times": times, "states": [[1.0 + t, 2.0 - t] for t in times]},
-        [1.0, 2.0]]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     tracer = spans.Tracer()
@@ -35,11 +30,36 @@ def test_tracer_sees_sampled_and_constant_starts_in_one_lockstep(
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert {"simulate.lockstep", "simulate.general"} <= set(tracer.names)
     name, _, _, _ = tracer.arrays()
-    general = tracer.names.index("simulate.general")
-    assert int((name == general).sum()) == 0
-    assert metrics["simulate.lanes"][0] == 2
-    assert metrics["simulate.calls"][0] == 1
+    calls = collections.Counter(tracer.names[k] for k in name.tolist())
     # uninstalled: the package's own functions are back in place
     assert not hasattr(rzk.simulate._lockstep_example, "__wrapped__")
+    return code, metrics, calls
+
+
+def test_tracer_sees_sampled_and_constant_starts_in_one_lockstep(
+        tmp_path, monkeypatch):
+    cfg = cli.demo_config()
+    cfg["integration"]["T"] = 0.02
+    times = [-0.3 + 0.01 * k for k in range(31)]
+    times[-1] = 0.0
+    cfg["initial_conditions"] = [
+        {"times": times, "states": [[1.0 + t, 2.0 - t] for t in times]},
+        [1.0, 2.0]]
+    code, metrics, calls = _traced_simulate(cfg, tmp_path, monkeypatch)
+    assert code == 0
+    assert calls["simulate.general"] == 0
+    assert metrics["simulate.lanes"][0] == 2
+    assert metrics["simulate.calls"][0] == 1
+
+
+def test_tracer_sees_tau_zero_on_the_lockstep(tmp_path, monkeypatch):
+    cfg = cli.demo_config()
+    cfg["system"]["tau"] = 0.0
+    cfg["integration"]["T"] = 0.02
+    code, metrics, calls = _traced_simulate(cfg, tmp_path, monkeypatch)
+    assert code == 0
+    assert calls["simulate.lockstep"] == 1
+    assert calls["simulate.general"] == 0
+    assert metrics["simulate.lanes"][0] == 4

@@ -96,6 +96,14 @@ def test_zero_start_stays_at_zero(tmp_path):
     {"system": {"name": "other"}},
     {"outputs": {"prefix": "../escape"}},
     {"integration": {"T": 4e-4}},                      # T < h: no step
+    {"seed": "x"},
+    {"seed": 1.7},
+    {"system": []},
+    {"outputs": "a"},
+    {"integration": [1]},
+    {"gains": None},
+    {"system": {"tau": 5e-4}},                          # 0 < tau < h
+    {"initial_conditions": [{"times": 0.0, "states": [[0.0, 0.0]]}]},
 ])
 def test_config_validation_exits_2(tmp_path, capsys, mangle):
     cfgp = tmp_path / "bad.json"

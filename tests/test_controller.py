@@ -57,12 +57,8 @@ def test_control_details_match_hand_computation():
     #   margin = -sqrt(a^2 + lam*q^4) = -1.5
     spec, dyn = make_spec(0.5)
     w = hist.from_constant(np.array([1.0]), 0.3)
-    details = {}
-    u = rzk.control(spec, dyn, w, details)
+    u = rzk.control(spec, dyn, w)
     assert u[0] == pytest.approx(-1.0, abs=1e-14)
-    assert details["a"] == pytest.approx(-0.5, abs=1e-14)
-    assert np.allclose(details["q"], [1.0])
-    assert details["margin"] == pytest.approx(-1.5, abs=1e-14)
     ev = rzk.evaluate(spec, dyn, w)
     assert ev.lf == pytest.approx(-2.0, abs=1e-14)
     assert ev.a == pytest.approx(-0.5, abs=1e-14)
@@ -105,14 +101,16 @@ def test_evaluate_meets_the_margin_identity(a, lam, q):
             <= 16 * np.finfo(float).eps * (abs(a) + root))
 
 
-def test_margin_falls_back_to_a_when_input_side_dead():
+def test_margin_falls_back_to_a_when_input_side_dead(caplog):
     spec, dyn = make_spec(0.0)
     w = hist.from_constant(np.array([1.0]), 0.3)
-    details = {}
-    u = rzk.control(spec, dyn, w, details)
+    with caplog.at_level(logging.WARNING, logger="rzk.controller"):
+        u = rzk.control(spec, dyn, w)
     assert np.all(u == 0.0)
-    assert details["margin"] == pytest.approx(-0.5, abs=1e-14)
-    assert "certificate_violation" not in details
+    assert rzk.evaluate(spec, dyn, w).margin == pytest.approx(-0.5,
+                                                              abs=1e-14)
+    # a < 0: no certificate violation to report
+    assert not caplog.records
 
 
 def test_certificate_violation_is_reported(caplog):
@@ -123,12 +121,12 @@ def test_certificate_violation_is_reported(caplog):
     spec = rzk.ControllerSpec(flat, rzk.RazumikhinGains(2.0, 0.5), 2.0)
     dyn = scalar_plant(1.0)
     w = hist.from_constant(np.array([1.0]), 0.3)
-    details = {}
     with caplog.at_level(logging.WARNING, logger="rzk.controller"):
-        u = rzk.control(spec, dyn, w, details)
+        u = rzk.control(spec, dyn, w)
     assert np.all(u == 0.0)
-    assert details["certificate_violation"] is True
-    assert details["a"] == pytest.approx(1.5)
+    ev = rzk.evaluate(spec, dyn, w)
+    assert ev.margin > 0
+    assert ev.a == pytest.approx(1.5)
     assert any("certificate violation" in r.message for r in caplog.records)
 
 

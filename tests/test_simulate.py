@@ -8,23 +8,16 @@ import rzk
 from rzk import cli, controller, history as hist, io, simulate, verify
 from rzk.simulate import IntegrationDiverged, IntegrationSettings
 
+from plants import blowup_plant, exponential_plant, pure_delay_system
 
-def exponential_plant():
-    """xdot = -x(t), no delayed reads; exact solution e^{-t}."""
-    return rzk.DelayDynamics(1, 1, lambda w: -w.latest_state.copy(),
-                             lambda w: np.zeros((1, 1)), 0.3)
-
-
-def blowup_plant():
-    """xdot = x^2 escapes to infinity in finite time."""
-    return rzk.DelayDynamics(1, 1, lambda w: w.latest_state ** 2,
-                             lambda w: np.zeros((1, 1)), 0.3)
+# the reference integrator, for any DelayDynamics
+reference = simulate._integrate_general
 
 
 def test_pure_delay_matches_method_of_steps_exactly():
-    pd = rzk.pure_delay_system(0.3)
+    pd = pure_delay_system(0.3)
     xi = hist.from_constant(np.array([1.0]), 0.3)
-    tr = rzk.integrate(pd, None, xi, IntegrationSettings(h=0.01, T=0.6))
+    tr = reference(pd, None, xi, IntegrationSettings(h=0.01, T=0.6))
     ts = tr.ts
     # hand integration: constant history 1 gives x = 1 - t on [0, 0.3],
     # then x = t^2/2 - 1.3 t + 1.045 on [0.3, 0.6]
@@ -42,9 +35,9 @@ def test_pure_delay_matches_method_of_steps_on_random_grids(tau, k, data,
     # x = x0 (1 - tau - s + s^2/2), s = t - tau, on [tau, 2 tau]
     h = tau / k
     steps = data.draw(st.integers(1, 2 * k), label="steps")
-    pd = rzk.pure_delay_system(tau)
-    tr = rzk.integrate(pd, None, hist.from_constant(np.array([x0]), tau),
-                       IntegrationSettings(h=h, T=steps * h))
+    pd = pure_delay_system(tau)
+    tr = reference(pd, None, hist.from_constant(np.array([x0]), tau),
+                   IntegrationSettings(h=h, T=steps * h))
     t = tr.ts
     s = t - tau
     exact = x0 * np.where(t <= tau, 1.0 - t, 1.0 - tau - s + 0.5 * s * s)
@@ -55,23 +48,22 @@ def test_pure_delay_matches_method_of_steps_on_random_grids(tau, k, data,
 def test_delay_free_exponential_decay():
     dyn = exponential_plant()
     xi = hist.from_constant(np.array([1.0]), 0.3)
-    tr = rzk.integrate(dyn, None, xi, IntegrationSettings(h=1e-2, T=1.0))
+    tr = reference(dyn, None, xi, IntegrationSettings(h=1e-2, T=1.0))
     assert abs(tr.final_state()[0] - np.exp(-1.0)) < 1e-8
 
 
 def _assert_paths_agree(dyn, ctrl, s, xi=None, tol=1e-10):
-    # the lockstep against the general path, from the same initial window
+    # the lockstep against the reference, from the same initial window
     if xi is None:
         xi = hist.from_constant(np.array([-2.0, -1.0]), 0.3)
-    assert simulate._fast_eligible(dyn, s)
     fast = rzk.integrate(dyn, ctrl, xi.copy(), s)
-    slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s)
+    slow = reference(dyn, ctrl, xi.copy(), s)
     assert not fast.diverged and fast.xs.shape == slow.xs.shape
     for name in ("xs", "us", "slopes"):
         assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) < tol, \
             name
     # an open-loop run has no certificate, so its margins are NaN on both
-    # paths; a controlled run's margins must be finite and agree
+    # sides; a controlled run's margins must be finite and agree
     np.testing.assert_allclose(fast.margins, slow.margins, rtol=0, atol=tol,
                                equal_nan=ctrl is None)
 
@@ -115,18 +107,21 @@ def test_fast_and_general_paths_agree(example_setup):
 
 
 def test_lockstep_takes_the_example_plant_by_type_not_by_name():
-    # a plant with the example's shape and input map integrates its own
-    # equations: xdot = 0 stays at its start exactly
+    # a plant with the example's shape and input map is refused before any
+    # work; on the reference it integrates its own equations: xdot = 0
+    # stays at its start exactly
     still = rzk.DelayDynamics(2, 1, lambda w: np.zeros(2),
                               lambda w: np.array([[0.0], [1.0]]), 0.3)
     xi = hist.from_constant(np.array([1.0, 1.0]), 0.3)
     s = IntegrationSettings(h=1e-3, T=0.5)
-    assert not simulate._fast_eligible(still, s)
-    for tr in (rzk.integrate(still, None, xi, s),
-               rzk.batch_integrate(still, None, [xi], s)[0]):
-        assert np.array_equal(tr.xs, np.ones((501, 2)))
+    with pytest.raises(TypeError, match="example plant"):
+        rzk.integrate(still, None, xi, s)
+    with pytest.raises(TypeError, match="example plant"):
+        rzk.batch_integrate(still, None, [xi], s)
+    assert np.array_equal(reference(still, None, xi, s).xs, np.ones((501, 2)))
     # the example plant itself, built directly, is recognised
-    assert simulate._fast_eligible(rzk.ExampleDynamics(0.3, 0.3), s)
+    tr = rzk.integrate(rzk.ExampleDynamics(0.3, 0.3), None, xi, s)
+    assert tr.xs.shape == (501, 2) and not tr.diverged
 
 
 def test_integration_is_deterministic(example_setup):
@@ -143,21 +138,32 @@ def test_integration_is_deterministic(example_setup):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_carries_partial_trajectory():
-    dyn = blowup_plant()
-    xi = hist.from_constant(np.array([2.0]), 0.3)
-    with pytest.raises(IntegrationDiverged) as ei:
-        rzk.integrate(dyn, None, xi, IntegrationSettings(h=0.05, T=2.0))
-    tr = ei.value.trajectory
+def test_divergence_carries_partial_trajectory(example_setup):
+    # the reference cuts a blow-up at its last finite row
+    tr = reference(blowup_plant(), None,
+                   hist.from_constant(np.array([2.0]), 0.3),
+                   IntegrationSettings(h=0.05, T=2.0))
     assert tr.diverged
     assert np.all(np.isfinite(tr.xs))
     # analytic blowup is t=0.5; float overflow trails it by a few steps
     assert tr.ts[-1] < 1.0
-    assert ei.value.step_index == tr.xs.shape[0]
-    # the batch wrapper reports instead of raising
-    got = rzk.batch_integrate(dyn, None, [hist.from_constant(np.array([2.0]), 0.3)],
-                              IntegrationSettings(h=0.05, T=2.0))
-    assert len(got) == 1 and got[0].diverged
+    # the lockstep cuts a lane that goes non-finite: from (3, 1e154)
+    # under V the first step overflows, leaving the finite start row
+    dyn = example_setup["dyn"]
+    ctrl = rzk.ControllerSpec(example_setup["V"], example_setup["gains"], 2.0)
+    s = IntegrationSettings(h=1e-3, T=0.5)
+    start = np.array([3.0, 1e154])
+    with pytest.raises(IntegrationDiverged) as ei:
+        rzk.integrate(dyn, ctrl, hist.from_constant(start, 0.3), s)
+    tr = ei.value.trajectory
+    assert tr.diverged and ei.value.step_index == tr.xs.shape[0] == 1
+    assert np.array_equal(tr.xs, [start])
+    # the batch reports instead of raising, and the other lane runs on
+    got = rzk.batch_integrate(dyn, ctrl, [hist.from_constant(start, 0.3),
+                                          hist.from_constant(np.ones(2), 0.3)],
+                              s)
+    assert [g.diverged for g in got] == [True, False]
+    assert got[0].xs.shape == (1, 2) and got[1].xs.shape == (501, 2)
 
 
 def test_batch_matches_single_runs(example_setup):
@@ -193,6 +199,11 @@ def test_settings_and_window_validation(example_setup, monkeypatch):
     with pytest.raises(ValueError):
         rzk.integrate(dyn, None, hist.from_constant(np.zeros(2), 0.3),
                       IntegrationSettings(h=0.1, T=1.0))  # h > Delta/4
+    # at 0 < tau < h the delayed read falls inside the step being taken
+    with pytest.raises(ValueError, match="tau = 0 or tau >= h"):
+        rzk.batch_integrate(rzk.ExampleDynamics(5e-4, 0.3), None,
+                            [hist.from_constant(np.zeros(2), 0.3)],
+                            IntegrationSettings(h=1e-3, T=1.0))
     # a sampled window covering only [-0.1, 0] cannot serve a 0.3 horizon
     short = hist.HistoryWindow(2, 0.3)
     short.push(-0.1, np.zeros(2))
@@ -211,16 +222,18 @@ def test_settings_and_window_validation(example_setup, monkeypatch):
     assert ran == []
 
 
-def test_convergence_study_orders_on_smooth_plant():
-    dyn = exponential_plant()
-    xi = hist.from_constant(np.array([1.0]), 0.3)
-    study = rzk.convergence_study(dyn, None, xi, 1.0, [4e-2, 2e-2, 1e-2])
-    assert study["h"] == [4e-2, 2e-2, 1e-2]
+def test_convergence_study_orders_on_smooth_plant(example_setup):
+    # the open-loop example plant: every h divides tau and T, and x2 stays
+    # positive, away from the friction's kink at 0
+    dyn = example_setup["dyn"]
+    xi = hist.from_constant(np.array([-2.0, 3.0]), 0.3)
+    study = rzk.convergence_study(dyn, None, xi, 0.6, [6e-2, 3e-2, 1.5e-2])
+    assert study["h"] == [6e-2, 3e-2, 1.5e-2]
     assert len(study["slopes"]) == 1
     assert study["slopes"][0] == pytest.approx(4.0, abs=0.3)
     assert np.isnan(study["max_margins"][0])
     with pytest.raises(ValueError):
-        rzk.convergence_study(dyn, None, xi, 1.0, [1e-2, 5e-3])
+        rzk.convergence_study(dyn, None, xi, 0.6, [3e-2, 1.5e-2])
 
 
 def test_lockstep_evaluates_the_certificate_on_rows_and_endpoints(
@@ -281,13 +294,15 @@ def test_mixed_batch_runs_constant_starts_in_one_lockstep(example_setup,
 @pytest.mark.parametrize("case", [
     {"tau": 2e-3}, {"tau": 3e-3}, {"h": 1.7e-3}, {"h": 0.3 / 176.5},
     {"h": 0.3 / 176.5, "mu": 0.5}, {"h": 4e-3}, {"mu": 0.5},
-    {"kind": "V"}, {"kind": "B"}, {"kind": None}],
+    {"kind": "V"}, {"kind": "B"}, {"kind": None}, {"tau": 0.0},
+    {"tau": 0.0, "mu": 0.5}],
     ids=["tau=h", "tau=1.5h", "h=1.7e-3", "D=176.5", "D=176.5,mu",
-         "h=4e-3", "mu", "V", "B", "open"])
+         "h=4e-3", "mu", "V", "B", "open", "tau=0", "tau=0,mu"])
 def test_lockstep_matches_general_path(example_setup, case):
     # the lockstep's unwritten rows are NaN, so a read ahead of the accepted
     # history would show here; tau = h and 1.5 h put the delayed read next
-    # to the frontier (blocks of one step), h = 1.7e-3 puts the read at
+    # to the frontier (blocks of one step), tau = 0 reads the stage itself
+    # (blocks set by the read at theta = -delta), h = 1.7e-3 puts the read at
     # theta = -delta between rows (delta/h = 176.47), h = 4e-3 on a row of
     # a coarse run.  At delta/h = 176.5 the read at t_i + h/2 reaches one
     # row more than the read at t_{i+1}, the oldest, at lag 176.5 steps
@@ -348,8 +363,8 @@ def test_general_path_equals_lockstep_before_tau(example_setup):
     for name, xi in wins.items():
         fast = rzk.integrate(example_setup["dyn"], example_setup["ctrl"],
                              xi.copy(), s)
-        slow = simulate._integrate_general(example_setup["dyn"],
-                                           example_setup["ctrl"], xi.copy(), s)
+        slow = reference(example_setup["dyn"], example_setup["ctrl"],
+                         xi.copy(), s)
         for col in ("xs", "us", "margins", "slopes"):
             np.testing.assert_array_equal(getattr(fast, col),
                                           getattr(slow, col),
@@ -502,7 +517,7 @@ def test_engines_take_the_sup_on_rows_endpoint_and_stage(example_setup,
     else:
         xi = _sampled_windows()[start]
     fast = rzk.integrate(dyn, ctrl, xi.copy(), s)
-    slow = simulate._integrate_general(dyn, ctrl, xi.copy(), s)
+    slow = reference(dyn, ctrl, xi.copy(), s)
     for tr in (fast, slow):
         got = (gains.gamma * cert.value_many(tr.xs) - tr.margins) / gains.eta
         ref = _brute_force_sup(tr, cert, mu)

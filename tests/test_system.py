@@ -4,6 +4,8 @@ import pytest
 import rzk
 from rzk import history as hist
 
+from plants import pure_delay_system
+
 
 def test_friction_oracles():
     assert rzk.friction(1.0) == pytest.approx(1.7999999967021543, rel=1e-14)
@@ -71,7 +73,7 @@ def test_zero_delay_reads_head_state():
 
 
 def test_pure_delay_system_shape():
-    pd = rzk.pure_delay_system(0.3)
+    pd = pure_delay_system(0.3)
     assert pd.n == 1 and pd.m == 1
     w = hist.from_constant(np.array([2.0]), 0.3)
     assert np.allclose(pd.f(w), [-2.0])
