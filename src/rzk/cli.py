@@ -100,8 +100,8 @@ class RunConfig:
         _require(self.kind in ("V", "B", "W", "none"),
                  "certificate.kind must be one of V, B, W, none")
         self.psi = _number(cert.get("psi", DEFAULT_PSI), "certificate.psi")
-        if self.kind == "W":
-            _require(self.psi > 0, "certificate.psi must be positive")
+        # every kind writes W = V + psi B to its CSVs
+        _require(self.psi > 0, "certificate.psi must be positive")
 
         gains = _section(data, "gains")
         self.gamma = _number(gains.get("gamma", 2.5), "gains.gamma")
@@ -235,7 +235,7 @@ class _Build:
         self.unsafe = verify.example_unsafe_set()
         if cfg.eta > 0:
             self.cert = halanay.DecayCertificate(cfg.gamma, cfg.eta,
-                                                 cfg.delta, mu=cfg.mu)
+                                                 cfg.delta)
         else:
             self.cert = None
 
@@ -387,24 +387,22 @@ def cmd_simulate(args):
 
 
 def cmd_halanay(args):
-    if not (args.gamma > args.eta > 0):
-        raise ConfigError("need gamma > eta > 0")
-    if args.delta <= 0:
-        raise ConfigError("need delta > 0")
-    rho_bar = halanay.decay_rate(args.gamma, args.eta, args.delta,
-                                 args.variant)
-    print(f"rho_bar({args.variant}) = {rho_bar:.10f}")
+    try:
+        cert = halanay.DecayCertificate(args.gamma, args.eta, args.delta,
+                                        variant=args.variant)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    print(f"rho_bar({args.variant}) = {cert.rho_bar:.10f}")
     if not args.envelope:
         return 0
-    rho = 0.9 * rho_bar
     ts, vs = halanay.scalar_comparison_sim(args.gamma, args.eta, 0.0,
                                            args.delta, 1.0, args.T, 1e-3)
-    rep = halanay.check_envelope(ts, vs, 1.0, rho)
+    rep = halanay.check_envelope(ts, vs, 1.0, cert.rho)
     stride = max(1, ts.shape[0] // 10)
     print("t,v,bound")
     for k in range(0, ts.shape[0], stride):
-        print(f"{ts[k]:.3f},{vs[k]:.10e},{np.exp(-rho * ts[k]):.10e}")
-    print(f"max ratio = {rep['max_ratio']:.12f} at rho = {rho:.10f}")
+        print(f"{ts[k]:.3f},{vs[k]:.10e},{cert.envelope(1.0, ts[k]):.10e}")
+    print(f"max ratio = {rep['max_ratio']:.12f} at rho = {cert.rho:.10f}")
     return 0 if rep["pass"] else 1
 
 
@@ -425,7 +423,7 @@ def cmd_sweep(args):
     names, points = _sweep_points(cfg)
     header = ["index", "tau", "psi", "lambda", "gamma", "eta", "trajectories",
               "converged", "checks_pass", "min_safety_margin",
-              "max_envelope_ratio", "x0_1", "x0_2"]
+              "max_envelope_ratio", "x0_1", "x0_2", "final_norm"]
     lines = [",".join(header)]
     all_ok = True
     point_checks = {}
@@ -453,9 +451,9 @@ def cmd_sweep(args):
         if key not in point_checks:
             point_checks[key] = _point_checks(build)
         point, per, ok = _verify_batch(build, trajs, point_checks[key])
-        conv = all(not tr.diverged
-                   and np.linalg.norm(tr.xs[-1]) < CONVERGED_NORM
-                   for tr in trajs)
+        finals = [float(np.linalg.norm(tr.xs[-1])) for tr in trajs]
+        conv = all(not tr.diverged and f < CONVERGED_NORM
+                   for tr, f in zip(trajs, finals))
         margins = [c["safety"].worst for c in per
                    if c["safety"].worst is not None]
         ratios = [c["envelope"].worst for c in per
@@ -465,7 +463,7 @@ def cmd_sweep(args):
         row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(trajs),
                int(conv), int(ok),
                min(margins) if margins else float("inf"),
-               max(ratios) if ratios else float("nan")] + x0
+               max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
         lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
                               for v in row))
         all_ok = all_ok and ok

@@ -100,9 +100,9 @@ def quadratic_field(Q, name="quadratic"):
 
     Both are built coordinate by coordinate in one fixed order, (Q x)_i =
     sum_j Q_ij x_j and x^T Q x = sum_i x_i (Q x)_i, by the same arithmetic
-    on a batch's columns as on one point's floats, so a row's value does
-    not depend on its place in the batch.  For n = 2 the per-point form is
-    unrolled, in the same operation order.
+    on a batch's columns, so a row's value does not depend on its place in
+    the batch.  For n = 2 the per-point form is unrolled, in the same
+    operation order; otherwise it is ScalarField's one-row batch.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -113,7 +113,6 @@ def quadratic_field(Q, name="quadratic"):
     rows = Q.tolist()
 
     def qx(xs):
-        # xs: the n coordinates, as batch columns or as floats
         out = []
         for qi in rows:
             acc = qi[0] * xs[0]
@@ -122,18 +121,18 @@ def quadratic_field(Q, name="quadratic"):
             out.append(acc)
         return out
 
-    def form(xs, y):
+    def value_many(X):
+        xs = X.T
+        y = qx(xs)
         acc = xs[0] * y[0]
         for i in range(1, n):
             acc = acc + xs[i] * y[i]
         return acc
 
-    def value_many(X):
-        return form(X.T, qx(X.T))
-
     def grad_many(X):
         return np.stack([2.0 * c for c in qx(X.T)], axis=-1)
 
+    value_grad = None
     if n == 2:
         (q00, q01), (q10, q11) = rows
 
@@ -142,10 +141,6 @@ def quadratic_field(Q, name="quadratic"):
             y0 = q00 * x0 + q01 * x1
             y1 = q10 * x0 + q11 * x1
             return x0 * y0 + x1 * y1, (2.0 * y0, 2.0 * y1)
-    else:
-        def value_grad(x):
-            y = qx(x)
-            return form(x, y), tuple([2.0 * c for c in y])
 
     return ScalarField(n, value_many, grad_many, name=name,
                        value_grad=value_grad)
@@ -306,7 +301,8 @@ def example_barrier():
 
 
 def combine_clbrf(V, B, psi):
-    """W = V + psi*B, combined value and gradient (exactly affine)."""
+    """W = V + psi*B, combined value and gradient (exactly affine); for
+    n = 2 the per-point form adds those of V and B."""
     if V.n != B.n:
         raise ValueError("field dimensions differ")
     if psi <= 0:
@@ -321,16 +317,12 @@ def combine_clbrf(V, B, psi):
     def grad_many(X):
         return V.grad_many(X) + psi * B.grad_many(X)
 
+    value_grad = None
     if V.n == 2:
         def value_grad(x):
             v, (g0, g1) = v_point(x)
             b, (c0, c1) = b_point(x)
             return v + psi * b, (g0 + psi * c0, g1 + psi * c1)
-    else:
-        def value_grad(x):
-            v, gv = v_point(x)
-            b, gb = b_point(x)
-            return v + psi * b, tuple([g + psi * c for g, c in zip(gv, gb)])
 
     return ScalarField(V.n, value_many, grad_many, name="W",
                        value_grad=value_grad)

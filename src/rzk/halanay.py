@@ -20,6 +20,9 @@ from . import history as hist
 
 VARIANT_PROOF = "proof"
 VARIANT_STATEMENT = "statement"
+# decay_rate's bisection width; check_envelope's slack above the envelope
+RATE_TOL = 1e-10
+ENVELOPE_TOL = 1e-6
 
 
 def gamma_fn(rho, gamma, eta, delta, variant=VARIANT_PROOF):
@@ -33,7 +36,7 @@ def gamma_fn(rho, gamma, eta, delta, variant=VARIANT_PROOF):
     return out if out.ndim else float(out)
 
 
-def decay_rate(gamma, eta, delta, variant=VARIANT_PROOF, tol=1e-10):
+def decay_rate(gamma, eta, delta, variant=VARIANT_PROOF):
     """Unique positive root of Gamma on [0, gamma] by bisection.
 
     Gamma(0) = eta - gamma < 0 and Gamma(gamma) > 0, and Gamma is strictly
@@ -47,7 +50,7 @@ def decay_rate(gamma, eta, delta, variant=VARIANT_PROOF, tol=1e-10):
     flo = gamma_fn(lo, gamma, eta, delta, variant)
     if flo >= 0:
         raise ValueError("no sign change on [0, gamma]")
-    while hi - lo > tol:
+    while hi - lo > RATE_TOL:
         mid = 0.5 * (lo + hi)
         if gamma_fn(mid, gamma, eta, delta, variant) < 0:
             lo = mid
@@ -57,14 +60,14 @@ def decay_rate(gamma, eta, delta, variant=VARIANT_PROOF, tol=1e-10):
 
 
 class DecayCertificate:
-    """Root rho_bar plus a chosen working rate rho in (0, rho_bar)."""
+    """Root rho_bar plus a chosen working rate rho in (0, rho_bar); the
+    unweighted (mu = 0) rate, which bounds every mu >= 0."""
 
-    def __init__(self, gamma, eta, delta, mu=0.0, variant=VARIANT_PROOF,
+    def __init__(self, gamma, eta, delta, variant=VARIANT_PROOF,
                  safety_factor=0.9):
         self.gamma = float(gamma)
         self.eta = float(eta)
         self.delta = float(delta)
-        self.mu = float(mu)
         self.variant = variant
         self.rho_bar = decay_rate(gamma, eta, delta, variant)
         if not (0.0 < safety_factor < 1.0):
@@ -142,7 +145,7 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step):
         end = rb[0] * vs[rows] + rb[1] * ms[rows] + rb[2] * vs[nxt] \
             + rb[3] * ms[nxt]
         # reads at or before t = 0 are the constant history
-        end = np.where((base + cs) * h - delta <= 1e-15, v0, end)
+        end = np.where((base + cs) * h - delta <= hist.EARLY_TOL, v0, end)
         # suffix maxima of the rows a .. r weighted relative to row r
         a = max(r - M, 0)
         u = vs[a:r + 1] * back[r - a::-1]
@@ -187,13 +190,14 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step):
     return ts, vs
 
 
-def check_envelope(ts, vs, v0, rho, tol=1e-6):
+def check_envelope(ts, vs, v0, rho):
     """Compare samples against the envelope v0*e^{-rho t}.
 
-    Pass iff max ratio v(t)/(v0 e^{-rho t}) <= 1 + tol.  v0 must be
+    Pass iff max ratio v(t)/(v0 e^{-rho t}) <= 1 + ENVELOPE_TOL.  v0 must be
     positive for the ratio form; v0 == 0 passes iff the samples stay at 0
-    (within tol absolute).
+    (within ENVELOPE_TOL absolute).
     """
+    tol = ENVELOPE_TOL
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(vs, dtype=float)
     if ts.size == 0:

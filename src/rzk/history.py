@@ -19,6 +19,8 @@ import numpy as np
 
 # a row this close behind t - Delta still counts as inside the window
 ROW_TOL = 1e-12
+# a read this close after t = 0 still reads the initial history
+EARLY_TOL = 1e-15
 
 
 class HistoryWindow:
@@ -151,7 +153,7 @@ class HistoryWindow:
         if times.size and times.max() > ts[c - 1] + 1e-9:
             raise ValueError("interpolation beyond the latest sample")
         if self.const_state is not None:
-            pre = times <= self.const_until + 1e-15
+            pre = times <= self.const_until + EARLY_TOL
         else:
             pre = np.zeros(times.shape, dtype=bool)
             if times.size and times.min() < ts[0] - 1e-9:

@@ -261,7 +261,7 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         besides the run's rows, e^{-mu delta} W at theta = -delta and the
         initial windows' samples in reach (None without a certificate)."""
         tread = t - delays
-        early = tread <= 1e-15
+        early = tread <= hist.EARLY_TOL
         if early.any():
             for k, w in enumerate(wins):
                 # the read time as the reference's window forms it

@@ -3,8 +3,8 @@
 Every check returns a VerificationReport: pass flag, worst observed value,
 witness (time, state) when one is meaningful, and the tolerances used.
 These are sampled proxies, not formal proofs; sample counts and shell
-widths are configurable and reported.  The history sup is rebuilt on the
-run's own rows, as its controller took it (see `history`).
+widths are module constants and are reported.  The history sup is rebuilt
+on the run's own rows, as its controller took it (see `history`).
 """
 
 import math
@@ -19,7 +19,10 @@ from .fields import EXAMPLE_BOX, combine_clbrf, example_hazard
 HAZARD_THRESHOLD = 4.0
 SAFETY_TOL = 1e-3
 DECREASE_C = 10.0
+SEPARATION_EPS = 1e-2
 SEPARATION_TOL = 1e-6
+EXTERIOR_SAMPLES = 2000
+UNSAFE_SAMPLES = 10000
 
 
 class UnsafeSet:
@@ -122,7 +125,7 @@ def window_states(traj):
     vals = (b00[0] * xs[row] + b10[0] * ms[row]
             + b01[0] * xs[nxt] + b11[0] * ms[nxt])
     tread = traj.ts - delta
-    pre = tread <= 1e-15
+    pre = tread <= hist.EARLY_TOL
     if pre.any():
         w = traj.ic_window.copy()
         w.ms[w.count - 1] = ms[0]
@@ -166,9 +169,9 @@ def field_sup_series(traj, field, mu=0.0):
         s, field.value_many(X), traj.ts[:n], delta, mu), out[n:]]))
 
 
-def safety_check(traj, unsafe, tol=SAFETY_TOL):
+def safety_check(traj, unsafe):
     """No sample (initial history included) in D, and hazard clearance of at
-    least tol on every sample inside the region."""
+    least SAFETY_TOL on every sample inside the region."""
     if traj.xs.shape[0] == 0:
         raise ValueError("trajectory must be non-empty")
     # the initial function: its read at -delta and its samples after that
@@ -182,7 +185,7 @@ def safety_check(traj, unsafe, tol=SAFETY_TOL):
 
     member = unsafe.membership_many(states)
     in_region = unsafe.region.contains_many(states)
-    tvalues = {"safety_tol": tol}
+    tvalues = {"safety_tol": SAFETY_TOL}
     details = {"samples": int(states.shape[0]),
                "samples_in_region": int(in_region.sum())}
     if member.any():
@@ -197,22 +200,22 @@ def safety_check(traj, unsafe, tol=SAFETY_TOL):
         idx = np.flatnonzero(in_region)[k_loc]
         worst = float(clear[k_loc])
         details["vacuous"] = False
-        return VerificationReport("safety", worst >= tol, worst,
+        return VerificationReport("safety", worst >= SAFETY_TOL, worst,
                                   _witness(times[idx], states[idx]),
                                   tvalues, details)
     details["vacuous"] = True
     return VerificationReport("safety", True, None, None, tvalues, details)
 
 
-def decrease_check(traj, field, gains, c=DECREASE_C):
+def decrease_check(traj, field, gains):
     """Forward-difference d(field)/dt against -gamma*field + eta*sup at each
-    interior sample; pass iff every residual is within c*h.
+    interior sample; pass iff every residual is within DECREASE_C*h.
 
     The sup series is rebuilt from the samples by field_sup_series, for a
     run in memory as for one read back from CSV."""
     h = traj.h
-    tol = c * h
-    tvalues = {"c": c, "h": h, "tol": tol}
+    tol = DECREASE_C * h
+    tvalues = {"c": DECREASE_C, "h": h, "tol": tol}
     N = traj.xs.shape[0]
     if N < 2:
         return VerificationReport("decrease", True, 0.0, None, tvalues,
@@ -236,7 +239,7 @@ def decrease_check(traj, field, gains, c=DECREASE_C):
                               tvalues, details)
 
 
-def envelope_check(traj, field, certificate, tol=1e-6):
+def envelope_check(traj, field, certificate):
     """Field values along the run against the exponential envelope.
 
     Non-negative start: ratio test against field(0)*e^{-rho t}.  Negative
@@ -254,7 +257,7 @@ def envelope_check(traj, field, certificate, tol=1e-6):
             "envelope", ok, worst, _witness(traj.ts[k], traj.xs[k]),
             {"tol": 0.0, "rho": certificate.rho},
             {"form": "signed", "start": v0})
-    r = halanay.check_envelope(traj.ts, vs, v0, certificate.rho, tol)
+    r = halanay.check_envelope(traj.ts, vs, v0, certificate.rho)
     witness = None
     if r["first_violation"] is not None:
         j = int(np.searchsorted(traj.ts, r["first_violation"]))
@@ -262,7 +265,7 @@ def envelope_check(traj, field, certificate, tol=1e-6):
         witness = _witness(traj.ts[j], traj.xs[j])
     return VerificationReport(
         "envelope", r["pass"], r["max_ratio"], witness,
-        {"tol": tol, "rho": certificate.rho},
+        {"tol": halanay.ENVELOPE_TOL, "rho": certificate.rho},
         {"form": "ratio", "start": v0,
          "first_violation": r["first_violation"]})
 
@@ -282,8 +285,7 @@ def _boundary_grid(region, per_edge):
 
 
 def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
-                             psi=None, gains=None, unsafe=None, seed=0,
-                             exterior_samples=2000, unsafe_samples=10000):
+                             psi=None, gains=None, unsafe=None, seed=0):
     """Structural conditions for merging V and B into W = V + psi*B.
 
     (a) B <= -phi_m(|x|) on random exterior samples; (b) psi_min = max of
@@ -307,8 +309,8 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     span = region.hi - region.lo
     lo = region.lo - 1.5 * span
     hi = region.hi + 1.5 * span
-    pts = rng.uniform(lo, hi, size=(4 * exterior_samples, region.n))
-    pts = pts[~region.contains_many(pts)][:exterior_samples]
+    pts = rng.uniform(lo, hi, size=(4 * EXTERIOR_SAMPLES, region.n))
+    pts = pts[~region.contains_many(pts)][:EXTERIOR_SAMPLES]
     slack = B.value_many(pts) + phi_m(np.linalg.norm(pts, axis=1))
     k = int(np.argmax(slack))
     details["exterior"] = {"samples": int(pts.shape[0]),
@@ -351,8 +353,8 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
         if unsafe is None:
             unsafe = example_unsafe_set()
         cand = rng.uniform(region.lo, region.hi,
-                           size=(8 * unsafe_samples, region.n))
-        cand = cand[unsafe.membership_many(cand)][:unsafe_samples]
+                           size=(8 * UNSAFE_SAMPLES, region.n))
+        cand = cand[unsafe.membership_many(cand)][:UNSAFE_SAMPLES]
         wv = W.value_many(cand)
         kw = int(np.argmin(wv))
         details["unsafe_positivity"] = {"samples": int(cand.shape[0]),
@@ -385,15 +387,14 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
 RAY_BLOCK = 256
 
 
-def separation_check(unsafe, W, budget=4096, eps=1e-2, tol=SEPARATION_TOL,
-                     anchor=None):
+def separation_check(unsafe, W, budget=4096):
     """Shell sampling of the separation between the excluded set and the
     W <= 0 region.
 
     Casts rays from an interior anchor, locates the outermost boundary of
     {x in region : W(x) > 0} on each ray, and asserts W <= -tol on points
-    just outside it (distances eps/10, eps/2, eps).  Degenerate empty sets
-    pass vacuously.
+    just outside it (distances eps/10, eps/2, eps; SEPARATION_EPS and _TOL).
+    Degenerate empty sets pass vacuously.
     """
     if budget < 1000:
         raise ValueError("sample budget must be at least 1e3")
@@ -401,13 +402,12 @@ def separation_check(unsafe, W, budget=4096, eps=1e-2, tol=SEPARATION_TOL,
     if region.n != 2:
         raise ValueError("ray casting assumes a planar box")
     member = unsafe.refined_membership(W)
+    eps, tol = SEPARATION_EPS, SEPARATION_TOL
     dists = np.array([eps / 10.0, eps / 2.0, eps])
     nrays = max(64, budget // dists.size)
     tvalues = {"eps": eps, "tol": tol, "budget": budget}
 
-    if anchor is None:
-        anchor = 0.5 * (region.lo + region.hi)
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = 0.5 * (region.lo + region.hi)
     if not member(anchor):
         gx = np.linspace(region.lo[0], region.hi[0], 33)[1:-1]
         gy = np.linspace(region.lo[1], region.hi[1], 33)[1:-1]

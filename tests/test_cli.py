@@ -90,6 +90,8 @@ def test_zero_start_stays_at_zero(tmp_path):
     {"gains": {"gamma": 1.0, "eta": 2.0}},
     {"certificate": {"kind": "Q"}},
     {"certificate": {"kind": "W", "psi": None}},
+    {"certificate": {"kind": "V", "psi": -1.0}},       # W is still written
+    {"certificate": {"kind": "none", "psi": 0.0}},
     {"initial_conditions": [[1.0]]},
     {"initial_conditions": [{"times": [-0.1, 0.0],
                              "states": [[0.0, 0.0], [0.0, 0.0]]}]},
@@ -197,7 +199,8 @@ def test_sweep_flags_failing_point(tmp_path):
 
 
 def test_sweep_rows_carry_their_start(tmp_path):
-    # x0_1, x0_2 follow the older columns, which keep their place
+    # x0_1, x0_2 and then final_norm follow the older columns, which keep
+    # their place
     cfgp = tmp_path / "s.json"
     starts = [[-4.0, 1.0], [1.0, 2.0]]
     write_config(cfgp, integration={"T": 0.05},
@@ -208,8 +211,8 @@ def test_sweep_rows_carry_their_start(tmp_path):
     assert names == ["index", "tau", "psi", "lambda", "gamma", "eta",
                      "trajectories", "converged", "checks_pass",
                      "min_safety_margin", "max_envelope_ratio", "x0_1",
-                     "x0_2"]
-    assert data[:, -2:].tolist() == starts
+                     "x0_2", "final_norm"]
+    assert data[:, -3:-1].tolist() == starts
 
 
 @pytest.mark.parametrize("sweep", [{}, {"psi": [], "tau": [0.3]}],
