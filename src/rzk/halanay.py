@@ -65,10 +65,6 @@ class DecayCertificate:
 
     def __init__(self, gamma, eta, delta, variant=VARIANT_PROOF,
                  safety_factor=0.9):
-        self.gamma = float(gamma)
-        self.eta = float(eta)
-        self.delta = float(delta)
-        self.variant = variant
         self.rho_bar = decay_rate(gamma, eta, delta, variant)
         if not (0.0 < safety_factor < 1.0):
             raise ValueError("safety factor must be in (0, 1)")
@@ -195,7 +191,9 @@ def check_envelope(ts, vs, v0, rho):
 
     Pass iff max ratio v(t)/(v0 e^{-rho t}) <= 1 + ENVELOPE_TOL.  v0 must be
     positive for the ratio form; v0 == 0 passes iff the samples stay at 0
-    (within ENVELOPE_TOL absolute).
+    (within ENVELOPE_TOL absolute).  A non-finite sample fails either form
+    with max_ratio NaN; first_violation is the time of the first sample
+    that is non-finite or violates.
     """
     tol = ENVELOPE_TOL
     ts = np.asarray(ts, dtype=float)
@@ -205,16 +203,19 @@ def check_envelope(ts, vs, v0, rho):
     if np.any(ts < 0):
         raise ValueError("sample times must be non-negative")
     if v0 == 0.0:
-        worst = float(np.max(np.abs(vs)))
-        return {"pass": worst <= tol, "max_ratio": np.inf if worst > tol else 1.0,
-                "first_violation": None if worst <= tol else float(ts[np.argmax(np.abs(vs) > tol)])}
-    if v0 < 0:
+        bad = ~(np.abs(vs) <= tol)
+        worst = np.inf if bad.any() else 1.0
+    elif v0 < 0:
         raise ValueError("ratio envelope needs v0 > 0 (signed form is the caller's job)")
-    env = v0 * np.exp(-rho * ts)
-    ratio = vs / env
-    mx = float(np.max(ratio))
-    ok = mx <= 1.0 + tol
-    first = None
-    if not ok:
-        first = float(ts[int(np.argmax(ratio > 1.0 + tol))])
-    return {"pass": ok, "max_ratio": mx, "first_violation": first}
+    else:
+        ratio = vs / (v0 * np.exp(-rho * ts))
+        bad = ~(ratio <= 1.0 + tol)
+        worst = float(np.max(ratio))
+    # a non-finite sample fails, and then the worst value is NaN
+    finite = np.isfinite(vs)
+    if not finite.all():
+        bad |= ~finite
+        worst = np.nan
+    ok = not bad.any()
+    first = None if ok else float(ts[int(np.argmax(bad))])
+    return {"pass": ok, "max_ratio": worst, "first_violation": first}

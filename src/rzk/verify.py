@@ -284,6 +284,22 @@ def _boundary_grid(region, per_edge):
     return np.concatenate(edges, axis=0)
 
 
+def _unsafe_sample(rng, region, unsafe):
+    """The first UNSAFE_SAMPLES members of unsafe among 8 * UNSAFE_SAMPLES
+    uniform draws in region, drawn UNSAFE_SAMPLES rows at a time until that
+    many members are found."""
+    kept, found = [], 0
+    for _ in range(8):
+        chunk = rng.uniform(region.lo, region.hi,
+                            size=(UNSAFE_SAMPLES, region.n))
+        chunk = chunk[unsafe.membership_many(chunk)]
+        kept.append(chunk)
+        found += chunk.shape[0]
+        if found >= UNSAFE_SAMPLES:
+            break
+    return np.concatenate(kept)[:UNSAFE_SAMPLES]
+
+
 def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
                              psi=None, gains=None, unsafe=None, seed=0):
     """Structural conditions for merging V and B into W = V + psi*B.
@@ -294,6 +310,13 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     is supplied; (d) with a concrete psi: psi must exceed psi_min, W must
     be positive on a dense unsafe-set sample, and a state with W < 0 must
     exist.  The returned report carries psi_min as an attribute.
+
+    The unsafe-set sample is the first UNSAFE_SAMPLES members of
+    8 * UNSAFE_SAMPLES uniform candidates in the region.  They are drawn a
+    chunk at a time, stopping once that many members are found: the
+    generator's stream is sequential, so the chunks hold the rows of one
+    whole draw, and a row's membership does not depend on its batch, so the
+    sample is the one a whole draw would keep.  Nothing draws after it.
     """
     if boundary_grid < 100:
         raise ValueError("need at least 100 boundary points per edge")
@@ -352,9 +375,7 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
             details["psi_above_min"] = True
         if unsafe is None:
             unsafe = example_unsafe_set()
-        cand = rng.uniform(region.lo, region.hi,
-                           size=(8 * UNSAFE_SAMPLES, region.n))
-        cand = cand[unsafe.membership_many(cand)][:UNSAFE_SAMPLES]
+        cand = _unsafe_sample(rng, region, unsafe)
         wv = W.value_many(cand)
         kw = int(np.argmin(wv))
         details["unsafe_positivity"] = {"samples": int(cand.shape[0]),
@@ -383,8 +404,35 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     return rep
 
 
-# rays per block of separation_check's coarse scan, to bound its memory
-RAY_BLOCK = 256
+# points per membership call of separation_check's coarse scan, to bound
+# its memory
+SCAN_POINTS = 16384
+
+
+def _outermost_member(member, anchor, d, tgrid):
+    """Per ray, the last column of tgrid whose point anchor + t * d is a
+    member, or -1 if none is: blocks of columns from the last one inward,
+    each ray leaving the scan at the first block with a member."""
+    width = 8
+    nrays, nscan = tgrid.shape
+    last = np.full(nrays, -1)
+    todo = np.arange(nrays)
+    c1 = nscan
+    while todo.size and c1 > 0:
+        c0 = max(c1 - width, 0)
+        per_call = max(1, SCAN_POINTS // (c1 - c0))
+        hit = np.empty((todo.size, c1 - c0), dtype=bool)
+        for r0 in range(0, todo.size, per_call):
+            rows = todo[r0:r0 + per_call]
+            pts = (anchor[None, None, :]
+                   + tgrid[rows, c0:c1, None] * d[rows, None, :])
+            hit[r0:r0 + rows.size] = member(pts.reshape(-1, 2)).reshape(
+                rows.size, c1 - c0)
+        found = hit.any(axis=1)
+        last[todo[found]] = c1 - 1 - np.argmax(hit[found, ::-1], axis=1)
+        todo = todo[~found]
+        c1 = c0
+    return last
 
 
 def separation_check(unsafe, W, budget=4096):
@@ -395,6 +443,13 @@ def separation_check(unsafe, W, budget=4096):
     {x in region : W(x) > 0} on each ray, and asserts W <= -tol on points
     just outside it (distances eps/10, eps/2, eps; SEPARATION_EPS and _TOL).
     Degenerate empty sets pass vacuously.
+
+    The boundary is bracketed by a coarse scan of 64 points per ray, from
+    the anchor to the wall, then bisected.  The scan tests blocks of
+    columns from the wall inward and drops a ray at the first block with a
+    member, so its hit is the outermost member point of the whole scan,
+    found without testing the columns inside it; each membership call
+    takes at most SCAN_POINTS points.
     """
     if budget < 1000:
         raise ValueError("sample budget must be at least 1e3")
@@ -432,13 +487,7 @@ def separation_check(unsafe, W, budget=4096):
     nscan = 64
     frac = np.linspace(0.0, 1.0, nscan)
     tgrid = t_wall[:, None] * frac[None, :]
-    inside = np.empty((nrays, nscan), dtype=bool)
-    for r0 in range(0, nrays, RAY_BLOCK):
-        r1 = min(r0 + RAY_BLOCK, nrays)
-        pts = anchor[None, None, :] + tgrid[r0:r1, :, None] * d[r0:r1, None, :]
-        inside[r0:r1] = member(pts.reshape(-1, 2)).reshape(r1 - r0, nscan)
-    last = np.where(inside.any(axis=1),
-                    nscan - 1 - np.argmax(inside[:, ::-1], axis=1), -1)
+    last = _outermost_member(member, anchor, d, tgrid)
 
     boundary = np.empty(nrays)
     at_wall = last == nscan - 1

@@ -1,7 +1,7 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps rzk entry points
 by name and reads some of their arguments by position.  This runs it on
-tiny simulate calls, so a rename that would break a traced benchmark run
-shows here.  It only reads the benchmark's files."""
+tiny simulate and sweep calls, so a rename that would break a traced
+benchmark run shows here.  It only reads the benchmark's files."""
 
 import collections
 import json
@@ -14,8 +14,8 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
 
-def _traced_simulate(cfg, tmp_path, monkeypatch):
-    """Run `rzk simulate` on cfg under the tracer: (exit code, per-layer
+def _traced(command, cfg, tmp_path, monkeypatch):
+    """Run `rzk <command>` on cfg under the tracer: (exit code, per-layer
     metrics, traced calls by span name)."""
     monkeypatch.syspath_prepend(PERFBENCH)
     import spans
@@ -25,7 +25,7 @@ def _traced_simulate(cfg, tmp_path, monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = cli.main(["simulate", "--config", str(path),
+        code = cli.main([command, "--config", str(path),
                          "--out", str(tmp_path / "o")])
         metrics = tracer.layer_metrics()
     finally:
@@ -47,7 +47,7 @@ def test_tracer_sees_sampled_and_constant_starts_in_one_lockstep(
     cfg["initial_conditions"] = [
         {"times": times, "states": [[1.0 + t, 2.0 - t] for t in times]},
         [1.0, 2.0]]
-    code, metrics, calls = _traced_simulate(cfg, tmp_path, monkeypatch)
+    code, metrics, calls = _traced("simulate", cfg, tmp_path, monkeypatch)
     assert code == 0
     assert calls["simulate.general"] == 0
     assert metrics["simulate.lanes"][0] == 2
@@ -58,8 +58,23 @@ def test_tracer_sees_tau_zero_on_the_lockstep(tmp_path, monkeypatch):
     cfg = cli.demo_config()
     cfg["system"]["tau"] = 0.0
     cfg["integration"]["T"] = 0.02
-    code, metrics, calls = _traced_simulate(cfg, tmp_path, monkeypatch)
+    code, metrics, calls = _traced("simulate", cfg, tmp_path, monkeypatch)
     assert code == 0
     assert calls["simulate.lockstep"] == 1
     assert calls["simulate.general"] == 0
     assert metrics["simulate.lanes"][0] == 4
+
+
+def test_tracer_sees_point_checks_once_per_psi(tmp_path, monkeypatch):
+    # the construction and separation checks depend on psi, not on the
+    # start: a sweep computes them once per psi and reuses them
+    cfg = cli.demo_config()
+    cfg["integration"]["T"] = 0.02
+    cfg["sweep"] = {"psi": [10.0, 82.0],
+                    "initial_conditions": [[1.0, 2.0], [-4.0, 1.0]]}
+    code, metrics, calls = _traced("sweep", cfg, tmp_path, monkeypatch)
+    assert code == 1            # psi = 10 fails the construction
+    assert calls["simulate.lockstep"] == 4
+    assert calls["verify.construction"] == 2
+    assert calls["verify.separation"] == 2
+    assert metrics["verify.construction_s"][0] > 0.0

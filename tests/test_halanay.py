@@ -98,6 +98,28 @@ def test_envelope_check_zero_and_negative_v0():
         halanay.check_envelope(np.array([-1.0, 0.0]), np.zeros(2), 1.0, 0.3)
 
 
+@pytest.mark.parametrize("v0", [0.0, 1.0])
+def test_envelope_check_nan_sample_fails_with_its_own_time(v0):
+    # NaN compares false both ways: the worst value is NaN, and the witness
+    # is the NaN sample at t = 1, not the first sample
+    rep = halanay.check_envelope([0.0, 1.0, 2.0], [v0, np.nan, 0.0], v0, 0.3)
+    assert rep["pass"] is False
+    assert np.isnan(rep["max_ratio"])
+    assert rep["first_violation"] == 1.0
+
+
+@pytest.mark.parametrize("v0", [0.0, 1.0])
+def test_envelope_check_infinite_sample_fails(v0):
+    # -inf is below every envelope, and still no sample value
+    rep = halanay.check_envelope([0.0, 1.0, 2.0], [v0, 0.0, -np.inf], v0, 0.3)
+    assert rep["pass"] is False
+    assert np.isnan(rep["max_ratio"])
+    assert rep["first_violation"] == 2.0
+    # a violation before the non-finite sample is the first one
+    rep = halanay.check_envelope([0.0, 1.0, 2.0], [v0, 5.0, np.nan], v0, 0.3)
+    assert rep["first_violation"] == 1.0
+
+
 def test_comparison_sim_validation():
     with pytest.raises(ValueError):
         halanay.scalar_comparison_sim(2.5, 2.0, 0.0, 0.3, -1.0, 1.0, 1e-3)
