@@ -239,17 +239,6 @@ class _Build:
         else:
             self.cert = None
 
-    def windows(self):
-        out = []
-        for entry in self.cfg.initial_conditions:
-            if isinstance(entry, dict):
-                out.append(hist.from_samples(entry["times"], entry["states"],
-                                             self.cfg.delta))
-            else:
-                out.append(hist.from_constant(np.asarray(entry, dtype=float),
-                                              self.cfg.delta))
-        return out
-
     def bound_column(self, traj):
         """Envelope-bound column: v0 e^{-rho t} when the active certificate
         starts positive, otherwise 0 (the signed form's bound)."""
@@ -261,6 +250,19 @@ class _Build:
         return np.zeros(traj.ts.shape[0])
 
 
+def _windows(cfg):
+    """The initial windows of cfg's starts, in order."""
+    out = []
+    for entry in cfg.initial_conditions:
+        if isinstance(entry, dict):
+            out.append(hist.from_samples(entry["times"], entry["states"],
+                                         cfg.delta))
+        else:
+            out.append(hist.from_constant(np.asarray(entry, dtype=float),
+                                          cfg.delta))
+    return out
+
+
 def _trajectory_file(prefix, k):
     return f"{prefix}_{k:02d}.csv"
 
@@ -268,7 +270,7 @@ def _trajectory_file(prefix, k):
 def _run_batch(build, out_dir):
     """Simulate, write config + CSVs + run.json; returns (trajs, diverged)."""
     cfg = build.cfg
-    wins = build.windows()
+    wins = _windows(cfg)
     if build.ctrl is not None and cfg.kind == "W":
         member = build.unsafe.refined_membership(build.W)
         for k, w in enumerate(wins):
@@ -415,6 +417,67 @@ def _sweep_points(cfg):
     return names, points
 
 
+def _sweep_config(base, names, pt):
+    """The run config of the sweep point pt: base with each named axis set
+    to the point's value."""
+    d = json.loads(json.dumps(base))
+    for key, val in zip(names, pt):
+        if key == "tau":
+            d["system"]["tau"] = val
+        elif key == "psi":
+            d["certificate"]["psi"] = val
+        elif key == "lambda":
+            d["lambda"] = val
+        elif key in ("gamma", "eta"):
+            d["gains"][key] = val
+        else:
+            d["initial_conditions"] = [val]
+    return RunConfig(d)
+
+
+def _sweep_group_rows(group, point_checks):
+    """sweep.csv rows, and whether all checks pass, for a group of
+    (index, config) points whose configs differ only in their starts.
+
+    One build serves the group, and one lockstep runs every start of every
+    point as a lane; a lane equals its one-lane run bit for bit.  Each
+    point is verified and gets its row as if run on its own.  Certificate-
+    level checks are cached in point_checks by (psi, gamma, eta): kind and
+    seed are fixed across the sweep.  The group's trajectories, and the
+    lockstep table they view, go when this returns.
+    """
+    build = _Build(group[0][1])
+    trajs = batch_integrate(build.dyn, build.ctrl,
+                            [w for _, sub in group for w in _windows(sub)],
+                            build.settings)
+    rows = []
+    all_ok = True
+    for idx, sub in group:
+        mine = trajs[:len(sub.initial_conditions)]
+        del trajs[:len(mine)]
+        key = (sub.psi, sub.gamma, sub.eta)
+        if key not in point_checks:
+            point_checks[key] = _point_checks(build)
+        point, per, ok = _verify_batch(build, mine, point_checks[key])
+        finals = [float(np.linalg.norm(tr.xs[-1])) for tr in mine]
+        conv = all(not tr.diverged and f < CONVERGED_NORM
+                   for tr, f in zip(mine, finals))
+        margins = [c["safety"].worst for c in per
+                   if c["safety"].worst is not None]
+        ratios = [c["envelope"].worst for c in per
+                  if "envelope" in c and c["envelope"].details["form"] == "ratio"]
+        # x(0) of the point's start; NaN when the point has several
+        x0 = mine[0].xs[0].tolist() if len(mine) == 1 else [float("nan")] * 2
+        row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(mine),
+               int(conv), int(ok),
+               min(margins) if margins else float("inf"),
+               max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
+        rows.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                             for v in row))
+        all_ok = all_ok and ok
+    return rows, all_ok
+
+
 def cmd_sweep(args):
     cfg = RunConfig.from_file(args.config)
     if cfg.sweep is None:
@@ -429,43 +492,15 @@ def cmd_sweep(args):
     point_checks = {}
     base = cfg.to_dict()
     base.pop("sweep")
-    for idx, pt in enumerate(points):
-        d = json.loads(json.dumps(base))
-        for key, val in zip(names, pt):
-            if key == "tau":
-                d["system"]["tau"] = val
-            elif key == "psi":
-                d["certificate"]["psi"] = val
-            elif key == "lambda":
-                d["lambda"] = val
-            elif key in ("gamma", "eta"):
-                d["gains"][key] = val
-            else:
-                d["initial_conditions"] = [val]
-        sub = RunConfig(d)
-        build = _Build(sub)
-        trajs = batch_integrate(build.dyn, build.ctrl, build.windows(),
-                                build.settings)
-        # kind and seed are fixed across the sweep
-        key = (sub.psi, sub.gamma, sub.eta)
-        if key not in point_checks:
-            point_checks[key] = _point_checks(build)
-        point, per, ok = _verify_batch(build, trajs, point_checks[key])
-        finals = [float(np.linalg.norm(tr.xs[-1])) for tr in trajs]
-        conv = all(not tr.diverged and f < CONVERGED_NORM
-                   for tr, f in zip(trajs, finals))
-        margins = [c["safety"].worst for c in per
-                   if c["safety"].worst is not None]
-        ratios = [c["envelope"].worst for c in per
-                  if "envelope" in c and c["envelope"].details["form"] == "ratio"]
-        # x(0) of the point's start; NaN when the point has several
-        x0 = trajs[0].xs[0].tolist() if len(trajs) == 1 else [float("nan")] * 2
-        row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(trajs),
-               int(conv), int(ok),
-               min(margins) if margins else float("inf"),
-               max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
-        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                              for v in row))
+    # the starts axis comes last, so the points whose configs differ only
+    # in their start are neighbours; the other axes' values are compared as
+    # JSON text, which keeps -0.0 apart from 0.0
+    fixed = len(names) - (names[-1:] == ["initial_conditions"])
+    for _, group in itertools.groupby(
+            enumerate(points), key=lambda item: json.dumps(item[1][:fixed])):
+        group = [(idx, _sweep_config(base, names, pt)) for idx, pt in group]
+        rows, ok = _sweep_group_rows(group, point_checks)
+        lines += rows
         all_ok = all_ok and ok
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="\n") as f:
@@ -480,7 +515,7 @@ def cmd_verify(args):
     build = _Build(cfg)
     trajs = []
     files = []
-    for k, w in enumerate(build.windows()):
+    for k, w in enumerate(_windows(cfg)):
         path = os.path.join(args.out, _trajectory_file(cfg.prefix, k))
         try:
             tr = io.trajectory_from_csv(*io.read_trajectory_csv(path),

@@ -70,7 +70,11 @@ class SandwichBounds:
 
 
 class RegionBox:
-    """Open axis-aligned box; per-axis (lower, upper) with lower < upper."""
+    """Open axis-aligned box; per-axis (lower, upper) with lower < upper.
+
+    The membership test compares each axis's column with its bounds, the
+    same comparisons as on whole rows without a reduction over the axis.
+    """
 
     def __init__(self, bounds):
         b = np.asarray(bounds, dtype=float)
@@ -78,6 +82,7 @@ class RegionBox:
             raise ValueError("bounds must be per-axis (lower, upper), lower < upper")
         self.lo = b[:, 0].copy()
         self.hi = b[:, 1].copy()
+        self._bounds = list(zip(self.lo.tolist(), self.hi.tolist()))
 
     @property
     def n(self):
@@ -85,7 +90,12 @@ class RegionBox:
 
     def contains_many(self, X):
         X = np.asarray(X, dtype=float)
-        return ((X > self.lo) & (X < self.hi)).all(axis=-1)
+        inside = np.ones(X.shape[:-1], dtype=bool)
+        for i, (lo, hi) in enumerate(self._bounds):
+            col = X[..., i]
+            inside &= col > lo
+            inside &= col < hi
+        return inside
 
     def contains(self, x):
         return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -231,12 +241,19 @@ def example_margin(r):
     return _E4 * np.asarray(r, dtype=float) ** 2
 
 
+def _sq_norm(X):
+    """||x||^2 of each row of a two-column X, from its columns."""
+    x0 = X[:, 0]
+    x1 = X[:, 1]
+    return x0 * x0 + x1 * x1
+
+
 def _barrier(X, value=True, grad=True):
     """The example barrier's (value, gradient) on the rows of X, None for
     the one not asked for; one box test and one hazard pass serve both."""
     val = out = None
     if value:
-        r2 = np.sum(X * X, axis=-1)
+        r2 = _sq_norm(X)
         val = -_E4 * r2
     if grad:
         out = (-2.0 * _E4) * X
@@ -244,7 +261,7 @@ def _barrier(X, value=True, grad=True):
     if Xin.shape[0]:
         hz = _hazard_inbox(Xin, grad)
         eH = np.exp(-hz[0] if grad else -hz)
-        r2in = r2[idx] if value else np.sum(Xin * Xin, axis=-1)
+        r2in = r2[idx] if value else _sq_norm(Xin)
         if value:
             val[idx] = (eH - _E4) * r2in
         if grad:

@@ -376,14 +376,21 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
         if unsafe is None:
             unsafe = example_unsafe_set()
         cand = _unsafe_sample(rng, region, unsafe)
-        wv = W.value_many(cand)
-        kw = int(np.argmin(wv))
-        details["unsafe_positivity"] = {"samples": int(cand.shape[0]),
-                                        "min_W": float(wv[kw])}
-        if wv[kw] <= 0.0:
+        if cand.shape[0]:
+            wv = W.value_many(cand)
+            kw = int(np.argmin(wv))
+            details["unsafe_positivity"] = {"samples": int(cand.shape[0]),
+                                            "min_W": float(wv[kw])}
+            if wv[kw] <= 0.0:
+                passed = False
+                if witness is None:
+                    witness = _witness(np.nan, cand[kw])
+        else:
+            details["unsafe_positivity"] = {"samples": 0, "min_W": None}
+            details["unsafe_sample"] = (
+                "empty: no candidate in the region is in the unsafe set, so "
+                "no sample shows W > 0 on it")
             passed = False
-            if witness is None:
-                witness = _witness(np.nan, cand[kw])
         wb = W.value_many(bpts)
         neg = wb < 0.0
         if neg.any():
@@ -489,12 +496,11 @@ def separation_check(unsafe, W, budget=4096):
     tgrid = t_wall[:, None] * frac[None, :]
     last = _outermost_member(member, anchor, d, tgrid)
 
+    # column 0 is the anchor, a member, so every ray has a member
     boundary = np.empty(nrays)
     at_wall = last == nscan - 1
     boundary[at_wall] = t_wall[at_wall]
-    vac = last < 0
-    boundary[vac] = 0.0
-    live = ~(at_wall | vac)
+    live = ~at_wall
     lo_b = np.take_along_axis(tgrid, last[:, None], axis=1)[:, 0]
     hi_b = np.take_along_axis(tgrid, np.minimum(last + 1, nscan - 1)[:, None],
                               axis=1)[:, 0]
@@ -509,13 +515,9 @@ def separation_check(unsafe, W, budget=4096):
         hi_b = np.where(m, hi_b, mid)
     boundary[live] = 0.5 * (lo_b + hi_b)
 
-    rays = np.flatnonzero(~vac)
-    if rays.size == 0:
-        return VerificationReport("separation", True, None, None, tvalues,
-                                  {"vacuous": True, "rays": int(nrays)})
     shell = (anchor[None, None, :]
-             + (boundary[rays, None] + dists[None, :])[:, :, None]
-             * d[rays, None, :])
+             + (boundary[:, None] + dists[None, :])[:, :, None]
+             * d[:, None, :])
     shell = shell.reshape(-1, 2)
     # shell points must already be clear of the excluded set
     still_in = member(shell)

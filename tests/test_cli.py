@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -215,6 +216,47 @@ def test_sweep_rows_carry_their_start(tmp_path):
     assert data[:, -3:-1].tolist() == starts
 
 
+def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
+    # the points that differ only in their start share one lockstep, a
+    # lane each; sweep.csv is the one the points write run one at a time.
+    # The starts: a sampled history through the box, a constant one, and
+    # one that diverges
+    times = [-0.3 + 0.01 * k for k in range(31)]
+    times[-1] = 0.0
+    starts = [{"times": times, "states": [[-1.5 + t, 2.2 + t] for t in times]},
+              [-4.0, 1.0], [3.0, 1e154]]
+    taus, psis = [0.0, 0.3], [10.0, 82.0]
+    calls = []
+    integrate = cli.batch_integrate
+
+    def counted(dyn, ctrl, ics, settings):
+        calls.append(len(ics))
+        return integrate(dyn, ctrl, ics, settings)
+
+    def sweep(name, grid):
+        cfgp = tmp_path / f"{name}.json"
+        write_config(cfgp, integration={"T": 0.05}, sweep=grid)
+        cli.main(["sweep", "--config", str(cfgp), "--out",
+                  str(tmp_path / name)])
+        return (tmp_path / name / "sweep.csv").read_text().splitlines()
+
+    monkeypatch.setattr(cli, "batch_integrate", counted)
+    lines = sweep("all", {"tau": taus, "psi": psis,
+                          "initial_conditions": starts})
+    assert calls == [3] * 4
+    own = [lines[0]]
+    for idx, (tau, psi, start) in enumerate(
+            itertools.product(taus, psis, starts)):
+        _, row = sweep(f"p{idx}", {"tau": [tau], "psi": [psi],
+                                   "initial_conditions": [start]})
+        own.append(f"{idx}," + row.split(",", 1)[1])
+    assert calls[4:] == [1] * 12
+    assert ((tmp_path / "all" / "sweep.csv").read_bytes()
+            == ("\n".join(own) + "\n").encode())
+    # the diverging start does not converge at any point
+    assert [r.split(",")[7] for r in lines[3::3]] == ["0"] * 4
+
+
 @pytest.mark.parametrize("sweep", [{}, {"psi": [], "tau": [0.3]}],
                          ids=["no-axes", "empty-axis"])
 def test_sweep_empty_grid_writes_header_only(tmp_path, sweep):
@@ -308,8 +350,8 @@ def test_verify_reads_the_configured_initial_windows(tmp_path, capsys):
     assert lines[2].startswith("trajectory_00.csv: safety: FAIL")
     assert lines[3].startswith("trajectory_01.csv: safety: pass")
     build = cli._Build(cli.RunConfig.from_file(cfgp))
-    trajs = cli.batch_integrate(build.dyn, build.ctrl, build.windows(),
-                                build.settings)
+    trajs = cli.batch_integrate(build.dyn, build.ctrl,
+                                cli._windows(build.cfg), build.settings)
     assert not verify.safety_check(trajs[0], build.unsafe).passed
     assert verify.safety_check(trajs[1], build.unsafe).passed
     # CSVs that did not start from the config's windows are not re-checked

@@ -307,3 +307,47 @@ def test_quadratic_rows_do_not_depend_on_batch_position(rng, Q):
     one_grad = np.array([F.grad_many(X[k:k + 1])[0] for k in range(len(X))])
     assert val.tobytes() == one_val.tobytes()
     assert grad.tobytes() == one_grad.tobytes()
+
+
+# -- column forms against the row reductions they replace -----------------
+
+_EDGE = st.sampled_from([
+    -3.0, -1.0, 0.0, -0.0, 2.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf,
+    np.nan, 1e154, -1e154, 1e200, -1.7976931348623157e308,
+    np.nextafter(-3.0, 0.0), np.nextafter(-1.0, -2.0),
+    np.nextafter(2.0, 0.0)])
+_COORD = st.one_of(_EDGE, st.floats(-4.0, 3.0), st.floats(allow_nan=True,
+                                                          allow_infinity=True))
+
+
+def _old_contains(box, X):
+    X = np.asarray(X, dtype=float)
+    return ((X > box.lo) & (X < box.hi)).all(axis=-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
+       st.integers(1, 4), st.data())
+def test_column_forms_equal_row_reductions(points, lanes, data):
+    # the box test compares each axis's column with its bounds and the
+    # barrier's squared norm adds the squared columns; both must give the
+    # reductions over the state axis bit for bit, on contiguous rows and on
+    # a strided lane of a lockstep-shaped (rows, lanes, 6) table
+    P = np.array(points, dtype=float)
+    tab = np.full((P.shape[0], lanes, 6), np.nan)
+    k = data.draw(st.integers(0, lanes - 1))
+    tab[:, k, :2] = P
+    box = rzk.EXAMPLE_BOX
+    B = rzk.example_barrier()
+    for X in (P, tab[..., :2][:, k]):
+        np.testing.assert_array_equal(box.contains_many(X),
+                                      _old_contains(box, X))
+        with np.errstate(all="ignore"):
+            val, grad = B.value_many(X), B.grad_many(X)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(fields.RegionBox, "contains_many", _old_contains)
+                m.setattr(fields, "_sq_norm",
+                          lambda Y: np.sum(Y * Y, axis=-1))
+                ref_val, ref_grad = B.value_many(X), B.grad_many(X)
+        assert val.tobytes() == ref_val.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()

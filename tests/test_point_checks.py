@@ -184,3 +184,16 @@ def test_inward_scan_reports_rays_without_members():
     assert last.tolist() == [-1] * 5
     # every column of every ray was tested, a block at a time
     assert sum(calls) == 5 * 64 and len(calls) == 8
+
+
+def test_construction_fails_on_an_empty_unsafe_sample(example_setup):
+    # the hazard is at least 2 in the box, so no candidate is below 1.5
+    unsafe = CountingUnsafe(1.5)
+    new, ref = _construction(example_setup, 82.0, 0, unsafe=unsafe)
+    assert new == ref
+    assert unsafe.points == 2 * 8 * verify.UNSAFE_SAMPLES
+    rep = json.loads(new)
+    assert rep["pass"] is False
+    assert rep["details"]["unsafe_positivity"] == {"samples": 0,
+                                                   "min_W": None}
+    assert rep["details"]["unsafe_sample"].startswith("empty")
