@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -68,7 +69,7 @@ def _number(val, name):
         out = float(val)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number") from None
-    _require(np.isfinite(out), f"{name} must be finite")
+    _require(math.isfinite(out), f"{name} must be finite")
     return out
 
 
@@ -282,9 +283,11 @@ def _run_batch(build, out_dir):
     rows = []
     for k, tr in enumerate(trajs):
         fname = _trajectory_file(cfg.prefix, k)
-        names, data = io.trajectory_columns(tr, build.V, build.B, build.W,
-                                            build.bound_column(tr))
-        io.write_trajectory_csv(os.path.join(out_dir, fname), names, data)
+        # the table goes once written, before the next one is built
+        io.write_trajectory_csv(os.path.join(out_dir, fname),
+                                *io.trajectory_columns(tr, build.V, build.B,
+                                                       build.W,
+                                                       build.bound_column(tr)))
         final = tr.xs[-1]
         norms = np.linalg.norm(tr.xs, axis=1)
         peak = int(np.argmax(norms))
@@ -324,11 +327,12 @@ def _point_checks(build):
 def _verify_batch(build, trajs, point=None):
     """Certificate-level checks (computed here unless point gives them)
     plus per-trajectory checks; returns (point, per-trajectory list,
-    all_pass)."""
+    all_pass).  Each trajectory must also have reached the configured T."""
     if point is None:
         point = _point_checks(build)
     ok = all(r.passed for r in point.values())
     per = []
+    steps = int(round(build.settings.T / build.settings.h))
     for tr in trajs:
         checks = {"safety": verify.safety_check(tr, build.unsafe)}
         if build.active is not None:
@@ -337,6 +341,7 @@ def _verify_batch(build, trajs, point=None):
             if build.cert is not None:
                 checks["envelope"] = verify.envelope_check(tr, build.active,
                                                            build.cert)
+        checks["finite"] = verify.finite_check(tr, steps)
         per.append(checks)
         ok = ok and all(c.passed for c in checks.values())
     return point, per, ok

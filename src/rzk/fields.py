@@ -15,6 +15,10 @@ import numpy as np
 H_MAX = 50.0
 H_BLEND_LO = 45.0
 
+# rows per call of a field's batch form inside value_many: a long run's
+# temporaries stay small (and cache-sized) instead of whole-run arrays
+FIELD_BLOCK = 4096
+
 
 class ScalarField:
     """C^1 scalar function of the state with an analytic gradient.
@@ -22,8 +26,12 @@ class ScalarField:
     value_grad(x), for a point x given as a sequence of floats, returns the
     value as a float and the gradient as a tuple of floats, bit for bit the
     value_many/grad_many row of x.  Fields built without a per-point form
-    take it from one-row batch calls.
+    take it from one-row batch calls.  value_many evaluates a long batch
+    FIELD_BLOCK rows at a time, which gives the same rows.  quad2 holds the
+    rows of Q for a 2-D quadratic x^T Q x, None otherwise.
     """
+
+    quad2 = None
 
     def __init__(self, n, value_many, grad_many, name="", value_grad=None):
         self.n = int(n)
@@ -42,7 +50,14 @@ class ScalarField:
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
-        return self._value_many(X)
+        N = X.shape[0]
+        if N <= FIELD_BLOCK:
+            return self._value_many(X)
+        out = np.empty(N)
+        for start in range(0, N, FIELD_BLOCK):
+            out[start:start + FIELD_BLOCK] = self._value_many(
+                X[start:start + FIELD_BLOCK])
+        return out
 
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -112,7 +127,8 @@ def quadratic_field(Q, name="quadratic"):
     sum_j Q_ij x_j and x^T Q x = sum_i x_i (Q x)_i, by the same arithmetic
     on a batch's columns, so a row's value does not depend on its place in
     the batch.  For n = 2 the per-point form is unrolled, in the same
-    operation order; otherwise it is ScalarField's one-row batch.
+    operation order, and Q's rows are kept as quad2; otherwise the form is
+    ScalarField's one-row batch.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -142,9 +158,9 @@ def quadratic_field(Q, name="quadratic"):
     def grad_many(X):
         return np.stack([2.0 * c for c in qx(X.T)], axis=-1)
 
-    value_grad = None
+    field = ScalarField(n, value_many, grad_many, name=name)
     if n == 2:
-        (q00, q01), (q10, q11) = rows
+        (q00, q01), (q10, q11) = field.quad2 = rows
 
         def value_grad(x):
             x0, x1 = x
@@ -152,8 +168,8 @@ def quadratic_field(Q, name="quadratic"):
             y1 = q10 * x0 + q11 * x1
             return x0 * y0 + x1 * y1, (2.0 * y0, 2.0 * y1)
 
-    return ScalarField(n, value_many, grad_many, name=name,
-                       value_grad=value_grad)
+        field.value_grad = value_grad
+    return field
 
 
 def example_lyapunov():
@@ -318,15 +334,16 @@ def example_barrier():
 
 
 def combine_clbrf(V, B, psi):
-    """W = V + psi*B, combined value and gradient (exactly affine); for
-    n = 2 the per-point form adds those of V and B."""
+    """W = V + psi*B, combined value and gradient (exactly affine).
+
+    When V is a 2-D quadratic the per-point form inlines V's and calls B's
+    once, in the batch's operation order; otherwise it is ScalarField's
+    one-row batch, which gives the same bits."""
     if V.n != B.n:
         raise ValueError("field dimensions differ")
     if psi <= 0:
         raise ValueError("psi must be positive")
     psi = float(psi)
-    v_point = V.value_grad
-    b_point = B.value_grad
 
     def value_many(X):
         return V.value_many(X) + psi * B.value_many(X)
@@ -335,11 +352,17 @@ def combine_clbrf(V, B, psi):
         return V.grad_many(X) + psi * B.grad_many(X)
 
     value_grad = None
-    if V.n == 2:
+    if V.quad2 is not None:
+        (q00, q01), (q10, q11) = V.quad2
+        b_point = B.value_grad
+
         def value_grad(x):
-            v, (g0, g1) = v_point(x)
+            x0, x1 = x
+            y0 = q00 * x0 + q01 * x1
+            y1 = q10 * x0 + q11 * x1
             b, (c0, c1) = b_point(x)
-            return v + psi * b, (g0 + psi * c0, g1 + psi * c1)
+            return (x0 * y0 + x1 * y1 + psi * b,
+                    (2.0 * y0 + psi * c0, 2.0 * y1 + psi * c1))
 
     return ScalarField(V.n, value_many, grad_many, name="W",
                        value_grad=value_grad)

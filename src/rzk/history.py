@@ -253,15 +253,81 @@ def lag_weights(mu, h, q):
 def row_sup(s, vals, times, delta, mu=0.0):
     """For each read time t in times, the max of e^{mu s_k} vals_k over the
     rows at times s_k in [t - delta, t], times e^{-mu t}; -inf where no row
-    is in reach: (len(times),)."""
+    is in reach: (len(times),).
+
+    The row times s ascend and none is after a read time, as for the rows
+    of an initial window read at t >= 0, so the rows in reach of t are a
+    suffix of them; ValueError otherwise."""
+    if s.size and times.size and s[-1] > times.min():
+        raise ValueError("rows after a read time")
     if mu:
         vals = vals * np.exp(mu * s)
-    inside = ((s >= times[:, None] - delta - ROW_TOL)
-              & (s <= times[:, None]))
-    out = np.where(inside, vals, -np.inf).max(axis=1, initial=-np.inf)
+    # suf[k] is the max over rows k.. (a NaN among them propagates), with
+    # -inf past the last row
+    suf = np.full(s.shape[0] + 1, -np.inf)
+    suf[:-1] = np.maximum.accumulate(vals[::-1])[::-1]
+    out = suf[np.searchsorted(s, times - delta - ROW_TOL)]
     if mu:
         out = out * np.exp(-mu * times)
     return out
+
+
+class LaneWindowMax:
+    """The rows' part of the history sup at mu = 0 for K lanes stepped in
+    lockstep, in O(1) per lane and step.
+
+    Each step i brings its row of K certificate values.  The reads of step
+    i at t_i + h/2 and t_{i+1} reach rows i + 1 - M .. i, the first one
+    also row i - M when `old`; there are no rows before row 0.  That window
+    is a suffix of the last finished block of M rows and a prefix of the
+    current one (van Herk/Gil-Werman): the suffix maxima of a block are
+    taken once, when it is finished, and combined with the reads' own sup
+    terms once per block of either; per step only the current block's
+    running max moves.  Only the current block's rows are kept.  Maxima are
+    taken as np.maximum takes them: a NaN propagates (a tie of 0.0 and -0.0
+    may come out either way).
+    """
+
+    __slots__ = ("M", "od", "block", "suf", "run", "seg", "mid", "end")
+
+    def __init__(self, M, old):
+        self.M = M
+        self.od = 0 if old else 1
+
+    def step(self, i, w, far, j):
+        """The maxima of step i's reads at t_i + h/2 and at t_{i+1}, two
+        lists of K floats.  w holds row i as a list of K floats; far
+        (2, n, K) the reads' own sup terms for a block of n steps, step i
+        at j, a new block coming in at j = 0.  Steps are taken in order
+        from i = 0."""
+        M = self.M
+        r = i % M
+        if r == 0:
+            self.suf = np.full((M + 1, len(w)), -np.inf)
+            if i:
+                self.suf[:M] = np.maximum.accumulate(
+                    np.array(self.block)[::-1])[::-1]
+            self.block = [w]
+            run = w
+        else:
+            self.block.append(w)
+            run = [v if v >= a or v != v else a for v, a in zip(w, self.run)]
+        self.run = run
+        if r == 0 or j == 0:
+            # the last block's rows in reach with far, for the steps up to
+            # the end of the current block or of far's
+            n = min(M - r, far.shape[1] - j)
+            lo = r + self.od
+            self.seg = i
+            self.mid = np.maximum(far[0, j:j + n],
+                                  self.suf[lo:lo + n]).tolist()
+            self.end = np.maximum(far[1, j:j + n],
+                                  self.suf[r + 1:r + 1 + n]).tolist()
+        k = i - self.seg
+        return ([v if v >= a or v != v else a
+                 for v, a in zip(run, self.mid[k])],
+                [v if v >= a or v != v else a
+                 for v, a in zip(run, self.end[k])])
 
 
 def pre_rows(window):

@@ -33,14 +33,20 @@ def trajectory_columns(traj, V, B, W, bound=None):
     return names, np.column_stack(cols)
 
 
+# rows per formatted block of write_trajectory_csv: one format call per
+# block, and no copy of the whole table
+CSV_BLOCK = 32
+
+
 def write_trajectory_csv(path, names, data):
-    # + 0.0 folds negative zero into plain 0
-    data = np.asarray(data, dtype=float) + 0.0
+    data = np.asarray(data, dtype=float)
     fmt = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(",".join(names) + "\n")
-        # one row at a time, so no copy of the whole table is held
-        f.writelines(fmt % tuple(row.tolist()) for row in data)
+        for start in range(0, data.shape[0], CSV_BLOCK):
+            # + 0.0 folds negative zero into plain 0
+            blk = data[start:start + CSV_BLOCK] + 0.0
+            f.write(fmt * blk.shape[0] % tuple(blk.ravel().tolist()))
 
 
 def read_trajectory_csv(path):

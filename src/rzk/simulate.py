@@ -13,11 +13,13 @@ reads at t <= 0 going through each lane's own initial window, constant or
 sampled, while each RK stage runs per lane in plain floats on the
 certificate's per-point form and `controller.law`, so a lane's result does
 not depend on the other lanes.  Each step writes its row of one
-state/slope/input/margin table once and takes the sup's rows with one max
-for both of its read times.  The history sup is taken on the run's own
-rows (see `history`): the read at theta = -Delta, every accepted row in
-[t - Delta, t], the initial window's samples included, and the stage value
-at theta = 0.  `_integrate_general` is the tests' reference integrator.
+state/slope/input/margin table once; at mu = 0 it takes the sup's rows as
+a running max over blocks, in O(1) per lane and step, and at mu > 0 with
+one weighted max for both of its read times.  The history sup is taken on
+the run's own rows (see `history`): the read at theta = -Delta, every
+accepted row in [t - Delta, t], the initial window's samples included, and
+the stage value at theta = 0.  `_integrate_general` is the tests'
+reference integrator.
 """
 
 import math
@@ -202,9 +204,10 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     step's first-stage certificate values, weighted from
     `history.lag_weights`, and the initial windows' own samples.  The RK
     stages run lane by lane in floats; each step writes its row of the one
-    (state, slope, input, margin) table and its certificate values once,
-    at its first stage, and takes one max over the rows behind both its
-    read times.
+    (state, slope, input, margin) table once, at its first stage, as one
+    flat slice.  At mu = 0 `history.LaneWindowMax` takes the max over the
+    rows behind its read times; at mu > 0 one max over the weighted rows
+    serves both.
     """
     h = settings.h
     nsteps = int(round(settings.T / h))
@@ -215,10 +218,14 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     wins = [w.copy() for w in ics]
 
     # per row and lane the state, its k1, the input and the margin; NaN
-    # until written, so a read of a row that is not final yet shows
+    # until written, so a read of a row that is not final yet shows.  A
+    # step writes its row as one flat slice
     tab = np.full((N, K, 6), np.nan)
+    flat = tab.reshape(-1)
     xs, ms, us, margins = tab[..., :2], tab[..., 2:4], tab[..., 4], tab[..., 5]
-    wv = np.empty((K, N))             # certificate per lane and row
+    # certificate per row and lane, for the weighted rows at mu > 0; apart
+    # from the table, so that it goes when the run returns
+    wv = np.empty((N, K))
 
     # read tables by stage offset c (in steps past t_i): stages 1 and 2 read
     # at t_i + h/2, stage 3 of step i and stage 0 of step i + 1 at t_{i+1}.
@@ -248,8 +255,10 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     # t_i + h/2 also reaches row i - M, at lag M + 1/2
     lagw = hist.lag_weights(mu, h, dsteps)
     M = (lagw.shape[0] - 1) // 2
-    lagm = np.stack([lagw[1:2 * M:2], lagw[2::2]])[:, None, ::-1]
+    lagm = np.stack([lagw[1:2 * M:2], lagw[2::2]])[:, ::-1, None]
     w_old = lagw[-1] if lagw.shape[0] % 2 == 0 else None
+    # at mu = 0 every weight is 1.0, so a running max serves
+    wmax = hist.LaneWindowMax(M, w_old is not None)
     ew = math.exp(-mu * delta)
     if cert is not None:
         pre = [(s, cert.value_many(X)) for s, X in map(hist.pre_rows, wins)]
@@ -287,15 +296,13 @@ def _lockstep_example(dyn, ctrl, ics, settings):
                      + rb[2] * xs[nxt] + rb[3] * ms[nxt])
 
     def sup_max(i, g):
-        """The max of the sup terms g (2, K) of the reads at t_i + h/2 and
-        t_{i+1} and of the weighted rows behind them, as (2, K) floats."""
-        a = wv[:, max(i + 1 - M, 0):i + 1]
-        # at mu = 0 every weight is 1.0, so one max serves both reads
-        if mu:
-            a = a * lagm[..., M - a.shape[1]:]
-        g = np.maximum(a.max(axis=-1), g)
+        """At mu > 0, the max of the sup terms g (2, K) of the reads at
+        t_i + h/2 and t_{i+1} and of the weighted rows behind them, as
+        (2, K) floats."""
+        a = wv[max(i + 1 - M, 0):i + 1]
+        g = np.maximum((a * lagm[:, M - a.shape[0]:]).max(axis=1), g)
         if w_old is not None and i >= M:
-            np.maximum(g[0], wv[:, i - M] * w_old, out=g[0])
+            np.maximum(g[0], wv[i - M] * w_old, out=g[0])
         return g.tolist()
 
     vg = cert.value_grad if cert is not None else None
@@ -335,9 +342,11 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     f_end = fr[0, 0].tolist()
     g_mid = g_end = [0.0] * K if cert is None else far[0, 0].tolist()
     lanes = range(K)
+    KC = 6 * K
     for i in range(nsteps + 1):
         k1 = [stage(x[k][0], x[k][1], f_end[k], g_end[k]) for k in lanes]
-        tab[i] = [x[k] + k1[k][:4] for k in lanes]
+        flat[i * KC:(i + 1) * KC] = [v for xk, t in zip(x, k1)
+                                     for v in xk + t[:4]]
         if i == 0:
             for w, m in zip(wins, ms[0]):
                 w.ms[w.count - 1] = m
@@ -349,18 +358,20 @@ def _lockstep_example(dyn, ctrl, ics, settings):
             fr, far = block_reads(steps)
             fr = fr.tolist()
         f_mid, f_end = fr[0][j], fr[1][j]
-        if cert is not None:
-            wv[:, i] = [r[4] for r in k1]
+        if cert is not None and mu:
+            wv[i] = [t[4] for t in k1]
             g_mid, g_end = sup_max(i, far[:, j])
+        elif cert is not None:
+            g_mid, g_end = wmax.step(i, [t[4] for t in k1], far, j)
         for k in lanes:
             x0, x1 = x[k]
-            a0, a1 = k1[k][:2]
-            b0, b1 = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
-                           g_mid[k])[:2]
-            c0, c1 = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
-                           g_mid[k])[:2]
-            d0, d1 = stage(x0 + h * c0, x1 + h * c1, f_end[k],
-                           g_end[k])[:2]
+            a0, a1, _, _, _ = k1[k]
+            b0, b1, _, _, _ = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
+                                    g_mid[k])
+            c0, c1, _, _, _ = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
+                                    g_mid[k])
+            d0, d1, _, _, _ = stage(x0 + h * c0, x1 + h * c1, f_end[k],
+                                    g_end[k])
             x[k] = (x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0),
                     x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1))
 

@@ -122,8 +122,11 @@ def window_states(traj):
         np.array([-hist.delay_steps(delta, h)]), h)
     row = np.maximum(np.arange(N) + int(i0[0]), 0)
     nxt = np.minimum(row + 1, N - 1)
-    vals = (b00[0] * xs[row] + b10[0] * ms[row]
-            + b01[0] * xs[nxt] + b11[0] * ms[nxt])
+    # summed in place, in the order of b00 x0 + b10 m0 + b01 x1 + b11 m1
+    vals = b00[0] * xs[row]
+    vals += b10[0] * ms[row]
+    vals += b01[0] * xs[nxt]
+    vals += b11[0] * ms[nxt]
     tread = traj.ts - delta
     pre = tread <= hist.EARLY_TOL
     if pre.any():
@@ -135,6 +138,21 @@ def window_states(traj):
 
 # samples per block of field_sup_series' sliding max, to bound its memory
 SUP_BLOCK = 2048
+
+
+def sliding_max(a, R):
+    """The max of each window of R consecutive entries of a, as np.max
+    takes it (a NaN in a window propagates): (len(a) - R + 1,).
+
+    Van Herk/Gil-Werman: a window starting at k is the suffix of k's
+    block of R entries and a prefix of the next block, so prefix and
+    suffix running maxima per block give every window in O(len(a))."""
+    n = a.shape[0] - R + 1
+    blocks = np.full((-(-a.shape[0] // R), R), -np.inf)
+    blocks.ravel()[:a.shape[0]] = a
+    pre = np.maximum.accumulate(blocks, axis=1).ravel()
+    suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suf[:n], pre[R - 1:R - 1 + n])
 
 
 def field_sup_series(traj, field, mu=0.0):
@@ -151,22 +169,42 @@ def field_sup_series(traj, field, mu=0.0):
     N = fv.shape[0]
     lagw = hist.lag_weights(mu, h, hist.delay_steps(delta, h))[::2][::-1]
     R = lagw.shape[0]
-    rows = sliding_window_view(np.concatenate([np.full(R - 1, -np.inf), fv]),
-                               R)
+    padded = np.concatenate([np.full(R - 1, -np.inf), fv])
+    rows = sliding_window_view(padded, R)
     out = np.empty(N)
     for start in range(0, N, SUP_BLOCK):
-        blk = rows[start:start + SUP_BLOCK]
+        stop = min(start + SUP_BLOCK, N)
+        # at mu = 0 every weight is 1.0, so the plain sliding max serves
         if mu:
-            blk = blk * lagw
-        out[start:start + blk.shape[0]] = blk.max(axis=1)
+            out[start:stop] = (rows[start:stop] * lagw).max(axis=1)
+        else:
+            out[start:stop] = sliding_max(padded[start:stop + R - 1], R)
     end = field.value_many(window_states(traj))
     if mu:
         end = end * math.exp(-mu * delta)
     np.maximum(out, end, out=out)
     s, X = hist.pre_rows(traj.ic_window)
     n = int(np.searchsorted(traj.ts, delta + hist.ROW_TOL))
-    return np.maximum(out, np.concatenate([hist.row_sup(
-        s, field.value_many(X), traj.ts[:n], delta, mu), out[n:]]))
+    np.maximum(out[:n], hist.row_sup(s, field.value_many(X), traj.ts[:n],
+                                     delta, mu), out=out[:n])
+    return out
+
+
+def finite_check(traj, steps):
+    """The run reached its horizon: steps + 1 rows, every state finite, not
+    cut short as diverged.  The other checks judge the rows they are given,
+    so a run cut at its first overflow, or a truncated CSV, passes them on
+    what is left; this check does not."""
+    rows = traj.xs.shape[0]
+    bad = ~np.isfinite(traj.xs).all(axis=1)
+    ok = rows == steps + 1 and not bad.any() and not traj.diverged
+    witness = None
+    if bad.any():
+        k = int(np.argmax(bad))
+        witness = _witness(traj.ts[k], traj.xs[k])
+    return VerificationReport(
+        "finite", ok, float(traj.ts[-1]) if rows else None, witness, {},
+        {"rows": int(rows), "expected_rows": int(steps) + 1})
 
 
 def safety_check(traj, unsafe):

@@ -107,6 +107,9 @@ def test_zero_start_stays_at_zero(tmp_path):
     {"gains": None},
     {"system": {"tau": 5e-4}},                          # 0 < tau < h
     {"initial_conditions": [{"times": 0.0, "states": [[0.0, 0.0]]}]},
+    {"initial_conditions": [{"times": [-0.3, 0.0],
+                             "states": [["nan", 0.0], [0.0, 0.0]]}]},
+    {"lambda": "inf"},
 ])
 def test_config_validation_exits_2(tmp_path, capsys, mangle):
     cfgp = tmp_path / "bad.json"
@@ -253,8 +256,10 @@ def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
     assert calls[4:] == [1] * 12
     assert ((tmp_path / "all" / "sweep.csv").read_bytes()
             == ("\n".join(own) + "\n").encode())
-    # the diverging start does not converge at any point
+    # the diverging start does not converge at any point, and fails its
+    # checks there: it did not reach T
     assert [r.split(",")[7] for r in lines[3::3]] == ["0"] * 4
+    assert [r.split(",")[8] for r in lines[3::3]] == ["0"] * 4
 
 
 @pytest.mark.parametrize("sweep", [{}, {"psi": [], "tau": [0.3]}],
@@ -294,6 +299,32 @@ def test_verify_recheck_of_demo(demo_run, tmp_path, capsys):
             for key in ("pass", "worst", "witness", "details"):
                 assert check[key] == first["checks"][name][key], (
                     again["file"], name, key)
+
+
+def test_verify_fails_a_truncated_demo_csv(demo_run, tmp_path, capsys):
+    # the rows left pass every other check; the run did not reach T
+    work = tmp_path / "cut"
+    work.mkdir()
+    for p in demo_run.path.iterdir():
+        if p.suffix == ".csv" or p.name == "config.json":
+            (work / p.name).write_bytes(p.read_bytes())
+    path = work / "trajectory_02.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:10002]))
+    capsys.readouterr()
+    code = cli.main(["verify", "--config", str(work / "config.json"),
+                     "--out", str(work)])
+    assert code == 1
+    summary = io.read_json(work / "verify_summary.json")
+    for row in summary["results"]:
+        checks = row["checks"]
+        cut = row["file"] == "trajectory_02.csv"
+        assert checks["finite"]["pass"] is not cut, row["file"]
+        assert all(c["pass"] for n, c in checks.items() if n != "finite")
+    assert summary["results"][2]["checks"]["finite"]["details"] \
+        == {"rows": 10001, "expected_rows": 20001}
+    assert "trajectory_02.csv: safety: pass, decrease: pass, envelope: " \
+        "pass, finite: FAIL" in capsys.readouterr().out
 
 
 def test_verify_flags_low_psi(tmp_path):

@@ -216,3 +216,92 @@ def test_copy_is_independent():
     assert c.count == 1
     assert c.latest_time == 0.0
 
+
+
+# values for the sup forms: ordinary, infinite and NaN.  + 0.0 folds -0.0
+# into 0.0, since a tie of the two zeros may come out either way in a max
+_SUP_VALUE = st.one_of(
+    st.floats(-1e3, 1e3).map(lambda v: v + 0.0),
+    st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+def _brute_max(vals):
+    """np.max of vals, -inf when empty."""
+    return np.max(vals, initial=-np.inf)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), R=st.integers(1, 80))
+def test_sliding_max_equals_each_window_max(data, n, R):
+    # R need not divide the length, and may exceed the run; -inf padding
+    # as field_sup_series pads the rows before the first
+    vals = data.draw(st.lists(_SUP_VALUE, min_size=n, max_size=n))
+    a = np.concatenate([np.full(R - 1, -np.inf), vals])
+    want = [_brute_max(a[k:k + R]) for k in range(n)]
+    assert _bits(verify.sliding_max(a, R)) == _bits(want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), K=st.integers(1, 2), N=st.integers(1, 30),
+       M=st.integers(1, 12), L=st.integers(1, 15), old=st.booleans())
+def test_lane_window_max_equals_the_window_max(data, K, N, M, L, old):
+    # every step's maxima against the max over its window of rows and its
+    # reads' own terms; M need not divide N nor L, and may exceed N; with
+    # `old` (odd floor(2 delta/h)) the first read reaches one row more
+    rows = np.array(data.draw(st.lists(
+        st.lists(_SUP_VALUE, min_size=K, max_size=K), min_size=N,
+        max_size=N)))
+    far_all = np.array(data.draw(st.lists(
+        st.lists(_SUP_VALUE, min_size=2 * K, max_size=2 * K), min_size=N,
+        max_size=N))).reshape(N, 2, K).transpose(1, 0, 2)
+    wm = hist.LaneWindowMax(M, old)
+    for i in range(N):
+        # far comes in blocks of L steps, as the lockstep's block reads do
+        j = i % L
+        far = far_all[:, i - j:i - j + L]
+        mid, end = wm.step(i, rows[i].tolist(), far, j)
+        lo_mid = max(i + 1 - M - old, 0)
+        lo_end = max(i + 1 - M, 0)
+        for k in range(K):
+            assert _bits(mid[k]) == _bits(_brute_max(
+                np.append(rows[lo_mid:i + 1, k], far_all[0, i, k]))), (i, k)
+            assert _bits(end[k]) == _bits(_brute_max(
+                np.append(rows[lo_end:i + 1, k], far_all[1, i, k]))), (i, k)
+
+
+def _row_sup_mask(s, vals, times, delta, mu):
+    """row_sup as a (times x rows) mask: each time's rows in reach."""
+    if mu:
+        vals = vals * np.exp(mu * s)
+    inside = ((s >= times[:, None] - delta - hist.ROW_TOL)
+              & (s <= times[:, None]))
+    out = np.where(inside, vals, -np.inf).max(axis=1, initial=-np.inf)
+    if mu:
+        out = out * np.exp(-mu * times)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30), m=st.integers(1, 20),
+       mu=st.sampled_from([0.0, 0.5]))
+def test_row_sup_equals_the_masked_max(data, n, m, mu):
+    # rows at or before 0 and read times at or after it, as the callers
+    # make them; a read time a row's lag exactly delta behind included
+    s = np.sort(np.array(data.draw(st.lists(
+        st.floats(-0.5, 0.0), min_size=n, max_size=n, unique=True))))
+    vals = np.array(data.draw(st.lists(_SUP_VALUE, min_size=n, max_size=n)))
+    times = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 0.5), st.sampled_from(list(s + 0.3) or [0.0])
+                  .filter(lambda t: t >= 0.0)),
+        min_size=m, max_size=m)))
+    assert _bits(hist.row_sup(s, vals, times, 0.3, mu)) \
+        == _bits(_row_sup_mask(s, vals, times, 0.3, mu))
+
+
+def test_row_sup_rejects_rows_after_a_read_time():
+    with pytest.raises(ValueError):
+        hist.row_sup(np.array([-0.1, 0.2]), np.ones(2), np.array([0.1]), 0.3)

@@ -390,6 +390,45 @@ def test_each_lockstep_lane_equals_its_one_lane_run(example_setup):
         for name in ("xs", "us", "margins", "slopes"):
             assert _bits(getattr(tr, name)) == _bits(getattr(single, name)), \
                 name
+    # a lane whose certificate goes NaN, then +inf, mid-window.  Under a
+    # zero gradient its margins show the sup it acted on, which must carry
+    # the NaN and the inf for the whole window behind them, as np.maximum
+    # and the rebuilt sup take them; under W's gradient the NaN sup cuts
+    # the run
+    ics = [ics[0], hist.from_constant(np.array([0.0, 1.0]), 0.3)]
+    s = IntegrationSettings(h=1e-3, T=0.6)
+    for cert, cut in ((_holes(_dead_zone(example_setup["W"])), False),
+                      (_holes(example_setup["W"]), True)):
+        ctrl = rzk.ControllerSpec(cert, example_setup["gains"], 2.0)
+        batch = rzk.batch_integrate(dyn, ctrl, ics, s)
+        for w, tr in zip(ics, batch):
+            single, = rzk.batch_integrate(dyn, ctrl, [w.copy()], s)
+            for name in ("xs", "us", "margins", "slopes"):
+                assert _bits(getattr(tr, name)) \
+                    == _bits(getattr(single, name)), name
+        assert batch[-1].diverged == cut
+        if cut:
+            continue
+        for tr in batch:
+            sup = verify.field_sup_series(tr, cert)
+            with np.errstate(invalid="ignore"):
+                want = 2.5 * cert.value_many(tr.xs) - 2.0 * sup
+            np.testing.assert_array_equal(tr.margins, want)
+        holed = batch[-1].margins
+        # the NaN band holds the sup for the 300 rows of a window behind
+        # it, the inf band, crossed inside that window, for the rest of its
+        assert np.isnan(holed).sum() >= 300 and np.isneginf(holed).sum() >= 150
+
+
+def _holes(field):
+    """field's values, NaN for 0.1 < x1 < 0.101 and +inf for 0.2 < x1 <
+    0.201, with field's gradient."""
+    def value_many(X):
+        v = field.value_many(X).copy()
+        v[(X[:, 0] > 0.1) & (X[:, 0] < 0.101)] = np.nan
+        v[(X[:, 0] > 0.2) & (X[:, 0] < 0.201)] = np.inf
+        return v
+    return rzk.ScalarField(2, value_many, field.grad_many, name="holes")
 
 
 def test_each_lane_of_a_mixed_batch_equals_its_one_lane_run(example_setup):
