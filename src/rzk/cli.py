@@ -310,40 +310,52 @@ def _run_batch(build, out_dir):
     return trajs, any(tr.diverged for tr in trajs)
 
 
-def _point_checks(build):
+def _point_checks(build, samples=None):
     """Certificate-level checks, construction and separation, of a W run:
-    they depend on psi, the gains and the seed, not on the starts."""
+    they depend on psi, the gains and the seed, not on the starts.  samples
+    holds the construction check's psi-free half (see
+    `verify.clbrf_construction_check`); an empty dict is filled here."""
     if build.cfg.kind != "W":
         return {}
     return {
         "construction": verify.clbrf_construction_check(
             build.V, build.B, example_sandwich(), EXAMPLE_BOX, example_margin,
             psi=build.cfg.psi, gains=(build.gains, build.gains),
-            unsafe=build.unsafe, seed=build.cfg.seed),
+            unsafe=build.unsafe, seed=build.cfg.seed, samples=samples),
         "separation": verify.separation_check(build.unsafe, build.W),
     }
 
 
+def _run_checks(build, tr, steps):
+    """Per-trajectory checks of one run; it must also have reached the
+    configured T, in steps steps."""
+    checks = {"safety": verify.safety_check(tr, build.unsafe)}
+    if build.active is not None:
+        # the certificate on the rows, once for every check that reads it
+        fv = build.active.value_many(tr.xs)
+        checks["decrease"] = verify.decrease_check(tr, build.active,
+                                                   build.gains, fv)
+        if build.cert is not None:
+            checks["envelope"] = verify.envelope_check(tr, build.active,
+                                                       build.cert, fv)
+    checks["finite"] = verify.finite_check(tr, steps)
+    return checks
+
+
 def _verify_batch(build, trajs, point=None):
-    """Certificate-level checks (computed here unless point gives them)
-    plus per-trajectory checks; returns (point, per-trajectory list,
-    all_pass).  Each trajectory must also have reached the configured T."""
+    """Per-trajectory checks plus certificate-level checks (computed here
+    unless point gives them); returns (point, per-trajectory list,
+    all_pass).  trajs may be any iterable: each trajectory is checked as it
+    comes and no reference to it is kept, and a bad one raises before the
+    certificate-level checks run."""
+    steps = int(round(build.settings.T / build.settings.h))
+    # map, not a loop: a loop variable would keep each run alive while the
+    # next one is read
+    per = list(map(lambda tr: _run_checks(build, tr, steps), trajs))
     if point is None:
         point = _point_checks(build)
-    ok = all(r.passed for r in point.values())
-    per = []
-    steps = int(round(build.settings.T / build.settings.h))
-    for tr in trajs:
-        checks = {"safety": verify.safety_check(tr, build.unsafe)}
-        if build.active is not None:
-            checks["decrease"] = verify.decrease_check(tr, build.active,
-                                                       build.gains)
-            if build.cert is not None:
-                checks["envelope"] = verify.envelope_check(tr, build.active,
-                                                           build.cert)
-        checks["finite"] = verify.finite_check(tr, steps)
-        per.append(checks)
-        ok = ok and all(c.passed for c in checks.values())
+    ok = (all(r.passed for r in point.values())
+          and all(c.passed for checks in per for c in checks.values()))
     return point, per, ok
 
 
@@ -440,16 +452,18 @@ def _sweep_config(base, names, pt):
     return RunConfig(d)
 
 
-def _sweep_group_rows(group, point_checks):
+def _sweep_group_rows(group, point_checks, samples):
     """sweep.csv rows, and whether all checks pass, for a group of
     (index, config) points whose configs differ only in their starts.
 
     One build serves the group, and one lockstep runs every start of every
     point as a lane; a lane equals its one-lane run bit for bit.  Each
     point is verified and gets its row as if run on its own.  Certificate-
-    level checks are cached in point_checks by (psi, gamma, eta): kind and
-    seed are fixed across the sweep.  The group's trajectories, and the
-    lockstep table they view, go when this returns.
+    level checks are cached in point_checks by (psi, gamma, eta), and every
+    point's construction check reads its psi-free half from the one dict
+    samples: kind, seed, box and barrier are fixed across the sweep.  The
+    group's trajectories, and the lockstep table they view, go when this
+    returns.
     """
     build = _Build(group[0][1])
     trajs = batch_integrate(build.dyn, build.ctrl,
@@ -462,7 +476,7 @@ def _sweep_group_rows(group, point_checks):
         del trajs[:len(mine)]
         key = (sub.psi, sub.gamma, sub.eta)
         if key not in point_checks:
-            point_checks[key] = _point_checks(build)
+            point_checks[key] = _point_checks(build, samples)
         point, per, ok = _verify_batch(build, mine, point_checks[key])
         finals = [float(np.linalg.norm(tr.xs[-1])) for tr in mine]
         conv = all(not tr.diverged and f < CONVERGED_NORM
@@ -495,6 +509,7 @@ def cmd_sweep(args):
     lines = [",".join(header)]
     all_ok = True
     point_checks = {}
+    samples = {}
     base = cfg.to_dict()
     base.pop("sweep")
     # the starts axis comes last, so the points whose configs differ only
@@ -504,7 +519,7 @@ def cmd_sweep(args):
     for _, group in itertools.groupby(
             enumerate(points), key=lambda item: json.dumps(item[1][:fixed])):
         group = [(idx, _sweep_config(base, names, pt)) for idx, pt in group]
-        rows, ok = _sweep_group_rows(group, point_checks)
+        rows, ok = _sweep_group_rows(group, point_checks, samples)
         lines += rows
         all_ok = all_ok and ok
     path = os.path.join(args.out, "sweep.csv")
@@ -518,10 +533,11 @@ def cmd_sweep(args):
 def cmd_verify(args):
     cfg = RunConfig.from_file(args.config)
     build = _Build(cfg)
-    trajs = []
-    files = []
-    for k, w in enumerate(_windows(cfg)):
-        path = os.path.join(args.out, _trajectory_file(cfg.prefix, k))
+    files = [_trajectory_file(cfg.prefix, k)
+             for k in range(len(cfg.initial_conditions))]
+
+    def read(k, w):
+        path = os.path.join(args.out, files[k])
         try:
             tr = io.trajectory_from_csv(*io.read_trajectory_csv(path),
                                         build.dyn, w)
@@ -530,10 +546,13 @@ def cmd_verify(args):
         if not np.array_equal(tr.xs[0], w.latest_state):
             raise ConfigError(f"{path} does not start at "
                               f"initial_conditions[{k}]")
-        trajs.append(tr)
-        files.append(os.path.basename(path))
-    # same suite the demo runs: certificate-level checks plus per-file ones
-    point, per, ok = _verify_batch(build, trajs)
+        return tr
+
+    # same suite the demo runs: certificate-level checks plus per-file ones.
+    # Each CSV is read as the checks reach it, so one run is held at a
+    # time; a bad file raises before anything is printed
+    point, per, ok = _verify_batch(build, map(read, itertools.count(),
+                                              _windows(cfg)))
     for name, rep in point.items():
         print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
     results = []

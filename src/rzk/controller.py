@@ -90,7 +90,7 @@ def evaluate(spec, dyn, window):
                           math.nan)
     cert = spec.certificate
     G = dyn.g(window)
-    vx, gr = cert.value_grad(window.latest_state.tolist())
+    vx, *gr = cert.value_grad(*window.latest_state.tolist())
     gr = np.array(gr)
     # an elementwise sum, not a BLAS dot, which may fuse its products: the
     # lockstep's per-lane floats form the same sum

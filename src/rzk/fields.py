@@ -2,10 +2,10 @@
 hazard/barrier pair, and the psi-weighted Lyapunov-barrier combination.
 
 Every field exposes value(x), grad(x) and vectorized value_many/grad_many,
-plus value_grad for both at one point in plain floats; grad must track
-value to finite-difference accuracy (see finite_diff_check).  A row's value
-does not depend on its position in a batch.  Piecewise definitions cover
-all of R^n.
+plus value_grad(*x) for both at one point in plain floats, returned flat as
+(value, *gradient); grad must track value to finite-difference accuracy
+(see finite_diff_check).  A row's value does not depend on its position in
+a batch.  Piecewise definitions cover all of R^n.
 """
 
 import numpy as np
@@ -23,10 +23,11 @@ FIELD_BLOCK = 4096
 class ScalarField:
     """C^1 scalar function of the state with an analytic gradient.
 
-    value_grad(x), for a point x given as a sequence of floats, returns the
-    value as a float and the gradient as a tuple of floats, bit for bit the
-    value_many/grad_many row of x.  Fields built without a per-point form
-    take it from one-row batch calls.  value_many evaluates a long batch
+    value_grad(*x), for a point x given as its coordinates, returns the flat
+    tuple (value, *gradient) of floats, bit for bit the value_many/grad_many
+    row of x: a caller unpacks it without building or unpacking a nested
+    gradient tuple.  Fields built without a per-point form take it from
+    one-row batch calls.  value_many evaluates a long batch
     FIELD_BLOCK rows at a time, which gives the same rows.  quad2 holds the
     rows of Q for a 2-D quadratic x^T Q x, None otherwise.
     """
@@ -63,10 +64,9 @@ class ScalarField:
         X = np.asarray(X, dtype=float)
         return self._grad_many(X)
 
-    def _value_grad_row(self, x):
-        X = np.asarray(x, dtype=float)[None, :]
-        return (float(self._value_many(X)[0]),
-                tuple(self._grad_many(X)[0].tolist()))
+    def _value_grad_row(self, *x):
+        X = np.array(x, dtype=float)[None, :]
+        return (float(self._value_many(X)[0]), *self._grad_many(X)[0].tolist())
 
 
 class SandwichBounds:
@@ -162,11 +162,10 @@ def quadratic_field(Q, name="quadratic"):
     if n == 2:
         (q00, q01), (q10, q11) = field.quad2 = rows
 
-        def value_grad(x):
-            x0, x1 = x
+        def value_grad(x0, x1):
             y0 = q00 * x0 + q01 * x1
             y1 = q10 * x0 + q11 * x1
-            return x0 * y0 + x1 * y1, (2.0 * y0, 2.0 * y1)
+            return x0 * y0 + x1 * y1, 2.0 * y0, 2.0 * y1
 
         field.value_grad = value_grad
     return field
@@ -306,19 +305,19 @@ def _hazard_point(x1, x2):
     return val, dval, 2.0 * t1 / (d1 * d1), 2.0 * t2 / (d2 * d2)
 
 
-def _barrier_point(x):
-    """_barrier's value and gradient row at the point x, in floats; e^{-H}
-    goes through np.exp, which math.exp does not match in the last bit."""
-    x1, x2 = x
+def _barrier_point(x1, x2):
+    """_barrier's value and gradient row at the point (x1, x2), flat, in
+    floats; e^{-H} goes through np.exp, which math.exp does not match in the
+    last bit."""
     r2 = x1 * x1 + x2 * x2
     if _BOX_LO[0] < x1 < _BOX_HI[0] and _BOX_LO[1] < x2 < _BOX_HI[1]:
         hv, dval, g1, g2 = _hazard_point(x1, x2)
         eH = float(np.exp(-hv))
         c = 2.0 * (eH - _E4)
-        return ((eH - _E4) * r2, (c * x1 - eH * dval * g1 * r2,
-                                  c * x2 - eH * dval * g2 * r2))
+        return ((eH - _E4) * r2, c * x1 - eH * dval * g1 * r2,
+                c * x2 - eH * dval * g2 * r2)
     c = -2.0 * _E4
-    return -_E4 * r2, (c * x1, c * x2)
+    return -_E4 * r2, c * x1, c * x2
 
 
 def example_barrier():
@@ -356,13 +355,12 @@ def combine_clbrf(V, B, psi):
         (q00, q01), (q10, q11) = V.quad2
         b_point = B.value_grad
 
-        def value_grad(x):
-            x0, x1 = x
+        def value_grad(x0, x1):
             y0 = q00 * x0 + q01 * x1
             y1 = q10 * x0 + q11 * x1
-            b, (c0, c1) = b_point(x)
-            return (x0 * y0 + x1 * y1 + psi * b,
-                    (2.0 * y0 + psi * c0, 2.0 * y1 + psi * c1))
+            b, c0, c1 = b_point(x0, x1)
+            return (x0 * y0 + x1 * y1 + psi * b, 2.0 * y0 + psi * c0,
+                    2.0 * y1 + psi * c1)
 
     return ScalarField(V.n, value_many, grad_many, name="W",
                        value_grad=value_grad)

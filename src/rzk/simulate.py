@@ -317,7 +317,7 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         f2 = -fric - s0
         if vg is None:
             return s1, f2, 0.0, math.nan, math.nan
-        v0, (g0, q) = vg((s0, s1))
+        v0, g0, q = vg(s0, s1)
         # theta = 0 included; a NaN history max stays NaN, as in np.maximum
         sup = v0 if v0 > gmax else gmax
         a = g0 * s1 + q * f2 + gam * v0 - eta * sup       # g = (0, 1)

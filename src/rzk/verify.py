@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import halanay
 from . import history as hist
-from .fields import EXAMPLE_BOX, combine_clbrf, example_hazard
+from .fields import EXAMPLE_BOX, example_hazard
 
 HAZARD_THRESHOLD = 4.0
 SAFETY_TOL = 1e-3
@@ -155,17 +155,18 @@ def sliding_max(a, R):
     return np.maximum(suf[:n], pre[R - 1:R - 1 + n])
 
 
-def field_sup_series(traj, field, mu=0.0):
+def field_sup_series(traj, field, mu=0.0, values=None):
     """Weighted history sup of the field at every sample, rebuilt on the
     run's rows as the integrators take it: (N,).
 
     A sliding max over the field at the samples, weighted by lag from
     `history.lag_weights`, the read at theta = -delta and the initial
-    window's samples in reach.
+    window's samples in reach.  values is the field on traj.xs, when the
+    caller has it already.
     """
     delta = traj.meta["delta"]
     h = traj.h
-    fv = field.value_many(traj.xs)
+    fv = field.value_many(traj.xs) if values is None else values
     N = fv.shape[0]
     lagw = hist.lag_weights(mu, h, hist.delay_steps(delta, h))[::2][::-1]
     R = lagw.shape[0]
@@ -245,12 +246,13 @@ def safety_check(traj, unsafe):
     return VerificationReport("safety", True, None, None, tvalues, details)
 
 
-def decrease_check(traj, field, gains):
+def decrease_check(traj, field, gains, values=None):
     """Forward-difference d(field)/dt against -gamma*field + eta*sup at each
     interior sample; pass iff every residual is within DECREASE_C*h.
 
     The sup series is rebuilt from the samples by field_sup_series, for a
-    run in memory as for one read back from CSV."""
+    run in memory as for one read back from CSV.  values is the field on
+    traj.xs, when the caller has it already."""
     h = traj.h
     tol = DECREASE_C * h
     tvalues = {"c": DECREASE_C, "h": h, "tol": tol}
@@ -258,8 +260,8 @@ def decrease_check(traj, field, gains):
     if N < 2:
         return VerificationReport("decrease", True, 0.0, None, tvalues,
                                   {"samples": N, "violations": 0})
-    sup = field_sup_series(traj, field, gains.mu)
-    fv = field.value_many(traj.xs)
+    fv = field.value_many(traj.xs) if values is None else values
+    sup = field_sup_series(traj, field, gains.mu, fv)
     fwd = np.diff(fv) / h
     res = fwd - (-gains.gamma * fv[:-1] + gains.eta * sup[:-1])
     k = int(np.argmax(res))
@@ -277,15 +279,16 @@ def decrease_check(traj, field, gains):
                               tvalues, details)
 
 
-def envelope_check(traj, field, certificate):
+def envelope_check(traj, field, certificate, values=None):
     """Field values along the run against the exponential envelope.
 
     Non-negative start: ratio test against field(0)*e^{-rho t}.  Negative
     start (the barrier-side case): the envelope statement degenerates to
     forward invariance of the nonpositive sublevel set, so the check is
-    that the field never becomes positive.
+    that the field never becomes positive.  values is the field on traj.xs,
+    when the caller has it already.
     """
-    vs = field.value_many(traj.xs)
+    vs = field.value_many(traj.xs) if values is None else values
     v0 = float(vs[0])
     if v0 < 0.0:
         k = int(np.argmax(vs))
@@ -325,21 +328,56 @@ def _boundary_grid(region, per_edge):
 def _unsafe_sample(rng, region, unsafe):
     """The first UNSAFE_SAMPLES members of unsafe among 8 * UNSAFE_SAMPLES
     uniform draws in region, drawn UNSAFE_SAMPLES rows at a time until that
-    many members are found."""
+    many members are found.  The sample is an array of its own, with no
+    rows beyond it."""
     kept, found = [], 0
     for _ in range(8):
         chunk = rng.uniform(region.lo, region.hi,
                             size=(UNSAFE_SAMPLES, region.n))
-        chunk = chunk[unsafe.membership_many(chunk)]
+        chunk = chunk[unsafe.membership_many(chunk)][:UNSAFE_SAMPLES - found]
         kept.append(chunk)
         found += chunk.shape[0]
-        if found >= UNSAFE_SAMPLES:
+        if found == UNSAFE_SAMPLES:
             break
-    return np.concatenate(kept)[:UNSAFE_SAMPLES]
+    return np.concatenate(kept)
+
+
+def _construction_samples(V, B, bounds, region, phi_m, boundary_grid,
+                          unsafe, seed):
+    """The half of clbrf_construction_check that does not depend on psi:
+    the seeded exterior sample and its worst slack B + phi_m, the boundary
+    grid and psi_min, the unsafe-set sample drawn after the exterior one,
+    and V and B on all three samples.  Every array is held whole, with no
+    rows beyond the sample's."""
+    rng = np.random.default_rng(seed)
+    # (a) exterior bound: sample a dilated box, reject interior points
+    span = region.hi - region.lo
+    lo = region.lo - 1.5 * span
+    hi = region.hi + 1.5 * span
+    pts = rng.uniform(lo, hi, size=(4 * EXTERIOR_SAMPLES, region.n))
+    pts = pts[np.flatnonzero(~region.contains_many(pts))[:EXTERIOR_SAMPLES]]
+    ext_B = B.value_many(pts)
+    slack = ext_B + phi_m(np.linalg.norm(pts, axis=1))
+    k = int(np.argmax(slack))
+    # (b) the viability threshold for psi
+    bpts = _boundary_grid(region, boundary_grid)
+    r = np.linalg.norm(bpts, axis=1)
+    ratio = bounds.alpha2(r) / phi_m(r)
+    kb = int(np.argmax(ratio))
+    if unsafe is None:
+        unsafe = example_unsafe_set()
+    cand = _unsafe_sample(rng, region, unsafe)
+    return {"exterior": pts, "exterior_V": V.value_many(pts),
+            "exterior_B": ext_B, "worst_slack": (k, float(slack[k])),
+            "grid": bpts, "grid_V": V.value_many(bpts),
+            "grid_B": B.value_many(bpts), "psi_min": (kb, float(ratio[kb])),
+            "unsafe": cand, "unsafe_V": V.value_many(cand),
+            "unsafe_B": B.value_many(cand)}
 
 
 def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
-                             psi=None, gains=None, unsafe=None, seed=0):
+                             psi=None, gains=None, unsafe=None, seed=0,
+                             samples=None):
     """Structural conditions for merging V and B into W = V + psi*B.
 
     (a) B <= -phi_m(|x|) on random exterior samples; (b) psi_min = max of
@@ -355,37 +393,46 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     generator's stream is sequential, so the chunks hold the rows of one
     whole draw, and a row's membership does not depend on its batch, so the
     sample is the one a whole draw would keep.  Nothing draws after it.
+
+    The samples, psi_min and V and B on the samples do not depend on psi;
+    W's values are V + psi B on them, the rows W.value_many gives.  They are
+    made into the dict samples when it is empty (a fresh dict when None)
+    and read from it when it is filled, so a sweep over psi that passes one
+    dict to every check draws and evaluates once.  A filled dict must come
+    from a check with the same V, B, bounds, region, phi_m, unsafe set,
+    grid and seed.
     """
     if boundary_grid < 100:
         raise ValueError("need at least 100 boundary points per edge")
     if region.n != 2:
         raise ValueError("boundary grid construction assumes a planar box")
-    rng = np.random.default_rng(seed)
+    if psi is not None and psi <= 0:
+        raise ValueError("psi must be positive")
+    if samples is None:
+        samples = {}
+    if not samples:
+        samples.update(_construction_samples(V, B, bounds, region, phi_m,
+                                             boundary_grid, unsafe, seed),
+                       key=(boundary_grid, seed))
+    elif samples["key"] != (boundary_grid, seed):
+        raise ValueError("samples were drawn for another grid or seed")
     tvalues = {"exterior_slack": 1e-12, "boundary_grid": boundary_grid}
     details = {}
     passed = True
     witness = None
 
-    # (a) exterior bound: sample a dilated box, reject interior points
-    span = region.hi - region.lo
-    lo = region.lo - 1.5 * span
-    hi = region.hi + 1.5 * span
-    pts = rng.uniform(lo, hi, size=(4 * EXTERIOR_SAMPLES, region.n))
-    pts = pts[~region.contains_many(pts)][:EXTERIOR_SAMPLES]
-    slack = B.value_many(pts) + phi_m(np.linalg.norm(pts, axis=1))
-    k = int(np.argmax(slack))
+    # (a) exterior bound
+    pts = samples["exterior"]
+    k, worst = samples["worst_slack"]
     details["exterior"] = {"samples": int(pts.shape[0]),
-                           "worst_slack": float(slack[k])}
-    if slack[k] > 1e-12:
+                           "worst_slack": worst}
+    if worst > 1e-12:
         passed = False
         witness = _witness(np.nan, pts[k])
 
     # (b) the viability threshold for psi
-    bpts = _boundary_grid(region, boundary_grid)
-    r = np.linalg.norm(bpts, axis=1)
-    ratio = bounds.alpha2(r) / phi_m(r)
-    kb = int(np.argmax(ratio))
-    psi_min = float(ratio[kb])
+    bpts = samples["grid"]
+    kb, psi_min = samples["psi_min"]
     details["psi_min"] = psi_min
 
     # (c) gain ordering across the two certificates
@@ -402,8 +449,8 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     # (d) a concrete psi: above threshold, W positive on the unsafe set,
     # and the nonpositive sublevel set is nonempty
     if psi is not None:
-        details["psi"] = float(psi)
-        W = combine_clbrf(V, B, psi)
+        psi = float(psi)
+        details["psi"] = psi
         if psi <= psi_min:
             passed = False
             if witness is None:
@@ -411,11 +458,9 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
             details["psi_above_min"] = False
         else:
             details["psi_above_min"] = True
-        if unsafe is None:
-            unsafe = example_unsafe_set()
-        cand = _unsafe_sample(rng, region, unsafe)
+        cand = samples["unsafe"]
         if cand.shape[0]:
-            wv = W.value_many(cand)
+            wv = samples["unsafe_V"] + psi * samples["unsafe_B"]
             kw = int(np.argmin(wv))
             details["unsafe_positivity"] = {"samples": int(cand.shape[0]),
                                             "min_W": float(wv[kw])}
@@ -429,14 +474,13 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
                 "empty: no candidate in the region is in the unsafe set, so "
                 "no sample shows W > 0 on it")
             passed = False
-        wb = W.value_many(bpts)
-        neg = wb < 0.0
+        neg = samples["grid_V"] + psi * samples["grid_B"] < 0.0
         if neg.any():
             j = int(np.argmax(neg))
             details["sublevel_witness"] = [float(v) for v in bpts[j]]
         else:
-            wneg = W.value_many(pts)
-            jn = np.flatnonzero(wneg < 0.0)
+            jn = np.flatnonzero(samples["exterior_V"]
+                                + psi * samples["exterior_B"] < 0.0)
             if jn.size:
                 details["sublevel_witness"] = [float(v) for v in pts[jn[0]]]
             else:
@@ -454,12 +498,14 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
 SCAN_POINTS = 16384
 
 
-def _outermost_member(member, anchor, d, tgrid):
-    """Per ray, the last column of tgrid whose point anchor + t * d is a
-    member, or -1 if none is: blocks of columns from the last one inward,
-    each ray leaving the scan at the first block with a member."""
+def _outermost_member(member, anchor, d, t_wall, frac):
+    """Per ray i, the last column j of the scan grid t_wall[i] * frac[j]
+    whose point anchor + t * d[i] is a member, or -1 if none is: blocks of
+    columns from the last one inward, each ray leaving the scan at the
+    first block with a member.  A block's grid values are formed as it is
+    tested, so the whole (rays, columns) grid is never held."""
     width = 8
-    nrays, nscan = tgrid.shape
+    nrays, nscan = t_wall.shape[0], frac.shape[0]
     last = np.full(nrays, -1)
     todo = np.arange(nrays)
     c1 = nscan
@@ -469,8 +515,8 @@ def _outermost_member(member, anchor, d, tgrid):
         hit = np.empty((todo.size, c1 - c0), dtype=bool)
         for r0 in range(0, todo.size, per_call):
             rows = todo[r0:r0 + per_call]
-            pts = (anchor[None, None, :]
-                   + tgrid[rows, c0:c1, None] * d[rows, None, :])
+            t = t_wall[rows, None] * frac[None, c0:c1]
+            pts = anchor[None, None, :] + t[:, :, None] * d[rows, None, :]
             hit[r0:r0 + rows.size] = member(pts.reshape(-1, 2)).reshape(
                 rows.size, c1 - c0)
         found = hit.any(axis=1)
@@ -531,19 +577,16 @@ def separation_check(unsafe, W, budget=4096):
     # coarse scan for the outermost member point on each ray
     nscan = 64
     frac = np.linspace(0.0, 1.0, nscan)
-    tgrid = t_wall[:, None] * frac[None, :]
-    last = _outermost_member(member, anchor, d, tgrid)
+    last = _outermost_member(member, anchor, d, t_wall, frac)
 
     # column 0 is the anchor, a member, so every ray has a member
     boundary = np.empty(nrays)
     at_wall = last == nscan - 1
     boundary[at_wall] = t_wall[at_wall]
     live = ~at_wall
-    lo_b = np.take_along_axis(tgrid, last[:, None], axis=1)[:, 0]
-    hi_b = np.take_along_axis(tgrid, np.minimum(last + 1, nscan - 1)[:, None],
-                              axis=1)[:, 0]
-    lo_b = lo_b[live].copy()
-    hi_b = hi_b[live].copy()
+    # the grid values at the bracket, t_wall * frac as the scan forms them
+    lo_b = t_wall[live] * frac[last[live]]
+    hi_b = t_wall[live] * frac[np.minimum(last[live] + 1, nscan - 1)]
     dl = d[live]
     al = anchor[None, :]
     for _ in range(45):

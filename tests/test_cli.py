@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -356,6 +357,40 @@ def test_verify_reports_an_unreadable_csv_as_config_error(tmp_path, capsys,
     assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(path) in err
+
+
+def test_verify_holds_one_run_at_a_time(tmp_path, capsys, monkeypatch):
+    # each CSV is checked as it is read: the run before it is gone by then
+    cfgp = tmp_path / "c.json"
+    write_config(cfgp, initial_conditions=[[0.5, 0.5], [1.0, 2.0],
+                                           [-4.0, 1.0]],
+                 integration={"T": 0.05})
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    read = io.trajectory_from_csv
+    runs, alive = [], []
+
+    def tracked(*args):
+        alive.append(sum(r() is not None for r in runs))
+        tr = read(*args)
+        runs.append(weakref.ref(tr))
+        return tr
+
+    monkeypatch.setattr(io, "trajectory_from_csv", tracked)
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert alive == [0, 0, 0]
+    # a bad last file: exit 2 before the certificate-level checks, with
+    # nothing printed and no summary written
+    (out / "verify_summary.json").unlink()
+    (out / "trajectory_02.csv").write_text("t,x1\n0,1\n")
+    checked = []
+    monkeypatch.setattr(verify, "clbrf_construction_check",
+                        lambda *a, **kw: checked.append(kw))
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (out / "verify_summary.json").exists()
+    assert checked == []
 
 
 def _hazard_crossing():

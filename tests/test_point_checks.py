@@ -1,4 +1,5 @@
-"""The certificate-level checks against their whole-pool references.
+"""The certificate-level checks against their whole-pool references, and
+the construction check's shared psi-free samples against fresh draws.
 
 `verify._unsafe_sample` draws the construction check's unsafe-set
 candidates a chunk at a time and stops once it has enough members;
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import verify
+from rzk import cli, verify
 from rzk.fields import EXAMPLE_BOX, ScalarField, example_hazard
 
 CENTRE = np.array([-2.0, 1.0])
@@ -28,7 +29,8 @@ def whole_pool_sample(rng, region, unsafe):
     return cand[unsafe.membership_many(cand)][:verify.UNSAFE_SAMPLES]
 
 
-def full_scan(member, anchor, d, tgrid):
+def full_scan(member, anchor, d, t_wall, frac):
+    tgrid = t_wall[:, None] * frac[None, :]
     nrays, nscan = tgrid.shape
     inside = np.empty((nrays, nscan), dtype=bool)
     for r0 in range(0, nrays, 256):
@@ -54,6 +56,52 @@ def _construction(setup, psi, seed, unsafe=None):
                  rzk.example_sandwich(), EXAMPLE_BOX, rzk.example_margin,
                  psi=psi, gains=(setup["gains"], setup["gains"]),
                  unsafe=unsafe or setup["unsafe"], seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_shared_samples_equal_fresh_checks(example_setup, seed):
+    # one dict of psi-free samples, filled by the first call (without a
+    # psi, which draws the same samples), serves every psi; the reports are
+    # those of fresh calls
+    setup = example_setup
+    args = (setup["V"], setup["B"], rzk.example_sandwich(), EXAMPLE_BOX,
+            rzk.example_margin)
+    kw = dict(gains=(setup["gains"], setup["gains"]), unsafe=setup["unsafe"],
+              seed=seed)
+    samples = {}
+    verify.clbrf_construction_check(*args, samples=samples, **kw)
+    filled = dict(samples)
+    for psi in (10.0, 27.0, 28.0, 79.3, 82.0, 85.1):
+        shared = verify.clbrf_construction_check(*args, psi=psi,
+                                                 samples=samples, **kw)
+        fresh = verify.clbrf_construction_check(*args, psi=psi, **kw)
+        assert (json.dumps(shared.as_dict(), sort_keys=True)
+                == json.dumps(fresh.as_dict(), sort_keys=True)), psi
+    assert all(samples[k] is v for k, v in filled.items())
+    with pytest.raises(ValueError):
+        verify.clbrf_construction_check(*args, psi=82.0, samples=samples,
+                                        **dict(kw, seed=seed + 1))
+
+
+def test_sweep_draws_the_construction_samples_once(tmp_path, monkeypatch):
+    # three psi values, two starts each: one generator for the whole sweep
+    cfg = cli.demo_config()
+    cfg["integration"]["T"] = 0.02
+    cfg["sweep"] = {"psi": [10.0, 82.0, 85.1],
+                    "initial_conditions": [[1.0, 2.0], [-4.0, 1.0]]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        calls.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    assert cli.main(["sweep", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1    # psi = 10 fails
+    assert calls == [0]
 
 
 def _radial(fn, name):
@@ -162,17 +210,19 @@ def test_inward_scan_equals_full_scan(k, phase, ax, ay, nrays, nscan, cap):
     anchor = np.array([ax, ay])
     ang = 2.0 * np.pi * np.arange(nrays) / nrays
     d = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    tgrid = 1.5 * np.linspace(0.0, 1.0, nscan)[None, :] * np.ones((nrays, 1))
+    t_wall = np.full(nrays, 1.5)
+    frac = np.linspace(0.0, 1.0, nscan)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verify, "SCAN_POINTS", cap)
         sizes = []
-        last = verify._outermost_member(member, anchor, d, tgrid)
+        last = verify._outermost_member(member, anchor, d, t_wall, frac)
         assert max(sizes) <= max(cap, 8)
-    assert np.array_equal(last, full_scan(member, anchor, d, tgrid))
+    assert np.array_equal(last, full_scan(member, anchor, d, t_wall, frac))
 
 
 def test_inward_scan_reports_rays_without_members():
-    tgrid = np.tile(np.linspace(0.0, 1.0, 64), (5, 1))
+    t_wall = np.ones(5)
+    frac = np.linspace(0.0, 1.0, 64)
     d = np.tile([1.0, 0.0], (5, 1))
     calls = []
 
@@ -180,7 +230,7 @@ def test_inward_scan_reports_rays_without_members():
         calls.append(len(X))
         return np.zeros(len(X), dtype=bool)
 
-    last = verify._outermost_member(member, CENTRE, d, tgrid)
+    last = verify._outermost_member(member, CENTRE, d, t_wall, frac)
     assert last.tolist() == [-1] * 5
     # every column of every ray was tested, a block at a time
     assert sum(calls) == 5 * 64 and len(calls) == 8

@@ -578,10 +578,10 @@ def test_lockstep_mid_step_sup_takes_every_row_in_reach(example_setup,
     W = example_setup["W"]
     vals, acts = [], []
 
-    def point(x):
+    def point(*x):
         v = float(W.value_many(np.array([x]))[0])
         vals.append(v)
-        return v, (0.0, 0.0)
+        return v, 0.0, 0.0
 
     def law(a, qq, lam):
         acts.append(a)
