@@ -36,6 +36,14 @@ CONVERGED_NORM = 5e-2
 # the obstacle box so approach paths differ
 DEMO_INITIAL_CONDITIONS = ((-4.0, 1.0), (-2.0, -1.0), (1.0, 2.0), (-2.0, 3.0))
 
+# lanes of one sweep lockstep: neighbouring points of one tau share a
+# lockstep up to this many, so its table stops growing with the number of
+# psi and gain points.  On demos/threshold_study.json with 16 psi values
+# (64 lanes, T = 10; x86-64, Python 3.11) caps of 16, 32 and 64 lanes ran
+# the sweep equally fast within noise, 6.1 to 7.0 s, while peak RSS rose
+# from 47 to 56 to 72 MB; a lane-step cost 8.8 us at 16 lanes, 8.2 us at 64
+SWEEP_LANES = 16
+
 _TOP_KEYS = {"schema_version", "system", "certificate", "gains", "lambda",
              "initial_conditions", "integration", "outputs", "seed", "sweep"}
 _SWEEP_KEYS = ("tau", "psi", "lambda", "gamma", "eta", "initial_conditions")
@@ -452,26 +460,49 @@ def _sweep_config(base, names, pt):
     return RunConfig(d)
 
 
-def _sweep_group_rows(group, point_checks, samples):
-    """sweep.csv rows, and whether all checks pass, for a group of
-    (index, config) points whose configs differ only in their starts.
+def _sweep_runs(groups):
+    """The groups of sweep points, lists of (index, config) whose configs
+    differ only in their starts, in runs of neighbours that share tau (as
+    JSON text, which keeps -0.0 apart from 0.0) and together have at most
+    SWEEP_LANES starts; a group with more starts is a run of its own."""
+    run, lanes, tau = [], 0, None
+    for group in groups:
+        n = sum(len(sub.initial_conditions) for _, sub in group)
+        key = json.dumps(group[0][1].tau)
+        if run and (key != tau or lanes + n > SWEEP_LANES):
+            yield run
+            run, lanes = [], 0
+        run.append(group)
+        lanes += n
+        tau = key
+    if run:
+        yield run
 
-    One build serves the group, and one lockstep runs every start of every
-    point as a lane; a lane equals its one-lane run bit for bit.  Each
-    point is verified and gets its row as if run on its own.  Certificate-
-    level checks are cached in point_checks by (psi, gamma, eta), and every
-    point's construction check reads its psi-free half from the one dict
-    samples: kind, seed, box and barrier are fixed across the sweep.  The
-    group's trajectories, and the lockstep table they view, go when this
-    returns.
+
+def _sweep_group_rows(groups, point_checks, samples):
+    """sweep.csv rows, and whether all checks pass, for a run of groups of
+    (index, config) points that share tau, the configs within a group
+    differing only in their starts.
+
+    One build serves each group, and one lockstep runs every start of every
+    point as a lane under its group's controller; a lane equals its
+    one-lane run bit for bit.  Each point is verified and gets its row as
+    if run on its own.  Certificate-level checks are cached in point_checks
+    by (psi, gamma, eta), and every point's construction check reads its
+    psi-free half from the one dict samples: kind, seed, box and barrier
+    are fixed across the sweep.  The run's trajectories, and the lockstep
+    table they view, go when this returns.
     """
-    build = _Build(group[0][1])
-    trajs = batch_integrate(build.dyn, build.ctrl,
-                            [w for _, sub in group for w in _windows(sub)],
-                            build.settings)
+    builds = [_Build(group[0][1]) for group in groups]
+    points = [(build, idx, sub) for build, group in zip(builds, groups)
+              for idx, sub in group]
+    lanes = [(build.ctrl, w) for build, _, sub in points
+             for w in _windows(sub)]
+    trajs = batch_integrate(builds[0].dyn, [c for c, _ in lanes],
+                            [w for _, w in lanes], builds[0].settings)
     rows = []
     all_ok = True
-    for idx, sub in group:
+    for build, idx, sub in points:
         mine = trajs[:len(sub.initial_conditions)]
         del trajs[:len(mine)]
         key = (sub.psi, sub.gamma, sub.eta)
@@ -514,12 +545,15 @@ def cmd_sweep(args):
     base.pop("sweep")
     # the starts axis comes last, so the points whose configs differ only
     # in their start are neighbours; the other axes' values are compared as
-    # JSON text, which keeps -0.0 apart from 0.0
+    # JSON text, which keeps -0.0 apart from 0.0.  tau comes first, so the
+    # groups of one tau are neighbours too
     fixed = len(names) - (names[-1:] == ["initial_conditions"])
-    for _, group in itertools.groupby(
-            enumerate(points), key=lambda item: json.dumps(item[1][:fixed])):
-        group = [(idx, _sweep_config(base, names, pt)) for idx, pt in group]
-        rows, ok = _sweep_group_rows(group, point_checks, samples)
+    groups = ([(idx, _sweep_config(base, names, pt)) for idx, pt in group]
+              for _, group in itertools.groupby(
+                  enumerate(points),
+                  key=lambda item: json.dumps(item[1][:fixed])))
+    for run in _sweep_runs(groups):
+        rows, ok = _sweep_group_rows(run, point_checks, samples)
         lines += rows
         all_ok = all_ok and ok
     path = os.path.join(args.out, "sweep.csv")

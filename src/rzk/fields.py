@@ -28,18 +28,28 @@ class ScalarField:
     row of x: a caller unpacks it without building or unpacking a nested
     gradient tuple.  Fields built without a per-point form take it from
     one-row batch calls.  value_many evaluates a long batch
-    FIELD_BLOCK rows at a time, which gives the same rows.  quad2 holds the
-    rows of Q for a 2-D quadratic x^T Q x, None otherwise.
+    FIELD_BLOCK rows at a time, which gives the same rows.
+
+    Declared capabilities, None where the field has none: quad2 holds the
+    rows of Q for a 2-D quadratic x^T Q x; box is the RegionBox on which a
+    piecewise field changes its formula, and value_in_box gives
+    value_many's rows for rows known to lie in it without testing it
+    again; exterior2 is the a of a 2-D field that is a ||x||^2, with
+    gradient 2 a x, off its box.
     """
 
     quad2 = None
+    exterior2 = None
 
-    def __init__(self, n, value_many, grad_many, name="", value_grad=None):
+    def __init__(self, n, value_many, grad_many, name="", value_grad=None,
+                 box=None, value_in_box=None):
         self.n = int(n)
         self._value_many = value_many
         self._grad_many = grad_many
         self.value_grad = value_grad or self._value_grad_row
         self.name = name
+        self.box = box
+        self._value_in_box = value_in_box or value_many
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -50,15 +60,12 @@ class ScalarField:
         return self._grad_many(x[None, :])[0]
 
     def value_many(self, X):
-        X = np.asarray(X, dtype=float)
-        N = X.shape[0]
-        if N <= FIELD_BLOCK:
-            return self._value_many(X)
-        out = np.empty(N)
-        for start in range(0, N, FIELD_BLOCK):
-            out[start:start + FIELD_BLOCK] = self._value_many(
-                X[start:start + FIELD_BLOCK])
-        return out
+        return _by_blocks(self._value_many, np.asarray(X, dtype=float))
+
+    def value_in_box(self, X):
+        """value_many's rows for rows X that all lie in self.box (any rows
+        when the field has no box), without the box test."""
+        return _by_blocks(self._value_in_box, np.asarray(X, dtype=float))
 
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -67,6 +74,17 @@ class ScalarField:
     def _value_grad_row(self, *x):
         X = np.array(x, dtype=float)[None, :]
         return (float(self._value_many(X)[0]), *self._grad_many(X)[0].tolist())
+
+
+def _by_blocks(fn, X):
+    """fn's rows of X, FIELD_BLOCK rows per call."""
+    N = X.shape[0]
+    if N <= FIELD_BLOCK:
+        return fn(X)
+    out = np.empty(N)
+    for start in range(0, N, FIELD_BLOCK):
+        out[start:start + FIELD_BLOCK] = fn(X[start:start + FIELD_BLOCK])
+    return out
 
 
 class SandwichBounds:
@@ -199,8 +217,8 @@ def _hazard_inbox(X, grad=True):
     d1 = np.maximum(1.0 - (x1 + 2.0) ** 2, 1e-150)
     d2 = np.maximum(1.0 - (x2 - 1.0) ** 2, 1e-150)
     raw = 1.0 / d1 + 1.0 / d2
-    if raw.max() < H_BLEND_LO:
-        # below the blend band the clamp is the identity
+    if raw.max(initial=-np.inf) < H_BLEND_LO:
+        # below the blend band, and on no rows, the clamp is the identity
         val, dval = raw, 1.0
     else:
         s = np.clip((raw - H_BLEND_LO) / (H_MAX - H_BLEND_LO), 0.0, 1.0)
@@ -242,7 +260,8 @@ def example_hazard():
             out[idx] = np.stack([dval * g1, dval * g2], axis=-1)
         return out
 
-    return ScalarField(2, value_many, grad_many, name="H")
+    return ScalarField(2, value_many, grad_many, name="H", box=EXAMPLE_BOX,
+                       value_in_box=lambda X: _hazard_inbox(X, grad=False))
 
 
 _E4 = float(np.exp(-4.0))
@@ -305,6 +324,11 @@ def _hazard_point(x1, x2):
     return val, dval, 2.0 * t1 / (d1 * d1), 2.0 * t2 / (d2 * d2)
 
 
+def _barrier_inbox(X):
+    """_barrier's value on rows that all lie inside EXAMPLE_BOX."""
+    return (np.exp(-_hazard_inbox(X, grad=False)) - _E4) * _sq_norm(X)
+
+
 def _barrier_point(x1, x2):
     """_barrier's value and gradient row at the point (x1, x2), flat, in
     floats; e^{-H} goes through np.exp, which math.exp does not match in the
@@ -327,17 +351,22 @@ def example_barrier():
     the box.  C^1 via the hazard clamp (the e^{-H} term dies with zero
     gradient before the box boundary).
     """
-    return ScalarField(2, lambda X: _barrier(X, grad=False)[0],
-                       lambda X: _barrier(X, value=False)[1], name="B",
-                       value_grad=_barrier_point)
+    field = ScalarField(2, lambda X: _barrier(X, grad=False)[0],
+                        lambda X: _barrier(X, value=False)[1], name="B",
+                        value_grad=_barrier_point, box=EXAMPLE_BOX,
+                        value_in_box=_barrier_inbox)
+    field.exterior2 = -_E4
+    return field
 
 
 def combine_clbrf(V, B, psi):
     """W = V + psi*B, combined value and gradient (exactly affine).
 
-    When V is a 2-D quadratic the per-point form inlines V's and calls B's
-    once, in the batch's operation order; otherwise it is ScalarField's
-    one-row batch, which gives the same bits."""
+    When V is a 2-D quadratic and B a ||x||^2 off its box, the per-point
+    form inlines V's and B's off-box branch, with the batch's operations in
+    its order, and calls B's own in the box; otherwise it is ScalarField's
+    one-row batch, which gives the same bits.  When V has no box W takes
+    B's, and its in-box form V's rows plus B's in-box ones."""
     if V.n != B.n:
         raise ValueError("field dimensions differ")
     if psi <= 0:
@@ -351,19 +380,33 @@ def combine_clbrf(V, B, psi):
         return V.grad_many(X) + psi * B.grad_many(X)
 
     value_grad = None
-    if V.quad2 is not None:
+    if V.quad2 is not None and B.exterior2 is not None:
         (q00, q01), (q10, q11) = V.quad2
+        (lo0, hi0), (lo1, hi1) = B.box._bounds
+        ea, c = B.exterior2, 2.0 * B.exterior2
         b_point = B.value_grad
 
         def value_grad(x0, x1):
             y0 = q00 * x0 + q01 * x1
             y1 = q10 * x0 + q11 * x1
-            b, c0, c1 = b_point(x0, x1)
+            if lo0 < x0 < hi0 and lo1 < x1 < hi1:
+                b, c0, c1 = b_point(x0, x1)
+            else:
+                b = ea * (x0 * x0 + x1 * x1)
+                c0, c1 = c * x0, c * x1
             return (x0 * y0 + x1 * y1 + psi * b, 2.0 * y0 + psi * c0,
                     2.0 * y1 + psi * c1)
 
+    box = value_in_box = None
+    if V.box is None:
+        box = B.box
+
+        def value_in_box(X):
+            return V.value_many(X) + psi * B.value_in_box(X)
+
     return ScalarField(V.n, value_many, grad_many, name="W",
-                       value_grad=value_grad)
+                       value_grad=value_grad, box=box,
+                       value_in_box=value_in_box)
 
 
 def finite_diff_check(field, x, h=1e-5):

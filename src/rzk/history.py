@@ -282,17 +282,21 @@ class LaneWindowMax:
     is a suffix of the last finished block of M rows and a prefix of the
     current one (van Herk/Gil-Werman): the suffix maxima of a block are
     taken once, when it is finished, and combined with the reads' own sup
-    terms once per block of either; per step only the current block's
-    running max moves.  Only the current block's rows are kept.  Maxima are
-    taken as np.maximum takes them: a NaN propagates (a tie of 0.0 and -0.0
-    may come out either way).
+    terms once per block of either; per step only each lane's running max
+    over the current block moves, in one pass over the lanes.  Only the
+    current block's rows are kept, flat.  Maxima are taken as np.maximum
+    takes them: a NaN propagates (a tie of 0.0 and -0.0 may come out
+    either way).
     """
 
-    __slots__ = ("M", "od", "block", "suf", "run", "seg", "mid", "end")
+    __slots__ = ("M", "od", "rows", "suf", "run", "seg", "mid", "end")
 
-    def __init__(self, M, old):
+    def __init__(self, M, old, K):
         self.M = M
         self.od = 0 if old else 1
+        self.rows = []
+        # suffix maxima of the last finished block, -inf past its end
+        self.suf = np.full((M + 1, K), -np.inf)
 
     def step(self, i, w, far, j):
         """The maxima of step i's reads at t_i + h/2 and at t_{i+1}, two
@@ -303,16 +307,11 @@ class LaneWindowMax:
         M = self.M
         r = i % M
         if r == 0:
-            self.suf = np.full((M + 1, len(w)), -np.inf)
             if i:
                 self.suf[:M] = np.maximum.accumulate(
-                    np.array(self.block)[::-1])[::-1]
-            self.block = [w]
-            run = w
-        else:
-            self.block.append(w)
-            run = [v if v >= a or v != v else a for v, a in zip(w, self.run)]
-        self.run = run
+                    np.array(self.rows).reshape(M, -1)[::-1])[::-1]
+                self.rows.clear()
+            self.run = [-math.inf] * len(w)
         if r == 0 or j == 0:
             # the last block's rows in reach with far, for the steps up to
             # the end of the current block or of far's
@@ -323,11 +322,20 @@ class LaneWindowMax:
                                   self.suf[lo:lo + n]).tolist()
             self.end = np.maximum(far[1, j:j + n],
                                   self.suf[r + 1:r + 1 + n]).tolist()
-        k = i - self.seg
-        return ([v if v >= a or v != v else a
-                 for v, a in zip(run, self.mid[k])],
-                [v if v >= a or v != v else a
-                 for v, a in zip(run, self.end[k])])
+        self.rows += w
+        run = self.run
+        mid, end = self.mid[i - self.seg], self.end[i - self.seg]
+        # each lane's running max, row i included, then with the block
+        # terms, in place: each step's terms are read once
+        for k, v in enumerate(w):
+            a = run[k]
+            if v >= a or v != v:
+                run[k] = a = v
+            if a >= mid[k] or a != a:
+                mid[k] = a
+            if a >= end[k] or a != a:
+                end[k] = a
+        return mid, end
 
 
 def pre_rows(window):

@@ -2,24 +2,24 @@
 
 `batch_integrate(dyn, ctrl, ics, settings)` is the one entry: it checks the
 plant, the settings and every initial window, then integrates the whole
-batch of runs of the example plant in one lockstep, at tau = 0 or tau >= h;
-`integrate` is its one-start form.  Trajectories carry states, inputs,
-margins and slopes; callers evaluate the certificate fields they need on
-`Trajectory.xs`.
+batch of runs of the example plant in one lockstep, at tau = 0 or tau >= h,
+each run under one controller for all or its own; `integrate` is its
+one-start form.  Trajectories carry states, inputs, margins and slopes;
+callers evaluate the certificate fields they need on `Trajectory.xs`.
 
 Fixed-step classic RK4, the feedback recomputed at every stage.  The
 lockstep's history reads are vectorized over lanes and blocks of steps,
 reads at t <= 0 going through each lane's own initial window, constant or
-sampled, while each RK stage runs per lane in plain floats on the
+sampled, while each RK stage runs per lane in plain floats on its
 certificate's per-point form and `controller.law`, so a lane's result does
-not depend on the other lanes.  Each step writes its row of one
-state/slope/input/margin table once; at mu = 0 it takes the sup's rows as
-a running max over blocks, in O(1) per lane and step, and at mu > 0 with
-one weighted max for both of its read times.  The history sup is taken on
-the run's own rows (see `history`): the read at theta = -Delta, every
-accepted row in [t - Delta, t], the initial window's samples included, and
-the stage value at theta = 0.  `_integrate_general` is the tests'
-reference integrator.
+not depend on the other lanes.  Each row of one state/slope/input/margin
+table is written once, a few rows at a time; at mu = 0 each lane takes the
+sup's rows as a running max over blocks, in O(1) per lane and step, and at
+mu > 0 one weighted max serves both of a step's read times.  The history sup is
+taken on the run's own rows (see `history`): the read at theta = -Delta,
+every accepted row in [t - Delta, t], the initial window's samples
+included, and the stage value at theta = 0.  `_integrate_general` is the
+tests' reference integrator.
 """
 
 import math
@@ -96,16 +96,19 @@ def batch_integrate(dyn, ctrl, ics, settings):
     """Independent integrations from each initial window, order preserved.
 
     dyn is an ExampleDynamics (TypeError otherwise); ctrl is a
-    ControllerSpec or None (None means u == 0; margins are then NaN).
-    Raises ValueError before any work if the settings or any window cannot
-    serve the plant's delays.  Diverged members come back as truncated
-    trajectories with .diverged = True rather than raising.  The whole
-    batch, constant and sampled starts alike, runs in one lockstep.
+    ControllerSpec or None for every start (None means u == 0; margins are
+    then NaN), or a list of one of them per start, which must share mu and
+    be all controlled or all open-loop.  Raises ValueError before any work
+    if the controllers do not fit the starts, or the settings or any window
+    cannot serve the plant's delays.  Diverged members come back as
+    truncated trajectories with .diverged = True rather than raising.  The
+    whole batch, constant and sampled starts alike, runs in one lockstep.
     """
     if not isinstance(dyn, ExampleDynamics):
         raise TypeError("batch_integrate integrates the example plant only, "
                         f"not {type(dyn).__name__}")
     ics = list(ics)
+    ctrl = _lane_controllers(ctrl, len(ics))
     _check_settings(dyn, settings)
     if not all(w.span_ok() for w in ics):
         raise ValueError("initial window must span the delay horizon")
@@ -191,23 +194,49 @@ def _integrate_general(dyn, ctrl, xi, settings):
 # ---------------------------------------------------------------------------
 # the lockstep engine for the example plant
 
+# lane-rows a lockstep holds in floats before it writes them to its table
+ROW_FLUSH = 128
+
+
+def _lane_controllers(ctrl, K):
+    """ctrl as one controller per lane of K: a list or tuple gives each lane
+    its own, anything else (a ControllerSpec or None) serves every lane.
+    ValueError unless there is one per lane, the lanes share mu and they
+    are all controlled or all open-loop."""
+    ctrls = list(ctrl) if isinstance(ctrl, (list, tuple)) else [ctrl] * K
+    if len(ctrls) != K:
+        raise ValueError(f"need one controller per lane, got {len(ctrls)} "
+                         f"for {K} lanes")
+    closed = [c is not None for c in ctrls]
+    if any(closed) and not all(closed):
+        raise ValueError("lanes must be all controlled or all open-loop")
+    if len({c.gains.mu for c in ctrls if c is not None}) > 1:
+        raise ValueError("lanes must share mu")
+    return ctrls
+
 
 def _lockstep_example(dyn, ctrl, ics, settings):
     """Integrate K runs of the example plant in lockstep, each from its own
-    initial window, constant or sampled.
+    initial window, constant or sampled, and under its own controller.
 
-    Same reads and formulas as `_integrate_general`.  The delayed reads and
-    the sup's reads at theta = -delta are made in blocks of L steps with a
-    lane axis, each block once every row it touches is final; reads at
-    t <= 0 go through each lane's own initial window, whose t = 0 slope
-    becomes the lane's k1 after the first stage.  The sup's rows are each
-    step's first-stage certificate values, weighted from
-    `history.lag_weights`, and the initial windows' own samples.  The RK
-    stages run lane by lane in floats; each step writes its row of the one
-    (state, slope, input, margin) table once, at its first stage, as one
-    flat slice.  At mu = 0 `history.LaneWindowMax` takes the max over the
-    rows behind its read times; at mu > 0 one max over the weighted rows
-    serves both.
+    ctrl is one controller for every lane or a list of one per lane (see
+    `_lane_controllers`); the lanes share mu and are all controlled or all
+    open-loop.  Same reads and formulas as `_integrate_general`.  The
+    delayed reads and the sup's reads at theta = -delta are made in blocks
+    of L steps with a lane axis, each block once every row it touches is
+    final, one field call per distinct certificate; reads at t <= 0 go
+    through each lane's own initial window, whose t = 0 slope becomes the
+    lane's k1 after the first stage.  The sup's rows are each step's
+    first-stage certificate values, weighted from `history.lag_weights`,
+    and the initial windows' own samples, each under the lane's own
+    certificate.  The RK stages run lane by lane in floats, through one
+    stage closure per distinct controller; a lane's first stage of step
+    i + 1 closes its step i, and its row goes into a float buffer that is
+    written to the one (state, slope, input, margin) table every few rows
+    and before each block of reads.  At mu = 0 `history.LaneWindowMax`
+    takes the max over the rows behind each lane's read times, in one pass
+    over the lanes per step; at mu > 0 one max over the weighted rows
+    serves both read times.
     """
     h = settings.h
     nsteps = int(round(settings.T / h))
@@ -215,17 +244,13 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     tau = dyn.tau
     delta = dyn.delta
     K = len(ics)
+    ctrls = _lane_controllers(ctrl, K)
     wins = [w.copy() for w in ics]
 
     # per row and lane the state, its k1, the input and the margin; NaN
-    # until written, so a read of a row that is not final yet shows.  A
-    # step writes its row as one flat slice
+    # until written, so a read of a row that is not final yet shows
     tab = np.full((N, K, 6), np.nan)
-    flat = tab.reshape(-1)
     xs, ms, us, margins = tab[..., :2], tab[..., 2:4], tab[..., 4], tab[..., 5]
-    # certificate per row and lane, for the weighted rows at mu > 0; apart
-    # from the table, so that it goes when the run returns
-    wv = np.empty((N, K))
 
     # read tables by stage offset c (in steps past t_i): stages 1 and 2 read
     # at t_i + h/2, stage 3 of step i and stage 0 of step i + 1 at t_{i+1}.
@@ -233,8 +258,9 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     # t - delta; the sample grid is uniform, so index offsets and basis
     # weights are constant.  With delta/h an integer D the read at
     # t_{i+1} - delta is row i + 1 - D itself, weights (1, 0, 0, 0).
-    # At tau = 0 the friction reads the stage's own x2 (see `stage`), so
-    # row 0 is aimed at t - delta too, where every row it touches is final
+    # At tau = 0 the friction reads the stage's own x2 (see `lane_stage`),
+    # so row 0 is aimed at t - delta too, where every row it touches is
+    # final
     cs = np.array([0.5, 1.0])
     delays = np.array([tau or delta, delta]).reshape(2, 1, 1)
     dsteps = hist.delay_steps(delta, h)
@@ -246,9 +272,8 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     # reads of steps r .. r + L - 1 can all be made then
     L = 1 - min(int(ri0.max()) + 1, 0)
 
-    cert = ctrl.certificate if ctrl is not None else None
-    lam, gam, eta, mu = ((ctrl.lam, ctrl.gains.gamma, ctrl.gains.eta,
-                          ctrl.gains.mu) if ctrl is not None else (0.0,) * 4)
+    closed = ctrls[0] is not None
+    mu = ctrls[0].gains.mu if closed else 0.0
     # the rows i - l behind the reads at t_i + h/2 and t_{i+1} have lags
     # l + 1/2 and l + 1: their weights, oldest row first, stacked over the
     # M rows both reads reach.  Where floor(2 delta/h) is odd the read at
@@ -257,11 +282,23 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     M = (lagw.shape[0] - 1) // 2
     lagm = np.stack([lagw[1:2 * M:2], lagw[2::2]])[:, ::-1, None]
     w_old = lagw[-1] if lagw.shape[0] % 2 == 0 else None
-    # at mu = 0 every weight is 1.0, so a running max serves
-    wmax = hist.LaneWindowMax(M, w_old is not None)
     ew = math.exp(-mu * delta)
-    if cert is not None:
-        pre = [(s, cert.value_many(X)) for s, X in map(hist.pre_rows, wins)]
+    # at mu = 0 every weight is 1.0, so a running max serves
+    zero_mu = closed and not mu
+    if closed:
+        # the lanes of each distinct certificate, all of them as a slice
+        lanes_of = {}
+        for k, c in enumerate(ctrls):
+            lanes_of.setdefault(id(c.certificate),
+                                (c.certificate, []))[1].append(k)
+        certs = [(cert, slice(None) if len(ks) == K else np.array(ks))
+                 for cert, ks in lanes_of.values()]
+        pre = [(s, c.certificate.value_many(X))
+               for c, (s, X) in zip(ctrls, map(hist.pre_rows, wins))]
+    if closed and not zero_mu:
+        # certificate per row and lane, for the weighted rows at mu > 0;
+        # apart from the table, so that it goes when the run returns
+        wv = np.empty((N, K))
 
     def reads(t, v):
         """From the reads v (2, ..., K, 2) at t - tau and t - delta, those
@@ -277,9 +314,13 @@ def _lockstep_example(dyn, ctrl, ics, settings):
                 v[early, k] = w.interp_times(
                     ((t + w.latest_time) - delays)[early])
         fric = friction(v[0, ..., 1])
-        if cert is None:
+        if not closed:
             return fric, None
-        g = cert.value_many(v[1].reshape(-1, 2)).reshape(fric.shape)
+        g = np.empty(fric.shape)
+        for cert, ks in certs:
+            vk = v[1][..., ks, :]
+            g[..., ks] = cert.value_many(vk.reshape(-1, 2)).reshape(
+                vk.shape[:-1])
         if mu:
             g = g * ew
         if t.min() < delta + hist.ROW_TOL:
@@ -291,9 +332,15 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         """`reads` at t_i + h/2 and t_{i+1} for the steps i: (2, n, K)."""
         rows = np.maximum(steps + ri0[..., None], 0)       # (2, 2, n)
         nxt = np.minimum(rows + 1, steps)
-        return reads((steps + cs[:, None]) * h,
-                     rb[0] * xs[rows] + rb[1] * ms[rows]
-                     + rb[2] * xs[nxt] + rb[3] * ms[nxt])
+        # the Hermite sum b0 x0 + b1 m0 + b2 x1 + b3 m1 in that order, in
+        # place, so that two (2, 2, n, K, 2) arrays are held at a time
+        v = xs[rows]
+        v *= rb[0]
+        for b, col, r in zip(rb[1:], (ms, xs, ms), (rows, nxt, nxt)):
+            part = col[r]
+            part *= b
+            v += part
+        return reads((steps + cs[:, None]) * h, v)
 
     def sup_max(i, g):
         """At mu > 0, the max of the sup terms g (2, K) of the reads at
@@ -305,33 +352,46 @@ def _lockstep_example(dyn, ctrl, ics, settings):
             np.maximum(g[0], wv[i - M] * w_old, out=g[0])
         return g.tolist()
 
-    vg = cert.value_grad if cert is not None else None
     hh = 0.5 * h
     h6 = h / 6.0
 
-    def stage(s0, s1, fric, gmax):
-        """Closed-loop derivative (k0, k1), control, margin and certificate
-        value of one lane at the stage state (s0, s1), given its delayed
-        friction and the max of its sup terms behind theta = 0 at the
-        stage's read time."""
-        f2 = -fric - s0
-        if vg is None:
-            return s1, f2, 0.0, math.nan, math.nan
-        v0, g0, q = vg(s0, s1)
-        # theta = 0 included; a NaN history max stays NaN, as in np.maximum
-        sup = v0 if v0 > gmax else gmax
-        a = g0 * s1 + q * f2 + gam * v0 - eta * sup       # g = (0, 1)
-        c, margin = law(a, q * q, lam)
-        u = 0.0 if c is None else c * q
-        return s1, f2 + u, u, margin, v0
+    def lane_stage(c):
+        """The RK stage of the lanes under controller c: closed-loop
+        derivative (k0, k1), control, margin and certificate value of one
+        lane at the stage state (s0, s1), given its delayed friction and
+        the max of its sup terms behind theta = 0 at the stage's read
+        time."""
+        if c is None:
+            def stage(s0, s1, fric, gmax):
+                return s1, -fric - s0, 0.0, math.nan, math.nan
+        else:
+            vg, lam = c.certificate.value_grad, c.lam
+            gam, eta = c.gains.gamma, c.gains.eta
 
-    if not tau:
-        # the friction of the stage's own x2, which the reference's read
-        # at the latest time returns exactly (weights (0, 0, 1, 0))
-        lane_stage = stage
+            def stage(s0, s1, fric, gmax):
+                f2 = -fric - s0
+                v0, g0, q = vg(s0, s1)
+                # theta = 0 included; a NaN history max stays NaN, as in
+                # np.maximum
+                sup = v0 if v0 > gmax else gmax
+                a = g0 * s1 + q * f2 + gam * v0 - eta * sup   # g = (0, 1)
+                cu, margin = law(a, q * q, lam)
+                u = 0.0 if cu is None else cu * q
+                return s1, f2 + u, u, margin, v0
+        if tau:
+            return stage
 
-        def stage(s0, s1, fric, gmax):
-            return lane_stage(s0, s1, friction(s1), gmax)
+        def own(s0, s1, fric, gmax):
+            # the friction of the stage's own x2, which the reference's
+            # read at the latest time returns exactly (weights (0, 0, 1, 0))
+            return stage(s0, s1, friction(s1), gmax)
+        return own
+
+    made = {}
+    for c in ctrls:
+        if id(c) not in made:
+            made[id(c)] = lane_stage(c)
+    stages = [made[id(c)] for c in ctrls]
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
@@ -340,40 +400,54 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     x = [tuple(w.latest_state.tolist()) for w in wins]
     fr, far = reads(np.zeros((1, 1)), np.empty((2, 1, 1, K, 2)))
     f_end = fr[0, 0].tolist()
-    g_mid = g_end = [0.0] * K if cert is None else far[0, 0].tolist()
+    g_mid = g_end = [0.0] * K if far is None else far[0, 0].tolist()
+    k1 = [st(x0, x1, f, g)
+          for st, (x0, x1), f, g in zip(stages, x, f_end, g_end)]
+    # the rows r0 .. of the table not written yet, 7 floats per lane: the
+    # state, the stage-0 derivative, input and margin, and the certificate
+    # value, which the table does not keep
+    buf = [v for y, t in zip(x, k1) for v in y + t]
+    r0 = 0
+    flush = max(1, ROW_FLUSH // K)
+    if zero_mu:
+        wmax = hist.LaneWindowMax(M, w_old is not None, K)
     lanes = range(K)
-    KC = 6 * K
-    for i in range(nsteps + 1):
-        k1 = [stage(x[k][0], x[k][1], f_end[k], g_end[k]) for k in lanes]
-        flat[i * KC:(i + 1) * KC] = [v for xk, t in zip(x, k1)
-                                     for v in xk + t[:4]]
-        if i == 0:
-            for w, m in zip(wins, ms[0]):
-                w.ms[w.count - 1] = m
-        if i == nsteps:
-            break
+    for i in range(nsteps):
         j = i % L
+        if j == 0 or i + 1 - r0 >= flush:
+            tab[r0:i + 1] = np.array(buf).reshape(i + 1 - r0, K, 7)[..., :6]
+            buf.clear()
+            r0 = i + 1
+            if i == 0:
+                for w, m in zip(wins, ms[0]):
+                    w.ms[w.count - 1] = m
         if j == 0:
             steps = i + np.arange(min(L, nsteps - i))
             fr, far = block_reads(steps)
             fr = fr.tolist()
         f_mid, f_end = fr[0][j], fr[1][j]
-        if cert is not None and mu:
+        if zero_mu:
+            g_mid, g_end = wmax.step(i, [t[4] for t in k1], far, j)
+        elif closed:
             wv[i] = [t[4] for t in k1]
             g_mid, g_end = sup_max(i, far[:, j])
-        elif cert is not None:
-            g_mid, g_end = wmax.step(i, [t[4] for t in k1], far, j)
         for k in lanes:
+            st = stages[k]
             x0, x1 = x[k]
             a0, a1, _, _, _ = k1[k]
-            b0, b1, _, _, _ = stage(x0 + hh * a0, x1 + hh * a1, f_mid[k],
-                                    g_mid[k])
-            c0, c1, _, _, _ = stage(x0 + hh * b0, x1 + hh * b1, f_mid[k],
-                                    g_mid[k])
-            d0, d1, _, _, _ = stage(x0 + h * c0, x1 + h * c1, f_end[k],
-                                    g_end[k])
-            x[k] = (x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0),
-                    x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1))
+            gm, ge = g_mid[k], g_end[k]
+            fm = f_mid[k]
+            b0, b1, _, _, _ = st(x0 + hh * a0, x1 + hh * a1, fm, gm)
+            c0, c1, _, _, _ = st(x0 + hh * b0, x1 + hh * b1, fm, gm)
+            fe = f_end[k]
+            d0, d1, _, _, _ = st(x0 + h * c0, x1 + h * c1, fe, ge)
+            y0 = x0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+            y1 = x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+            y = x[k] = (y0, y1)
+            t = k1[k] = st(y0, y1, fe, ge)
+            buf += y
+            buf += t
+    tab[r0:] = np.array(buf).reshape(N - r0, K, 7)[..., :6]
 
     ts = np.arange(N) * h
     out = []

@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import halanay
 from . import history as hist
-from .fields import EXAMPLE_BOX, example_hazard
+from .fields import EXAMPLE_BOX, FIELD_BLOCK, example_hazard
 
 HAZARD_THRESHOLD = 4.0
 SAFETY_TOL = 1e-3
@@ -26,20 +26,38 @@ UNSAFE_SAMPLES = 10000
 
 
 class UnsafeSet:
-    """Hazard sublevel region D = {x in region : hazard(x) < threshold}."""
+    """Hazard sublevel region D = {x in region : hazard(x) < threshold}.
+
+    Its predicates test the region once per call and evaluate a field only
+    on the rows inside it, through the field's in-box form when the region
+    is the field's own box."""
 
     def __init__(self, region, hazard, threshold=HAZARD_THRESHOLD):
         self.region = region
         self.hazard = hazard
         self.threshold = float(threshold)
 
-    def membership_many(self, X):
-        X = np.asarray(X, dtype=float)
-        inside = self.region.contains_many(X)
-        out = np.zeros(X.shape[0], dtype=bool)
-        if inside.any():
-            out[inside] = self.hazard.value_many(X[inside]) < self.threshold
+    def _test(self, X, field, keep):
+        """keep(field's values) on the rows of X inside the region, False
+        on the others: (len(X),) bools.  FIELD_BLOCK rows at a time, so
+        that the rows inside are copied a block at a time."""
+        value = (field.value_in_box if field.box is self.region
+                 else field.value_many)
+        out = self.region.contains_many(X)
+        for start in range(0, X.shape[0], FIELD_BLOCK):
+            inside = out[start:start + FIELD_BLOCK]
+            Xb = X[start:start + FIELD_BLOCK]
+            if inside.all():
+                inside[:] = keep(value(Xb))
+                continue
+            idx = np.flatnonzero(inside)
+            if idx.size:
+                inside[idx] = keep(value(Xb[idx]))
         return out
+
+    def membership_many(self, X):
+        return self._test(np.asarray(X, dtype=float), self.hazard,
+                          lambda v: v < self.threshold)
 
     def membership(self, x):
         return bool(self.membership_many(np.asarray(x, dtype=float)[None])[0])
@@ -59,7 +77,7 @@ class UnsafeSet:
             single = X.ndim == 1
             if single:
                 X = X[None]
-            res = self.region.contains_many(X) & (field.value_many(X) > 0.0)
+            res = self._test(X, field, lambda v: v > 0.0)
             return bool(res[0]) if single else res
         return member
 
@@ -516,7 +534,9 @@ def _outermost_member(member, anchor, d, t_wall, frac):
         for r0 in range(0, todo.size, per_call):
             rows = todo[r0:r0 + per_call]
             t = t_wall[rows, None] * frac[None, c0:c1]
-            pts = anchor[None, None, :] + t[:, :, None] * d[rows, None, :]
+            # anchor + t d, the sum taken in place on the products
+            pts = t[:, :, None] * d[rows, None, :]
+            pts += anchor
             hit[r0:r0 + rows.size] = member(pts.reshape(-1, 2)).reshape(
                 rows.size, c1 - c0)
         found = hit.any(axis=1)

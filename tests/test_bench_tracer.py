@@ -74,9 +74,9 @@ def test_tracer_sees_point_checks_once_per_psi(tmp_path, monkeypatch):
                     "initial_conditions": [[1.0, 2.0], [-4.0, 1.0]]}
     code, metrics, calls = _traced("sweep", cfg, tmp_path, monkeypatch)
     assert code == 1            # psi = 10 fails the construction
-    # the two starts of a psi run as two lanes of one lockstep
-    assert calls["simulate.lockstep"] == 2
-    assert metrics["simulate.calls"][0] == 2
+    # the two starts of both psi run as four lanes of one lockstep
+    assert calls["simulate.lockstep"] == 1
+    assert metrics["simulate.calls"][0] == 1
     assert metrics["simulate.lanes"][0] == 4
     assert calls["verify.construction"] == 2
     assert calls["verify.separation"] == 2

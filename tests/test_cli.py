@@ -221,10 +221,10 @@ def test_sweep_rows_carry_their_start(tmp_path):
 
 
 def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
-    # the points that differ only in their start share one lockstep, a
-    # lane each; sweep.csv is the one the points write run one at a time.
-    # The starts: a sampled history through the box, a constant one, and
-    # one that diverges
+    # the points of one tau share one lockstep, a lane each under its own
+    # point's controller; sweep.csv is the one the points write run one at
+    # a time.  The starts: a sampled history through the box, a constant
+    # one, and one that diverges
     times = [-0.3 + 0.01 * k for k in range(31)]
     times[-1] = 0.0
     starts = [{"times": times, "states": [[-1.5 + t, 2.2 + t] for t in times]},
@@ -245,18 +245,26 @@ def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
         return (tmp_path / name / "sweep.csv").read_text().splitlines()
 
     monkeypatch.setattr(cli, "batch_integrate", counted)
-    lines = sweep("all", {"tau": taus, "psi": psis,
-                          "initial_conditions": starts})
-    assert calls == [3] * 4
+    grid = {"tau": taus, "psi": psis, "initial_conditions": starts}
+    lines = sweep("all", grid)
+    assert calls == [6, 6]
     own = [lines[0]]
     for idx, (tau, psi, start) in enumerate(
             itertools.product(taus, psis, starts)):
         _, row = sweep(f"p{idx}", {"tau": [tau], "psi": [psi],
                                    "initial_conditions": [start]})
         own.append(f"{idx}," + row.split(",", 1)[1])
-    assert calls[4:] == [1] * 12
-    assert ((tmp_path / "all" / "sweep.csv").read_bytes()
-            == ("\n".join(own) + "\n").encode())
+    assert calls[2:] == [1] * 12
+    want = ("\n".join(own) + "\n").encode()
+    assert (tmp_path / "all" / "sweep.csv").read_bytes() == want
+    # more lanes than the cap: whole groups of starts share a lockstep up
+    # to the cap, and a group larger than the cap runs alone
+    for cap, runs in ((4, [3] * 4), (2, [3] * 4), (6, [6, 6])):
+        monkeypatch.setattr(cli, "SWEEP_LANES", cap)
+        del calls[:]
+        sweep(f"cap{cap}", grid)
+        assert calls == runs
+        assert (tmp_path / f"cap{cap}" / "sweep.csv").read_bytes() == want
     # the diverging start does not converge at any point, and fails its
     # checks there: it did not reach T
     assert [r.split(",")[7] for r in lines[3::3]] == ["0"] * 4

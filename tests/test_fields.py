@@ -306,6 +306,27 @@ def test_per_point_form_equals_batch_rows(points):
             assert _bits(v, *g) == _bits(val[row], *grad[row]), (fld.name, p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_IN, min_size=1, max_size=5),
+       st.lists(st.one_of(_WALL, _blend_band(), _NEAR_WALL, _EDGE),
+                max_size=40))
+def test_in_box_form_equals_batch_rows(inside, points):
+    # the in-box forms skip the box test on rows known to lie in the box:
+    # each must give value_many's rows bit for bit, and a field without a
+    # box has value_many itself as its in-box form
+    X = np.array(inside + points, dtype=float)
+    X = X[rzk.EXAMPLE_BOX.contains_many(X)]
+    V = rzk.example_lyapunov()
+    B = rzk.example_barrier()
+    W = rzk.combine_clbrf(V, B, 82.0)
+    assert V.box is None
+    for fld in (rzk.example_hazard(), B, W, V):
+        assert fld.box in (None, rzk.EXAMPLE_BOX)
+        assert _bits(*fld.value_in_box(X)) == _bits(*fld.value_many(X)), \
+            fld.name
+        assert fld.value_in_box(np.empty((0, 2))).shape == (0,)
+
+
 @pytest.mark.parametrize("Q", [
     [[1.0, 0.5], [0.5, 1.0]],
     _Q3], ids=["V", "3x3"])

@@ -258,7 +258,7 @@ def test_lane_window_max_equals_the_window_max(data, K, N, M, L, old):
     far_all = np.array(data.draw(st.lists(
         st.lists(_SUP_VALUE, min_size=2 * K, max_size=2 * K), min_size=N,
         max_size=N))).reshape(N, 2, K).transpose(1, 0, 2)
-    wm = hist.LaneWindowMax(M, old)
+    wm = hist.LaneWindowMax(M, old, K)
     for i in range(N):
         # far comes in blocks of L steps, as the lockstep's block reads do
         j = i % L

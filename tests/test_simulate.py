@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -376,7 +377,8 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def test_each_lockstep_lane_equals_its_one_lane_run(example_setup):
+def test_each_lockstep_lane_equals_its_one_lane_run(example_setup,
+                                                    monkeypatch):
     # the block reads pack every lane into one field call, so a lane's
     # result must not depend on the other lanes or its place among them
     dyn = example_setup["dyn"]
@@ -418,6 +420,57 @@ def test_each_lockstep_lane_equals_its_one_lane_run(example_setup):
         # the NaN band holds the sup for the 300 rows of a window behind
         # it, the inf band, crossed inside that window, for the rest of its
         assert np.isnan(holed).sum() >= 300 and np.isneginf(holed).sum() >= 150
+    # lanes under their own certificate and gains: the block reads make
+    # one field call per certificate and the stages run one closure per
+    # controller, at either mu and either delay kind
+    starts = [(-4.0, 1.0), (1.0, 2.0), (-2.0, -1.0), (-2.0, 3.0),
+              (1.0, 2.0), (-4.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+    ics = [hist.from_constant(np.array(x), 0.3) for x in starts]
+    ics[3] = _hazard_line()
+    for tau, mu in itertools.product((0.0, 0.3), (0.0, 0.5)):
+        dyn = rzk.example_system(rzk.ExampleConfig(tau, 0.3))
+        ctrls = _own_controllers(example_setup, mu)
+        batch = rzk.batch_integrate(dyn, ctrls, ics, s)
+        for c, w, tr in zip(ctrls, ics, batch):
+            single, = rzk.batch_integrate(dyn, c, [w.copy()], s)
+            for name in ("xs", "us", "margins", "slopes"):
+                assert _bits(getattr(tr, name)) \
+                    == _bits(getattr(single, name)), (tau, mu, name)
+        # the NaN certificate cuts its own lane only
+        assert [tr.diverged for tr in batch] == [False] * 7 + [True]
+    # one controller per lane, one mu, all controlled or all open-loop;
+    # refused before any field is evaluated
+    ctrl = example_setup["ctrl"]
+    other_mu = rzk.ControllerSpec(example_setup["W"],
+                                  rzk.RazumikhinGains(2.5, 2.0, 0.5), 2.0)
+    monkeypatch.setattr(rzk.ScalarField, "value_many", None)
+    for ctrls, match in (([ctrl, other_mu], "share mu"),
+                         ([ctrl, None], "all controlled"),
+                         ([None, ctrl], "all controlled"),
+                         ([ctrl], "one controller per lane"),
+                         ((ctrl, ctrl, ctrl), "one controller per lane")):
+        for run in (rzk.batch_integrate, simulate._lockstep_example):
+            with pytest.raises(ValueError, match=match):
+                run(dyn, ctrls, ics[:2], s)
+    with pytest.raises(ValueError, match="one controller per lane"):
+        rzk.batch_integrate(dyn, [ctrl], [], s)
+
+
+def _own_controllers(example_setup, mu):
+    """Controllers at mu that differ in psi, lambda, gamma and eta, one of
+    them shared by two lanes, then the NaN/+inf certificates of
+    `test_each_lockstep_lane_equals_its_one_lane_run`, the cutting one
+    last."""
+    V, B, W = example_setup["V"], example_setup["B"], example_setup["W"]
+    g = rzk.RazumikhinGains(2.5, 2.0, mu)
+    W10 = rzk.ControllerSpec(rzk.combine_clbrf(V, B, 10.0), g, 2.0)
+    return [W10, W10,
+            rzk.ControllerSpec(W, g, 2.0),
+            rzk.ControllerSpec(W, g, 0.5),
+            rzk.ControllerSpec(W, rzk.RazumikhinGains(4.0, 2.0, mu), 2.0),
+            rzk.ControllerSpec(W, rzk.RazumikhinGains(2.5, 0.5, mu), 2.0),
+            rzk.ControllerSpec(_holes(_dead_zone(W)), g, 2.0),
+            rzk.ControllerSpec(_holes(W), g, 2.0)]
 
 
 def _holes(field):
