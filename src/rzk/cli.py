@@ -248,15 +248,16 @@ class _Build:
         else:
             self.cert = None
 
-    def bound_column(self, traj):
-        """Envelope-bound column: v0 e^{-rho t} when the active certificate
-        starts positive, otherwise 0 (the signed form's bound)."""
+    def bound_column(self, ts, x0):
+        """Envelope-bound column at the times ts of a run from x0: v0
+        e^{-rho t}, v0 the active certificate at x0, when it starts
+        positive, otherwise 0 (the signed form's bound)."""
         if self.active is None or self.cert is None:
-            return np.zeros(traj.ts.shape[0])
-        v0 = float(self.active.value(traj.xs[0]))
+            return np.zeros(ts.shape[0])
+        v0 = float(self.active.value(x0))
         if v0 > 0:
-            return self.cert.envelope(v0, traj.ts)
-        return np.zeros(traj.ts.shape[0])
+            return self.cert.envelope(v0, ts)
+        return np.zeros(ts.shape[0])
 
 
 def _windows(cfg):
@@ -276,8 +277,91 @@ def _trajectory_file(prefix, k):
     return f"{prefix}_{k:02d}.csv"
 
 
-def _run_batch(build, out_dir):
-    """Simulate, write config + CSVs + run.json; returns (trajs, diverged)."""
+class _Run:
+    """One run, fed its rows a block at a time as the lockstep or a CSV
+    hands them on: its CSV when it has a path, the reductions of its
+    run.json row (first and final state, steps, peak norm and its time,
+    peak |u|) and, when checked, its per-trajectory checks; it must also
+    reach the configured T."""
+
+    def __init__(self, build, checked=True, file=None, path=None):
+        self.build, self.file, self.path = build, file, path
+        self.start = self.final = self.peak = None
+        self.rows = 0
+        self.peak_abs_u = 0.0
+        self.diverged = False
+        self.checks = {}
+        if checked:
+            self.checks["safety"] = verify.SafetyCheck(build.unsafe)
+            if build.active is not None:
+                self.checks["decrease"] = verify.DecreaseCheck(build.active,
+                                                               build.gains)
+                if build.cert is not None:
+                    self.checks["envelope"] = verify.EnvelopeCheck(
+                        build.active, build.cert)
+            self.checks["finite"] = verify.FiniteCheck(
+                int(round(build.settings.T / build.settings.h)))
+
+    def feed(self, block):
+        b = self.build
+        n = block.xs.shape[0]
+        self.diverged = self.diverged or bool(block.diverged)
+        if n:
+            first = self.start is None
+            if first:
+                self.start = block.xs[0].copy()
+            norms = np.linalg.norm(block.xs, axis=1)
+            k = int(np.argmax(norms))
+            if verify.beats(norms[k], self.peak and self.peak[0]):
+                self.peak = float(norms[k]), float(block.ts[k])
+            u = float(np.max(np.abs(block.us), initial=0.0))
+            if verify.beats(u, self.peak_abs_u):
+                self.peak_abs_u = u
+            self.final = block.xs[-1].copy()
+            self.rows += n
+            if self.path is not None:
+                io.write_trajectory_csv(
+                    self.path, *io.trajectory_columns(
+                        block, b.V, b.B, b.W,
+                        b.bound_column(block.ts, self.start)),
+                    append=not first)
+        if self.checks:
+            # the certificate on the rows, once for every check that reads it
+            fv = (b.active.value_many(block.xs)
+                  if b.active is not None and n else None)
+            for check in self.checks.values():
+                check.feed(block, fv)
+
+    def report(self):
+        return {name: check.report() for name, check in self.checks.items()}
+
+    @property
+    def final_norm(self):
+        return float(np.linalg.norm(self.final))
+
+    @property
+    def converged(self):
+        return bool(self.final_norm < CONVERGED_NORM and not self.diverged)
+
+    def row(self):
+        return {
+            "file": self.file,
+            "initial_state": [float(v) for v in self.start],
+            "steps": self.rows - 1,
+            "diverged": self.diverged,
+            "final_state": [float(v) for v in self.final],
+            "final_norm": self.final_norm,
+            "converged": self.converged,
+            "peak_norm": self.peak[0],
+            "peak_norm_time": self.peak[1],
+            "peak_abs_u": self.peak_abs_u,
+        }
+
+
+def _run_batch(build, out_dir, checked):
+    """Simulate, each run's rows streamed into its CSV, its run.json row
+    and, when checked, its per-trajectory checks; write config + CSVs +
+    run.json.  Returns the runs (`_Run`)."""
     cfg = build.cfg
     wins = _windows(cfg)
     if build.ctrl is not None and cfg.kind == "W":
@@ -286,36 +370,15 @@ def _run_batch(build, out_dir):
             if member(w.xs[:w.count]).any():
                 log.warning("initial condition %d starts inside the "
                             "excluded set", k)
-    trajs = batch_integrate(build.dyn, build.ctrl, wins, build.settings)
+    files = [_trajectory_file(cfg.prefix, k) for k in range(len(wins))]
+    runs = [_Run(build, checked, f, os.path.join(out_dir, f)) for f in files]
+    batch_integrate(build.dyn, build.ctrl, wins, build.settings,
+                    lambda k, block: runs[k].feed(block))
     io.write_report_json(os.path.join(out_dir, "config.json"), cfg.to_dict())
-    rows = []
-    for k, tr in enumerate(trajs):
-        fname = _trajectory_file(cfg.prefix, k)
-        # the table goes once written, before the next one is built
-        io.write_trajectory_csv(os.path.join(out_dir, fname),
-                                *io.trajectory_columns(tr, build.V, build.B,
-                                                       build.W,
-                                                       build.bound_column(tr)))
-        final = tr.xs[-1]
-        norms = np.linalg.norm(tr.xs, axis=1)
-        peak = int(np.argmax(norms))
-        rows.append({
-            "file": fname,
-            "initial_state": [float(v) for v in tr.xs[0]],
-            "steps": int(tr.ts.shape[0] - 1),
-            "diverged": bool(tr.diverged),
-            "final_state": [float(v) for v in final],
-            "final_norm": float(np.linalg.norm(final)),
-            "converged": bool(np.linalg.norm(final) < CONVERGED_NORM
-                              and not tr.diverged),
-            "peak_norm": float(norms[peak]),
-            "peak_norm_time": float(tr.ts[peak]),
-            "peak_abs_u": float(np.max(np.abs(tr.us), initial=0.0)),
-        })
     io.write_report_json(os.path.join(out_dir, "run.json"),
                          {"schema_version": SCHEMA_VERSION,
-                          "trajectories": rows})
-    return trajs, any(tr.diverged for tr in trajs)
+                          "trajectories": [run.row() for run in runs]})
+    return runs
 
 
 def _point_checks(build, samples=None):
@@ -334,55 +397,29 @@ def _point_checks(build, samples=None):
     }
 
 
-def _run_checks(build, tr, steps):
-    """Per-trajectory checks of one run; it must also have reached the
-    configured T, in steps steps."""
-    checks = {"safety": verify.safety_check(tr, build.unsafe)}
-    if build.active is not None:
-        # the certificate on the rows, once for every check that reads it
-        fv = build.active.value_many(tr.xs)
-        checks["decrease"] = verify.decrease_check(tr, build.active,
-                                                   build.gains, fv)
-        if build.cert is not None:
-            checks["envelope"] = verify.envelope_check(tr, build.active,
-                                                       build.cert, fv)
-    checks["finite"] = verify.finite_check(tr, steps)
-    return checks
-
-
-def _verify_batch(build, trajs, point=None):
-    """Per-trajectory checks plus certificate-level checks (computed here
-    unless point gives them); returns (point, per-trajectory list,
-    all_pass).  trajs may be any iterable: each trajectory is checked as it
-    comes and no reference to it is kept, and a bad one raises before the
-    certificate-level checks run."""
-    steps = int(round(build.settings.T / build.settings.h))
-    # map, not a loop: a loop variable would keep each run alive while the
-    # next one is read
-    per = list(map(lambda tr: _run_checks(build, tr, steps), trajs))
-    if point is None:
-        point = _point_checks(build)
-    ok = (all(r.passed for r in point.values())
-          and all(c.passed for checks in per for c in checks.values()))
-    return point, per, ok
+def _all_pass(point, per):
+    """Whether the certificate-level checks and every run's checks pass."""
+    return (all(r.passed for r in point.values())
+            and all(c.passed for checks in per for c in checks.values()))
 
 
 def cmd_demo(args):
     cfg = RunConfig(demo_config(psi=args.psi, seed=args.seed))
     build = _Build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    trajs, _ = _run_batch(build, args.out)
-    point, per, ok = _verify_batch(build, trajs)
+    runs = _run_batch(build, args.out, checked=True)
+    per = [run.report() for run in runs]
+    point = _point_checks(build)
+    ok = _all_pass(point, per)
 
     summary = {"schema_version": SCHEMA_VERSION,
                "checks": {k: r.as_dict() for k, r in point.items()},
                "trajectories": [], "all_pass": bool(ok)}
-    for k, (tr, checks) in enumerate(zip(trajs, per)):
-        final_norm = float(np.linalg.norm(tr.xs[-1]))
+    for run, checks in zip(runs, per):
         summary["trajectories"].append({
-            "file": _trajectory_file(cfg.prefix, k),
-            "final_norm": final_norm,
-            "converged": bool(final_norm < CONVERGED_NORM and not tr.diverged),
+            "file": run.file,
+            "final_norm": run.final_norm,
+            "converged": run.converged,
             "checks": {name: r.as_dict() for name, r in checks.items()},
         })
     io.write_report_json(os.path.join(args.out, "summary.json"), summary)
@@ -405,12 +442,11 @@ def cmd_simulate(args):
     cfg = RunConfig.from_file(args.config)
     build = _Build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    trajs, diverged = _run_batch(build, args.out)
-    for k, tr in enumerate(trajs):
-        state = "diverged" if tr.diverged else "ok"
-        print(f"{_trajectory_file(cfg.prefix, k)}: {state}, "
-              f"{tr.ts.shape[0] - 1} steps")
-    return 1 if diverged else 0
+    runs = _run_batch(build, args.out, checked=False)
+    for run in runs:
+        state = "diverged" if run.diverged else "ok"
+        print(f"{run.file}: {state}, {run.rows - 1} steps")
+    return 1 if any(run.diverged for run in runs) else 0
 
 
 def cmd_halanay(args):
@@ -486,39 +522,38 @@ def _sweep_group_rows(groups, point_checks, samples):
 
     One build serves each group, and one lockstep runs every start of every
     point as a lane under its group's controller; a lane equals its
-    one-lane run bit for bit.  Each point is verified and gets its row as
-    if run on its own.  Certificate-level checks are cached in point_checks
-    by (psi, gamma, eta), and every point's construction check reads its
-    psi-free half from the one dict samples: kind, seed, box and barrier
-    are fixed across the sweep.  The run's trajectories, and the lockstep
-    table they view, go when this returns.
+    one-lane run bit for bit, and is checked as its rows come.  Each point
+    gets its row as if run on its own.  Certificate-level checks are cached
+    in point_checks by (psi, gamma, eta), and every point's construction
+    check reads its psi-free half from the one dict samples: kind, seed,
+    box and barrier are fixed across the sweep.
     """
     builds = [_Build(group[0][1]) for group in groups]
-    points = [(build, idx, sub) for build, group in zip(builds, groups)
-              for idx, sub in group]
-    lanes = [(build.ctrl, w) for build, _, sub in points
-             for w in _windows(sub)]
-    trajs = batch_integrate(builds[0].dyn, [c for c, _ in lanes],
-                            [w for _, w in lanes], builds[0].settings)
+    points = [(build, idx, sub, [_Run(build) for _ in sub.initial_conditions])
+              for build, group in zip(builds, groups) for idx, sub in group]
+    lanes = [run for *_, runs in points for run in runs]
+    wins = [w for _, _, sub, _ in points for w in _windows(sub)]
+    batch_integrate(builds[0].dyn, [run.build.ctrl for run in lanes], wins,
+                    builds[0].settings, lambda k, block: lanes[k].feed(block))
     rows = []
     all_ok = True
-    for build, idx, sub in points:
-        mine = trajs[:len(sub.initial_conditions)]
-        del trajs[:len(mine)]
+    for build, idx, sub, runs in points:
         key = (sub.psi, sub.gamma, sub.eta)
         if key not in point_checks:
             point_checks[key] = _point_checks(build, samples)
-        point, per, ok = _verify_batch(build, mine, point_checks[key])
-        finals = [float(np.linalg.norm(tr.xs[-1])) for tr in mine]
-        conv = all(not tr.diverged and f < CONVERGED_NORM
-                   for tr, f in zip(mine, finals))
+        per = [run.report() for run in runs]
+        ok = _all_pass(point_checks[key], per)
+        finals = [r.final_norm for r in runs]
+        conv = all(not r.diverged and f < CONVERGED_NORM
+                   for r, f in zip(runs, finals))
         margins = [c["safety"].worst for c in per
                    if c["safety"].worst is not None]
         ratios = [c["envelope"].worst for c in per
                   if "envelope" in c and c["envelope"].details["form"] == "ratio"]
         # x(0) of the point's start; NaN when the point has several
-        x0 = mine[0].xs[0].tolist() if len(mine) == 1 else [float("nan")] * 2
-        row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(mine),
+        x0 = (runs[0].start.tolist() if len(runs) == 1
+              else [float("nan")] * 2)
+        row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(runs),
                int(conv), int(ok),
                min(margins) if margins else float("inf"),
                max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
@@ -570,23 +605,29 @@ def cmd_verify(args):
     files = [_trajectory_file(cfg.prefix, k)
              for k in range(len(cfg.initial_conditions))]
 
-    def read(k, w):
-        path = os.path.join(args.out, files[k])
+    def blocks(path, w):
         try:
-            tr = io.trajectory_from_csv(*io.read_trajectory_csv(path),
-                                        build.dyn, w)
+            yield from io.trajectory_blocks(path, build.dyn, w)
         except ValueError as e:
             raise ConfigError(f"{path} is not a trajectory CSV: {e}") from None
-        if not np.array_equal(tr.xs[0], w.latest_state):
-            raise ConfigError(f"{path} does not start at "
-                              f"initial_conditions[{k}]")
-        return tr
 
-    # same suite the demo runs: certificate-level checks plus per-file ones.
-    # Each CSV is read as the checks reach it, so one run is held at a
-    # time; a bad file raises before anything is printed
-    point, per, ok = _verify_batch(build, map(read, itertools.count(),
-                                              _windows(cfg)))
+    def check(k, w):
+        path = os.path.join(args.out, files[k])
+        run = _Run(build)
+        for block in blocks(path, w):
+            if run.start is None and not np.array_equal(block.xs[0],
+                                                        w.latest_state):
+                raise ConfigError(f"{path} does not start at "
+                                  f"initial_conditions[{k}]")
+            run.feed(block)
+        return run.report()
+
+    # same suite the demo runs: per-file checks plus certificate-level ones.
+    # Each CSV is checked a block at a time as it is read; a bad file
+    # raises before anything is printed
+    per = list(map(check, itertools.count(), _windows(cfg)))
+    point = _point_checks(build)
+    ok = _all_pass(point, per)
     for name, rep in point.items():
         print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
     results = []

@@ -12,10 +12,13 @@ lockstep's history reads are vectorized over lanes and blocks of steps,
 reads at t <= 0 going through each lane's own initial window, constant or
 sampled, while each RK stage runs per lane in plain floats on its
 certificate's per-point form and `controller.law`, so a lane's result does
-not depend on the other lanes.  Each row of one state/slope/input/margin
-table is written once, a few rows at a time; at mu = 0 each lane takes the
-sup's rows as a running max over blocks, in O(1) per lane and step, and at
-mu > 0 one weighted max serves both of a step's read times.  The history sup is
+not depend on the other lanes.  A lane holds only the rows its reads still
+reach, in a ring, and hands its final rows on in blocks of
+BLOCK_LANE_ROWS lane-rows: to a sink that takes them as they come, or
+joined into one Trajectory per run.
+At mu = 0 each lane takes the sup's rows as a running max over blocks, in
+O(1) per lane and step, and at mu > 0 one weighted max over a ring of the
+rows in reach serves both of a step's read times.  The history sup is
 taken on the run's own rows (see `history`): the read at theta = -Delta,
 every accepted row in [t - Delta, t], the initial window's samples
 included, and the stage value at theta = 0.  `_integrate_general` is the
@@ -75,6 +78,18 @@ class Trajectory:
         return self.xs[-1]
 
 
+def _joined(blocks):
+    """One run from its blocks of rows, in order."""
+    if len(blocks) == 1:
+        return blocks[0]
+
+    def cat(name):
+        return np.concatenate([getattr(b, name) for b in blocks])
+    return Trajectory(cat("ts"), cat("xs"), cat("us"), cat("margins"),
+                      cat("slopes"), blocks[0].meta, blocks[0].ic_window,
+                      blocks[-1].diverged)
+
+
 class IntegrationDiverged(RuntimeError):
     """Raised when a state goes non-finite; carries the partial trajectory."""
 
@@ -92,7 +107,7 @@ def _check_settings(dyn, settings):
                          "0 < tau < h falls inside the step being taken")
 
 
-def batch_integrate(dyn, ctrl, ics, settings):
+def batch_integrate(dyn, ctrl, ics, settings, sink=None):
     """Independent integrations from each initial window, order preserved.
 
     dyn is an ExampleDynamics (TypeError otherwise); ctrl is a
@@ -103,6 +118,10 @@ def batch_integrate(dyn, ctrl, ics, settings):
     cannot serve the plant's delays.  Diverged members come back as
     truncated trajectories with .diverged = True rather than raising.  The
     whole batch, constant and sampled starts alike, runs in one lockstep.
+
+    With a sink, sink(k, block) takes the rows of run k as they become
+    final, a Trajectory block at a time, in order (see
+    `_lockstep_example`), and nothing is returned.
     """
     if not isinstance(dyn, ExampleDynamics):
         raise TypeError("batch_integrate integrates the example plant only, "
@@ -113,8 +132,8 @@ def batch_integrate(dyn, ctrl, ics, settings):
     if not all(w.span_ok() for w in ics):
         raise ValueError("initial window must span the delay horizon")
     if not ics:
-        return []
-    return _lockstep_example(dyn, ctrl, ics, settings)
+        return None if sink else []
+    return _lockstep_example(dyn, ctrl, ics, settings, sink)
 
 
 def integrate(dyn, ctrl, xi, settings):
@@ -194,8 +213,11 @@ def _integrate_general(dyn, ctrl, xi, settings):
 # ---------------------------------------------------------------------------
 # the lockstep engine for the example plant
 
-# lane-rows a lockstep holds in floats before it writes them to its table
+# lane-rows a lockstep holds in floats before it writes them to its ring
 ROW_FLUSH = 128
+# lane-rows per block a lockstep hands on, so that a block's memory does
+# not grow with the lanes either: 4096 rows at the demo's 4 lanes
+BLOCK_LANE_ROWS = 16384
 
 
 def _lane_controllers(ctrl, K):
@@ -215,7 +237,7 @@ def _lane_controllers(ctrl, K):
     return ctrls
 
 
-def _lockstep_example(dyn, ctrl, ics, settings):
+def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
     """Integrate K runs of the example plant in lockstep, each from its own
     initial window, constant or sampled, and under its own controller.
 
@@ -232,12 +254,26 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     certificate.  The RK stages run lane by lane in floats, through one
     stage closure per distinct controller; a lane's first stage of step
     i + 1 closes its step i, and its row goes into a float buffer that is
-    written to the one (state, slope, input, margin) table every few rows
-    and before each block of reads.  At mu = 0 `history.LaneWindowMax`
+    written every few rows, and before each block of reads, to a ring of
+    the (state, slope, input, margin) rows the reads still reach and to
+    the block of rows being handed on.  At mu = 0 `history.LaneWindowMax`
     takes the max over the rows behind each lane's read times, in one pass
-    over the lanes per step; at mu > 0 one max over the weighted rows
-    serves both read times.
+    over the lanes per step; at mu > 0 one max over a ring of the weighted
+    rows in reach serves both read times.
+
+    Every BLOCK_LANE_ROWS // K rows, and at the end, sink(k, block) takes
+    lane k's block as a Trajectory of views into the block, which is not
+    written again.  A lane's rows end before its first non-finite state:
+    that block is its last, with .diverged = True (and no rows when the
+    previous block ended just before it).  Without a sink the blocks are
+    joined into one Trajectory per lane, and the list is returned.
     """
+    parts = None
+    if sink is None:
+        parts = [[] for _ in ics]
+
+        def sink(k, block):
+            parts[k].append(block)
     h = settings.h
     nsteps = int(round(settings.T / h))
     N = nsteps + 1
@@ -246,11 +282,6 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     K = len(ics)
     ctrls = _lane_controllers(ctrl, K)
     wins = [w.copy() for w in ics]
-
-    # per row and lane the state, its k1, the input and the margin; NaN
-    # until written, so a read of a row that is not final yet shows
-    tab = np.full((N, K, 6), np.nan)
-    xs, ms, us, margins = tab[..., :2], tab[..., 2:4], tab[..., 4], tab[..., 5]
 
     # read tables by stage offset c (in steps past t_i): stages 1 and 2 read
     # at t_i + h/2, stage 3 of step i and stage 0 of step i + 1 at t_{i+1}.
@@ -271,6 +302,12 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     # is clamped to i); after stage 0 of step r rows 0..r are final, so the
     # reads of steps r .. r + L - 1 can all be made then
     L = 1 - min(int(ri0.max()) + 1, 0)
+    # per lane the state, its k1, the input and the margin of the rows those
+    # reads reach, row r at r % R: the reads made at step r reach back to
+    # row r + min(ri0)
+    R = 1 - int(ri0.min())
+    ring = np.full((R, K, 6), np.nan)
+    xs, ms = ring[..., :2], ring[..., 2:4]
 
     closed = ctrls[0] is not None
     mu = ctrls[0].gains.mu if closed else 0.0
@@ -296,9 +333,11 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         pre = [(s, c.certificate.value_many(X))
                for c, (s, X) in zip(ctrls, map(hist.pre_rows, wins))]
     if closed and not zero_mu:
-        # certificate per row and lane, for the weighted rows at mu > 0;
-        # apart from the table, so that it goes when the run returns
-        wv = np.empty((N, K))
+        # certificate per row and lane for the weighted rows at mu > 0, the
+        # M + 1 rows in reach: row r at r % S and at r % S + S, so that the
+        # last M rows are one slice
+        S = M + 1
+        wv = np.empty((2 * S, K))
 
     def reads(t, v):
         """From the reads v (2, ..., K, 2) at t - tau and t - delta, those
@@ -332,24 +371,31 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         """`reads` at t_i + h/2 and t_{i+1} for the steps i: (2, n, K)."""
         rows = np.maximum(steps + ri0[..., None], 0)       # (2, 2, n)
         nxt = np.minimum(rows + 1, steps)
-        # the Hermite sum b0 x0 + b1 m0 + b2 x1 + b3 m1 in that order, in
-        # place, so that two (2, 2, n, K, 2) arrays are held at a time
-        v = xs[rows]
-        v *= rb[0]
-        for b, col, r in zip(rb[1:], (ms, xs, ms), (rows, nxt, nxt)):
-            part = col[r]
-            part *= b
-            v += part
-        return reads((steps + cs[:, None]) * h, v)
+        rows %= R
+        nxt %= R
+        # a lane past its first non-finite row, whose rows are dropped,
+        # reads inf and NaN rows; zero weights times inf are NaN there
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the Hermite sum b0 x0 + b1 m0 + b2 x1 + b3 m1 in that order,
+            # in place, so that two (2, 2, n, K, 2) arrays are held at a
+            # time
+            v = xs[rows]
+            v *= rb[0]
+            for b, col, r in zip(rb[1:], (ms, xs, ms), (rows, nxt, nxt)):
+                part = col[r]
+                part *= b
+                v += part
+            return reads((steps + cs[:, None]) * h, v)
 
     def sup_max(i, g):
         """At mu > 0, the max of the sup terms g (2, K) of the reads at
         t_i + h/2 and t_{i+1} and of the weighted rows behind them, as
         (2, K) floats."""
-        a = wv[max(i + 1 - M, 0):i + 1]
+        lo = max(i + 1 - M, 0)
+        a = wv[lo % S:lo % S + i + 1 - lo]
         g = np.maximum((a * lagm[:, M - a.shape[0]:]).max(axis=1), g)
         if w_old is not None and i >= M:
-            np.maximum(g[0], wv[i - M] * w_old, out=g[0])
+            np.maximum(g[0], wv[(i - M) % S] * w_old, out=g[0])
         return g.tolist()
 
     hh = 0.5 * h
@@ -393,6 +439,47 @@ def _lockstep_example(dyn, ctrl, ics, settings):
             made[id(c)] = lane_stage(c)
     stages = [made[id(c)] for c in ctrls]
 
+    # the block of rows first .. being handed on, and what each lane's
+    # blocks carry
+    md = dict(h=h, T=settings.T, delta=delta)
+    ic_windows = [w.copy() for w in ics]
+    live = list(range(K))
+    B = max(1, BLOCK_LANE_ROWS // K)
+    block = np.empty((min(B, N), K, 6))
+    first = 0
+
+    def write(buf, start, stop):
+        """The rows start .. stop - 1 from the buffer buf into the ring and
+        the block, emptying buf."""
+        rows = np.array(buf).reshape(stop - start, K, 7)[..., :6]
+        buf.clear()
+        block[start - first:stop - first] = rows
+        p = start % R
+        q = min(R - p, stop - start)
+        ring[p:p + q] = rows[:q]
+        ring[:stop - start - q] = rows[q:]
+
+    def hand_on(stop):
+        """The rows first .. stop - 1 of each live lane to the sink, cut
+        before a lane's first non-finite state; a fresh block for the rows
+        after."""
+        nonlocal block, first
+        n = stop - first
+        ts = (first + np.arange(n)) * h
+        for k in list(live):
+            x = block[:n, k, :2]
+            bad = ~np.isfinite(x).all(axis=1)
+            cut = int(np.argmax(bad)) if bad.any() else n
+            if cut < n:
+                live.remove(k)
+            sink(k, Trajectory(ts[:cut], x[:cut], block[:cut, k, 4:5],
+                               block[:cut, k, 5], block[:cut, k, 2:4], md,
+                               ic_windows[k], cut < n))
+        # the sink keeps no view of the block, unless it collects: the
+        # last one goes before the next is made
+        first, block = stop, None
+        block = np.empty((min(B, N - stop), K, 6))
+
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
     # windows with their stored slopes at t = 0; every later read finds
@@ -403,21 +490,25 @@ def _lockstep_example(dyn, ctrl, ics, settings):
     g_mid = g_end = [0.0] * K if far is None else far[0, 0].tolist()
     k1 = [st(x0, x1, f, g)
           for st, (x0, x1), f, g in zip(stages, x, f_end, g_end)]
-    # the rows r0 .. of the table not written yet, 7 floats per lane: the
-    # state, the stage-0 derivative, input and margin, and the certificate
-    # value, which the table does not keep
+    # the rows r0 .. not written yet, 7 floats per lane: the state, the
+    # stage-0 derivative, input and margin, and the certificate value,
+    # which the ring does not keep
     buf = [v for y, t in zip(x, k1) for v in y + t]
     r0 = 0
     flush = max(1, ROW_FLUSH // K)
     if zero_mu:
         wmax = hist.LaneWindowMax(M, w_old is not None, K)
     lanes = range(K)
+    until = B           # rows 0 .. until - 1 fill the block
     for i in range(nsteps):
         j = i % L
-        if j == 0 or i + 1 - r0 >= flush:
-            tab[r0:i + 1] = np.array(buf).reshape(i + 1 - r0, K, 7)[..., :6]
-            buf.clear()
+        full = i + 1 >= until
+        if j == 0 or i + 1 - r0 >= flush or full:
+            write(buf, r0, i + 1)
             r0 = i + 1
+            if full:
+                hand_on(i + 1)
+                until = i + 1 + B
             if i == 0:
                 for w, m in zip(wins, ms[0]):
                     w.ms[w.count - 1] = m
@@ -429,7 +520,8 @@ def _lockstep_example(dyn, ctrl, ics, settings):
         if zero_mu:
             g_mid, g_end = wmax.step(i, [t[4] for t in k1], far, j)
         elif closed:
-            wv[i] = [t[4] for t in k1]
+            p = i % S
+            wv[p] = wv[p + S] = [t[4] for t in k1]
             g_mid, g_end = sup_max(i, far[:, j])
         for k in lanes:
             st = stages[k]
@@ -447,20 +539,11 @@ def _lockstep_example(dyn, ctrl, ics, settings):
             t = k1[k] = st(y0, y1, fe, ge)
             buf += y
             buf += t
-    tab[r0:] = np.array(buf).reshape(N - r0, K, 7)[..., :6]
-
-    ts = np.arange(N) * h
-    out = []
-    md = dict(h=h, T=settings.T, delta=delta)
-    for k in range(K):
-        finite = np.isfinite(xs[:, k, :]).all(axis=1)
-        lane_ok = bool(finite.all())
-        cut = N if lane_ok else int(np.argmax(~finite))
-        # views, not copies: the table lives as long as the lanes' runs
-        out.append(Trajectory(ts[:cut], xs[:cut, k], us[:cut, k, None],
-                              margins[:cut, k], ms[:cut, k], md,
-                              ics[k].copy(), not lane_ok))
-    return out
+    write(buf, r0, N)
+    hand_on(N)
+    if parts is not None:
+        return [_joined(p) for p in parts]
+    return None
 
 
 def convergence_study(dyn, ctrl, xi, T, h_list):

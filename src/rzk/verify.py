@@ -5,6 +5,13 @@ witness (time, state) when one is meaningful, and the tolerances used.
 These are sampled proxies, not formal proofs; sample counts and shell
 widths are module constants and are reported.  The history sup is rebuilt
 on the run's own rows, as its controller took it (see `history`).
+
+The per-trajectory checks are accumulators fed a run's rows a block at a
+time, in order (`feed(block)`, then `report()`), each carrying only the
+rows its reads still reach and its worst value so far, so that a run is
+checked as the lockstep or a CSV hands its rows on; any split of a run
+gives the report of the whole.  `safety_check(traj, ...)` and the other
+whole-run forms feed the run as one block.
 """
 
 import math
@@ -122,39 +129,77 @@ def _witness(t, x):
     return {"time": tv, "state": [float(v) for v in np.atleast_1d(x)]}
 
 
+def beats(v, best):
+    """Whether v takes the place of best in a running argmax as np.argmax
+    takes it: the first NaN wins, otherwise the first of the largest."""
+    return best is None or (best == best and (v != v or v > best))
+
+
+def _whole(check, traj, values=None):
+    """A check's report on the whole run traj, fed as one block."""
+    check.feed(traj, values)
+    return check.report()
+
+
+class _WindowReads:
+    """The history read x(t_i - delta) behind each row of a run fed a block
+    of rows at a time, from the run's first block on.
+
+    The integrator's cubic Hermite scheme on the rows' slopes; with
+    delta/h an integer D the read is row i - D itself.  Reads at or before
+    t = 0 go through the initial window, with the run's k1 as its slope at
+    t = 0, as the integrators read it after their first stage; the rows
+    gathered for them are clipped to row 0 and to the rows fed so far.
+    Only the rows the next block's reads reach are carried."""
+
+    def __init__(self, first):
+        self.delta = first.meta["delta"]
+        i0, *b = hist.hermite_tables(
+            np.array([-hist.delay_steps(self.delta, first.h)]), first.h)
+        self.i0, self.b = int(i0[0]), [w[0] for w in b]
+        self.w = first.ic_window.copy()
+        self.w.ms[self.w.count - 1] = first.slopes[0]
+        self.xs = first.xs[:0]
+        self.ms = first.slopes[:0]
+        self.count = 0
+
+    def feed(self, block):
+        """The reads behind the rows of block, the run's next: (n, dim)."""
+        xs = np.concatenate([self.xs, block.xs])
+        ms = np.concatenate([self.ms, block.slopes])
+        base = self.count - self.xs.shape[0]
+        i = self.count + np.arange(block.xs.shape[0])
+        row = np.maximum(i + self.i0, 0) - base
+        nxt = np.minimum(row + 1, xs.shape[0] - 1)
+        b00, b10, b01, b11 = self.b
+        # summed in place, in the order of b00 x0 + b10 m0 + b01 x1 + b11 m1.
+        # A run cut at its first overflow may end on a finite state with a
+        # non-finite slope; zero weights times inf are NaN there
+        with np.errstate(invalid="ignore", over="ignore"):
+            vals = b00 * xs[row]
+            vals += b10 * ms[row]
+            vals += b01 * xs[nxt]
+            vals += b11 * ms[nxt]
+        tread = block.ts - self.delta
+        pre = tread <= hist.EARLY_TOL
+        if pre.any():
+            w = self.w
+            vals[pre] = w.interp_times((block.ts + w.latest_time
+                                        - self.delta)[pre])
+        self.count += block.xs.shape[0]
+        keep = max(self.count + self.i0, 0) - base
+        self.xs, self.ms = xs[keep:].copy(), ms[keep:].copy()
+        return vals
+
+
 def window_states(traj):
-    """The history read x(t_i - delta) behind every sample: (N, n).
-
-    The integrator's cubic Hermite scheme on traj.slopes; with delta/h an
-    integer D the read is row i - D itself.  Reads at or before t = 0 go
-    through the initial window, with the run's k1 as its slope at t = 0, as
-    the integrators read it after their first stage; the rows gathered for
-    them are clipped to row 0.
-    """
-    delta = traj.meta["delta"]
-    h = traj.h
-    xs = traj.xs
-    ms = traj.slopes
-    N = xs.shape[0]
-    i0, b00, b10, b01, b11 = hist.hermite_tables(
-        np.array([-hist.delay_steps(delta, h)]), h)
-    row = np.maximum(np.arange(N) + int(i0[0]), 0)
-    nxt = np.minimum(row + 1, N - 1)
-    # summed in place, in the order of b00 x0 + b10 m0 + b01 x1 + b11 m1
-    vals = b00[0] * xs[row]
-    vals += b10[0] * ms[row]
-    vals += b01[0] * xs[nxt]
-    vals += b11[0] * ms[nxt]
-    tread = traj.ts - delta
-    pre = tread <= hist.EARLY_TOL
-    if pre.any():
-        w = traj.ic_window.copy()
-        w.ms[w.count - 1] = ms[0]
-        vals[pre] = w.interp_times((traj.ts + w.latest_time - delta)[pre])
-    return vals
+    """The history read x(t_i - delta) behind every sample: (N, n); see
+    `_WindowReads`."""
+    return _WindowReads(traj).feed(traj)
 
 
-# samples per block of field_sup_series' sliding max, to bound its memory
+# samples per step of a sup series' sliding max, to bound its memory: a
+# (SUP_BLOCK, R) array at mu > 0, R the rows in reach
 SUP_BLOCK = 2048
 
 
@@ -173,160 +218,295 @@ def sliding_max(a, R):
     return np.maximum(suf[:n], pre[R - 1:R - 1 + n])
 
 
-def field_sup_series(traj, field, mu=0.0, values=None):
-    """Weighted history sup of the field at every sample, rebuilt on the
-    run's rows as the integrators take it: (N,).
+class _SupSeries:
+    """Weighted history sup of a field at each row of a run fed a block of
+    rows at a time, rebuilt on the run's rows as the integrators take it.
 
-    A sliding max over the field at the samples, weighted by lag from
+    A sliding max over the field at the rows, weighted by lag from
     `history.lag_weights`, the read at theta = -delta and the initial
-    window's samples in reach.  values is the field on traj.xs, when the
-    caller has it already.
-    """
-    delta = traj.meta["delta"]
-    h = traj.h
+    window's samples in reach.  The field values of the last R - 1 rows
+    are carried, R the rows in reach, with the window reads' rows."""
+
+    def __init__(self, field, mu, first):
+        self.field, self.mu = field, mu
+        self.delta = first.meta["delta"]
+        self.lagw = hist.lag_weights(
+            mu, first.h, hist.delay_steps(self.delta, first.h))[::2][::-1]
+        self.tail = np.full(self.lagw.shape[0] - 1, -np.inf)
+        self.reads = _WindowReads(first)
+        s, X = hist.pre_rows(first.ic_window)
+        self.pre = s, field.value_many(X)
+
+    def feed(self, block, fv):
+        """The sup at the rows of block, the run's next, fv the field on
+        them: (n,)."""
+        R = self.lagw.shape[0]
+        padded = np.concatenate([self.tail, fv])
+        n = fv.shape[0]
+        out = np.empty(n)
+        for start in range(0, n, SUP_BLOCK):
+            stop = min(start + SUP_BLOCK, n)
+            # at mu = 0 every weight is 1.0, so the plain sliding max serves
+            if self.mu:
+                out[start:stop] = (sliding_window_view(
+                    padded[start:stop + R - 1], R) * self.lagw).max(axis=1)
+            else:
+                out[start:stop] = sliding_max(padded[start:stop + R - 1], R)
+        self.tail = padded[n:].copy()
+        end = self.field.value_many(self.reads.feed(block))
+        if self.mu:
+            end = end * math.exp(-self.mu * self.delta)
+        np.maximum(out, end, out=out)
+        k = int(np.searchsorted(block.ts, self.delta + hist.ROW_TOL))
+        if k:
+            np.maximum(out[:k], hist.row_sup(*self.pre, block.ts[:k],
+                                             self.delta, self.mu),
+                       out=out[:k])
+        return out
+
+
+def field_sup_series(traj, field, mu=0.0, values=None):
+    """Weighted history sup of the field at every sample: (N,); see
+    `_SupSeries`.  values is the field on traj.xs, when the caller has it
+    already."""
     fv = field.value_many(traj.xs) if values is None else values
-    N = fv.shape[0]
-    lagw = hist.lag_weights(mu, h, hist.delay_steps(delta, h))[::2][::-1]
-    R = lagw.shape[0]
-    padded = np.concatenate([np.full(R - 1, -np.inf), fv])
-    rows = sliding_window_view(padded, R)
-    out = np.empty(N)
-    for start in range(0, N, SUP_BLOCK):
-        stop = min(start + SUP_BLOCK, N)
-        # at mu = 0 every weight is 1.0, so the plain sliding max serves
-        if mu:
-            out[start:stop] = (rows[start:stop] * lagw).max(axis=1)
-        else:
-            out[start:stop] = sliding_max(padded[start:stop + R - 1], R)
-    end = field.value_many(window_states(traj))
-    if mu:
-        end = end * math.exp(-mu * delta)
-    np.maximum(out, end, out=out)
-    s, X = hist.pre_rows(traj.ic_window)
-    n = int(np.searchsorted(traj.ts, delta + hist.ROW_TOL))
-    np.maximum(out[:n], hist.row_sup(s, field.value_many(X), traj.ts[:n],
-                                     delta, mu), out=out[:n])
-    return out
+    return _SupSeries(field, mu, traj).feed(traj, fv)
 
 
-def finite_check(traj, steps):
+class FiniteCheck:
     """The run reached its horizon: steps + 1 rows, every state finite, not
     cut short as diverged.  The other checks judge the rows they are given,
     so a run cut at its first overflow, or a truncated CSV, passes them on
-    what is left; this check does not."""
-    rows = traj.xs.shape[0]
-    bad = ~np.isfinite(traj.xs).all(axis=1)
-    ok = rows == steps + 1 and not bad.any() and not traj.diverged
-    witness = None
-    if bad.any():
-        k = int(np.argmax(bad))
-        witness = _witness(traj.ts[k], traj.xs[k])
-    return VerificationReport(
-        "finite", ok, float(traj.ts[-1]) if rows else None, witness, {},
-        {"rows": int(rows), "expected_rows": int(steps) + 1})
+    what is left; this check does not.  Fed the run's rows a block at a
+    time."""
+
+    def __init__(self, steps):
+        self.steps = int(steps)
+        self.rows = 0
+        self.last = None
+        self.witness = None
+        self.diverged = False
+
+    def feed(self, block, values=None):
+        n = block.xs.shape[0]
+        self.diverged = self.diverged or bool(block.diverged)
+        if not n:
+            return
+        if self.witness is None:
+            bad = ~np.isfinite(block.xs).all(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                self.witness = _witness(block.ts[k], block.xs[k])
+        self.rows += n
+        self.last = float(block.ts[-1])
+
+    def report(self):
+        ok = (self.rows == self.steps + 1 and self.witness is None
+              and not self.diverged)
+        return VerificationReport(
+            "finite", ok, self.last, self.witness, {},
+            {"rows": self.rows, "expected_rows": self.steps + 1})
+
+
+class SafetyCheck:
+    """No sample (initial history included) in D, and hazard clearance of at
+    least SAFETY_TOL on every sample inside the region.  Fed the run's rows
+    a block at a time; the initial function, its read at -delta and its
+    samples after that, comes with the first block."""
+
+    def __init__(self, unsafe):
+        self.unsafe = unsafe
+        self.samples = self.in_region = 0
+        self.member = None      # (clearance, witness) of the first member
+        self.worst = None       # least clearance in the region so far
+        self.witness = None
+
+    def feed(self, block, values=None):
+        if not self.samples:
+            ic = block.ic_window
+            delta = block.meta["delta"]
+            s, X = hist.pre_rows(ic)
+            keep = s > -delta + hist.ROW_TOL
+            self._states(np.concatenate([[-delta], s[keep]]),
+                         np.concatenate([ic.interp_times(ic.latest_time
+                                                         - delta), X[keep]]))
+        self._states(block.ts, block.xs)
+
+    def _states(self, times, states):
+        unsafe = self.unsafe
+        self.samples += states.shape[0]
+        in_region = unsafe.region.contains_many(states)
+        self.in_region += int(in_region.sum())
+        if self.member is not None:
+            return
+        member = unsafe.membership_many(states)
+        if member.any():
+            k = int(np.argmax(member))
+            clearance = -float(unsafe.boundary_margin(states[k][None])[0])
+            self.member = clearance, _witness(times[k], states[k])
+        elif in_region.any():
+            clear = -unsafe.boundary_margin(states[in_region])
+            k_loc = int(np.argmin(clear))
+            # the first least clearance, as the argmax of its negation
+            least = None if self.worst is None else -self.worst
+            if beats(-clear[k_loc], least):
+                idx = np.flatnonzero(in_region)[k_loc]
+                self.worst = float(clear[k_loc])
+                self.witness = _witness(times[idx], states[idx])
+
+    def report(self):
+        tvalues = {"safety_tol": SAFETY_TOL}
+        details = {"samples": self.samples,
+                   "samples_in_region": self.in_region}
+        if self.member is not None:
+            clearance, witness = self.member
+            return VerificationReport("safety", False, clearance, witness,
+                                      tvalues, details)
+        if self.in_region:
+            details["vacuous"] = False
+            return VerificationReport("safety", self.worst >= SAFETY_TOL,
+                                      self.worst, self.witness, tvalues,
+                                      details)
+        details["vacuous"] = True
+        return VerificationReport("safety", True, None, None, tvalues, details)
 
 
 def safety_check(traj, unsafe):
-    """No sample (initial history included) in D, and hazard clearance of at
-    least SAFETY_TOL on every sample inside the region."""
     if traj.xs.shape[0] == 0:
         raise ValueError("trajectory must be non-empty")
-    # the initial function: its read at -delta and its samples after that
-    ic = traj.ic_window
-    delta = traj.meta["delta"]
-    s, X = hist.pre_rows(ic)
-    keep = s > -delta + hist.ROW_TOL
-    states = np.concatenate([ic.interp_times(ic.latest_time - delta),
-                             X[keep], traj.xs])
-    times = np.concatenate([[-delta], s[keep], traj.ts])
-
-    member = unsafe.membership_many(states)
-    in_region = unsafe.region.contains_many(states)
-    tvalues = {"safety_tol": SAFETY_TOL}
-    details = {"samples": int(states.shape[0]),
-               "samples_in_region": int(in_region.sum())}
-    if member.any():
-        k = int(np.argmax(member))
-        clearance = -float(unsafe.boundary_margin(states[k][None])[0])
-        return VerificationReport("safety", False, clearance,
-                                  _witness(times[k], states[k]),
-                                  tvalues, details)
-    if in_region.any():
-        clear = -unsafe.boundary_margin(states[in_region])
-        k_loc = int(np.argmin(clear))
-        idx = np.flatnonzero(in_region)[k_loc]
-        worst = float(clear[k_loc])
-        details["vacuous"] = False
-        return VerificationReport("safety", worst >= SAFETY_TOL, worst,
-                                  _witness(times[idx], states[idx]),
-                                  tvalues, details)
-    details["vacuous"] = True
-    return VerificationReport("safety", True, None, None, tvalues, details)
+    return _whole(SafetyCheck(unsafe), traj)
 
 
-def decrease_check(traj, field, gains, values=None):
+class DecreaseCheck:
     """Forward-difference d(field)/dt against -gamma*field + eta*sup at each
     interior sample; pass iff every residual is within DECREASE_C*h.
 
-    The sup series is rebuilt from the samples by field_sup_series, for a
-    run in memory as for one read back from CSV.  values is the field on
-    traj.xs, when the caller has it already."""
-    h = traj.h
-    tol = DECREASE_C * h
-    tvalues = {"c": DECREASE_C, "h": h, "tol": tol}
-    N = traj.xs.shape[0]
-    if N < 2:
-        return VerificationReport("decrease", True, 0.0, None, tvalues,
-                                  {"samples": N, "violations": 0})
-    fv = field.value_many(traj.xs) if values is None else values
-    sup = field_sup_series(traj, field, gains.mu, fv)
-    fwd = np.diff(fv) / h
-    res = fwd - (-gains.gamma * fv[:-1] + gains.eta * sup[:-1])
-    k = int(np.argmax(res))
-    worst = float(res[k])
-    bad = res > tol
-    details = {"samples": N, "violations": int(bad.sum())}
-    if bad.any():
-        j = int(np.argmax(bad))
-        details["first_violation_time"] = float(traj.ts[j])
-        return VerificationReport("decrease", False, worst,
-                                  _witness(traj.ts[j], traj.xs[j]),
-                                  tvalues, details)
-    return VerificationReport("decrease", True, worst,
-                              _witness(traj.ts[k], traj.xs[k]),
-                              tvalues, details)
+    The sup series is rebuilt from the samples (see `_SupSeries`), for a
+    run in memory as for one read back from CSV.  Fed the run's rows a
+    block at a time, with the field on them when the caller has it; the
+    last row's residual waits for the next row."""
+
+    def __init__(self, field, gains):
+        self.field, self.gains = field, gains
+        self.sup = None
+        self.samples = self.violations = 0
+        self.last = None        # the last row: field, sup, time, state
+        self.worst = None
+        self.witness = None
+        self.first_violation = None     # (time, witness)
+
+    def feed(self, block, values=None):
+        self.h = block.h
+        n = block.xs.shape[0]
+        if not n:
+            return
+        if self.sup is None:
+            self.sup = _SupSeries(self.field, self.gains.mu, block)
+        fv = self.field.value_many(block.xs) if values is None else values
+        sup = self.sup.feed(block, fv)
+        self.samples += n
+        ts, xs = block.ts, block.xs
+        if self.last is not None:
+            lf, ls, lt, lx = self.last
+            fv, sup = np.concatenate([[lf], fv]), np.concatenate([[ls], sup])
+            ts, xs = np.concatenate([[lt], ts]), np.concatenate([[lx], xs])
+        self.last = fv[-1], sup[-1], ts[-1], xs[-1].copy()
+        if fv.shape[0] < 2:
+            return
+        gains = self.gains
+        res = np.diff(fv) / self.h - (-gains.gamma * fv[:-1]
+                                      + gains.eta * sup[:-1])
+        k = int(np.argmax(res))
+        if beats(res[k], self.worst):
+            self.worst = float(res[k])
+            self.witness = _witness(ts[k], xs[k])
+        bad = res > DECREASE_C * self.h
+        if bad.any():
+            self.violations += int(bad.sum())
+            if self.first_violation is None:
+                j = int(np.argmax(bad))
+                self.first_violation = float(ts[j]), _witness(ts[j], xs[j])
+
+    def report(self):
+        h = self.h
+        tvalues = {"c": DECREASE_C, "h": h, "tol": DECREASE_C * h}
+        N = self.samples
+        if N < 2:
+            return VerificationReport("decrease", True, 0.0, None, tvalues,
+                                      {"samples": N, "violations": 0})
+        details = {"samples": N, "violations": self.violations}
+        if self.first_violation is not None:
+            details["first_violation_time"], witness = self.first_violation
+            return VerificationReport("decrease", False, self.worst,
+                                      witness, tvalues, details)
+        return VerificationReport("decrease", True, self.worst,
+                                  self.witness, tvalues, details)
+
+
+def decrease_check(traj, field, gains, values=None):
+    return _whole(DecreaseCheck(field, gains), traj, values)
+
+
+class EnvelopeCheck:
+    """Field values along the run against the exponential envelope.
+
+    Non-negative start: ratio test against field(0)*e^{-rho t}
+    (`halanay.check_envelope`, block by block).  Negative start (the
+    barrier-side case): the envelope statement degenerates to forward
+    invariance of the nonpositive sublevel set, so the check is that the
+    field never becomes positive.  Fed the run's rows a block at a time,
+    with the field on them when the caller has it.
+    """
+
+    def __init__(self, field, certificate):
+        self.field, self.certificate = field, certificate
+        self.v0 = None
+        self.worst = None
+        self.witness = None
+        self.passed = True
+        self.first_violation = None
+
+    def feed(self, block, values=None):
+        if not block.xs.shape[0]:
+            return
+        vs = self.field.value_many(block.xs) if values is None else values
+        if self.v0 is None:
+            self.v0 = float(vs[0])
+        if self.v0 < 0.0:
+            k = int(np.argmax(vs))
+            if beats(vs[k], self.worst):
+                self.worst = float(vs[k])
+                self.witness = _witness(block.ts[k], block.xs[k])
+            return
+        r = halanay.check_envelope(block.ts, vs, self.v0,
+                                   self.certificate.rho)
+        if beats(r["max_ratio"], self.worst):
+            self.worst = r["max_ratio"]
+        if not r["pass"] and self.passed:
+            self.passed = False
+            self.first_violation = r["first_violation"]
+            j = int(np.searchsorted(block.ts, r["first_violation"]))
+            j = min(j, len(block.ts) - 1)
+            self.witness = _witness(block.ts[j], block.xs[j])
+
+    def report(self):
+        if self.v0 is None:
+            raise ValueError("need at least one sample")
+        rho = self.certificate.rho
+        if self.v0 < 0.0:
+            return VerificationReport(
+                "envelope", self.worst <= 0.0, self.worst, self.witness,
+                {"tol": 0.0, "rho": rho},
+                {"form": "signed", "start": self.v0})
+        return VerificationReport(
+            "envelope", self.passed, self.worst, self.witness,
+            {"tol": halanay.ENVELOPE_TOL, "rho": rho},
+            {"form": "ratio", "start": self.v0,
+             "first_violation": self.first_violation})
 
 
 def envelope_check(traj, field, certificate, values=None):
-    """Field values along the run against the exponential envelope.
-
-    Non-negative start: ratio test against field(0)*e^{-rho t}.  Negative
-    start (the barrier-side case): the envelope statement degenerates to
-    forward invariance of the nonpositive sublevel set, so the check is
-    that the field never becomes positive.  values is the field on traj.xs,
-    when the caller has it already.
-    """
-    vs = field.value_many(traj.xs) if values is None else values
-    v0 = float(vs[0])
-    if v0 < 0.0:
-        k = int(np.argmax(vs))
-        worst = float(vs[k])
-        ok = worst <= 0.0
-        return VerificationReport(
-            "envelope", ok, worst, _witness(traj.ts[k], traj.xs[k]),
-            {"tol": 0.0, "rho": certificate.rho},
-            {"form": "signed", "start": v0})
-    r = halanay.check_envelope(traj.ts, vs, v0, certificate.rho)
-    witness = None
-    if r["first_violation"] is not None:
-        j = int(np.searchsorted(traj.ts, r["first_violation"]))
-        j = min(j, len(traj.ts) - 1)
-        witness = _witness(traj.ts[j], traj.xs[j])
-    return VerificationReport(
-        "envelope", r["pass"], r["max_ratio"], witness,
-        {"tol": halanay.ENVELOPE_TOL, "rho": certificate.rho},
-        {"form": "ratio", "start": v0,
-         "first_violation": r["first_violation"]})
+    return _whole(EnvelopeCheck(field, certificate), traj, values)
 
 
 def _boundary_grid(region, per_edge):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -233,9 +234,9 @@ def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
     calls = []
     integrate = cli.batch_integrate
 
-    def counted(dyn, ctrl, ics, settings):
+    def counted(dyn, ctrl, ics, settings, sink=None):
         calls.append(len(ics))
-        return integrate(dyn, ctrl, ics, settings)
+        return integrate(dyn, ctrl, ics, settings, sink)
 
     def sweep(name, grid):
         cfgp = tmp_path / f"{name}.json"
@@ -269,6 +270,22 @@ def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
     # checks there: it did not reach T
     assert [r.split(",")[7] for r in lines[3::3]] == ["0"] * 4
     assert [r.split(",")[8] for r in lines[3::3]] == ["0"] * 4
+
+
+def test_sweep_with_a_diverging_start_warns_nothing(tmp_path):
+    # a lane that overflows in its first step keeps stepping on inf and NaN
+    # rows, and its CSV-less checks see its last slope non-finite: neither
+    # the lockstep's reads nor the checks' warn
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, integration={"T": 0.05},
+                 sweep={"tau": [0.0, 0.3],
+                        "initial_conditions": [[-4.0, 1.0], [3.0, 1e154]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", "--config", str(cfgp),
+                         "--out", str(tmp_path / "sw")]) == 1
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[8] for r in rows] == ["1", "0", "1", "0"]
 
 
 @pytest.mark.parametrize("sweep", [{}, {"psi": [], "tau": [0.3]}],
