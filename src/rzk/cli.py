@@ -287,9 +287,10 @@ class _Run:
     def __init__(self, build, checked=True, file=None, path=None):
         self.build, self.file, self.path = build, file, path
         self.start = self.final = self.peak = None
-        self.rows = 0
         self.peak_abs_u = 0.0
-        self.diverged = False
+        # the run's row count and divergence, reported only when checked
+        self.finite = verify.FiniteCheck(
+            int(round(build.settings.T / build.settings.h)))
         self.checks = {}
         if checked:
             self.checks["safety"] = verify.SafetyCheck(build.unsafe)
@@ -299,13 +300,19 @@ class _Run:
                 if build.cert is not None:
                     self.checks["envelope"] = verify.EnvelopeCheck(
                         build.active, build.cert)
-            self.checks["finite"] = verify.FiniteCheck(
-                int(round(build.settings.T / build.settings.h)))
+            self.checks["finite"] = self.finite
+
+    @property
+    def rows(self):
+        return self.finite.rows
+
+    @property
+    def diverged(self):
+        return self.finite.diverged
 
     def feed(self, block):
         b = self.build
         n = block.xs.shape[0]
-        self.diverged = self.diverged or bool(block.diverged)
         if n:
             first = self.start is None
             if first:
@@ -318,19 +325,20 @@ class _Run:
             if verify.beats(u, self.peak_abs_u):
                 self.peak_abs_u = u
             self.final = block.xs[-1].copy()
-            self.rows += n
             if self.path is not None:
                 io.write_trajectory_csv(
                     self.path, *io.trajectory_columns(
                         block, b.V, b.B, b.W,
                         b.bound_column(block.ts, self.start)),
                     append=not first)
-        if self.checks:
-            # the certificate on the rows, once for every check that reads it
-            fv = (b.active.value_many(block.xs)
-                  if b.active is not None and n else None)
-            for check in self.checks.values():
-                check.feed(block, fv)
+        if not self.checks:
+            self.finite.feed(block)
+            return
+        # the certificate on the rows, once for every check that reads it
+        fv = (b.active.value_many(block.xs)
+              if b.active is not None and n else None)
+        for check in self.checks.values():
+            check.feed(block, fv)
 
     def report(self):
         return {name: check.report() for name, check in self.checks.items()}

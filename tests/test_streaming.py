@@ -6,6 +6,7 @@ and the memory a run holds does not grow with its horizon."""
 import functools
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,7 +92,9 @@ def _reports(blocks, field, gains):
               verify.DecreaseCheck(field, gains),
               verify.EnvelopeCheck(field, cert),
               verify.FiniteCheck(round(blocks[0].meta["T"] / blocks[0].h))]
-    record = cli._Run(None, checked=False, file="run.csv")
+    run = blocks[0]
+    record = cli._Run(SimpleNamespace(settings=IntegrationSettings(
+        h=run.h, T=run.meta["T"])), checked=False, file="run.csv")
     for block in blocks:
         fv = field.value_many(block.xs) if block.xs.shape[0] else None
         for check in checks:
@@ -217,10 +220,26 @@ def test_memory_of_simulate_and_verify_does_not_grow_with_the_horizon(
     assert long <= 1.15 * short, (short, long)
 
 
-def test_a_row_narrower_than_the_header_fails_the_block_reader(
-        tmp_path, monkeypatch):
-    # the reader parses only the columns a run is rebuilt from, and the
-    # last one: a short row fails whether it opens a block or not
+def _malformed_rows(line):
+    """Ways to break one CSV row: one column short, one column over (x1
+    twice, every later value shifted), and a value that is not a number
+    in x1, V, B and W."""
+    fields = line.rstrip("\n").split(",")
+
+    def put(k, value):
+        return ",".join(fields[:k] + [value] + fields[k + 1:]) + "\n"
+
+    yield ",".join(fields[:-1]) + "\n"
+    yield put(1, fields[1] + "," + fields[1])
+    for k in (1, 4, 5, 6):
+        yield put(k, "abc")
+
+
+@pytest.mark.parametrize("row", [1, 1 + 100, 5, 150])
+def test_a_malformed_row_fails_the_block_reader(tmp_path, monkeypatch,
+                                                row):
+    # rows that open a block (1, 101) and rows inside one (5, 150) fail
+    # both readers, as a whole-file loadtxt fails on them
     monkeypatch.setattr(io, "CSV_ROWS", 100)
     tr, field, gains = _runs()["W const 300"]
     V, B, W = rzk.example_lyapunov(), rzk.example_barrier(), field
@@ -228,10 +247,12 @@ def test_a_row_narrower_than_the_header_fails_the_block_reader(
     io.write_trajectory_csv(path, *io.trajectory_columns(tr, V, B, W))
     lines = path.read_text().splitlines(True)
     dyn = rzk.example_system(rzk.ExampleConfig(0.3))
-    for row in (1, 1 + io.CSV_ROWS, 5):
-        short = lines[:row] + [lines[row].rsplit(",", 1)[0] + "\n"] \
-            + lines[row + 1:]
-        path.write_text("".join(short))
+    for bad in _malformed_rows(lines[row]):
+        path.write_text("".join(lines[:row] + [bad] + lines[row + 1:]))
+        with pytest.raises(ValueError):
+            np.loadtxt(path, delimiter=",", skiprows=1)
+        with pytest.raises(ValueError):
+            io.read_trajectory_csv(path)
         with pytest.raises(ValueError):
             for _ in io.trajectory_blocks(path, dyn, tr.ic_window):
                 pass
