@@ -6,6 +6,12 @@ roots), sweep (parameter grid), verify (re-check existing CSVs).
 
 Exit codes: 0 all checks pass, 1 check failure or divergence, 2 usage or
 config error.  Set RZK_LOG to a logging level name for diagnostics.
+
+demo, simulate and verify split a batch of SPLIT_ROWS rows or more over
+the cores the process may run on, its CPU affinity (`_split`): one
+process per core, each running its share of the runs.  A lockstep lane
+equals its one-lane run bit for bit, so every output byte is the one a
+single process writes; `taskset -c 0 rzk demo` keeps to one core.
 """
 
 import argparse
@@ -14,6 +20,8 @@ import json
 import logging
 import math
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -43,6 +51,15 @@ DEMO_INITIAL_CONDITIONS = ((-4.0, 1.0), (-2.0, -1.0), (1.0, 2.0), (-2.0, 3.0))
 # the sweep equally fast within noise, 6.1 to 7.0 s, while peak RSS rose
 # from 47 to 56 to 72 MB; a lane-step cost 8.8 us at 16 lanes, 8.2 us at 64
 SWEEP_LANES = 16
+
+# rows a batch must hold, over all its runs, before `_split` splits it.
+# A fork and join cost about 3 ms, and a child's first writes to the
+# memory it shares with its parent more.  Splitting 2 to 4 demo starts
+# over 2 cores (x86-64, Python 3.11; medians of 21 alternated calls)
+# saved `rzk simulate` 5 % at 1504 rows, 14 % at 2004 and 23 to 35 %
+# from 6000; `rzk verify` lost 14 to 31 % at 1504 to 4004 rows and saved
+# 8 to 22 % at 8004, the value taken
+SPLIT_ROWS = 8000
 
 _TOP_KEYS = {"schema_version", "system", "certificate", "gains", "lambda",
              "initial_conditions", "integration", "outputs", "seed", "sweep"}
@@ -281,11 +298,14 @@ class _Run:
     """One run, fed its rows a block at a time as the lockstep or a CSV
     hands them on: its CSV when it has a path, the reductions of its
     run.json row (first and final state, steps, peak norm and its time,
-    peak |u|) and, when checked, its per-trajectory checks; it must also
-    reach the configured T."""
+    peak |u|) when reduced, and, when checked, its per-trajectory checks;
+    it must also reach the configured T.  Unreduced, it keeps only its
+    first state."""
 
-    def __init__(self, build, checked=True, file=None, path=None):
+    def __init__(self, build, checked=True, file=None, path=None,
+                 reduced=True):
         self.build, self.file, self.path = build, file, path
+        self.reduced = reduced
         self.start = self.final = self.peak = None
         self.peak_abs_u = 0.0
         # the run's row count and divergence, reported only when checked
@@ -317,14 +337,15 @@ class _Run:
             first = self.start is None
             if first:
                 self.start = block.xs[0].copy()
-            norms = np.linalg.norm(block.xs, axis=1)
-            k = int(np.argmax(norms))
-            if verify.beats(norms[k], self.peak and self.peak[0]):
-                self.peak = float(norms[k]), float(block.ts[k])
-            u = float(np.max(np.abs(block.us), initial=0.0))
-            if verify.beats(u, self.peak_abs_u):
-                self.peak_abs_u = u
-            self.final = block.xs[-1].copy()
+            if self.reduced:
+                norms = np.linalg.norm(block.xs, axis=1)
+                k = int(np.argmax(norms))
+                if verify.beats(norms[k], self.peak and self.peak[0]):
+                    self.peak = float(norms[k]), float(block.ts[k])
+                u = float(np.max(np.abs(block.us), initial=0.0))
+                if verify.beats(u, self.peak_abs_u):
+                    self.peak_abs_u = u
+                self.final = block.xs[-1].copy()
             if self.path is not None:
                 io.write_trajectory_csv(
                     self.path, *io.trajectory_columns(
@@ -366,10 +387,86 @@ class _Run:
         }
 
 
+def _cores():
+    """The cores this process may run on: 1 without fork or CPU affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(share, lo, hi):
+    """A child process that runs share(lo, hi) and sends back the result,
+    or the exception it raised, pickled through a pipe: (pid, read end).
+    The child leaves by os._exit, whatever it raises, so it never returns
+    into its caller's stack."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        try:
+            out = share(lo, hi), None
+        except Exception as e:
+            out = None, e
+        with os.fdopen(w, "wb") as f:
+            pickle.dump(out, f)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _split(build, n, share):
+    """share(0, n), the list of the records of runs 0..n-1 of a batch of n
+    runs of build's settings, with the runs split over the usable cores
+    when the batch holds SPLIT_ROWS rows or more.
+
+    share(lo, hi) gives the records of runs lo..hi-1.  The runs are cut
+    into contiguous shares in run order, at most one per run and per core:
+    this process runs the first share, and a child forked after the
+    imports runs each other one, so the caller writes every artifact and
+    line from the records in run order.  The first exception in run order
+    is raised, and no child outlives the call: on any exit the children
+    are killed and reaped.  Forking, not spawning, spares each child the
+    imports; rzk starts no threads.
+    """
+    rows = n * (build.settings.T / build.settings.h + 1)
+    jobs = min(n, _cores()) if rows >= SPLIT_ROWS else 1
+    cuts = [n * j // jobs for j in range(jobs + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork(share, lo, hi))
+        out = share(cuts[0], cuts[1])
+        for pid, f in children:
+            data = f.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} died before it "
+                                   "sent its records")
+            more, err = pickle.loads(data)
+            if err is not None:
+                raise err
+            out += more
+        return out
+    finally:
+        for pid, f in children:
+            f.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_batch(build, out_dir, checked):
     """Simulate, each run's rows streamed into its CSV, its run.json row
-    and, when checked, its per-trajectory checks; write config + CSVs +
-    run.json.  Returns the runs (`_Run`)."""
+    and, when checked, its per-trajectory checks, with the runs split over
+    the usable cores (`_split`); write config + CSVs + run.json.  Returns
+    each run's (run.json row, check reports), in run order."""
     cfg = build.cfg
     wins = _windows(cfg)
     if build.ctrl is not None and cfg.kind == "W":
@@ -379,14 +476,20 @@ def _run_batch(build, out_dir, checked):
                 log.warning("initial condition %d starts inside the "
                             "excluded set", k)
     files = [_trajectory_file(cfg.prefix, k) for k in range(len(wins))]
-    runs = [_Run(build, checked, f, os.path.join(out_dir, f)) for f in files]
-    batch_integrate(build.dyn, build.ctrl, wins, build.settings,
-                    lambda k, block: runs[k].feed(block))
+
+    def share(lo, hi):
+        runs = [_Run(build, checked, f, os.path.join(out_dir, f))
+                for f in files[lo:hi]]
+        batch_integrate(build.dyn, build.ctrl, wins[lo:hi], build.settings,
+                        lambda k, block: runs[k].feed(block))
+        return [(run.row(), run.report()) for run in runs]
+
+    records = _split(build, len(wins), share)
     io.write_report_json(os.path.join(out_dir, "config.json"), cfg.to_dict())
     io.write_report_json(os.path.join(out_dir, "run.json"),
                          {"schema_version": SCHEMA_VERSION,
-                          "trajectories": [run.row() for run in runs]})
-    return runs
+                          "trajectories": [row for row, _ in records]})
+    return records
 
 
 def _point_checks(build, samples=None):
@@ -415,19 +518,18 @@ def cmd_demo(args):
     cfg = RunConfig(demo_config(psi=args.psi, seed=args.seed))
     build = _Build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    runs = _run_batch(build, args.out, checked=True)
-    per = [run.report() for run in runs]
+    records = _run_batch(build, args.out, checked=True)
     point = _point_checks(build)
-    ok = _all_pass(point, per)
+    ok = _all_pass(point, [checks for _, checks in records])
 
     summary = {"schema_version": SCHEMA_VERSION,
                "checks": {k: r.as_dict() for k, r in point.items()},
                "trajectories": [], "all_pass": bool(ok)}
-    for run, checks in zip(runs, per):
+    for row, checks in records:
         summary["trajectories"].append({
-            "file": run.file,
-            "final_norm": run.final_norm,
-            "converged": run.converged,
+            "file": row["file"],
+            "final_norm": row["final_norm"],
+            "converged": row["converged"],
             "checks": {name: r.as_dict() for name, r in checks.items()},
         })
     io.write_report_json(os.path.join(args.out, "summary.json"), summary)
@@ -450,11 +552,11 @@ def cmd_simulate(args):
     cfg = RunConfig.from_file(args.config)
     build = _Build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    runs = _run_batch(build, args.out, checked=False)
-    for run in runs:
-        state = "diverged" if run.diverged else "ok"
-        print(f"{run.file}: {state}, {run.rows - 1} steps")
-    return 1 if any(run.diverged for run in runs) else 0
+    rows = [row for row, _ in _run_batch(build, args.out, checked=False)]
+    for row in rows:
+        state = "diverged" if row["diverged"] else "ok"
+        print(f"{row['file']}: {state}, {row['steps']} steps")
+    return 1 if any(row["diverged"] for row in rows) else 0
 
 
 def cmd_halanay(args):
@@ -621,7 +723,7 @@ def cmd_verify(args):
 
     def check(k, w):
         path = os.path.join(args.out, files[k])
-        run = _Run(build)
+        run = _Run(build, reduced=False)
         for block in blocks(path, w):
             if run.start is None and not np.array_equal(block.xs[0],
                                                         w.latest_state):
@@ -631,9 +733,12 @@ def cmd_verify(args):
         return run.report()
 
     # same suite the demo runs: per-file checks plus certificate-level ones.
-    # Each CSV is checked a block at a time as it is read; a bad file
+    # Each CSV is checked a block at a time as it is read, the files split
+    # over the usable cores (`_split`); the first bad file in run order
     # raises before anything is printed
-    per = list(map(check, itertools.count(), _windows(cfg)))
+    wins = _windows(cfg)
+    per = _split(build, len(wins),
+                 lambda lo, hi: [check(k, wins[k]) for k in range(lo, hi)])
     point = _point_checks(build)
     ok = _all_pass(point, per)
     for name, rep in point.items():

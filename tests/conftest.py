@@ -25,6 +25,14 @@ def demo_run(tmp_path_factory):
     return DemoRun(out, code, wall)
 
 
+@pytest.fixture()
+def one_worker(monkeypatch):
+    """Keep every rzk command's runs in this process, so that what a test
+    observes in the process (tracemalloc, a tracer, weak references,
+    counted calls) sees all of their work."""
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+
+
 @pytest.fixture(scope="session")
 def example_setup():
     """Shared example objects: system, fields, gains, controller."""

@@ -7,8 +7,13 @@ import collections
 import json
 import os
 
+import pytest
+
 import rzk
 from rzk import cli
+
+# the tracer records spans in this process only
+pytestmark = pytest.mark.usefixtures("one_worker")
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")

@@ -221,7 +221,8 @@ def test_sweep_rows_carry_their_start(tmp_path):
     assert data[:, -3:-1].tolist() == starts
 
 
-def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch):
+def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch,
+                                                  one_worker):
     # the points of one tau share one lockstep, a lane each under its own
     # point's controller; sweep.csv is the one the points write run one at
     # a time.  The starts: a sampled history through the box, a constant
@@ -384,7 +385,8 @@ def test_verify_reports_an_unreadable_csv_as_config_error(tmp_path, capsys,
     assert err.startswith("config error:") and str(path) in err
 
 
-def test_verify_holds_one_run_at_a_time(tmp_path, capsys, monkeypatch):
+def test_verify_holds_one_run_at_a_time(tmp_path, capsys, monkeypatch,
+                                        one_worker):
     # each CSV is checked as it is read: the run before it is gone by then
     cfgp = tmp_path / "c.json"
     write_config(cfgp, initial_conditions=[[0.5, 0.5], [1.0, 2.0],

@@ -185,7 +185,7 @@ def test_cli_artifacts_do_not_depend_on_the_block_sizes(tmp_path, capsys,
 
 
 def test_memory_of_simulate_and_verify_does_not_grow_with_the_horizon(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, one_worker):
     # the tracemalloc peak of simulate plus verify on two demo starts at
     # T = 10 against T = 2.  tracemalloc slows the lockstep tenfold, so
     # the runs take h = 5e-3 (delta/h = 60, 401 and 2001 rows) under V,
