@@ -11,10 +11,14 @@ demo, simulate and verify split a batch of SPLIT_ROWS rows or more over
 the cores the process may run on, its CPU affinity (`_split`): one
 process per core, each running its share of the runs.  A lockstep lane
 equals its one-lane run bit for bit, so every output byte is the one a
-single process writes; `taskset -c 0 rzk demo` keeps to one core.
+single process writes.  With a core to spare, a W sweep forks one child
+that computes its certificate-level checks while it runs its locksteps
+(`_fork_point_checks`), and forms every row in point order from the
+child's reports.  `taskset -c 0` keeps any command on one core.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
@@ -423,6 +427,33 @@ def _fork(share, lo, hi):
         os._exit(status)
 
 
+@contextlib.contextmanager
+def _children():
+    """A list for the (pid, read end) pairs of forked children; on any exit
+    each child is killed and reaped."""
+    children = []
+    try:
+        yield children
+    finally:
+        for pid, f in children:
+            f.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _receive(pid, f):
+    """What the child pid sent through its read end f: its result, or the
+    exception it raised, raised here."""
+    data = f.read()
+    if not data:
+        raise RuntimeError(f"worker process {pid} died before it sent its "
+                           "records")
+    out, err = pickle.loads(data)
+    if err is not None:
+        raise err
+    return out
+
+
 def _split(build, n, share):
     """share(0, n), the list of the records of runs 0..n-1 of a batch of n
     runs of build's settings, with the runs split over the usable cores
@@ -440,26 +471,13 @@ def _split(build, n, share):
     rows = n * (build.settings.T / build.settings.h + 1)
     jobs = min(n, _cores()) if rows >= SPLIT_ROWS else 1
     cuts = [n * j // jobs for j in range(jobs + 1)]
-    children = []
-    try:
+    with _children() as children:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             children.append(_fork(share, lo, hi))
         out = share(cuts[0], cuts[1])
-        for pid, f in children:
-            data = f.read()
-            if not data:
-                raise RuntimeError(f"worker process {pid} died before it "
-                                   "sent its records")
-            more, err = pickle.loads(data)
-            if err is not None:
-                raise err
-            out += more
+        for child in children:
+            out += _receive(*child)
         return out
-    finally:
-        for pid, f in children:
-            f.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _run_batch(build, out_dir, checked):
@@ -492,6 +510,11 @@ def _run_batch(build, out_dir, checked):
     return records
 
 
+# the example's sandwich bounds, box and exterior margin, which the
+# construction check reads
+_CONSTRUCTION = (example_sandwich(), EXAMPLE_BOX, example_margin)
+
+
 def _point_checks(build, samples=None):
     """Certificate-level checks, construction and separation, of a W run:
     they depend on psi, the gains and the seed, not on the starts.  samples
@@ -501,7 +524,7 @@ def _point_checks(build, samples=None):
         return {}
     return {
         "construction": verify.clbrf_construction_check(
-            build.V, build.B, example_sandwich(), EXAMPLE_BOX, example_margin,
+            build.V, build.B, *_CONSTRUCTION,
             psi=build.cfg.psi, gains=(build.gains, build.gains),
             unsafe=build.unsafe, seed=build.cfg.seed, samples=samples),
         "separation": verify.separation_check(build.unsafe, build.W),
@@ -625,19 +648,19 @@ def _sweep_runs(groups):
         yield run
 
 
-def _sweep_group_rows(groups, point_checks, samples):
-    """sweep.csv rows, and whether all checks pass, for a run of groups of
-    (index, config) points that share tau, the configs within a group
-    differing only in their starts.
+def _checks_key(cfg):
+    """The key of a sweep point's certificate-level checks: kind, seed,
+    box and barrier are fixed across the sweep."""
+    return cfg.psi, cfg.gamma, cfg.eta
 
-    One build serves each group, and one lockstep runs every start of every
-    point as a lane under its group's controller; a lane equals its
-    one-lane run bit for bit, and is checked as its rows come.  Each point
-    gets its row as if run on its own.  Certificate-level checks are cached
-    in point_checks by (psi, gamma, eta), and every point's construction
-    check reads its psi-free half from the one dict samples: kind, seed,
-    box and barrier are fixed across the sweep.
-    """
+
+def _sweep_lanes(groups):
+    """Run a run of groups of (index, config) points that share tau, the
+    configs within a group differing only in their starts: one build
+    serves each group, and one lockstep runs every start of every point as
+    a lane under its group's controller, checked as its rows come.  A lane
+    equals its one-lane run bit for bit.  Returns each point's (build,
+    index, config, runs)."""
     builds = [_Build(group[0][1]) for group in groups]
     points = [(build, idx, sub, [_Run(build) for _ in sub.initial_conditions])
               for build, group in zip(builds, groups) for idx, sub in group]
@@ -645,10 +668,19 @@ def _sweep_group_rows(groups, point_checks, samples):
     wins = [w for _, _, sub, _ in points for w in _windows(sub)]
     batch_integrate(builds[0].dyn, [run.build.ctrl for run in lanes], wins,
                     builds[0].settings, lambda k, block: lanes[k].feed(block))
+    return points
+
+
+def _sweep_rows(points, point_checks, samples):
+    """sweep.csv rows, and whether all checks pass, of points run by
+    `_sweep_lanes`: each point gets its row as if run on its own.  The
+    certificate-level checks are read from point_checks by `_checks_key`,
+    and computed into it when missing, every construction check reading
+    its psi-free half from the one dict samples."""
     rows = []
     all_ok = True
     for build, idx, sub, runs in points:
-        key = (sub.psi, sub.gamma, sub.eta)
+        key = _checks_key(sub)
         if key not in point_checks:
             point_checks[key] = _point_checks(build, samples)
         per = [run.report() for run in runs]
@@ -673,6 +705,28 @@ def _sweep_group_rows(groups, point_checks, samples):
     return rows, all_ok
 
 
+def _fork_point_checks(groups):
+    """A child that computes the certificate-level checks of the W points
+    of groups, once per `_checks_key` in point order, and sends them back
+    by key: (pid, read end), as from `_fork`.  The construction samples
+    are drawn here, before the fork, so that the child starts from them."""
+    firsts = {}
+    for group in groups:
+        for _, sub in group:
+            firsts.setdefault(_checks_key(sub), sub)
+    subs = list(firsts.values())
+    # the fields and the unsafe set every `_Build` holds
+    samples = verify.construction_samples(
+        example_lyapunov(), example_barrier(), *_CONSTRUCTION,
+        unsafe=verify.example_unsafe_set(), seed=subs[0].seed)
+
+    def share(lo, hi):
+        return {_checks_key(sub): _point_checks(_Build(sub), samples)
+                for sub in subs[lo:hi]}
+
+    return _fork(share, 0, len(subs))
+
+
 def cmd_sweep(args):
     cfg = RunConfig.from_file(args.config)
     if cfg.sweep is None:
@@ -693,14 +747,24 @@ def cmd_sweep(args):
     # JSON text, which keeps -0.0 apart from 0.0.  tau comes first, so the
     # groups of one tau are neighbours too
     fixed = len(names) - (names[-1:] == ["initial_conditions"])
-    groups = ([(idx, _sweep_config(base, names, pt)) for idx, pt in group]
+    groups = [[(idx, _sweep_config(base, names, pt)) for idx, pt in group]
               for _, group in itertools.groupby(
                   enumerate(points),
-                  key=lambda item: json.dumps(item[1][:fixed])))
-    for run in _sweep_runs(groups):
-        rows, ok = _sweep_group_rows(run, point_checks, samples)
-        lines += rows
-        all_ok = all_ok and ok
+                  key=lambda item: json.dumps(item[1][:fixed]))]
+    with _children() as children:
+        # with a core to spare, a child computes the certificate-level
+        # checks while this process runs the first lockstep, and its
+        # reports are read after it
+        if cfg.kind == "W" and groups and _cores() > 1:
+            children.append(_fork_point_checks(groups))
+        pending = children[:]
+        for run in _sweep_runs(groups):
+            done = _sweep_lanes(run)
+            while pending:
+                point_checks.update(_receive(*pending.pop()))
+            rows, ok = _sweep_rows(done, point_checks, samples)
+            lines += rows
+            all_ok = all_ok and ok
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines))

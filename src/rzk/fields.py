@@ -35,11 +35,13 @@ class ScalarField:
     piecewise field changes its formula, and value_in_box gives
     value_many's rows for rows known to lie in it without testing it
     again; exterior2 is the a of a 2-D field that is a ||x||^2, with
-    gradient 2 a x, off its box.
+    gradient 2 a x, off its box, and value_grad_in_box its value_grad at
+    a point known to lie in the box.
     """
 
     quad2 = None
     exterior2 = None
+    value_grad_in_box = None
 
     def __init__(self, n, value_many, grad_many, name="", value_grad=None,
                  box=None, value_in_box=None):
@@ -307,39 +309,47 @@ def _barrier(X, value=True, grad=True):
     return val, out
 
 
-def _hazard_point(x1, x2):
-    """_hazard_inbox with gradient at one in-box point, in floats: the same
-    arithmetic in the same order."""
-    t1 = x1 + 2.0
-    t2 = x2 - 1.0
-    d1 = max(1.0 - t1 * t1, 1e-150)
-    d2 = max(1.0 - t2 * t2, 1e-150)
-    raw = 1.0 / d1 + 1.0 / d2
-    if raw < H_BLEND_LO:
-        val, dval = raw, 1.0
-    else:
-        s = min((raw - H_BLEND_LO) / (H_MAX - H_BLEND_LO), 1.0)
-        val = H_BLEND_LO + (H_MAX - H_BLEND_LO) * _quintic_blend(s)
-        dval = _quintic_blend_d(s) if raw < H_MAX else 0.0
-    return val, dval, 2.0 * t1 / (d1 * d1), 2.0 * t2 / (d2 * d2)
-
-
 def _barrier_inbox(X):
     """_barrier's value on rows that all lie inside EXAMPLE_BOX."""
     return (np.exp(-_hazard_inbox(X, grad=False)) - _E4) * _sq_norm(X)
 
 
+def _barrier_inbox_point(x1, x2):
+    """_barrier's value and gradient row at a point inside EXAMPLE_BOX,
+    flat, in floats: _hazard_inbox inlined, with the batch's operations in
+    its order.  On the plateau the batch's clipped blend gives H_MAX and
+    slope 0 exactly; e^{-H} goes through np.exp, which math.exp does not
+    match in the last bit."""
+    t1, t2 = x1 + 2.0, x2 - 1.0
+    d1, d2 = 1.0 - t1 * t1, 1.0 - t2 * t2
+    # floored as in _hazard_inbox, by comparisons, not calls of max
+    if d1 < 1e-150:
+        d1 = 1e-150
+    if d2 < 1e-150:
+        d2 = 1e-150
+    raw = 1.0 / d1 + 1.0 / d2
+    if raw < H_BLEND_LO:
+        hv, dval = raw, 1.0
+    elif raw < H_MAX:
+        s = (raw - H_BLEND_LO) / (H_MAX - H_BLEND_LO)
+        hv = H_BLEND_LO + (H_MAX - H_BLEND_LO) * _quintic_blend(s)
+        dval = _quintic_blend_d(s)
+    else:
+        hv, dval = H_MAX, 0.0
+    eH = float(np.exp(-hv))
+    r2 = x1 * x1 + x2 * x2
+    c = 2.0 * (eH - _E4)
+    e = eH * dval
+    return ((eH - _E4) * r2, c * x1 - e * (2.0 * t1 / (d1 * d1)) * r2,
+            c * x2 - e * (2.0 * t2 / (d2 * d2)) * r2)
+
+
 def _barrier_point(x1, x2):
     """_barrier's value and gradient row at the point (x1, x2), flat, in
-    floats; e^{-H} goes through np.exp, which math.exp does not match in the
-    last bit."""
-    r2 = x1 * x1 + x2 * x2
+    floats."""
     if _BOX_LO[0] < x1 < _BOX_HI[0] and _BOX_LO[1] < x2 < _BOX_HI[1]:
-        hv, dval, g1, g2 = _hazard_point(x1, x2)
-        eH = float(np.exp(-hv))
-        c = 2.0 * (eH - _E4)
-        return ((eH - _E4) * r2, c * x1 - eH * dval * g1 * r2,
-                c * x2 - eH * dval * g2 * r2)
+        return _barrier_inbox_point(x1, x2)
+    r2 = x1 * x1 + x2 * x2
     c = -2.0 * _E4
     return -_E4 * r2, c * x1, c * x2
 
@@ -356,6 +366,7 @@ def example_barrier():
                         value_grad=_barrier_point, box=EXAMPLE_BOX,
                         value_in_box=_barrier_inbox)
     field.exterior2 = -_E4
+    field.value_grad_in_box = _barrier_inbox_point
     return field
 
 
@@ -364,9 +375,9 @@ def combine_clbrf(V, B, psi):
 
     When V is a 2-D quadratic and B a ||x||^2 off its box, the per-point
     form inlines V's and B's off-box branch, with the batch's operations in
-    its order, and calls B's own in the box; otherwise it is ScalarField's
-    one-row batch, which gives the same bits.  When V has no box W takes
-    B's, and its in-box form V's rows plus B's in-box ones."""
+    its order, and calls B's value_grad_in_box in the box; otherwise it is
+    ScalarField's one-row batch, which gives the same bits.  When V has no
+    box W takes B's, and its in-box form V's rows plus B's in-box ones."""
     if V.n != B.n:
         raise ValueError("field dimensions differ")
     if psi <= 0:
@@ -384,7 +395,7 @@ def combine_clbrf(V, B, psi):
         (q00, q01), (q10, q11) = V.quad2
         (lo0, hi0), (lo1, hi1) = B.box._bounds
         ea, c = B.exterior2, 2.0 * B.exterior2
-        b_point = B.value_grad
+        b_point = B.value_grad_in_box
 
         def value_grad(x0, x1):
             y0 = q00 * x0 + q01 * x1

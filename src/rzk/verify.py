@@ -540,13 +540,14 @@ def _unsafe_sample(rng, region, unsafe):
     return np.concatenate(kept)
 
 
-def _construction_samples(V, B, bounds, region, phi_m, boundary_grid,
-                          unsafe, seed):
-    """The half of clbrf_construction_check that does not depend on psi:
-    the seeded exterior sample and its worst slack B + phi_m, the boundary
-    grid and psi_min, the unsafe-set sample drawn after the exterior one,
-    and V and B on all three samples.  Every array is held whole, with no
-    rows beyond the sample's."""
+def construction_samples(V, B, bounds, region, phi_m, boundary_grid=256,
+                         unsafe=None, seed=0):
+    """The half of clbrf_construction_check that does not depend on psi,
+    as the dict its samples argument takes: the seeded exterior sample and
+    its worst slack B + phi_m, the boundary grid and psi_min, the
+    unsafe-set sample drawn after the exterior one, and V and B on all
+    three samples, keyed by the grid and the seed.  Every array is held
+    whole, with no rows beyond the sample's."""
     rng = np.random.default_rng(seed)
     # (a) exterior bound: sample a dilated box, reject interior points
     span = region.hi - region.lo
@@ -570,7 +571,7 @@ def _construction_samples(V, B, bounds, region, phi_m, boundary_grid,
             "grid": bpts, "grid_V": V.value_many(bpts),
             "grid_B": B.value_many(bpts), "psi_min": (kb, float(ratio[kb])),
             "unsafe": cand, "unsafe_V": V.value_many(cand),
-            "unsafe_B": B.value_many(cand)}
+            "unsafe_B": B.value_many(cand), "key": (boundary_grid, seed)}
 
 
 def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
@@ -597,8 +598,8 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     made into the dict samples when it is empty (a fresh dict when None)
     and read from it when it is filled, so a sweep over psi that passes one
     dict to every check draws and evaluates once.  A filled dict must come
-    from a check with the same V, B, bounds, region, phi_m, unsafe set,
-    grid and seed.
+    from a check, or from construction_samples, with the same V, B,
+    bounds, region, phi_m, unsafe set, grid and seed.
     """
     if boundary_grid < 100:
         raise ValueError("need at least 100 boundary points per edge")
@@ -609,9 +610,8 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     if samples is None:
         samples = {}
     if not samples:
-        samples.update(_construction_samples(V, B, bounds, region, phi_m,
-                                             boundary_grid, unsafe, seed),
-                       key=(boundary_grid, seed))
+        samples.update(construction_samples(V, B, bounds, region, phi_m,
+                                            boundary_grid, unsafe, seed))
     elif samples["key"] != (boundary_grid, seed):
         raise ValueError("samples were drawn for another grid or seed")
     tvalues = {"exterior_slack": 1e-12, "boundary_grid": boundary_grid}

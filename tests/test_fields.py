@@ -274,17 +274,43 @@ _EDGE = st.tuples(st.one_of(_EDGE_COORD, st.floats(-4.0, 0.0)),
                   st.one_of(_EDGE_COORD, st.floats(-1.0, 3.0)))
 
 
+# each wall of the box: the axis, the wall and the direction into the box
+_WALL_SIDES = [(0, -3.0, 1.0), (0, -1.0, -1.0), (1, 0.0, 1.0), (1, 2.0, -1.0)]
+
+
+@st.composite
+def _by_a_wall(draw):
+    """An in-box point a small gap inside one wall, or two at a corner: one
+    ulp (where the distance to the wall x2 = 0 floors at 1e-150), or a gap
+    on a log scale through the plateau and the blend band (the raw hazard
+    passes 45 within about 0.011 of a wall)."""
+    pt = [draw(_open(-3.0, -1.0)), draw(_open(0.0, 2.0))]
+    for axis, wall, inward in draw(st.lists(st.sampled_from(_WALL_SIDES),
+                                            min_size=1, max_size=2,
+                                            unique_by=lambda w: w[0])):
+        gap = draw(st.one_of(st.just(0.0), st.floats(-17.0, -1.5).map(
+            lambda e: 10.0 ** e)))
+        x = wall + inward * gap
+        pt[axis] = x if x != wall else float(np.nextafter(wall, wall + inward))
+    assert -3.0 < pt[0] < -1.0 and 0.0 < pt[1] < 2.0
+    return tuple(pt)
+
+
+_NAN = st.sampled_from([(np.nan, 1.0), (-2.0, np.nan), (np.nan, np.nan)])
+
+
 _Q3 = [[2.0, -0.3, 0.7], [-0.3, 1.5, 0.1], [0.7, 0.1, 0.9]]
 _Q3_NEG = [[-0.4, 0.2, 0.0], [0.2, -1.1, 0.3], [0.0, 0.3, -0.6]]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL, _EDGE),
-                min_size=1, max_size=40))
+@given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL, _EDGE,
+                          _by_a_wall(), _NAN), min_size=1, max_size=40))
 def test_per_point_form_equals_batch_rows(points):
     # V and W (unrolled for n = 2) and B have a native per-point form, a
     # 3x3 quadratic and a W built from two of them the generic loops, the
-    # hazard the one-row fallback; each must give its batch row bit for bit
+    # hazard the one-row fallback; each must give its batch row bit for
+    # bit, B's and W's in the box through B's flat in-box form
     X = np.array(points, dtype=float)
     X3 = np.column_stack([X, X[:, 0] - 2.0 * X[:, 1]])
     V = rzk.example_lyapunov()

@@ -1,7 +1,8 @@
-"""Batches of runs split over processes (`cli._split`): the artifacts, the
-output and the exit codes are those of the serial run, byte for byte; the
-first failure in run order is the one reported; and no child process
-outlives the command, however it ends."""
+"""Batches of runs split over processes (`cli._split`), and sweeps whose
+certificate-level checks run in a child beside their locksteps: the
+artifacts, the output and the exit codes are those of the serial run,
+byte for byte; the first failure in run order is the one reported; and no
+child process outlives the command, however it ends."""
 
 import json
 import os
@@ -135,14 +136,41 @@ def test_a_missing_csv_gives_the_serial_io_error(tmp_path, capsys,
     _no_children()
 
 
+def _sweep_config(tmp_path, grid, kind="W", name="w"):
+    cfg = cli.demo_config()
+    cfg["integration"]["T"] = 0.05
+    cfg["certificate"]["kind"] = kind
+    cfg["sweep"] = grid
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    fork = cli._fork
+
+    def counted(*args):
+        forks.append(args)
+        return fork(*args)
+
+    monkeypatch.setattr(cli, "_fork", counted)
+    return forks
+
+
 @pytest.mark.parametrize("where,raised,seen", [
     ("parent", Boom, Boom), ("child", Boom, Boom),
-    ("everywhere", Reached, Reached), ("child", Reached, RuntimeError)])
+    ("everywhere", Reached, Reached), ("child", Reached, RuntimeError),
+    ("sweep-checks", Boom, Boom), ("sweep-checks", Reached, RuntimeError),
+    ("sweep-lockstep", Boom, Boom), ("sweep-lockstep", Reached, Reached)])
 def test_no_child_outlives_the_command(tmp_path, monkeypatch, where, raised,
                                        seen):
-    # three runs over two workers: this process integrates one window, the
-    # child two.  A child that leaves by an exception that is not an
-    # Exception sends nothing back
+    # simulate: three runs over two workers, this process integrates one
+    # window and the child two.  sweep: a child computes the
+    # certificate-level checks while this process runs the lockstep, and
+    # the raise comes in the child's checks or in this process's lockstep.
+    # A child that leaves by an exception that is not an Exception sends
+    # nothing back
     cfgp = _config(tmp_path, [[-4.0, 1.0], [1.0, 2.0], [-2.0, 3.0]],
                    T=0.05)
     integrate = cli.batch_integrate
@@ -152,11 +180,80 @@ def test_no_child_outlives_the_command(tmp_path, monkeypatch, where, raised,
             raise raised
         return integrate(dyn, ctrl, ics, settings, sink)
 
-    monkeypatch.setattr(cli, "batch_integrate", failing)
+    def raising(*args, **kwargs):
+        raise raised
+
     _split_over(monkeypatch, 2)
+    argv = ["simulate", "--config", str(cfgp)]
+    if where.startswith("sweep"):
+        failing = raising
+        if where == "sweep-checks":
+            monkeypatch.setattr(cli, "_point_checks", raising)
+        argv = ["sweep", "--config", str(_sweep_config(
+            tmp_path, {"psi": [10.0, 82.0],
+                       "initial_conditions": [[-4.0, 1.0], [1.0, 2.0]]}))]
+    if where != "sweep-checks":
+        monkeypatch.setattr(cli, "batch_integrate", failing)
+    forks = _counted_forks(monkeypatch)
     with pytest.raises(seen):
-        cli.main(["simulate", "--config", str(cfgp),
-                  "--out", str(tmp_path / "o")])
+        cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert len(forks) == 1
+    _no_children()
+
+
+# sweeps over W: one that passes, over psi and the gains; one over psi = 10
+# and 82, which fails the construction at psi = 10; and one whose second
+# start diverges, over two tau, so two locksteps.  One under V, which has no
+# certificate-level checks
+_SWEEPS = (
+    ("W", {"psi": [82.0, 85.1], "gamma": [2.5, 3.0],
+           "initial_conditions": [[-4.0, 1.0], [1.0, 2.0]]}),
+    ("W", {"psi": [10.0, 82.0],
+           "initial_conditions": [[-4.0, 1.0], [-2.0, -1.0]]}),
+    ("W", {"tau": [0.0, 0.3],
+           "initial_conditions": [[-4.0, 1.0], [3.0, 1e154]]}),
+    ("V", {"psi": [10.0, 82.0], "tau": [0.0, 0.3]}))
+
+
+def _sweeps(tmp_path, name, capsys):
+    """Exit code, stdout and stderr, and sweep.csv, of each of _SWEEPS."""
+    out = []
+    for k, (kind, grid) in enumerate(_SWEEPS):
+        cfgp = _sweep_config(tmp_path, grid, kind, f"{name}{k}")
+        code = cli.main(["sweep", "--config", str(cfgp),
+                         "--out", str(tmp_path / name / str(k))])
+        std = capsys.readouterr()
+        out.append((code, std.out.replace(name, "*"), std.err,
+                    (tmp_path / name / str(k) / "sweep.csv").read_bytes()))
+    return out
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_sweeps_with_a_checks_child_equal_the_serial_ones(
+        tmp_path, capsys, monkeypatch, cores):
+    # the calls of _point_checks made in this process; a child's calls
+    # land in the child's copy of the list
+    here = []
+    point_checks = cli._point_checks
+
+    def counted(build, samples=None):
+        here.append(build.cfg.psi)
+        return point_checks(build, samples)
+
+    monkeypatch.setattr(cli, "_point_checks", counted)
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    forks = _counted_forks(monkeypatch)
+    serial = _sweeps(tmp_path, "serial", capsys)
+    assert not forks
+    assert [code for code, *_ in serial] == [0, 1, 1, 0]
+    assert len(here) == 4 + 2 + 1 + 2
+    del here[:]
+    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    assert _sweeps(tmp_path, "forked", capsys) == serial
+    # one checks child per W sweep, which computes all of its checks; none
+    # on one core
+    assert len(forks) == (3 if cores > 1 else 0)
+    assert len(here) == (2 if cores > 1 else 9)
     _no_children()
 
 
