@@ -11,14 +11,13 @@ demo, simulate and verify split a batch of SPLIT_ROWS rows or more over
 the cores the process may run on, its CPU affinity (`_split`): one
 process per core, each running its share of the runs.  A lockstep lane
 equals its one-lane run bit for bit, so every output byte is the one a
-single process writes.  With a core to spare, a W sweep forks one child
-that computes its certificate-level checks while it runs its locksteps
-(`_fork_point_checks`), and forms every row in point order from the
-child's reports.  `taskset -c 0` keeps any command on one core.
+single process writes.  With a core to spare, a W sweep computes its
+certificate-level checks in one child while it runs its locksteps
+(`_beside`), and forms every row in point order once both are done.
+`taskset -c 0` keeps any command on one core.
 """
 
 import argparse
-import contextlib
 import itertools
 import json
 import logging
@@ -398,60 +397,60 @@ def _cores():
     return len(os.sched_getaffinity(0))
 
 
-def _fork(share, lo, hi):
-    """A child process that runs share(lo, hi) and sends back the result,
-    or the exception it raised, pickled through a pipe: (pid, read end).
-    The child leaves by os._exit, whatever it raises, so it never returns
-    into its caller's stack."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    status = 1
-    try:
-        os.close(r)
-        try:
-            out = share(lo, hi), None
-        except Exception as e:
-            out = None, e
-        with os.fdopen(w, "wb") as f:
-            pickle.dump(out, f)
-        status = 0
-    finally:
-        os._exit(status)
+def _beside(tasks):
+    """[task() for task in tasks], each task but the first run beside this
+    process's.
 
-
-@contextlib.contextmanager
-def _children():
-    """A list for the (pid, read end) pairs of forked children; on any exit
-    each child is killed and reaped."""
+    This process runs tasks[0], and a child forked after the imports runs
+    each other task and sends back its result, or the exception it raised,
+    pickled through a pipe.  The results come back in task order, and the
+    first exception in task order is raised.  A child leaves by os._exit,
+    whatever it raises, so it never returns into its caller's stack, and
+    no child outlives the call: on any exit each is killed and reaped.
+    Forking, not spawning, spares each child the imports; rzk starts no
+    threads.
+    """
     children = []
     try:
-        yield children
+        for task in tasks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if not pid:
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = task(), None
+                    except Exception as e:
+                        out = None, e
+                    with os.fdopen(w, "wb") as f:
+                        pickle.dump(out, f)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        outs = [tasks[0]()]
+        for pid, f in children:
+            data = f.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} died before it "
+                                   "sent its records")
+            out, err = pickle.loads(data)
+            if err is not None:
+                raise err
+            outs.append(out)
+        return outs
     finally:
         for pid, f in children:
             f.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _receive(pid, f):
-    """What the child pid sent through its read end f: its result, or the
-    exception it raised, raised here."""
-    data = f.read()
-    if not data:
-        raise RuntimeError(f"worker process {pid} died before it sent its "
-                           "records")
-    out, err = pickle.loads(data)
-    if err is not None:
-        raise err
-    return out
 
 
 def _split(build, n, share):
@@ -460,24 +459,16 @@ def _split(build, n, share):
     when the batch holds SPLIT_ROWS rows or more.
 
     share(lo, hi) gives the records of runs lo..hi-1.  The runs are cut
-    into contiguous shares in run order, at most one per run and per core:
-    this process runs the first share, and a child forked after the
-    imports runs each other one, so the caller writes every artifact and
-    line from the records in run order.  The first exception in run order
-    is raised, and no child outlives the call: on any exit the children
-    are killed and reaped.  Forking, not spawning, spares each child the
-    imports; rzk starts no threads.
+    into contiguous shares in run order, at most one per run and per core,
+    and run `_beside` each other, so the caller writes every artifact and
+    line from the records in run order.
     """
     rows = n * (build.settings.T / build.settings.h + 1)
     jobs = min(n, _cores()) if rows >= SPLIT_ROWS else 1
     cuts = [n * j // jobs for j in range(jobs + 1)]
-    with _children() as children:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork(share, lo, hi))
-        out = share(cuts[0], cuts[1])
-        for child in children:
-            out += _receive(*child)
-        return out
+    shares = _beside([lambda lo=lo, hi=hi: share(lo, hi)
+                      for lo, hi in zip(cuts, cuts[1:])])
+    return [record for out in shares for record in out]
 
 
 def _run_batch(build, out_dir, checked):
@@ -518,8 +509,8 @@ _CONSTRUCTION = (example_sandwich(), EXAMPLE_BOX, example_margin)
 def _point_checks(build, samples=None):
     """Certificate-level checks, construction and separation, of a W run:
     they depend on psi, the gains and the seed, not on the starts.  samples
-    holds the construction check's psi-free half (see
-    `verify.clbrf_construction_check`); an empty dict is filled here."""
+    is the construction check's psi-free half from
+    `verify.construction_samples`, drawn afresh when None."""
     if build.cfg.kind != "W":
         return {}
     return {
@@ -583,16 +574,22 @@ def cmd_simulate(args):
 
 
 def cmd_halanay(args):
+    # the comparison run's step; its input errors are config errors too,
+    # and it is run before anything is printed
+    step = 1e-3
     try:
+        _require(math.isfinite(args.T) and args.T >= step,
+                 f"T must be finite and at least the step {step}")
         cert = halanay.DecayCertificate(args.gamma, args.eta, args.delta,
                                         variant=args.variant)
+        if args.envelope:
+            ts, vs = halanay.scalar_comparison_sim(
+                args.gamma, args.eta, 0.0, args.delta, 1.0, args.T, step)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     print(f"rho_bar({args.variant}) = {cert.rho_bar:.10f}")
     if not args.envelope:
         return 0
-    ts, vs = halanay.scalar_comparison_sim(args.gamma, args.eta, 0.0,
-                                           args.delta, 1.0, args.T, 1e-3)
     rep = halanay.check_envelope(ts, vs, 1.0, cert.rho)
     stride = max(1, ts.shape[0] // 10)
     print("t,v,bound")
@@ -629,142 +626,99 @@ def _sweep_config(base, names, pt):
     return RunConfig(d)
 
 
-def _sweep_runs(groups):
-    """The groups of sweep points, lists of (index, config) whose configs
-    differ only in their starts, in runs of neighbours that share tau (as
-    JSON text, which keeps -0.0 apart from 0.0) and together have at most
-    SWEEP_LANES starts; a group with more starts is a run of its own."""
-    run, lanes, tau = [], 0, None
-    for group in groups:
-        n = sum(len(sub.initial_conditions) for _, sub in group)
-        key = json.dumps(group[0][1].tau)
-        if run and (key != tau or lanes + n > SWEEP_LANES):
-            yield run
-            run, lanes = [], 0
-        run.append(group)
-        lanes += n
-        tau = key
-    if run:
-        yield run
-
-
-def _checks_key(cfg):
-    """The key of a sweep point's certificate-level checks: kind, seed,
-    box and barrier are fixed across the sweep."""
-    return cfg.psi, cfg.gamma, cfg.eta
-
-
-def _sweep_lanes(groups):
-    """Run a run of groups of (index, config) points that share tau, the
-    configs within a group differing only in their starts: one build
-    serves each group, and one lockstep runs every start of every point as
-    a lane under its group's controller, checked as its rows come.  A lane
-    equals its one-lane run bit for bit.  Returns each point's (build,
-    index, config, runs)."""
-    builds = [_Build(group[0][1]) for group in groups]
-    points = [(build, idx, sub, [_Run(build) for _ in sub.initial_conditions])
-              for build, group in zip(builds, groups) for idx, sub in group]
-    lanes = [run for *_, runs in points for run in runs]
-    wins = [w for _, _, sub, _ in points for w in _windows(sub)]
-    batch_integrate(builds[0].dyn, [run.build.ctrl for run in lanes], wins,
-                    builds[0].settings, lambda k, block: lanes[k].feed(block))
-    return points
-
-
-def _sweep_rows(points, point_checks, samples):
-    """sweep.csv rows, and whether all checks pass, of points run by
-    `_sweep_lanes`: each point gets its row as if run on its own.  The
-    certificate-level checks are read from point_checks by `_checks_key`,
-    and computed into it when missing, every construction check reading
-    its psi-free half from the one dict samples."""
-    rows = []
-    all_ok = True
-    for build, idx, sub, runs in points:
-        key = _checks_key(sub)
-        if key not in point_checks:
-            point_checks[key] = _point_checks(build, samples)
-        per = [run.report() for run in runs]
-        ok = _all_pass(point_checks[key], per)
-        finals = [r.final_norm for r in runs]
-        conv = all(not r.diverged and f < CONVERGED_NORM
-                   for r, f in zip(runs, finals))
-        margins = [c["safety"].worst for c in per
-                   if c["safety"].worst is not None]
-        ratios = [c["envelope"].worst for c in per
-                  if "envelope" in c and c["envelope"].details["form"] == "ratio"]
-        # x(0) of the point's start; NaN when the point has several
-        x0 = (runs[0].start.tolist() if len(runs) == 1
-              else [float("nan")] * 2)
-        row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(runs),
-               int(conv), int(ok),
-               min(margins) if margins else float("inf"),
-               max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
-        rows.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                             for v in row))
-        all_ok = all_ok and ok
-    return rows, all_ok
-
-
-def _fork_point_checks(groups):
-    """A child that computes the certificate-level checks of the W points
-    of groups, once per `_checks_key` in point order, and sends them back
-    by key: (pid, read end), as from `_fork`.  The construction samples
-    are drawn here, before the fork, so that the child starts from them."""
-    firsts = {}
-    for group in groups:
-        for _, sub in group:
-            firsts.setdefault(_checks_key(sub), sub)
-    subs = list(firsts.values())
-    # the fields and the unsafe set every `_Build` holds
-    samples = verify.construction_samples(
-        example_lyapunov(), example_barrier(), *_CONSTRUCTION,
-        unsafe=verify.example_unsafe_set(), seed=subs[0].seed)
-
-    def share(lo, hi):
-        return {_checks_key(sub): _point_checks(_Build(sub), samples)
-                for sub in subs[lo:hi]}
-
-    return _fork(share, 0, len(subs))
-
-
 def cmd_sweep(args):
     cfg = RunConfig.from_file(args.config)
     if cfg.sweep is None:
         raise ConfigError("config has no sweep section")
     os.makedirs(args.out, exist_ok=True)
     names, points = _sweep_points(cfg)
+    base = cfg.to_dict()
+    base.pop("sweep")
+    subs = [_sweep_config(base, names, pt) for pt in points]
+    # points whose configs differ only in their start share one build.  The
+    # starts axis comes last; the other axes' values are compared as JSON
+    # text, which keeps -0.0 apart from 0.0
+    fixed = len(names) - (names[-1:] == ["initial_conditions"])
+    shared, builds = {}, []
+    for pt, sub in zip(points, subs):
+        key = json.dumps(pt[:fixed])
+        if key not in shared:
+            shared[key] = _Build(sub)
+        builds.append(shared[key])
+    # neighbouring points of one tau share a lockstep of up to SWEEP_LANES
+    # lanes, one per start under its own point's controller; a point with
+    # more starts runs alone
+    packs, lanes, tau = [], 0, None
+    for k, sub in enumerate(subs):
+        n = len(sub.initial_conditions)
+        if not packs or json.dumps(sub.tau) != tau or lanes + n > SWEEP_LANES:
+            packs.append([])
+            lanes = 0
+        packs[-1].append(k)
+        lanes += n
+        tau = json.dumps(sub.tau)
+    # the certificate-level checks of W points depend on psi and the gains,
+    # not on the starts: once per (psi, gamma, eta), every construction
+    # check reading the one draw of its psi-free samples
+    firsts = {}
+    if cfg.kind == "W":
+        for sub, build in zip(subs, builds):
+            firsts.setdefault((sub.psi, sub.gamma, sub.eta), build)
+    samples = None
+    if firsts:
+        first = next(iter(firsts.values()))
+        samples = verify.construction_samples(
+            first.V, first.B, *_CONSTRUCTION, unsafe=first.unsafe,
+            seed=cfg.seed)
+
+    def locksteps():
+        """Each point's runs as (reports, final norm, converged, start): a
+        lane equals its one-lane run bit for bit."""
+        out = []
+        for pack in packs:
+            runs = [[_Run(builds[k]) for _ in subs[k].initial_conditions]
+                    for k in pack]
+            flat = [run for point in runs for run in point]
+            wins = [w for k in pack for w in _windows(subs[k])]
+            batch_integrate(builds[pack[0]].dyn,
+                            [run.build.ctrl for run in flat], wins,
+                            builds[pack[0]].settings,
+                            lambda k, block: flat[k].feed(block))
+            out += [[(run.report(), run.final_norm, run.converged, run.start)
+                     for run in point] for point in runs]
+        return out
+
+    def checks():
+        return {key: _point_checks(build, samples)
+                for key, build in firsts.items()}
+
+    tasks = [locksteps, checks]
+    if firsts and _cores() > 1:
+        ran, point_checks = _beside(tasks)
+    else:
+        ran, point_checks = [task() for task in tasks]
     header = ["index", "tau", "psi", "lambda", "gamma", "eta", "trajectories",
               "converged", "checks_pass", "min_safety_margin",
               "max_envelope_ratio", "x0_1", "x0_2", "final_norm"]
     lines = [",".join(header)]
     all_ok = True
-    point_checks = {}
-    samples = {}
-    base = cfg.to_dict()
-    base.pop("sweep")
-    # the starts axis comes last, so the points whose configs differ only
-    # in their start are neighbours; the other axes' values are compared as
-    # JSON text, which keeps -0.0 apart from 0.0.  tau comes first, so the
-    # groups of one tau are neighbours too
-    fixed = len(names) - (names[-1:] == ["initial_conditions"])
-    groups = [[(idx, _sweep_config(base, names, pt)) for idx, pt in group]
-              for _, group in itertools.groupby(
-                  enumerate(points),
-                  key=lambda item: json.dumps(item[1][:fixed]))]
-    with _children() as children:
-        # with a core to spare, a child computes the certificate-level
-        # checks while this process runs the first lockstep, and its
-        # reports are read after it
-        if cfg.kind == "W" and groups and _cores() > 1:
-            children.append(_fork_point_checks(groups))
-        pending = children[:]
-        for run in _sweep_runs(groups):
-            done = _sweep_lanes(run)
-            while pending:
-                point_checks.update(_receive(*pending.pop()))
-            rows, ok = _sweep_rows(done, point_checks, samples)
-            lines += rows
-            all_ok = all_ok and ok
+    for idx, (sub, runs) in enumerate(zip(subs, ran)):
+        per, finals, convs, starts = zip(*runs)
+        ok = _all_pass(point_checks.get((sub.psi, sub.gamma, sub.eta), {}),
+                       per)
+        margins = [c["safety"].worst for c in per
+                   if c["safety"].worst is not None]
+        ratios = [c["envelope"].worst for c in per
+                  if "envelope" in c and c["envelope"].details["form"] == "ratio"]
+        # x(0) of the point's start; NaN when the point has several
+        x0 = starts[0].tolist() if len(runs) == 1 else [float("nan")] * 2
+        row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(runs),
+               int(all(convs)), int(ok),
+               min(margins) if margins else float("inf"),
+               max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row))
+        all_ok = all_ok and ok
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines))

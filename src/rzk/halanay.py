@@ -40,12 +40,14 @@ def decay_rate(gamma, eta, delta, variant=VARIANT_PROOF):
     """Unique positive root of Gamma on [0, gamma] by bisection.
 
     Gamma(0) = eta - gamma < 0 and Gamma(gamma) > 0, and Gamma is strictly
-    increasing, so the bracket is guaranteed.
+    increasing, so the bracket is guaranteed.  An infinite gain would
+    bisect forever, and a NaN delta passes no comparison, so both are
+    refused.
     """
-    if not (gamma > eta > 0):
-        raise ValueError("need gamma > eta > 0")
-    if delta <= 0:
-        raise ValueError("need delta > 0")
+    if not (math.isfinite(gamma) and math.isfinite(eta) and gamma > eta > 0):
+        raise ValueError("need finite gamma > eta > 0")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("need a finite delta > 0")
     lo, hi = 0.0, float(gamma)
     flo = gamma_fn(lo, gamma, eta, delta, variant)
     if flo >= 0:
@@ -138,8 +140,7 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step):
         base = steps[:, None]
         rows = np.maximum(base + ri0, 0)
         nxt = np.minimum(rows + 1, base)
-        end = rb[0] * vs[rows] + rb[1] * ms[rows] + rb[2] * vs[nxt] \
-            + rb[3] * ms[nxt]
+        end = hist.hermite_rows(rb, vs, ms, rows, nxt)
         # reads at or before t = 0 are the constant history
         end = np.where((base + cs) * h - delta <= hist.EARLY_TOL, v0, end)
         # suffix maxima of the rows a .. r weighted relative to row r

@@ -242,6 +242,24 @@ def hermite_tables(offsets, h):
     return i0, b00, b10, b01, b11
 
 
+def hermite_rows(b, xs, ms, rows, nxt):
+    """The reads b00 x[rows] + b10 m[rows] + b01 x[nxt] + b11 m[nxt] with
+    the weights b = (b00, b10, b01, b11) of `hermite_tables`, on the rows xs
+    and their slopes ms.  Summed in place in that order, so that two arrays
+    of the reads' shape are held at a time.  A run cut at its first
+    overflow may end on a finite state with a non-finite slope, and a lane
+    past it reads inf and NaN rows; zero weights times inf are NaN there,
+    without a warning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = xs[rows]
+        out *= b[0]
+        for w, col, r in zip(b[1:], (ms, xs, ms), (rows, nxt, nxt)):
+            part = col[r]
+            part *= w
+            out += part
+    return out
+
+
 def lag_weights(mu, h, q):
     """e^{-mu lag h} for lags 0, 1/2, 1, ... steps up to q = delay_steps:
     entry m is lag m/2.  A read at t_i + c h weights row i - l by entry

@@ -373,19 +373,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
         nxt = np.minimum(rows + 1, steps)
         rows %= R
         nxt %= R
-        # a lane past its first non-finite row, whose rows are dropped,
-        # reads inf and NaN rows; zero weights times inf are NaN there
-        with np.errstate(invalid="ignore", over="ignore"):
-            # the Hermite sum b0 x0 + b1 m0 + b2 x1 + b3 m1 in that order,
-            # in place, so that two (2, 2, n, K, 2) arrays are held at a
-            # time
-            v = xs[rows]
-            v *= rb[0]
-            for b, col, r in zip(rb[1:], (ms, xs, ms), (rows, nxt, nxt)):
-                part = col[r]
-                part *= b
-                v += part
-            return reads((steps + cs[:, None]) * h, v)
+        return reads((steps + cs[:, None]) * h,
+                     hist.hermite_rows(rb, xs, ms, rows, nxt))
 
     def sup_max(i, g):
         """At mu > 0, the max of the sup terms g (2, K) of the reads at

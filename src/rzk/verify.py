@@ -171,15 +171,7 @@ class _WindowReads:
         i = self.count + np.arange(block.xs.shape[0])
         row = np.maximum(i + self.i0, 0) - base
         nxt = np.minimum(row + 1, xs.shape[0] - 1)
-        b00, b10, b01, b11 = self.b
-        # summed in place, in the order of b00 x0 + b10 m0 + b01 x1 + b11 m1.
-        # A run cut at its first overflow may end on a finite state with a
-        # non-finite slope; zero weights times inf are NaN there
-        with np.errstate(invalid="ignore", over="ignore"):
-            vals = b00 * xs[row]
-            vals += b10 * ms[row]
-            vals += b01 * xs[nxt]
-            vals += b11 * ms[nxt]
+        vals = hist.hermite_rows(self.b, xs, ms, row, nxt)
         tread = block.ts - self.delta
         pre = tread <= hist.EARLY_TOL
         if pre.any():
@@ -595,11 +587,11 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
 
     The samples, psi_min and V and B on the samples do not depend on psi;
     W's values are V + psi B on them, the rows W.value_many gives.  They are
-    made into the dict samples when it is empty (a fresh dict when None)
-    and read from it when it is filled, so a sweep over psi that passes one
-    dict to every check draws and evaluates once.  A filled dict must come
-    from a check, or from construction_samples, with the same V, B,
-    bounds, region, phi_m, unsafe set, grid and seed.
+    drawn by construction_samples when samples is None, and otherwise read
+    from samples, so a sweep over psi that passes one dict to every check
+    draws and evaluates once.  That dict must come from
+    construction_samples with the same V, B, bounds, region, phi_m, unsafe
+    set, grid and seed.
     """
     if boundary_grid < 100:
         raise ValueError("need at least 100 boundary points per edge")
@@ -608,10 +600,8 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     if psi is not None and psi <= 0:
         raise ValueError("psi must be positive")
     if samples is None:
-        samples = {}
-    if not samples:
-        samples.update(construction_samples(V, B, bounds, region, phi_m,
-                                            boundary_grid, unsafe, seed))
+        samples = construction_samples(V, B, bounds, region, phi_m,
+                                       boundary_grid, unsafe, seed)
     elif samples["key"] != (boundary_grid, seed):
         raise ValueError("samples were drawn for another grid or seed")
     tvalues = {"exterior_slack": 1e-12, "boundary_grid": boundary_grid}

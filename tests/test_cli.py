@@ -164,6 +164,24 @@ def test_halanay_rejects_bad_gains(capsys):
     assert "config error:" in err
 
 
+@pytest.mark.parametrize("args", [
+    "--gamma inf --eta 2 --delta 0.3", "--gamma 2.5 --eta 2 --delta nan",
+    "--gamma 2.5 --eta 2 --delta 0.0005 --envelope",
+    "--gamma 2.5 --eta 2 --delta 0.3 --T -1",
+    "--gamma 2.5 --eta 2 --delta 0.3 --T nan",
+    "--gamma 2.5 --eta 2 --delta inf --envelope"])
+def test_halanay_bad_arguments_are_config_errors(args):
+    # an infinite gain once bisected forever, a NaN delta printed a rate of
+    # 0, and the others (a delta below the comparison run's step, a T
+    # below one step or not finite) ended in a traceback
+    r = subprocess.run([sys.executable, "-m", "rzk.cli", "halanay"]
+                       + args.split(), capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 2
+    assert r.stderr.startswith("config error:")
+    assert r.stdout == ""
+
+
 def test_halanay_envelope_table(capsys):
     assert cli.main(["halanay", "--gamma", "2.5", "--eta", "2.0",
                      "--delta", "0.3", "--envelope", "--T", "2"]) == 0
@@ -259,9 +277,9 @@ def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch,
     assert calls[2:] == [1] * 12
     want = ("\n".join(own) + "\n").encode()
     assert (tmp_path / "all" / "sweep.csv").read_bytes() == want
-    # more lanes than the cap: whole groups of starts share a lockstep up
-    # to the cap, and a group larger than the cap runs alone
-    for cap, runs in ((4, [3] * 4), (2, [3] * 4), (6, [6, 6])):
+    # more lanes than the cap: neighbouring points of one tau share a
+    # lockstep up to the cap
+    for cap, runs in ((4, [4, 2, 4, 2]), (2, [2] * 6), (6, [6, 6])):
         monkeypatch.setattr(cli, "SWEEP_LANES", cap)
         del calls[:]
         sweep(f"cap{cap}", grid)
@@ -271,6 +289,25 @@ def test_sweep_groups_equal_each_point_on_its_own(tmp_path, monkeypatch,
     # checks there: it did not reach T
     assert [r.split(",")[7] for r in lines[3::3]] == ["0"] * 4
     assert [r.split(",")[8] for r in lines[3::3]] == ["0"] * 4
+
+
+def test_sweep_points_differing_in_their_start_share_a_build(
+        tmp_path, monkeypatch, one_worker):
+    # two tau and two psi, two starts each: one build per (tau, psi)
+    builds = []
+    build = cli._Build
+
+    def counted(cfg):
+        builds.append((cfg.tau, cfg.psi))
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "_Build", counted)
+    cfgp = tmp_path / "s.json"
+    write_config(cfgp, integration={"T": 0.02},
+                 sweep={"tau": [0.0, 0.3], "psi": [10.0, 82.0],
+                        "initial_conditions": [[-4.0, 1.0], [1.0, 2.0]]})
+    cli.main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "sw")])
+    assert builds == [(0.0, 10.0), (0.0, 82.0), (0.3, 10.0), (0.3, 82.0)]
 
 
 def test_sweep_with_a_diverging_start_warns_nothing(tmp_path):

@@ -60,16 +60,15 @@ def _construction(setup, psi, seed, unsafe=None):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_shared_samples_equal_fresh_checks(example_setup, seed):
-    # one dict of psi-free samples, filled by the first call (without a
-    # psi, which draws the same samples), serves every psi; the reports are
-    # those of fresh calls
+    # one dict of psi-free samples from construction_samples serves every
+    # psi, unchanged; the reports are those of fresh calls
     setup = example_setup
     args = (setup["V"], setup["B"], rzk.example_sandwich(), EXAMPLE_BOX,
             rzk.example_margin)
     kw = dict(gains=(setup["gains"], setup["gains"]), unsafe=setup["unsafe"],
               seed=seed)
-    samples = {}
-    verify.clbrf_construction_check(*args, samples=samples, **kw)
+    samples = verify.construction_samples(*args, unsafe=setup["unsafe"],
+                                          seed=seed)
     filled = dict(samples)
     for psi in (10.0, 27.0, 28.0, 79.3, 82.0, 85.1):
         shared = verify.clbrf_construction_check(*args, psi=psi,

@@ -1,5 +1,6 @@
 """Batches of runs split over processes (`cli._split`), and sweeps whose
-certificate-level checks run in a child beside their locksteps: the
+certificate-level checks run in a child beside their locksteps (both
+through `cli._beside`): the
 artifacts, the output and the exit codes are those of the serial run,
 byte for byte; the first failure in run order is the one reported; and no
 child process outlives the command, however it ends."""
@@ -13,6 +14,10 @@ from rzk import cli
 
 
 class Boom(Exception):
+    pass
+
+
+class Bust(Exception):
     pass
 
 
@@ -33,6 +38,19 @@ def _config(tmp_path, starts, T=0.3):
 def _split_over(monkeypatch, cores):
     monkeypatch.setattr(cli, "SPLIT_ROWS", 0)
     monkeypatch.setattr(cli, "_cores", lambda: cores)
+
+
+def _counted_forks(monkeypatch):
+    """The forks this process makes; a child's land in its own copy."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def _no_children():
@@ -75,7 +93,11 @@ def test_split_runs_equal_the_serial_ones(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "_cores", lambda: 1)
     serial = _commands(tmp_path, "serial", capsys)
     _split_over(monkeypatch, cores)
+    forks = _counted_forks(monkeypatch)
     split = _commands(tmp_path, "split", capsys)
+    # min(runs, cores) - 1 children per command: four demo runs, three
+    # runs in each of the other three
+    assert len(forks) == min(4, cores) - 1 + 3 * (min(3, cores) - 1)
     assert [code for code, _, _ in serial[0]] == [0, 1, 0, 0]
     assert split[0] == serial[0]
     assert len(serial[1]) == 18
@@ -146,30 +168,21 @@ def _sweep_config(tmp_path, grid, kind="W", name="w"):
     return path
 
 
-def _counted_forks(monkeypatch):
-    forks = []
-    fork = cli._fork
-
-    def counted(*args):
-        forks.append(args)
-        return fork(*args)
-
-    monkeypatch.setattr(cli, "_fork", counted)
-    return forks
-
-
 @pytest.mark.parametrize("where,raised,seen", [
     ("parent", Boom, Boom), ("child", Boom, Boom),
     ("everywhere", Reached, Reached), ("child", Reached, RuntimeError),
     ("sweep-checks", Boom, Boom), ("sweep-checks", Reached, RuntimeError),
-    ("sweep-lockstep", Boom, Boom), ("sweep-lockstep", Reached, Reached)])
+    ("sweep-lockstep", Boom, Boom), ("sweep-lockstep", Reached, Reached),
+    ("sweep-both", Boom, Boom), ("sweep-both-on-one-core", Boom, Boom)])
 def test_no_child_outlives_the_command(tmp_path, monkeypatch, where, raised,
                                        seen):
     # simulate: three runs over two workers, this process integrates one
     # window and the child two.  sweep: a child computes the
     # certificate-level checks while this process runs the lockstep, and
-    # the raise comes in the child's checks or in this process's lockstep.
-    # A child that leaves by an exception that is not an Exception sends
+    # the raise comes in the child's checks, in this process's lockstep or
+    # in both, when the lockstep's, first in task order, is the one raised;
+    # on one core the two run one after the other, and nothing forks.  A
+    # child that leaves by an exception that is not an Exception sends
     # nothing back
     cfgp = _config(tmp_path, [[-4.0, 1.0], [1.0, 2.0], [-2.0, 3.0]],
                    T=0.05)
@@ -183,12 +196,17 @@ def test_no_child_outlives_the_command(tmp_path, monkeypatch, where, raised,
     def raising(*args, **kwargs):
         raise raised
 
-    _split_over(monkeypatch, 2)
+    def busting(*args, **kwargs):
+        raise Bust
+
+    _split_over(monkeypatch, 1 if where.endswith("one-core") else 2)
     argv = ["simulate", "--config", str(cfgp)]
     if where.startswith("sweep"):
         failing = raising
         if where == "sweep-checks":
             monkeypatch.setattr(cli, "_point_checks", raising)
+        elif where.startswith("sweep-both"):
+            monkeypatch.setattr(cli, "_point_checks", busting)
         argv = ["sweep", "--config", str(_sweep_config(
             tmp_path, {"psi": [10.0, 82.0],
                        "initial_conditions": [[-4.0, 1.0], [1.0, 2.0]]}))]
@@ -197,7 +215,7 @@ def test_no_child_outlives_the_command(tmp_path, monkeypatch, where, raised,
     forks = _counted_forks(monkeypatch)
     with pytest.raises(seen):
         cli.main(argv + ["--out", str(tmp_path / "o")])
-    assert len(forks) == 1
+    assert len(forks) == (0 if where.endswith("one-core") else 1)
     _no_children()
 
 
@@ -246,14 +264,15 @@ def test_sweeps_with_a_checks_child_equal_the_serial_ones(
     serial = _sweeps(tmp_path, "serial", capsys)
     assert not forks
     assert [code for code, *_ in serial] == [0, 1, 1, 0]
-    assert len(here) == 4 + 2 + 1 + 2
+    # once per (psi, gamma, eta) of each W sweep; the V sweep computes none
+    assert len(here) == 4 + 2 + 1
     del here[:]
     monkeypatch.setattr(cli, "_cores", lambda: cores)
     assert _sweeps(tmp_path, "forked", capsys) == serial
     # one checks child per W sweep, which computes all of its checks; none
     # on one core
     assert len(forks) == (3 if cores > 1 else 0)
-    assert len(here) == (2 if cores > 1 else 9)
+    assert len(here) == (0 if cores > 1 else 7)
     _no_children()
 
 

@@ -22,7 +22,10 @@ lacks.
 
 Prints one line per pair and side, then per metric the medians of both
 sides, the change in per cent, the pairs in which AFTER is lower, and the
-spread between BEFORE's quartiles; with --out, writes all of it as JSON.
+spread between BEFORE's quartiles, and per side the runs perfbench found
+incorrect and the share of its operations that failed; with --out, writes
+all of it as JSON, each side of a pair with perfbench's `correct`,
+`failed` and `attempted`.
 """
 
 import argparse
@@ -97,10 +100,8 @@ def one_side(root, workload, seed, seconds, rounds):
     bench = json.loads(_last_line(
         ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"], root))
-    if not bench["correct"] or bench["failed"]:
-        print(f"{root}: seed {seed}: correct {bench['correct']}, "
-              f"{bench['failed']} failed operations", file=sys.stderr)
     out = {k: v["value"] for k, v in bench["metrics"].items()}
+    out.update((k, bench[k]) for k in ("correct", "failed", "attempted"))
     me = os.path.abspath(__file__)
     spec = _last_line([me, "--spec", workload, str(seed)], root)
     raw = [json.loads(_last_line([me, "--round", spec], root))
@@ -122,8 +123,15 @@ def _has_bytecode(root):
 
 def summary(pairs):
     """Per metric: medians of both sides, change in per cent, pairs with
-    AFTER lower, and the spread between BEFORE's quartiles."""
+    AFTER lower, and the spread between BEFORE's quartiles.  Per side:
+    the incorrect runs and the share of operations that failed."""
     out = {}
+    for side in ("before", "after"):
+        runs = [p[side] for p in pairs]
+        tried = sum(r["attempted"] for r in runs)
+        out[side] = {"incorrect": sum(not r["correct"] for r in runs),
+                     "failed_share": (sum(r["failed"] for r in runs) / tried
+                                      if tried else None)}
     for key in METRICS:
         before = [p["before"][key] for p in pairs if key in p["before"]]
         after = [p["after"][key] for p in pairs if key in p["after"]]
@@ -176,6 +184,10 @@ def main(argv=None):
         pairs.append(pair)
     table = summary(pairs)
     for key, row in table.items():
+        if key not in METRICS:
+            print(f"{key}: {row['incorrect']} incorrect runs, failed share "
+                  f"{row['failed_share']}")
+            continue
         pct = row["change_pct"]
         print(f"{key}: {row['before']:.4g} -> {row['after']:.4g} ("
               + ("n/a" if pct is None else f"{pct:+.1f} %")
