@@ -190,11 +190,11 @@ class RunConfig:
             # written by configs from before the sup was taken on the rows
             log.warning("integration.grid is ignored: the history sup is "
                         "taken on the run's own sample rows")
-        # the plant's and the step's rules, checked as batch_integrate does
+        # the plant's, step's and mu's rules, checked as batch_integrate does
         try:
             _check_settings(example_system(ExampleConfig(self.tau,
                                                          self.delta)),
-                            IntegrationSettings(h=self.h, T=self.T))
+                            IntegrationSettings(h=self.h, T=self.T), self.mu)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

@@ -10,7 +10,9 @@ by its offset in steps.
 
 The weighted history sup sup_{theta in [-Delta, 0]} e^{mu theta} W(x(t +
 theta)) is taken on the run's own rows: the max of the read at theta =
--Delta and of every sample in [t - Delta, t], theta = 0 included.
+-Delta and of every sample in [t - Delta, t], theta = 0 included, the
+rows at every mu through one anchored block max (`sup_blocks`), step by
+step in the lockstep (`LaneWindowMax`) and whole in `verify.sliding_max`.
 """
 
 import math
@@ -260,12 +262,26 @@ def hermite_rows(b, xs, ms, rows, nxt):
     return out
 
 
-def lag_weights(mu, h, q):
-    """e^{-mu lag h} for lags 0, 1/2, 1, ... steps up to q = delay_steps:
-    entry m is lag m/2.  A read at t_i + c h weights row i - l by entry
-    2 (l + c), so every reader takes equal lags from this one table and
-    forms bit-identical products."""
-    return np.exp(-mu * h * (0.5 * np.arange(math.floor(2.0 * q) + 1)))
+def lag_weights(mu, lags):
+    """e^{-mu lag} at each lag, in time: every weight of the history sup,
+    so that the lockstep, the verifier and the reference take equal ones."""
+    return np.exp(-mu * lags)
+
+
+def sup_blocks(mu, delta, h):
+    """(M, old, wt) for the history sup's rows on a uniform step h: the
+    reads at t_i + h/2 and t_{i+1} reach back to row i + 1 - M, M =
+    floor(delta/h) snapped by `delay_steps`, the first one also to row
+    i - M when `old`; wt is `lag_weights` at lags m/2 - M steps, m = 0 ..
+    4M.  As e^{-mu(t - t_j)} = e^{-mu(t - t_a)} e^{-mu(t_a - t_j)}, row
+    bM + r takes entry 4M - 2r, relative to the anchor t_a = (b + 1) M h
+    of its block of M rows from row 0, and a max over block b read c steps
+    past row bM + r' entry 2(r' + c), or 2(r' + c) + 2M from block b + 1:
+    every factor stays within e^{mu M h} of 1, however long the run."""
+    m2 = math.floor(2.0 * delay_steps(delta, h))
+    M = m2 // 2
+    return M, m2 % 2 == 1, lag_weights(
+        mu, h * (0.5 * np.arange(4 * M + 1) - M))
 
 
 def row_sup(s, vals, times, delta, mu=0.0):
@@ -278,40 +294,44 @@ def row_sup(s, vals, times, delta, mu=0.0):
     suffix of them; ValueError otherwise."""
     if s.size and times.size and s[-1] > times.min():
         raise ValueError("rows after a read time")
-    if mu:
-        vals = vals * np.exp(mu * s)
+    vals = vals * lag_weights(mu, -s)
     # suf[k] is the max over rows k.. (a NaN among them propagates), with
     # -inf past the last row
     suf = np.full(s.shape[0] + 1, -np.inf)
     suf[:-1] = np.maximum.accumulate(vals[::-1])[::-1]
-    out = suf[np.searchsorted(s, times - delta - ROW_TOL)]
-    if mu:
-        out = out * np.exp(-mu * times)
-    return out
+    # past delta + ROW_TOL no row is in reach: no 0 weight turns -inf NaN
+    return suf[np.searchsorted(s, times - delta - ROW_TOL)] \
+        * lag_weights(mu, np.minimum(times, delta + ROW_TOL))
 
 
 class LaneWindowMax:
-    """The rows' part of the history sup at mu = 0 for K lanes stepped in
-    lockstep, in O(1) per lane and step.
+    """The rows' part of the history sup for K lanes stepped in lockstep,
+    in O(1) per lane and step, at any mu.
 
     Each step i brings its row of K certificate values.  The reads of step
     i at t_i + h/2 and t_{i+1} reach rows i + 1 - M .. i, the first one
     also row i - M when `old`; there are no rows before row 0.  That window
     is a suffix of the last finished block of M rows and a prefix of the
-    current one (van Herk/Gil-Werman): the suffix maxima of a block are
-    taken once, when it is finished, and combined with the reads' own sup
-    terms once per block of either; per step only each lane's running max
-    over the current block moves, in one pass over the lanes.  Only the
-    current block's rows are kept, flat.  Maxima are taken as np.maximum
-    takes them: a NaN propagates (a tie of 0.0 and -0.0 may come out
-    either way).
+    current one (van Herk/Gil-Werman), weighted by wt (`sup_blocks`): the
+    suffix maxima of a block are taken once, when it is finished, and
+    combined with the reads' own sup terms once per block of either; per
+    step only each lane's running max over the current block moves, in
+    one pass over the lanes.  Only the current block's rows are kept,
+    flat.  Maxima are taken as np.maximum takes them: a NaN propagates (a
+    tie of 0.0 and -0.0 may come out either way).
     """
 
-    __slots__ = ("M", "od", "rows", "suf", "run", "seg", "mid", "end")
+    __slots__ = ("M", "od", "per", "back", "rows", "suf", "run", "seg", "mid",
+                 "end")
 
-    def __init__(self, M, old, K):
+    def __init__(self, M, old, wt, K):
         self.M = M
         self.od = 0 if old else 1
+        # per offset r in a block: row r's weight and the two reads' ones,
+        # and the reads' ones on the block before (back)
+        self.per = np.stack([wt[4 * M:2 * M:-2], wt[1:2 * M:2],
+                             wt[2:2 * M + 1:2]], axis=1).tolist()
+        self.back = wt[2 * M + 1:].reshape(M, 2, 1)
         self.rows = []
         # suffix maxima of the last finished block, -inf past its end
         self.suf = np.full((M + 1, K), -np.inf)
@@ -335,24 +355,29 @@ class LaneWindowMax:
             # the end of the current block or of far's
             n = min(M - r, far.shape[1] - j)
             lo = r + self.od
+            g = self.back[r:r + n]
             self.seg = i
             self.mid = np.maximum(far[0, j:j + n],
-                                  self.suf[lo:lo + n]).tolist()
+                                  self.suf[lo:lo + n] * g[:, 0]).tolist()
             self.end = np.maximum(far[1, j:j + n],
-                                  self.suf[r + 1:r + 1 + n]).tolist()
-        self.rows += w
-        run = self.run
+                                  self.suf[r + 1:r + 1 + n] * g[:, 1]).tolist()
+        wr, cm, ce = self.per[r]
+        push, run = self.rows.append, self.run
         mid, end = self.mid[i - self.seg], self.end[i - self.seg]
         # each lane's running max, row i included, then with the block
         # terms, in place: each step's terms are read once
         for k, v in enumerate(w):
+            v *= wr
+            push(v)
             a = run[k]
             if v >= a or v != v:
                 run[k] = a = v
-            if a >= mid[k] or a != a:
-                mid[k] = a
-            if a >= end[k] or a != a:
-                end[k] = a
+            b = a * cm
+            if b >= mid[k] or b != b:
+                mid[k] = b
+            b = a * ce
+            if b >= end[k] or b != b:
+                end[k] = b
         return mid, end
 
 
@@ -375,4 +400,4 @@ def weighted_sup(window, field, mu=0.0):
     vals = field.value_many(np.concatenate([window.interp_times(t - d),
                                             window.xs[lo:c]]))
     rows = row_sup(window.ts[lo:c] - t, vals[1:], np.zeros(1), d, mu)
-    return float(np.maximum(vals[0] * math.exp(-mu * d), rows[0]))
+    return float(np.maximum(vals[0] * lag_weights(mu, d), rows[0]))

@@ -16,13 +16,12 @@ not depend on the other lanes.  A lane holds only the rows its reads still
 reach, in a ring, and hands its final rows on in blocks of
 BLOCK_LANE_ROWS lane-rows: to a sink that takes them as they come, or
 joined into one Trajectory per run.
-At mu = 0 each lane takes the sup's rows as a running max over blocks, in
-O(1) per lane and step, and at mu > 0 one weighted max over a ring of the
-rows in reach serves both of a step's read times.  The history sup is
-taken on the run's own rows (see `history`): the read at theta = -Delta,
-every accepted row in [t - Delta, t], the initial window's samples
-included, and the stage value at theta = 0.  `_integrate_general` is the
-tests' reference integrator.
+Each lane takes the sup's rows as a running max over anchored blocks, in
+O(1) per lane and step at any mu.  The history sup is taken on the run's
+own rows (see `history`): the read at theta = -Delta, every accepted row
+in [t - Delta, t], the initial window's samples included, and the stage
+value at theta = 0.  `_integrate_general` is the tests' reference
+integrator.
 """
 
 import math
@@ -99,7 +98,15 @@ class IntegrationDiverged(RuntimeError):
         self.step_index = step_index
 
 
-def _check_settings(dyn, settings):
+# the largest mu * delta: every weight e^{-mu lag}, |lag| <= delta, of the
+# history sup (`history.sup_blocks`) is then a finite normal float
+MU_DELTA_MAX = 700.0
+
+
+def _check_settings(dyn, settings, mu=0.0):
+    if mu * dyn.delta > MU_DELTA_MAX:
+        raise ValueError(f"need mu * delta <= {MU_DELTA_MAX:g}: the history "
+                         "sup weighs its rows by up to e^(mu delta)")
     if settings.h > dyn.delta / 4.0 + 1e-15:
         raise ValueError("step must satisfy h <= Delta/4")
     if 0.0 < dyn.tau < settings.h:
@@ -114,10 +121,11 @@ def batch_integrate(dyn, ctrl, ics, settings, sink=None):
     ControllerSpec or None for every start (None means u == 0; margins are
     then NaN), or a list of one of them per start, which must share mu and
     be all controlled or all open-loop.  Raises ValueError before any work
-    if the controllers do not fit the starts, or the settings or any window
-    cannot serve the plant's delays.  Diverged members come back as
-    truncated trajectories with .diverged = True rather than raising.  The
-    whole batch, constant and sampled starts alike, runs in one lockstep.
+    if the controllers do not fit the starts, or the settings, mu (see
+    MU_DELTA_MAX) or any window cannot serve the plant's delays.  Diverged
+    members come back as truncated trajectories with .diverged = True
+    rather than raising.  The whole batch, constant and sampled starts
+    alike, runs in one lockstep.
 
     With a sink, sink(k, block) takes the rows of run k as they become
     final, a Trajectory block at a time, in order (see
@@ -128,7 +136,8 @@ def batch_integrate(dyn, ctrl, ics, settings, sink=None):
                         f"not {type(dyn).__name__}")
     ics = list(ics)
     ctrl = _lane_controllers(ctrl, len(ics))
-    _check_settings(dyn, settings)
+    _check_settings(dyn, settings, max(
+        (c.gains.mu for c in ctrl if c is not None), default=0.0))
     if not all(w.span_ok() for w in ics):
         raise ValueError("initial window must span the delay horizon")
     if not ics:
@@ -249,17 +258,16 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
     final, one field call per distinct certificate; reads at t <= 0 go
     through each lane's own initial window, whose t = 0 slope becomes the
     lane's k1 after the first stage.  The sup's rows are each step's
-    first-stage certificate values, weighted from `history.lag_weights`,
-    and the initial windows' own samples, each under the lane's own
-    certificate.  The RK stages run lane by lane in floats, through one
-    stage closure per distinct controller; a lane's first stage of step
-    i + 1 closes its step i, and its row goes into a float buffer that is
-    written every few rows, and before each block of reads, to a ring of
-    the (state, slope, input, margin) rows the reads still reach and to
-    the block of rows being handed on.  At mu = 0 `history.LaneWindowMax`
-    takes the max over the rows behind each lane's read times, in one pass
-    over the lanes per step; at mu > 0 one max over a ring of the weighted
-    rows in reach serves both read times.
+    first-stage certificate values and the initial windows' own samples,
+    each under the lane's own certificate, weighted from
+    `history.lag_weights`.  The RK stages run lane by lane in floats,
+    through one stage closure per distinct controller; a lane's first
+    stage of step i + 1 closes its step i, and its row goes into a float
+    buffer that is written every few rows, and before each block of reads,
+    to a ring of the (state, slope, input, margin) rows the reads still
+    reach and to the block of rows being handed on.  `history.LaneWindowMax` takes the
+    weighted max over the rows behind each lane's read times, in anchored
+    blocks at any mu, in one pass over the lanes per step.
 
     Every BLOCK_LANE_ROWS // K rows, and at the end, sink(k, block) takes
     lane k's block as a Trajectory of views into the block, which is not
@@ -311,17 +319,6 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
 
     closed = ctrls[0] is not None
     mu = ctrls[0].gains.mu if closed else 0.0
-    # the rows i - l behind the reads at t_i + h/2 and t_{i+1} have lags
-    # l + 1/2 and l + 1: their weights, oldest row first, stacked over the
-    # M rows both reads reach.  Where floor(2 delta/h) is odd the read at
-    # t_i + h/2 also reaches row i - M, at lag M + 1/2
-    lagw = hist.lag_weights(mu, h, dsteps)
-    M = (lagw.shape[0] - 1) // 2
-    lagm = np.stack([lagw[1:2 * M:2], lagw[2::2]])[:, ::-1, None]
-    w_old = lagw[-1] if lagw.shape[0] % 2 == 0 else None
-    ew = math.exp(-mu * delta)
-    # at mu = 0 every weight is 1.0, so a running max serves
-    zero_mu = closed and not mu
     if closed:
         # the lanes of each distinct certificate, all of them as a slice
         lanes_of = {}
@@ -332,12 +329,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
                  for cert, ks in lanes_of.values()]
         pre = [(s, c.certificate.value_many(X))
                for c, (s, X) in zip(ctrls, map(hist.pre_rows, wins))]
-    if closed and not zero_mu:
-        # certificate per row and lane for the weighted rows at mu > 0, the
-        # M + 1 rows in reach: row r at r % S and at r % S + S, so that the
-        # last M rows are one slice
-        S = M + 1
-        wv = np.empty((2 * S, K))
+        wmax = hist.LaneWindowMax(*hist.sup_blocks(mu, delta, h), K)
 
     def reads(t, v):
         """From the reads v (2, ..., K, 2) at t - tau and t - delta, those
@@ -360,8 +352,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
             vk = v[1][..., ks, :]
             g[..., ks] = cert.value_many(vk.reshape(-1, 2)).reshape(
                 vk.shape[:-1])
-        if mu:
-            g = g * ew
+        g = g * hist.lag_weights(mu, delta)
         if t.min() < delta + hist.ROW_TOL:
             rs = [hist.row_sup(s, p, t.ravel(), delta, mu) for s, p in pre]
             g = np.maximum(g, np.stack(rs, axis=-1).reshape(g.shape))
@@ -375,17 +366,6 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
         nxt %= R
         return reads((steps + cs[:, None]) * h,
                      hist.hermite_rows(rb, xs, ms, rows, nxt))
-
-    def sup_max(i, g):
-        """At mu > 0, the max of the sup terms g (2, K) of the reads at
-        t_i + h/2 and t_{i+1} and of the weighted rows behind them, as
-        (2, K) floats."""
-        lo = max(i + 1 - M, 0)
-        a = wv[lo % S:lo % S + i + 1 - lo]
-        g = np.maximum((a * lagm[:, M - a.shape[0]:]).max(axis=1), g)
-        if w_old is not None and i >= M:
-            np.maximum(g[0], wv[(i - M) % S] * w_old, out=g[0])
-        return g.tolist()
 
     hh = 0.5 * h
     h6 = h / 6.0
@@ -428,6 +408,10 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
             made[id(c)] = lane_stage(c)
     stages = [made[id(c)] for c in ctrls]
 
+    def cut_stage(s0, s1, fric, gmax):
+        # a lane past its first non-finite state calls no certificate
+        return (math.nan,) * 5
+
     # the block of rows first .. being handed on, and what each lane's
     # blocks carry
     md = dict(h=h, T=settings.T, delta=delta)
@@ -450,8 +434,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
 
     def hand_on(stop):
         """The rows first .. stop - 1 of each live lane to the sink, cut
-        before a lane's first non-finite state; a fresh block for the rows
-        after."""
+        before a lane's first non-finite state, which takes `cut_stage`
+        from then on; a fresh block for the rows after."""
         nonlocal block, first
         n = stop - first
         ts = (first + np.arange(n)) * h
@@ -461,6 +445,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
             cut = int(np.argmax(bad)) if bad.any() else n
             if cut < n:
                 live.remove(k)
+                stages[k] = cut_stage
             sink(k, Trajectory(ts[:cut], x[:cut], block[:cut, k, 4:5],
                                block[:cut, k, 5], block[:cut, k, 2:4], md,
                                ic_windows[k], cut < n))
@@ -485,8 +470,6 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
     buf = [v for y, t in zip(x, k1) for v in y + t]
     r0 = 0
     flush = max(1, ROW_FLUSH // K)
-    if zero_mu:
-        wmax = hist.LaneWindowMax(M, w_old is not None, K)
     lanes = range(K)
     until = B           # rows 0 .. until - 1 fill the block
     for i in range(nsteps):
@@ -506,12 +489,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
             fr, far = block_reads(steps)
             fr = fr.tolist()
         f_mid, f_end = fr[0][j], fr[1][j]
-        if zero_mu:
+        if closed:
             g_mid, g_end = wmax.step(i, [t[4] for t in k1], far, j)
-        elif closed:
-            p = i % S
-            wv[p] = wv[p + S] = [t[4] for t in k1]
-            g_mid, g_end = sup_max(i, far[:, j])
         for k in lanes:
             st = stages[k]
             x0, x1 = x[k]

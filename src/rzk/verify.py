@@ -4,7 +4,8 @@ Every check returns a VerificationReport: pass flag, worst observed value,
 witness (time, state) when one is meaningful, and the tolerances used.
 These are sampled proxies, not formal proofs; sample counts and shell
 widths are module constants and are reported.  The history sup is rebuilt
-on the run's own rows, as its controller took it (see `history`).
+on the run's own rows, as its controller took it, in the same anchored
+blocks at every mu (see `history`).
 
 The per-trajectory checks are accumulators fed a run's rows a block at a
 time, in order (`feed(block)`, then `report()`), each carrying only the
@@ -14,10 +15,7 @@ gives the report of the whole.  `safety_check(traj, ...)` and the other
 whole-run forms feed the run as one block.
 """
 
-import math
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import halanay
 from . import history as hist
@@ -190,41 +188,41 @@ def window_states(traj):
     return _WindowReads(traj).feed(traj)
 
 
-# samples per step of a sup series' sliding max, to bound its memory: a
-# (SUP_BLOCK, R) array at mu > 0, R the rows in reach
-SUP_BLOCK = 2048
-
-
-def sliding_max(a, R):
-    """The max of each window of R consecutive entries of a, as np.max
-    takes it (a NaN in a window propagates): (len(a) - R + 1,).
-
-    Van Herk/Gil-Werman: a window starting at k is the suffix of k's
-    block of R entries and a prefix of the next block, so prefix and
-    suffix running maxima per block give every window in O(len(a))."""
-    n = a.shape[0] - R + 1
-    blocks = np.full((-(-a.shape[0] // R), R), -np.inf)
-    blocks.ravel()[:a.shape[0]] = a
-    pre = np.maximum.accumulate(blocks, axis=1).ravel()
-    suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suf[:n], pre[R - 1:R - 1 + n])
+def sliding_max(a, M, wt):
+    """For each entry i of a, whose entries are the rows from the start of
+    a block of M rows on, the max over the rows i + 1 - M .. i in reach of
+    a read one step after row i, each row weighted by its lag from that
+    read by wt (`history.sup_blocks`), as `history.LaneWindowMax` takes
+    it: (len(a),).  A NaN in reach propagates; there are no rows before
+    a's first.  Van Herk/Gil-Werman: the rows in reach are a prefix of
+    i's block and a suffix of the block before, so prefix and suffix
+    running maxima per block give every max in O(len(a))."""
+    n = a.shape[0]
+    blocks = np.full((-(-n // M), M), -np.inf)
+    blocks.ravel()[:n] = a
+    blocks *= wt[4 * M:2 * M:-2]
+    # suffix maxima of the block before each block, -inf past its end
+    suf = np.full((blocks.shape[0] + 1, M + 1), -np.inf)
+    suf[1:, :M] = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+    pre = np.maximum.accumulate(blocks, axis=1, out=blocks)
+    pre *= wt[2:2 * M + 1:2]
+    suf[:-1, 1:] *= wt[2 * M + 2::2]
+    return np.maximum(pre, suf[:-1, 1:], out=pre).ravel()[:n]
 
 
 class _SupSeries:
     """Weighted history sup of a field at each row of a run fed a block of
     rows at a time, rebuilt on the run's rows as the integrators take it.
 
-    A sliding max over the field at the rows, weighted by lag from
-    `history.lag_weights`, the read at theta = -delta and the initial
-    window's samples in reach.  The field values of the last R - 1 rows
-    are carried, R the rows in reach, with the window reads' rows."""
+    The row itself, the weighted max over the M rows behind it
+    (`sliding_max`), the read at theta = -delta and the initial window's
+    samples in reach.  The field values from the start of the block of M
+    rows before the last row's are carried, with the window reads' rows."""
 
     def __init__(self, field, mu, first):
-        self.field, self.mu = field, mu
-        self.delta = first.meta["delta"]
-        self.lagw = hist.lag_weights(
-            mu, first.h, hist.delay_steps(self.delta, first.h))[::2][::-1]
-        self.tail = np.full(self.lagw.shape[0] - 1, -np.inf)
+        self.field, self.mu, self.delta = field, mu, first.meta["delta"]
+        self.M, _, self.wt = hist.sup_blocks(mu, self.delta, first.h)
+        self.rows = np.empty(0)
         self.reads = _WindowReads(first)
         s, X = hist.pre_rows(first.ic_window)
         self.pre = s, field.value_many(X)
@@ -232,23 +230,16 @@ class _SupSeries:
     def feed(self, block, fv):
         """The sup at the rows of block, the run's next, fv the field on
         them: (n,)."""
-        R = self.lagw.shape[0]
-        padded = np.concatenate([self.tail, fv])
-        n = fv.shape[0]
-        out = np.empty(n)
-        for start in range(0, n, SUP_BLOCK):
-            stop = min(start + SUP_BLOCK, n)
-            # at mu = 0 every weight is 1.0, so the plain sliding max serves
-            if self.mu:
-                out[start:stop] = (sliding_window_view(
-                    padded[start:stop + R - 1], R) * self.lagw).max(axis=1)
-            else:
-                out[start:stop] = sliding_max(padded[start:stop + R - 1], R)
-        self.tail = padded[n:].copy()
+        M, c, n = self.M, self.rows.shape[0], fv.shape[0]
+        a = np.concatenate([self.rows, fv])
+        # row p's window is the one behind row p - 1; row 0 has none
+        out = np.concatenate([[-np.inf], sliding_max(a, M, self.wt)])[c:c + n]
+        np.maximum(out, fv, out=out)
+        # the rows from the start of the block before the last row's, the
+        # carried rows starting on a block as the run does
+        self.rows = a[max(((c + n - 1) // M - 1) * M, 0):].copy()
         end = self.field.value_many(self.reads.feed(block))
-        if self.mu:
-            end = end * math.exp(-self.mu * self.delta)
-        np.maximum(out, end, out=out)
+        np.maximum(out, end * hist.lag_weights(self.mu, self.delta), out=out)
         k = int(np.searchsorted(block.ts, self.delta + hist.ROW_TOL))
         if k:
             np.maximum(out[:k], hist.row_sup(*self.pre, block.ts[:k],

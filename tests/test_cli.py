@@ -122,6 +122,20 @@ def test_config_validation_exits_2(tmp_path, capsys, mangle):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_mu_past_the_sup_weights_is_a_config_error(tmp_path, capsys):
+    # the history sup weighs its rows by up to e^(mu delta), which must
+    # stay a finite float: mu delta = 720 is refused before any run
+    cfgp = tmp_path / "mu.json"
+    write_config(cfgp, gains={"mu": 2400.0})
+    code = cli.main(["simulate", "--config", str(cfgp), "--out",
+                     str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: need mu * delta <= 700: the history sup weighs its "
+        "rows by up to e^(mu delta)\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     cfgp = tmp_path / "broken.json"
     cfgp.write_text('{"schema_version": 1,,}')

@@ -156,12 +156,17 @@ def test_delay_steps_snap_to_rows():
     for b, want in ((b00, 1.0), (b10, 0.0), (b01, 0.0), (b11, 0.0)):
         assert b.tolist() == [want, want]
     assert hist.delay_steps(0.3, 0.0017) == 0.3 / 0.0017
-    # lag weights: entry m is lag m/2 steps, up to delta
-    w = hist.lag_weights(0.5, 0.0017, hist.delay_steps(0.3, 0.0017))
-    assert w.shape == (int(2 * 0.3 / 0.0017) + 1,)
-    np.testing.assert_allclose(w, np.exp(-0.5 * 0.0017 * 0.5 * np.arange(353)),
-                               rtol=1e-15)
-    assert np.all(hist.lag_weights(0.0, 1e-3, 300.0) == 1.0)
+    # the rows in reach: M = floor(delta/h), one more for the read at
+    # t_i + h/2 where floor(2 delta/h) is odd
+    assert hist.sup_blocks(0.5, 0.3, 1e-3)[:2] == (300, False)
+    assert hist.sup_blocks(0.5, 0.3, 0.3 / 176.5)[:2] == (176, True)
+    # block weights: entry m is lag m/2 - M steps, lag 0 weighing 1.0
+    M, old, w = hist.sup_blocks(0.5, 0.3, 0.0017)
+    assert (M, old) == (176, False)
+    assert w.shape == (4 * 176 + 1,) and w[2 * 176] == 1.0
+    np.testing.assert_allclose(
+        w, np.exp(-0.5 * 0.0017 * (0.5 * np.arange(705) - 176)), rtol=1e-15)
+    assert np.all(hist.sup_blocks(0.0, 0.3, 1e-3)[2] == 1.0)
 
 
 def test_weighted_sup_constant_window_is_field_value():
@@ -230,47 +235,71 @@ def _brute_max(vals):
     return np.max(vals, initial=-np.inf)
 
 
+def _lagged(rows, lags, mu, h):
+    """The rows, each weighted by e^{-mu h lag}, its lag in steps."""
+    return np.exp(-mu * h * np.asarray(lags, dtype=float)) * rows
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _assert_weighted(got, want, mu, span):
+    """Bit for bit at mu = 0, where every weight is 1.0; else within the
+    rounding of a weight formed as two anchored factors, and of a row
+    weighted relative to its anchor, which may be as small as e^{-span}
+    times the row: below the normal floats it keeps 2^-1074 absolute."""
+    if mu:
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=2.0 ** -1072 * np.exp(span))
+    else:
+        assert _bits(got) == _bits(want)
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 60), R=st.integers(1, 80))
-def test_sliding_max_equals_each_window_max(data, n, R):
-    # R need not divide the length, and may exceed the run; -inf padding
-    # as field_sup_series pads the rows before the first
-    vals = data.draw(st.lists(_SUP_VALUE, min_size=n, max_size=n))
-    a = np.concatenate([np.full(R - 1, -np.inf), vals])
-    want = [_brute_max(a[k:k + R]) for k in range(n)]
-    assert _bits(verify.sliding_max(a, R)) == _bits(want)
+@given(data=st.data(), n=st.integers(1, 60), M=st.integers(1, 80),
+       mu=st.sampled_from([0.0, 0.5, 40.0]), h=st.sampled_from([1e-3, 0.05]))
+def test_sliding_max_equals_each_window_max(data, n, M, mu, h):
+    # the rows i + 1 - M .. i behind a read one step after row i, weighted
+    # by lag from it; M need not divide the length, and may exceed the run
+    vals = np.array(data.draw(st.lists(_SUP_VALUE, min_size=n, max_size=n)))
+    want = [_brute_max(_lagged(vals[lo:i + 1], i + 1 - np.arange(lo, i + 1),
+                               mu, h))
+            for i in range(n) for lo in [max(i + 1 - M, 0)]]
+    _assert_weighted(verify.sliding_max(vals, M,
+                                        hist.sup_blocks(mu, M * h, h)[2]),
+                     want, mu, mu * h * M)
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), K=st.integers(1, 2), N=st.integers(1, 30),
-       M=st.integers(1, 12), L=st.integers(1, 15), old=st.booleans())
-def test_lane_window_max_equals_the_window_max(data, K, N, M, L, old):
-    # every step's maxima against the max over its window of rows and its
-    # reads' own terms; M need not divide N nor L, and may exceed N; with
-    # `old` (odd floor(2 delta/h)) the first read reaches one row more
+       M=st.integers(1, 12), L=st.integers(1, 15), old=st.booleans(),
+       mu=st.sampled_from([0.0, 0.5, 40.0]))
+def test_lane_window_max_equals_the_window_max(data, K, N, M, L, old, mu):
+    # every step's maxima against the max over its window of rows, each
+    # weighted by its lag from the read, and its reads' own terms; M need
+    # not divide N nor L, and may exceed N; with `old` (odd floor(2
+    # delta/h)) the first read reaches one row more
+    h = 0.05
     rows = np.array(data.draw(st.lists(
         st.lists(_SUP_VALUE, min_size=K, max_size=K), min_size=N,
         max_size=N)))
     far_all = np.array(data.draw(st.lists(
         st.lists(_SUP_VALUE, min_size=2 * K, max_size=2 * K), min_size=N,
         max_size=N))).reshape(N, 2, K).transpose(1, 0, 2)
-    wm = hist.LaneWindowMax(M, old, K)
+    wm = hist.LaneWindowMax(M, old, hist.sup_blocks(mu, M * h, h)[2], K)
     for i in range(N):
         # far comes in blocks of L steps, as the lockstep's block reads do
         j = i % L
         far = far_all[:, i - j:i - j + L]
         mid, end = wm.step(i, rows[i].tolist(), far, j)
-        lo_mid = max(i + 1 - M - old, 0)
-        lo_end = max(i + 1 - M, 0)
-        for k in range(K):
-            assert _bits(mid[k]) == _bits(_brute_max(
-                np.append(rows[lo_mid:i + 1, k], far_all[0, i, k]))), (i, k)
-            assert _bits(end[k]) == _bits(_brute_max(
-                np.append(rows[lo_end:i + 1, k], far_all[1, i, k]))), (i, k)
+        for c, lo, got, f in ((0.5, max(i + 1 - M - old, 0), mid, far_all[0]),
+                              (1.0, max(i + 1 - M, 0), end, far_all[1])):
+            lags = i + c - np.arange(lo, i + 1)[:, None]
+            lagged = _lagged(rows[lo:i + 1], lags, mu, h)
+            want = [_brute_max(np.append(lagged[:, k], f[i, k]))
+                    for k in range(K)]
+            _assert_weighted(got, want, mu, mu * h * M)
 
 
 def _row_sup_mask(s, vals, times, delta, mu):

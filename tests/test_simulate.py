@@ -220,6 +220,13 @@ def test_settings_and_window_validation(example_setup, monkeypatch):
     with pytest.raises(ValueError, match="span the delay horizon"):
         rzk.batch_integrate(dyn, None, [good, short],
                             IntegrationSettings(h=1e-3, T=1.0))
+    # every weight e^{-mu lag} of the sup, |lag| <= delta, must be a finite
+    # normal float: past simulate.MU_DELTA_MAX the batch is refused
+    ctrl = rzk.ControllerSpec(example_setup["V"],
+                              rzk.RazumikhinGains(2.5, 2.0, 701.0 / 0.3), 2.0)
+    with pytest.raises(ValueError, match=r"need mu \* delta <= 700"):
+        rzk.batch_integrate(dyn, ctrl, [good],
+                            IntegrationSettings(h=1e-3, T=1.0))
     assert ran == []
 
 
@@ -689,3 +696,103 @@ def test_lane_stage_meets_the_margin_identity(example_setup, a, q, lam):
     assert margin == pytest.approx(-root, rel=1e-14, abs=0.0)
     # closed loop: a + q u = -sqrt(a^2 + lambda q^4), up to rounding
     assert abs(a + q * u + root) <= 8 * np.finfo(float).eps * (abs(a) + root)
+
+
+def test_a_cut_lane_stops_calling_its_certificate_and_law(example_setup,
+                                                          monkeypatch):
+    # the start (3, 1e154) goes non-finite at row 1 and is cut when its
+    # first block of 50 rows is handed on, before step 49; from then on its
+    # stage returns NaNs without a law call, while the finite lane next to
+    # it keeps its bits
+    dyn, ctrl = example_setup["dyn"], example_setup["ctrl"]
+    s = IntegrationSettings(h=1e-3, T=0.4)
+    ics = [hist.from_constant(np.array(x), 0.3)
+           for x in ([-2.0, -1.0], [3.0, 1e154])]
+    alone = rzk.batch_integrate(dyn, ctrl, ics[:1], s)[0]
+    calls = []
+
+    def law(a, qq, lam):
+        calls.append(a)
+        return controller.law(a, qq, lam)
+
+    monkeypatch.setattr(simulate, "law", law)
+    monkeypatch.setattr(simulate, "BLOCK_LANE_ROWS", 2 * 50)
+    fine, cut = simulate._lockstep_example(dyn, ctrl, ics, s)
+    assert cut.diverged and cut.xs.shape[0] == 1 and not fine.diverged
+    # one call per stage: the first, then four per step
+    assert len(calls) == (1 + 4 * 400) + (1 + 4 * 49)
+    for name in ("xs", "us", "margins", "slopes"):
+        assert _bits(getattr(fine, name)) == _bits(getattr(alone, name)), name
+
+
+def test_the_largest_accepted_mu_keeps_every_weight_finite(example_setup):
+    # at the largest mu the config accepts every block weight is a finite
+    # normal float, and the sup each lane acts on, read back from its
+    # margins under a dead-zone certificate, is finite, the rebuilt one bit
+    # for bit, and the brute-force one within the anchored rows' floor
+    delta, h = 0.3, 1e-3
+    mu = simulate.MU_DELTA_MAX / delta
+    while mu * delta > simulate.MU_DELTA_MAX:
+        mu = math.nextafter(mu, 0.0)
+    cfg = cli.demo_config()
+    cfg["gains"]["mu"] = mu
+    assert cli.RunConfig(cfg).mu == mu
+    wt = hist.sup_blocks(mu, delta, h)[2]
+    assert np.all(np.isfinite(wt)) and wt.min() >= np.finfo(float).tiny
+    cert = _dead_zone(example_setup["W"])
+    gains = rzk.RazumikhinGains(2.5, 2.0, mu)
+    ics = [hist.from_constant(np.array([-2.0, -1.0]), delta),
+           _sampled_windows()["hazard"]]
+    for tr in rzk.batch_integrate(example_setup["dyn"],
+                                  rzk.ControllerSpec(cert, gains, 2.0), ics,
+                                  IntegrationSettings(h=h, T=0.8)):
+        sup = verify.field_sup_series(tr, cert, mu)
+        assert not tr.diverged and np.all(np.isfinite(sup))
+        np.testing.assert_array_equal(
+            tr.margins, gains.gamma * cert.value_many(tr.xs) - gains.eta * sup)
+        np.testing.assert_allclose(sup, _brute_force_sup(tr, cert, mu),
+                                   rtol=1e-12, atol=1e-18)
+
+
+# kind V at mu = 0.5 from the demo starts to T = 3, a converging run: the
+# final state, and u and the margin at rows 0, 150, 300, 1000 and 3000, as
+# the rows' weights formed per lag in an O(M) max over the rows in reach
+# gave them before the sup took anchored block weights
+_MU_PINS = [
+    ([-0.6074206406148703, 0.19849801607929224],
+     [1.29199144727489, 0.14888116582240427, 0.0009707211412976266,
+      -0.46030608292731107, 0.3288493781940713],
+     [-7.4839829011454695, -7.087389893299089, -7.887209075288781,
+      -6.628275388644828, -0.06293200060217687]),
+    ([-0.49911120748626997, 0.16201997719703237],
+     [4.224629227999363, 0.9820609565659537, 0.07963231733711176,
+      -0.14221830338467417, 0.38592185122062267],
+     [-23.598516898806068, -12.31207784081109, -9.288939632046985,
+      -2.3819385774828836, -0.04768608368109887]),
+    ([0.3871056726883121, -0.12924939598353954],
+     [-5.72841614740048, -1.6955967817180495, -0.308763500200732,
+      0.0783174765717139, -0.4263180656056695],
+     [-36.1420807370024, -18.764353325281256, -13.96391866667281,
+      -1.27083206817637, -0.032403239570272434]),
+    ([-0.30847765209449346, 0.10607611703928384],
+     [-4.224629225637829, -1.8097901663439586, -0.7470786352373469,
+      -0.01468408522181866, 0.4324498166556263],
+     [-23.598516902551314, -16.6450616636722, -14.448978803766352,
+      -0.9639068225839579, -0.022894700128146924]),
+]
+
+
+def test_mu_runs_keep_their_pinned_outputs(example_setup):
+    # the anchored weights round differently from the per-lag ones by an
+    # ulp; on a converging run that stays within 1e-12
+    ctrl = rzk.ControllerSpec(example_setup["V"],
+                              rzk.RazumikhinGains(2.5, 2.0, 0.5), 2.0)
+    ics = [hist.from_constant(np.array(x), 0.3)
+           for x in cli.DEMO_INITIAL_CONDITIONS]
+    rows = [0, 150, 300, 1000, 3000]
+    trajs = rzk.batch_integrate(example_setup["dyn"], ctrl, ics,
+                                IntegrationSettings(h=1e-3, T=3.0))
+    for tr, (final, us, margins) in zip(trajs, _MU_PINS):
+        for got, want in ((tr.xs[-1], final), (tr.us[rows, 0], us),
+                          (tr.margins[rows], margins)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

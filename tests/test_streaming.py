@@ -174,7 +174,6 @@ def test_cli_artifacts_do_not_depend_on_the_block_sizes(tmp_path, capsys,
     base = _cli_artifacts(tmp_path, "base"), capsys.readouterr().out
     monkeypatch.setattr(simulate, "BLOCK_LANE_ROWS", 24)
     monkeypatch.setattr(io, "CSV_ROWS", 5)
-    monkeypatch.setattr(verify, "SUP_BLOCK", 3)
     small = _cli_artifacts(tmp_path, "small"), capsys.readouterr().out
     assert small[0][0] == base[0][0] == [0, 1, 1]
     assert set(base[0][1]) == {"config.json", "run.json", "sweep.csv",
@@ -193,8 +192,7 @@ def test_memory_of_simulate_and_verify_does_not_grow_with_the_horizon(
     # of 128 rows; holding each run whole took 2.4 times the memory at
     # T = 10
     for owner, name, size in ((simulate, "BLOCK_LANE_ROWS", 256),
-                              (io, "CSV_ROWS", 128),
-                              (verify, "SUP_BLOCK", 128)):
+                              (io, "CSV_ROWS", 128)):
         monkeypatch.setattr(owner, name, size, raising=False)
 
     def peak(T, traced=True):

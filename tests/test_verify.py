@@ -220,7 +220,14 @@ def _crossing_history_run(example_setup, T=0.05):
                          IntegrationSettings(h=1e-3, T=T))
 
 
-def test_blocked_sup_series_equals_unblocked(example_setup, monkeypatch):
+def _pieces(tr, n):
+    """tr as blocks of n rows, the last one shorter."""
+    return [Trajectory(tr.ts[a:a + n], tr.xs[a:a + n], tr.us[a:a + n],
+                       tr.margins[a:a + n], tr.slopes[a:a + n], tr.meta,
+                       tr.ic_window) for a in range(0, len(tr.ts), n)]
+
+
+def test_blocked_sup_series_equals_unblocked(example_setup):
     tr = _crossing_history_run(example_setup)
     W = example_setup["W"]
     delta = tr.meta["delta"]
@@ -235,10 +242,11 @@ def test_blocked_sup_series_equals_unblocked(example_setup, monkeypatch):
             np.exp(-mu * delta) * W.value(end))
             for t, end in zip(tr.ts, verify.window_states(tr))
             for sel in [(times >= t - delta - 1e-12) & (times <= t)]])
-        # 7 does not divide N = 51: six full blocks and a short last one
-        monkeypatch.setattr(verify, "SUP_BLOCK", 7)
-        blocked = verify.field_sup_series(tr, W, mu)
-        monkeypatch.undo()
+        # fed 7 rows at a time, and 7 does not divide N = 51: six full
+        # blocks and a short last one
+        series = verify._SupSeries(W, mu, tr)
+        blocked = np.concatenate([series.feed(block, W.value_many(block.xs))
+                                  for block in _pieces(tr, 7)])
         whole_run = verify.field_sup_series(tr, W, mu)
         assert _bits(blocked) == _bits(whole_run)
         np.testing.assert_allclose(whole_run, ref, rtol=1e-14, atol=0.0)
