@@ -6,6 +6,8 @@ roots), sweep (parameter grid), verify (re-check existing CSVs).
 
 Exit codes: 0 all checks pass, 1 check failure or divergence, 2 usage or
 config error.  Set RZK_LOG to a logging level name for diagnostics.
+`main` may be called repeatedly in one process; it builds its parser on
+the first call and reuses it.
 
 demo, simulate and verify split a batch of SPLIT_ROWS rows or more over
 the cores the process may run on, its CPU affinity (`_split`): one
@@ -18,6 +20,7 @@ certificate-level checks in one child while it runs its locksteps
 """
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -776,7 +779,11 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _parser():
+    """The command line's parser, built on the first `main` call of a
+    process and reused by every later one: parse_args keeps no state in
+    it."""
     p = argparse.ArgumentParser(
         prog="rzk",
         description="Delay-system certificates: simulate, verify, sweep.")

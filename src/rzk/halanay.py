@@ -9,7 +9,9 @@ v, with the history sup taken on its own rows as in `history`.  Its reads
 at theta = -delta are fixed cubic Hermite tables over the accepted samples
 (`history.hermite_tables`), gathered in numpy once per block of steps
 together with the max over the rows the block's steps share, while the RK
-stages and the rows written inside the block run in Python floats.
+stages and the rows accepted inside the block run in Python floats, kept
+in a buffer that is written into the sample arrays before each block's
+reads and at the end.
 """
 
 import math
@@ -153,9 +155,20 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step):
     hh = 0.5 * h
     h6 = h / 6.0
     v = v0
+    # the rows accepted since the last write, (v, slope) each, as floats
+    buf = []
+
+    def write(stop):
+        """The buffered rows, which end at row stop - 1, into vs and ms."""
+        lo = stop - len(buf) // 2
+        vs[lo:stop] = buf[0::2]
+        ms[lo:stop] = buf[1::2]
+        buf.clear()
+
     for i in range(nsteps):
         j = i % L
         if j == 0:
+            write(i + 1)
             terms = block(i + np.arange(min(L, nsteps - i))).tolist()
             z = -math.inf
         else:
@@ -182,8 +195,9 @@ def scalar_comparison_sim(gamma, eta, mu, delta, v0, T, step):
             vn = 0.0
         # the new row's slope is its k1; no read of it touches its slope
         k1 = -gamma * vn + eta * (vn if vn > s_one else s_one)
-        vs[i + 1] = v = vn
-        ms[i + 1] = k1
+        v = vn
+        buf += (vn, k1)
+    write(nsteps + 1)
     return ts, vs
 
 

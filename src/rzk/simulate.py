@@ -319,14 +319,19 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
 
     closed = ctrls[0] is not None
     mu = ctrls[0].gains.mu if closed else 0.0
-    if closed:
-        # the lanes of each distinct certificate, all of them as a slice
+
+    def lane_certs(keep):
+        """Each distinct certificate with its lanes among keep, all K of them
+        as a slice."""
         lanes_of = {}
-        for k, c in enumerate(ctrls):
-            lanes_of.setdefault(id(c.certificate),
-                                (c.certificate, []))[1].append(k)
-        certs = [(cert, slice(None) if len(ks) == K else np.array(ks))
-                 for cert, ks in lanes_of.values()]
+        for k in keep:
+            c = ctrls[k].certificate
+            lanes_of.setdefault(id(c), (c, []))[1].append(k)
+        return [(cert, slice(None) if len(ks) == K else np.array(ks))
+                for cert, ks in lanes_of.values()]
+
+    if closed:
+        certs = lane_certs(range(K))
         pre = [(s, c.certificate.value_many(X))
                for c, (s, X) in zip(ctrls, map(hist.pre_rows, wins))]
         wmax = hist.LaneWindowMax(*hist.sup_blocks(mu, delta, h), K)
@@ -336,7 +341,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
         at or before t = 0 made again in each lane's initial window: the
         delayed friction at the read times t (...), and the sup's terms
         besides the run's rows, e^{-mu delta} W at theta = -delta and the
-        initial windows' samples in reach (None without a certificate)."""
+        initial windows' samples in reach (None without a certificate).
+        A dropped lane's terms are NaN, without a certificate call."""
         tread = t - delays
         early = tread <= hist.EARLY_TOL
         if early.any():
@@ -347,7 +353,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
         fric = friction(v[0, ..., 1])
         if not closed:
             return fric, None
-        g = np.empty(fric.shape)
+        g = np.full(fric.shape, np.nan)
         for cert, ks in certs:
             vk = v[1][..., ks, :]
             g[..., ks] = cert.value_many(vk.reshape(-1, 2)).reshape(
@@ -412,6 +418,14 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
         # a lane past its first non-finite state calls no certificate
         return (math.nan,) * 5
 
+    def drop(k):
+        """Lane k past its first non-finite state: from now on it takes
+        `cut_stage`, and the block reads evaluate no certificate on it."""
+        stages[k] = cut_stage
+        if closed:
+            certs[:] = lane_certs(
+                [q for q in range(K) if stages[q] is not cut_stage])
+
     # the block of rows first .. being handed on, and what each lane's
     # blocks carry
     md = dict(h=h, T=settings.T, delta=delta)
@@ -434,8 +448,8 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
 
     def hand_on(stop):
         """The rows first .. stop - 1 of each live lane to the sink, cut
-        before a lane's first non-finite state, which takes `cut_stage`
-        from then on; a fresh block for the rows after."""
+        before a lane's first non-finite state, which is dropped from
+        then on; a fresh block for the rows after."""
         nonlocal block, first
         n = stop - first
         ts = (first + np.arange(n)) * h
@@ -445,7 +459,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
             cut = int(np.argmax(bad)) if bad.any() else n
             if cut < n:
                 live.remove(k)
-                stages[k] = cut_stage
+                drop(k)
             sink(k, Trajectory(ts[:cut], x[:cut], block[:cut, k, 4:5],
                                block[:cut, k, 5], block[:cut, k, 2:4], md,
                                ic_windows[k], cut < n))
@@ -485,6 +499,12 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
                 for w, m in zip(wins, ms[0]):
                     w.ms[w.count - 1] = m
         if j == 0:
+            # a non-finite state stays non-finite, so a lane whose state is
+            # not finite now is past its first non-finite row
+            for k in live:
+                if stages[k] is not cut_stage and not (
+                        math.isfinite(x[k][0]) and math.isfinite(x[k][1])):
+                    drop(k)
             steps = i + np.arange(min(L, nsteps - i))
             fr, far = block_reads(steps)
             fr = fr.tolist()

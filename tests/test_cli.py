@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rzk import cli, io, verify
+from rzk import cli, halanay, io, verify
 
 
 def write_config(path, **over):
@@ -208,6 +208,49 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as ei:
         cli.main([])
     assert ei.value.code == 2
+
+
+def test_one_process_builds_one_parser(tmp_path, capsys):
+    # main builds its parser on its first call and reuses it: after usage
+    # errors and a config error the same process prints what a fresh one
+    # does
+    cli._parser.cache_clear()
+    for argv in ([], ["halanay", "--gamma", "x"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 2
+    cfgp = tmp_path / "bad.json"
+    write_config(cfgp, integration={"T": 4e-4})
+    assert cli.main(["simulate", "--config", str(cfgp), "--out",
+                     str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    argv = ["halanay", "--gamma", "2.5", "--eta", "2.0", "--delta", "0.3",
+            "--envelope", "--T", "2"]
+    code = cli.main(argv)
+    got = capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "rzk.cli"] + argv,
+                           capture_output=True, text=True, timeout=60)
+    assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr)
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_a_base_exception_from_the_comparison_run_passes_through(
+        monkeypatch, capsys):
+    # perfbench's set-up probe stops `rzk halanay --envelope` by patching
+    # the module's comparison run to raise a BaseException, which the
+    # command must let through before it prints anything
+    class Reached(BaseException):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(halanay, "scalar_comparison_sim", stop)
+    with pytest.raises(Reached):
+        cli.main(["halanay", "--gamma", "2.5", "--eta", "2.0", "--delta",
+                  "0.3", "--envelope"])
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_over_tau_passes(tmp_path, capsys):

@@ -698,17 +698,27 @@ def test_lane_stage_meets_the_margin_identity(example_setup, a, q, lam):
     assert abs(a + q * u + root) <= 8 * np.finfo(float).eps * (abs(a) + root)
 
 
-def test_a_cut_lane_stops_calling_its_certificate_and_law(example_setup,
-                                                          monkeypatch):
-    # the start (3, 1e154) goes non-finite at row 1 and is cut when its
-    # first block of 50 rows is handed on, before step 49; from then on its
-    # stage returns NaNs without a law call, while the finite lane next to
-    # it keeps its bits
+def _cut_lane_run(example_setup, monkeypatch, rows=None):
+    """A finite start and (3, 1e154), which goes non-finite at row 1, to
+    T = 0.4 in one lockstep, handing on blocks of `rows` rows (one block
+    for the run when None): the two runs, the one-lane run of the finite
+    start, the law calls of the lockstep and the `value_many` points of
+    the lockstep and of the one-lane run."""
     dyn, ctrl = example_setup["dyn"], example_setup["ctrl"]
     s = IntegrationSettings(h=1e-3, T=0.4)
     ics = [hist.from_constant(np.array(x), 0.3)
            for x in ([-2.0, -1.0], [3.0, 1e154])]
+    points = []
+    value_many = ctrl.certificate.value_many
+
+    def counted(X):
+        points.append(np.asarray(X).reshape(-1, 2).shape[0])
+        return value_many(X)
+
+    monkeypatch.setattr(ctrl.certificate, "value_many", counted)
     alone = rzk.batch_integrate(dyn, ctrl, ics[:1], s)[0]
+    alone_points = sum(points)
+    points.clear()
     calls = []
 
     def law(a, qq, lam):
@@ -716,13 +726,37 @@ def test_a_cut_lane_stops_calling_its_certificate_and_law(example_setup,
         return controller.law(a, qq, lam)
 
     monkeypatch.setattr(simulate, "law", law)
-    monkeypatch.setattr(simulate, "BLOCK_LANE_ROWS", 2 * 50)
+    if rows:
+        monkeypatch.setattr(simulate, "BLOCK_LANE_ROWS", 2 * rows)
     fine, cut = simulate._lockstep_example(dyn, ctrl, ics, s)
     assert cut.diverged and cut.xs.shape[0] == 1 and not fine.diverged
-    # one call per stage: the first, then four per step
-    assert len(calls) == (1 + 4 * 400) + (1 + 4 * 49)
     for name in ("xs", "us", "margins", "slopes"):
         assert _bits(getattr(fine, name)) == _bits(getattr(alone, name)), name
+    return len(calls), sum(points), alone_points
+
+
+def test_a_cut_lane_stops_calling_its_certificate_and_law(example_setup,
+                                                          monkeypatch):
+    # the start (3, 1e154) is cut when its first block of 50 rows is
+    # handed on, before step 49; from then on its stage returns NaNs
+    # without a law call and the block reads evaluate no certificate on
+    # it, while the finite lane next to it keeps its bits
+    calls, points, alone = _cut_lane_run(example_setup, monkeypatch, 50)
+    # one call per stage: the first, then four per step
+    assert calls == (1 + 4 * 400) + (1 + 4 * 49)
+    # the cut lane is read at t = 0 and in the reads of steps 0 .. 298,
+    # made before step 0: two points a step, as for the finite lane
+    assert points == alone + 1 + 2 * 299
+
+
+def test_a_lane_is_dropped_at_the_first_block_read_after_it_diverges(
+        example_setup, monkeypatch):
+    # with one block for the whole run nothing is handed on before the
+    # end: the lane is dropped at the block reads of step 299, the first
+    # made after row 1, and reads no more than in the test above
+    calls, points, alone = _cut_lane_run(example_setup, monkeypatch)
+    assert calls == (1 + 4 * 400) + (1 + 4 * 299)
+    assert points == alone + 1 + 2 * 299
 
 
 def test_the_largest_accepted_mu_keeps_every_weight_finite(example_setup):
