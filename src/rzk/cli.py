@@ -1,8 +1,8 @@
 """Config-driven command line.
 
-Subcommands: demo (build the worked example, simulate, verify, emit
-artifacts), simulate (one batch from a config), halanay (decay-rate
-roots), sweep (parameter grid), verify (re-check existing CSVs).
+Subcommands: simulate (one batch from a config), demo (simulate the
+worked example's config, then check it), verify (re-check existing CSVs),
+sweep (parameter grid), halanay (decay-rate roots).
 
 Exit codes: 0 all checks pass, 1 check failure or divergence, 2 usage or
 config error.  Set RZK_LOG to a logging level name for diagnostics.
@@ -67,8 +67,6 @@ SWEEP_LANES = 16
 # 8 to 22 % at 8004, the value taken
 SPLIT_ROWS = 8000
 
-_TOP_KEYS = {"schema_version", "system", "certificate", "gains", "lambda",
-             "initial_conditions", "integration", "outputs", "seed", "sweep"}
 _SWEEP_KEYS = ("tau", "psi", "lambda", "gamma", "eta", "initial_conditions")
 
 
@@ -76,120 +74,159 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def demo_config(psi=DEFAULT_PSI, seed=0):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "system": {"name": "example", "tau": 0.3, "delta": 0.3},
-        "certificate": {"kind": "W", "psi": float(psi)},
-        "gains": {"gamma": 2.5, "eta": 2.0, "mu": 0.0},
-        "lambda": 2.0,
-        "initial_conditions": [list(p) for p in DEMO_INITIAL_CONDITIONS],
-        "integration": {"h": 1e-3, "T": 20.0},
-        "outputs": {"prefix": "trajectory"},
-        "seed": int(seed),
-    }
-
-
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
 
 
-def _number(val, name):
+def _number(val, name, positive=False):
+    """val as a float: a finite JSON number, not a boolean or a string.
+    It reads each sample of a sampled start, so builds no unused message."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number")
     try:
         out = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number") from None
-    _require(math.isfinite(out), f"{name} must be finite")
+    except OverflowError:       # an integer past the largest float
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite")
+    if positive and not out > 0:
+        raise ConfigError(f"{name} must be positive")
     return out
 
 
-def _section(data, key):
-    sec = data.get(key, {})
-    _require(isinstance(sec, dict), f"{key} must be an object")
-    return sec
+_positive = functools.partial(_number, positive=True)
+
+
+def _kind(val, name):
+    _require(val in ("V", "B", "W", "none"),
+             f"{name} must be one of V, B, W, none")
+    return val
+
+
+def _starts(val, name):
+    """The starts, as floats; RunConfig then builds their windows."""
+    _require(isinstance(val, list) and val, f"{name} must be a non-empty list")
+    out = []
+    for k, entry in enumerate(val):
+        at = f"{name}[{k}]"
+        if isinstance(entry, dict):
+            _require(set(entry) == {"times", "states"},
+                     f"{at}: sampled entries need exactly 'times' and "
+                     "'states'")
+            times, states = entry["times"], entry["states"]
+            _require(isinstance(times, list) and isinstance(states, list)
+                     and all(isinstance(s, list) and len(s) == 2
+                             for s in states),
+                     f"{at}: times must be a list and states a list of "
+                     "2-vectors")
+            out.append({"times": [_number(t, f"{at}.times") for t in times],
+                        "states": [[_number(v, f"{at}.states") for v in s]
+                                   for s in states]})
+        else:
+            _require(isinstance(entry, list),
+                     f"{at} must be a list or a times/states object")
+            out.append([_number(v, at) for v in entry])
+            _require(len(entry) == 2, f"{at} must have 2 components")
+    return out
+
+
+def _stem(val, name):
+    out = str(val)
+    _require(out and all(c.isalnum() or c in "-_" for c in out),
+             f"{name} must be a plain file name stem")
+    return out
+
+
+def _integer(val, name):
+    _require(type(val) is int, f"{name} must be an integer")
+    return val
+
+
+def _sweep(val, name):
+    if val is not None:
+        _require(isinstance(val, dict), f"{name} must be an object")
+        unknown = set(val) - set(_SWEEP_KEYS)
+        _require(not unknown, f"unknown sweep keys: {sorted(unknown)}")
+        for key, vals in val.items():
+            _require(isinstance(vals, list), f"{name}.{key} must be a list")
+    return val
+
+
+# Every field of a run config, in config.json order: its JSON path, the
+# RunConfig attribute it sets, its default and its reader, which takes the
+# field's value (the default when absent) and path and returns the
+# attribute or raises ConfigError.  A field with no reader must be given
+# and equal its default.  A default of None is no value: initial_conditions
+# must be given, system.tau reads as delta and no sweep is written
+_FIELDS = (
+    ("schema_version", "schema_version", SCHEMA_VERSION, None),
+    ("system.name", "system_name", "example", None),
+    ("system.tau", "tau", None,
+     lambda v, name: None if v is None else _number(v, name)),
+    ("system.delta", "delta", 0.3, _positive),
+    ("certificate.kind", "kind", "W", _kind),
+    # every kind writes W = V + psi B to its CSVs
+    ("certificate.psi", "psi", DEFAULT_PSI, _positive),
+    ("gains.gamma", "gamma", 2.5, _number),
+    ("gains.eta", "eta", 2.0, _number),
+    ("gains.mu", "mu", 0.0, _number),
+    ("lambda", "lam", 2.0, _positive),
+    ("initial_conditions", "initial_conditions", None, _starts),
+    ("integration.h", "h", 1e-3, _number),
+    ("integration.T", "T", 20.0, _number),
+    ("outputs.prefix", "prefix", "trajectory", _stem),
+    ("seed", "seed", 0, _integer),
+    ("sweep", "sweep", None, _sweep),
+)
+_TOP_KEYS = {path.split(".")[0] for path, *_ in _FIELDS}
+# the path of each field by its last name, which names its sweep axis
+_PATHS = {path.split(".")[-1]: path for path, *_ in _FIELDS}
+
+
+def _put(data, path, val):
+    *outer, key = path.split(".")
+    for sec in outer:
+        data = data.setdefault(sec, {})
+    data[key] = val
+
+
+def demo_config(psi=DEFAULT_PSI, seed=0):
+    """The shipped demo: its starts, psi and seed over the defaults."""
+    d = {}
+    for path, _, default, _ in _FIELDS:
+        _put(d, path, default)
+    d["initial_conditions"] = [list(p) for p in DEMO_INITIAL_CONDITIONS]
+    d["certificate"]["psi"] = float(psi)
+    d["seed"] = int(seed)
+    return RunConfig(d).to_dict()
 
 
 class RunConfig:
-    """Validated run description; see demo_config() for the full shape."""
+    """Validated run description: one attribute per field of _FIELDS, and
+    windows, each start's initial window, the one its run starts from."""
 
     def __init__(self, data):
         _require(isinstance(data, dict), "config must be a JSON object")
         unknown = set(data) - _TOP_KEYS
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-        _require(data.get("schema_version") == SCHEMA_VERSION,
-                 f"schema_version must be {SCHEMA_VERSION}")
-
-        system = _section(data, "system")
-        _require(system.get("name") == "example",
-                 "system.name must be 'example'")
-        self.delta = _number(system.get("delta", 0.3), "system.delta")
-        _require(self.delta > 0, "system.delta must be positive")
-        self.tau = _number(system.get("tau", self.delta), "system.tau")
-
-        cert = _section(data, "certificate")
-        self.kind = cert.get("kind", "W")
-        _require(self.kind in ("V", "B", "W", "none"),
-                 "certificate.kind must be one of V, B, W, none")
-        self.psi = _number(cert.get("psi", DEFAULT_PSI), "certificate.psi")
-        # every kind writes W = V + psi B to its CSVs
-        _require(self.psi > 0, "certificate.psi must be positive")
-
-        gains = _section(data, "gains")
-        self.gamma = _number(gains.get("gamma", 2.5), "gains.gamma")
-        self.eta = _number(gains.get("eta", 2.0), "gains.eta")
-        self.mu = _number(gains.get("mu", 0.0), "gains.mu")
+        for path, attr, default, read in _FIELDS:
+            *outer, key = path.split(".")
+            sec = data
+            for name in outer:
+                sec = sec.get(name, {})
+                _require(isinstance(sec, dict), f"{name} must be an object")
+            val = sec.get(key, default if read else None)
+            if read is None:
+                _require(type(val) is type(default) and val == default,
+                         f"{path} must be {default!r}")
+            setattr(self, attr, default if read is None else read(val, path))
+        if self.tau is None:
+            self.tau = self.delta
         _require(self.gamma > self.eta >= 0.0,
                  "gains must satisfy gamma > eta >= 0")
         _require(self.mu >= 0.0, "gains.mu must be non-negative")
-
-        self.lam = _number(data.get("lambda", 2.0), "lambda")
-        _require(self.lam > 0, "lambda must be positive")
-
-        ics = data.get("initial_conditions")
-        _require(isinstance(ics, list) and ics,
-                 "initial_conditions must be a non-empty list")
-        self.initial_conditions = []
-        for k, entry in enumerate(ics):
-            if isinstance(entry, dict):
-                _require(set(entry) == {"times", "states"},
-                         f"initial_conditions[{k}]: sampled entries need "
-                         "exactly 'times' and 'states'")
-                _require(isinstance(entry["times"], list)
-                         and isinstance(entry["states"], list)
-                         and all(isinstance(s, list) for s in entry["states"]),
-                         f"initial_conditions[{k}]: times and states must be "
-                         "lists")
-                times = [_number(t, f"initial_conditions[{k}].times")
-                         for t in entry["times"]]
-                states = [[_number(v, f"initial_conditions[{k}].states")
-                           for v in s] for s in entry["states"]]
-                _require(len(times) == len(states) >= 2,
-                         f"initial_conditions[{k}]: times/states mismatch")
-                _require(all(t2 > t1 for t1, t2 in zip(times, times[1:])),
-                         f"initial_conditions[{k}]: times must increase")
-                _require(abs(times[0] + self.delta) < 1e-12
-                         and abs(times[-1]) < 1e-12,
-                         f"initial_conditions[{k}]: times must span "
-                         "[-delta, 0]")
-                _require(all(len(s) == 2 for s in states),
-                         f"initial_conditions[{k}]: states must have 2 "
-                         "components")
-                self.initial_conditions.append({"times": times,
-                                                "states": states})
-            else:
-                _require(isinstance(entry, list),
-                         f"initial_conditions[{k}] must be a list or a "
-                         "times/states object")
-                vec = [_number(v, f"initial_conditions[{k}]") for v in entry]
-                _require(len(vec) == 2,
-                         f"initial_conditions[{k}] must have 2 components")
-                self.initial_conditions.append(vec)
-
-        integ = _section(data, "integration")
-        self.h = _number(integ.get("h", 1e-3), "integration.h")
-        self.T = _number(integ.get("T", 20.0), "integration.T")
-        if "grid" in integ:
+        if "grid" in data.get("integration", {}):
             # written by configs from before the sup was taken on the rows
             log.warning("integration.grid is ignored: the history sup is "
                         "taken on the run's own sample rows")
@@ -200,50 +237,44 @@ class RunConfig:
                             IntegrationSettings(h=self.h, T=self.T), self.mu)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        self.windows = [self._window(k, e)
+                        for k, e in enumerate(self.initial_conditions)]
 
-        self.prefix = str(_section(data, "outputs").get("prefix",
-                                                        "trajectory"))
-        _require(self.prefix and all(c.isalnum() or c in "-_"
-                                     for c in self.prefix),
-                 "outputs.prefix must be a plain file name stem")
-        self.seed = data.get("seed", 0)
-        _require(type(self.seed) is int, "seed must be an integer")
-
-        self.sweep = data.get("sweep")
-        if self.sweep is not None:
-            _require(isinstance(self.sweep, dict), "sweep must be an object")
-            unknown = set(self.sweep) - set(_SWEEP_KEYS)
-            _require(not unknown, f"unknown sweep keys: {sorted(unknown)}")
-            for key, vals in self.sweep.items():
-                _require(isinstance(vals, list),
-                         f"sweep.{key} must be a list")
+    def _window(self, k, entry):
+        if isinstance(entry, list):
+            return hist.from_constant(entry, self.delta)
+        try:
+            w = hist.from_samples(entry["times"], entry["states"], self.delta)
+        except ValueError as e:
+            raise ConfigError(f"initial_conditions[{k}]: {e}") from None
+        _require(w.count > 1 and abs(w.ts[0] + self.delta) < 1e-12
+                 and abs(w.ts[-1]) < 1e-12,
+                 f"initial_conditions[{k}]: times must span [-delta, 0]")
+        return w
 
     @classmethod
     def from_file(cls, path):
+        """The config in the JSON file at path.  A delta/h off the integers
+        logs a warning, which the configs of a sweep's points do not repeat."""
         try:
             with open(path) as f:
                 data = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: line {e.lineno} column {e.colno}: "
                               f"{e.msg}") from e
-        return cls(data)
+        cfg = cls(data)
+        if not hist.delay_steps(cfg.delta, cfg.h).is_integer():
+            log.warning("delta/h = %.17g is not an integer: rzk verify then "
+                        "reads x(t - delta) between CSV rows with central-"
+                        "difference slopes, so the history sup it rebuilds "
+                        "can differ from the run's", cfg.delta / cfg.h)
+        return cfg
 
     def to_dict(self):
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "system": {"name": "example", "tau": self.tau,
-                       "delta": self.delta},
-            "certificate": {"kind": self.kind, "psi": self.psi},
-            "gains": {"gamma": self.gamma, "eta": self.eta, "mu": self.mu},
-            "lambda": self.lam,
-            "initial_conditions": [dict(e) if isinstance(e, dict) else list(e)
-                                   for e in self.initial_conditions],
-            "integration": {"h": self.h, "T": self.T},
-            "outputs": {"prefix": self.prefix},
-            "seed": self.seed,
-        }
-        if self.sweep is not None:
-            out["sweep"] = self.sweep
+        out = {}
+        for path, attr, _, _ in _FIELDS:
+            if getattr(self, attr) is not None:
+                _put(out, path, getattr(self, attr))
         return out
 
 
@@ -283,19 +314,6 @@ class _Build:
         return np.zeros(ts.shape[0])
 
 
-def _windows(cfg):
-    """The initial windows of cfg's starts, in order."""
-    out = []
-    for entry in cfg.initial_conditions:
-        if isinstance(entry, dict):
-            out.append(hist.from_samples(entry["times"], entry["states"],
-                                         cfg.delta))
-        else:
-            out.append(hist.from_constant(np.asarray(entry, dtype=float),
-                                          cfg.delta))
-    return out
-
-
 def _trajectory_file(prefix, k):
     return f"{prefix}_{k:02d}.csv"
 
@@ -327,14 +345,6 @@ class _Run:
                     self.checks["envelope"] = verify.EnvelopeCheck(
                         build.active, build.cert)
             self.checks["finite"] = self.finite
-
-    @property
-    def rows(self):
-        return self.finite.rows
-
-    @property
-    def diverged(self):
-        return self.finite.diverged
 
     def feed(self, block):
         b = self.build
@@ -370,23 +380,20 @@ class _Run:
     def report(self):
         return {name: check.report() for name, check in self.checks.items()}
 
-    @property
-    def final_norm(self):
-        return float(np.linalg.norm(self.final))
-
-    @property
-    def converged(self):
-        return bool(self.final_norm < CONVERGED_NORM and not self.diverged)
-
     def row(self):
+        """Its run.json row; unreduced, only its file."""
+        if not self.reduced:
+            return {"file": self.file}
+        final_norm = float(np.linalg.norm(self.final))
         return {
             "file": self.file,
             "initial_state": [float(v) for v in self.start],
-            "steps": self.rows - 1,
-            "diverged": self.diverged,
+            "steps": self.finite.rows - 1,
+            "diverged": self.finite.diverged,
             "final_state": [float(v) for v in self.final],
-            "final_norm": self.final_norm,
-            "converged": self.converged,
+            "final_norm": final_norm,
+            "converged": bool(final_norm < CONVERGED_NORM
+                              and not self.finite.diverged),
             "peak_norm": self.peak[0],
             "peak_norm_time": self.peak[1],
             "peak_abs_u": self.peak_abs_u,
@@ -474,36 +481,6 @@ def _split(build, n, share):
     return [record for out in shares for record in out]
 
 
-def _run_batch(build, out_dir, checked):
-    """Simulate, each run's rows streamed into its CSV, its run.json row
-    and, when checked, its per-trajectory checks, with the runs split over
-    the usable cores (`_split`); write config + CSVs + run.json.  Returns
-    each run's (run.json row, check reports), in run order."""
-    cfg = build.cfg
-    wins = _windows(cfg)
-    if build.ctrl is not None and cfg.kind == "W":
-        member = build.unsafe.refined_membership(build.W)
-        for k, w in enumerate(wins):
-            if member(w.xs[:w.count]).any():
-                log.warning("initial condition %d starts inside the "
-                            "excluded set", k)
-    files = [_trajectory_file(cfg.prefix, k) for k in range(len(wins))]
-
-    def share(lo, hi):
-        runs = [_Run(build, checked, f, os.path.join(out_dir, f))
-                for f in files[lo:hi]]
-        batch_integrate(build.dyn, build.ctrl, wins[lo:hi], build.settings,
-                        lambda k, block: runs[k].feed(block))
-        return [(run.row(), run.report()) for run in runs]
-
-    records = _split(build, len(wins), share)
-    io.write_report_json(os.path.join(out_dir, "config.json"), cfg.to_dict())
-    io.write_report_json(os.path.join(out_dir, "run.json"),
-                         {"schema_version": SCHEMA_VERSION,
-                          "trajectories": [row for row, _ in records]})
-    return records
-
-
 # the example's sandwich bounds, box and exterior margin, which the
 # construction check reads
 _CONSTRUCTION = (example_sandwich(), EXAMPLE_BOX, example_margin)
@@ -525,55 +502,72 @@ def _point_checks(build, samples=None):
     }
 
 
-def _all_pass(point, per):
-    """Whether the certificate-level checks and every run's checks pass."""
-    return (all(r.passed for r in point.values())
-            and all(c.passed for checks in per for c in checks.values()))
-
-
-def cmd_demo(args):
-    cfg = RunConfig(demo_config(psi=args.psi, seed=args.seed))
-    build = _Build(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    records = _run_batch(build, args.out, checked=True)
-    point = _point_checks(build)
-    ok = _all_pass(point, [checks for _, checks in records])
-
-    summary = {"schema_version": SCHEMA_VERSION,
-               "checks": {k: r.as_dict() for k, r in point.items()},
-               "trajectories": [], "all_pass": bool(ok)}
-    for row, checks in records:
-        summary["trajectories"].append({
-            "file": row["file"],
-            "final_norm": row["final_norm"],
-            "converged": row["converged"],
-            "checks": {name: r.as_dict() for name, r in checks.items()},
-        })
-    io.write_report_json(os.path.join(args.out, "summary.json"), summary)
-    for name, rep in point.items():
-        print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
-    for row in summary["trajectories"]:
-        states = ", ".join(f"{name}: {'pass' if c['pass'] else 'FAIL'}"
-                           for name, c in row["checks"].items())
-        print(f"{row['file']}: {states}, |x(T)| = {row['final_norm']:.6g}")
-    if not ok:
-        bad = [k for k, r in point.items() if not r.passed]
-        for row in summary["trajectories"]:
-            bad += [f"{row['file']}:{n}" for n, c in row["checks"].items()
-                    if not c["pass"]]
-        print("failing checks: " + ", ".join(bad), file=sys.stderr)
-    return 0 if ok else 1
-
-
 def cmd_simulate(args):
-    cfg = RunConfig.from_file(args.config)
+    """Simulate, each run's rows streamed into its CSV, its run.json row
+    and, checked, its per-trajectory checks, the runs split over the usable
+    cores (`_split`); write config + CSVs + run.json.  `rzk demo` runs its
+    config checked, then `_verdicts`; `rzk simulate` prints a line per run."""
+    checked = args.command == "demo"
+    cfg = (RunConfig(demo_config(psi=args.psi, seed=args.seed)) if checked
+           else RunConfig.from_file(args.config))
     build = _Build(cfg)
     os.makedirs(args.out, exist_ok=True)
-    rows = [row for row, _ in _run_batch(build, args.out, checked=False)]
-    for row in rows:
+    if build.ctrl is not None and cfg.kind == "W":
+        member = build.unsafe.refined_membership(build.W)
+        for k, w in enumerate(cfg.windows):
+            if member(w.xs[:w.count]).any():
+                log.warning("initial condition %d starts inside the "
+                            "excluded set", k)
+    files = [_trajectory_file(cfg.prefix, k) for k in range(len(cfg.windows))]
+
+    def share(lo, hi):
+        runs = [_Run(build, checked, f, os.path.join(args.out, f))
+                for f in files[lo:hi]]
+        batch_integrate(build.dyn, build.ctrl, cfg.windows[lo:hi],
+                        build.settings, lambda k, block: runs[k].feed(block))
+        return [(run.row(), run.report()) for run in runs]
+
+    records = _split(build, len(files), share)
+    io.write_report_json(os.path.join(args.out, "config.json"), cfg.to_dict())
+    io.write_report_json(os.path.join(args.out, "run.json"),
+                         {"schema_version": SCHEMA_VERSION,
+                          "trajectories": [row for row, _ in records]})
+    if checked:
+        return _verdicts(build, args.out, "summary.json", "trajectories",
+                         records, ("final_norm", "converged"))
+    for row, _ in records:
         state = "diverged" if row["diverged"] else "ok"
         print(f"{row['file']}: {state}, {row['steps']} steps")
-    return 1 if any(row["diverged"] for row in rows) else 0
+    return 1 if any(row["diverged"] for row, _ in records) else 0
+
+
+def _verdicts(build, out_dir, name, key, records, shown=()):
+    """Print a line per certificate-level check, then per run, and write
+    name: the checks' reports and, under key, each run's file, the fields
+    shown of its run.json row and its reports, from the runs' records
+    (row, reports).  Exit 1, naming the failing checks on stderr, if any."""
+    point = _point_checks(build)
+    bad = [n for n, rep in point.items() if not rep.passed]
+    for n, rep in point.items():
+        print(f"{n}: {'pass' if rep.passed else 'FAIL'}")
+    rows = []
+    for row, checks in records:
+        rows.append({"file": row["file"], **{k: row[k] for k in shown},
+                     "checks": {n: c.as_dict() for n, c in checks.items()}})
+        line = ", ".join(f"{n}: {'pass' if c.passed else 'FAIL'}"
+                         for n, c in checks.items())
+        if "final_norm" in shown:
+            line += f", |x(T)| = {row['final_norm']:.6g}"
+        print(f"{row['file']}: {line}")
+        bad += [f"{row['file']}:{n}" for n, c in checks.items()
+                if not c.passed]
+    io.write_report_json(os.path.join(out_dir, name),
+                         {"schema_version": SCHEMA_VERSION,
+                          "checks": {n: r.as_dict() for n, r in point.items()},
+                          key: rows, "all_pass": not bad})
+    if bad:
+        print("failing checks: " + ", ".join(bad), file=sys.stderr)
+    return 1 if bad else 0
 
 
 def cmd_halanay(args):
@@ -602,42 +596,25 @@ def cmd_halanay(args):
     return 0 if rep["pass"] else 1
 
 
-def _sweep_points(cfg):
-    axes = [(k, cfg.sweep[k]) for k in _SWEEP_KEYS if k in cfg.sweep]
-    if not axes or any(not v for _, v in axes):
-        return [], []
-    names = [k for k, _ in axes]
-    points = list(itertools.product(*(v for _, v in axes)))
-    return names, points
-
-
-def _sweep_config(base, names, pt):
-    """The run config of the sweep point pt: base with each named axis set
-    to the point's value."""
-    d = json.loads(json.dumps(base))
+def _sweep_config(cfg, names, pt):
+    """The run config of the sweep point pt: cfg's, less its sweep, with
+    each named axis's field set through its path to the point's value, a
+    starts axis's as the point's one start."""
+    d = cfg.to_dict()
+    del d["sweep"]
     for key, val in zip(names, pt):
-        if key == "tau":
-            d["system"]["tau"] = val
-        elif key == "psi":
-            d["certificate"]["psi"] = val
-        elif key == "lambda":
-            d["lambda"] = val
-        elif key in ("gamma", "eta"):
-            d["gains"][key] = val
-        else:
-            d["initial_conditions"] = [val]
+        _put(d, _PATHS[key], [val] if key == "initial_conditions" else val)
     return RunConfig(d)
 
 
 def cmd_sweep(args):
     cfg = RunConfig.from_file(args.config)
-    if cfg.sweep is None:
-        raise ConfigError("config has no sweep section")
+    _require(cfg.sweep is not None, "config has no sweep section")
     os.makedirs(args.out, exist_ok=True)
-    names, points = _sweep_points(cfg)
-    base = cfg.to_dict()
-    base.pop("sweep")
-    subs = [_sweep_config(base, names, pt) for pt in points]
+    names = [k for k in _SWEEP_KEYS if k in cfg.sweep]
+    points = (list(itertools.product(*(cfg.sweep[k] for k in names)))
+              if names else [])
+    subs = [_sweep_config(cfg, names, pt) for pt in points]
     # points whose configs differ only in their start share one build.  The
     # starts axis comes last; the other axes' values are compared as JSON
     # text, which keeps -0.0 apart from 0.0
@@ -675,20 +652,20 @@ def cmd_sweep(args):
             seed=cfg.seed)
 
     def locksteps():
-        """Each point's runs as (reports, final norm, converged, start): a
-        lane equals its one-lane run bit for bit."""
+        """Each point's runs as (run.json row, reports): a lane equals its
+        one-lane run bit for bit."""
         out = []
         for pack in packs:
             runs = [[_Run(builds[k]) for _ in subs[k].initial_conditions]
                     for k in pack]
             flat = [run for point in runs for run in point]
-            wins = [w for k in pack for w in _windows(subs[k])]
+            wins = [w for k in pack for w in subs[k].windows]
             batch_integrate(builds[pack[0]].dyn,
                             [run.build.ctrl for run in flat], wins,
                             builds[pack[0]].settings,
                             lambda k, block: flat[k].feed(block))
-            out += [[(run.report(), run.final_norm, run.converged, run.start)
-                     for run in point] for point in runs]
+            out += [[(run.row(), run.report()) for run in point]
+                    for point in runs]
         return out
 
     def checks():
@@ -696,36 +673,36 @@ def cmd_sweep(args):
                 for key, build in firsts.items()}
 
     tasks = [locksteps, checks]
-    if firsts and _cores() > 1:
-        ran, point_checks = _beside(tasks)
-    else:
-        ran, point_checks = [task() for task in tasks]
+    ran, point_checks = (_beside(tasks) if firsts and _cores() > 1
+                         else [task() for task in tasks])
     header = ["index", "tau", "psi", "lambda", "gamma", "eta", "trajectories",
               "converged", "checks_pass", "min_safety_margin",
               "max_envelope_ratio", "x0_1", "x0_2", "final_norm"]
     lines = [",".join(header)]
     all_ok = True
     for idx, (sub, runs) in enumerate(zip(subs, ran)):
-        per, finals, convs, starts = zip(*runs)
-        ok = _all_pass(point_checks.get((sub.psi, sub.gamma, sub.eta), {}),
-                       per)
+        rows, per = zip(*runs)
+        point = point_checks.get((sub.psi, sub.gamma, sub.eta), {})
+        ok = all(r.passed for r in itertools.chain(
+            point.values(), *(checks.values() for checks in per)))
         margins = [c["safety"].worst for c in per
                    if c["safety"].worst is not None]
         ratios = [c["envelope"].worst for c in per
                   if "envelope" in c and c["envelope"].details["form"] == "ratio"]
         # x(0) of the point's start; NaN when the point has several
-        x0 = starts[0].tolist() if len(runs) == 1 else [float("nan")] * 2
+        x0 = (rows[0]["initial_state"] if len(runs) == 1
+              else [float("nan")] * 2)
         row = [idx, sub.tau, sub.psi, sub.lam, sub.gamma, sub.eta, len(runs),
-               int(all(convs)), int(ok),
+               int(all(r["converged"] for r in rows)), int(ok),
                min(margins) if margins else float("inf"),
-               max(ratios) if ratios else float("nan")] + x0 + [max(finals)]
+               max(ratios) if ratios else float("nan")] + x0 + [
+                   max(r["final_norm"] for r in rows)]
         lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
                               for v in row))
         all_ok = all_ok and ok
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+        f.write("\n".join(lines) + "\n")
     print(f"{len(points)} sweep points -> {path}")
     return 0 if all_ok else 1
 
@@ -733,8 +710,6 @@ def cmd_sweep(args):
 def cmd_verify(args):
     cfg = RunConfig.from_file(args.config)
     build = _Build(cfg)
-    files = [_trajectory_file(cfg.prefix, k)
-             for k in range(len(cfg.initial_conditions))]
 
     def blocks(path, w):
         try:
@@ -742,41 +717,26 @@ def cmd_verify(args):
         except ValueError as e:
             raise ConfigError(f"{path} is not a trajectory CSV: {e}") from None
 
-    def check(k, w):
-        path = os.path.join(args.out, files[k])
-        run = _Run(build, reduced=False)
+    def check(k):
+        w, file = cfg.windows[k], _trajectory_file(cfg.prefix, k)
+        path = os.path.join(args.out, file)
+        run = _Run(build, file=file, reduced=False)
         for block in blocks(path, w):
             if run.start is None and not np.array_equal(block.xs[0],
                                                         w.latest_state):
                 raise ConfigError(f"{path} does not start at "
                                   f"initial_conditions[{k}]")
             run.feed(block)
-        return run.report()
+        return run.row(), run.report()
 
     # same suite the demo runs: per-file checks plus certificate-level ones.
     # Each CSV is checked a block at a time as it is read, the files split
     # over the usable cores (`_split`); the first bad file in run order
     # raises before anything is printed
-    wins = _windows(cfg)
-    per = _split(build, len(wins),
-                 lambda lo, hi: [check(k, wins[k]) for k in range(lo, hi)])
-    point = _point_checks(build)
-    ok = _all_pass(point, per)
-    for name, rep in point.items():
-        print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
-    results = []
-    for fname, checks in zip(files, per):
-        results.append({"file": fname,
-                        "checks": {n: c.as_dict()
-                                   for n, c in checks.items()}})
-        states = ", ".join(f"{n}: {'pass' if c.passed else 'FAIL'}"
-                           for n, c in checks.items())
-        print(f"{fname}: {states}")
-    io.write_report_json(os.path.join(args.out, "verify_summary.json"),
-                         {"schema_version": SCHEMA_VERSION,
-                          "checks": {k: r.as_dict() for k, r in point.items()},
-                          "results": results, "all_pass": bool(ok)})
-    return 0 if ok else 1
+    records = _split(build, len(cfg.windows),
+                     lambda lo, hi: [check(k) for k in range(lo, hi)])
+    return _verdicts(build, args.out, "verify_summary.json", "results",
+                     records)
 
 
 @functools.cache
@@ -794,7 +754,7 @@ def _parser():
     d.add_argument("--psi", type=float, default=DEFAULT_PSI,
                    help="barrier weight in W = V + psi B")
     d.add_argument("--seed", type=int, default=0)
-    d.set_defaults(fn=cmd_demo)
+    d.set_defaults(fn=cmd_simulate)
 
     s = sub.add_parser("simulate", help="run one config")
     s.add_argument("--config", required=True)

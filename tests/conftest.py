@@ -8,7 +8,7 @@ from rzk import cli
 
 
 class DemoRun:
-    """One shared cmd_demo execution: artifacts, exit code, wall time."""
+    """One shared `rzk demo` execution: artifacts, exit code, wall time."""
 
     def __init__(self, path, exit_code, wall_time):
         self.path = path

@@ -538,7 +538,7 @@ def test_verify_reads_the_configured_initial_windows(tmp_path, capsys):
     assert lines[3].startswith("trajectory_01.csv: safety: pass")
     build = cli._Build(cli.RunConfig.from_file(cfgp))
     trajs = cli.batch_integrate(build.dyn, build.ctrl,
-                                cli._windows(build.cfg), build.settings)
+                                build.cfg.windows, build.settings)
     assert not verify.safety_check(trajs[0], build.unsafe).passed
     assert verify.safety_check(trajs[1], build.unsafe).passed
     # CSVs that did not start from the config's windows are not re-checked
@@ -580,8 +580,111 @@ def test_excluded_set_warning_reads_whole_initial_history(tmp_path, caplog):
 
 
 def test_config_dict_round_trip():
+    # config.json is to_dict's text: the demo's, one with a sampled start,
+    # and every point's of a two-axis sweep, whose axes set their fields
     d = cli.demo_config(82.0, 0)
-    assert cli.RunConfig(d).to_dict() == d
+    assert json.dumps(cli.RunConfig(d).to_dict()) == json.dumps(d)
+    d["initial_conditions"] = [_hazard_crossing(), [1.0, 2.0]]
+    assert json.dumps(cli.RunConfig(d).to_dict()) == json.dumps(d)
+    d["sweep"] = {"psi": [10.0, 82.0],
+                  "initial_conditions": [_hazard_crossing(), [-4.0, 1.0]]}
+    cfg = cli.RunConfig(d)
+    assert json.dumps(cfg.to_dict()) == json.dumps(d)
+    for pt in itertools.product(*d["sweep"].values()):
+        want = json.loads(json.dumps(d))
+        del want["sweep"]
+        want["certificate"]["psi"], want["initial_conditions"] = pt[0], [pt[1]]
+        sub = cli._sweep_config(cfg, list(d["sweep"]), pt)
+        assert json.dumps(sub.to_dict()) == json.dumps(want)
+
+
+def _set(cfg, path, val):
+    *outer, key = path.split(".")
+    for name in outer:
+        cfg = cfg[name]
+    cfg[key] = val
+
+
+_SAMPLED = {"times": [-0.3, 0.0], "states": [[0.0, 0.0], [0.0, 0.0]]}
+
+# one faulty value of each config field and its error line
+_FIELD_ERRORS = [
+    ("schema_version", 2, "schema_version must be 1"),
+    ("schema_version", True, "schema_version must be 1"),
+    ("system.name", "other", "system.name must be 'example'"),
+    ("system.tau", "0.3", "system.tau must be a number"),
+    ("system.delta", 0.0, "system.delta must be positive"),
+    ("certificate.kind", "Q", "certificate.kind must be one of V, B, W, none"),
+    ("certificate.psi", -1.0, "certificate.psi must be positive"),
+    ("gains.gamma", 1.0, "gains must satisfy gamma > eta >= 0"),
+    ("gains.eta", -0.5, "gains must satisfy gamma > eta >= 0"),
+    ("gains.mu", -0.5, "gains.mu must be non-negative"),
+    ("lambda", float("inf"), "lambda must be finite"),
+    ("initial_conditions", [], "initial_conditions must be a non-empty list"),
+    ("initial_conditions", [[1.0]],
+     "initial_conditions[0] must have 2 components"),
+    ("initial_conditions", [dict(_SAMPLED, times=[-0.3, -0.1, 0.0])],
+     "initial_conditions[0]: need one state row per sample time"),
+    ("initial_conditions", [dict(_SAMPLED, times=[0.0, -0.3])],
+     "initial_conditions[0]: sample times must be strictly increasing"),
+    ("initial_conditions", [dict(_SAMPLED, times=[-0.2, 0.0])],
+     "initial_conditions[0]: times must span [-delta, 0]"),
+    ("initial_conditions", [dict(_SAMPLED, states=[[0.0, 0.0, 0.0]] * 2)],
+     "initial_conditions[0]: times must be a list and states a list of "
+     "2-vectors"),
+    ("initial_conditions", [dict(_SAMPLED, states=[[True, 0.0], [0.0, 0.0]])],
+     "initial_conditions[0].states must be a number"),
+    ("integration.h", 0.2, "step must satisfy h <= Delta/4"),
+    ("integration.T", 4e-4, "need T >= h: a run takes at least one step"),
+    ("outputs.prefix", "../escape",
+     "outputs.prefix must be a plain file name stem"),
+    ("seed", 1.7, "seed must be an integer"),
+    ("sweep", [], "sweep must be an object"),
+]
+
+
+def test_every_config_field_has_a_pinned_error():
+    assert {path for path, _, _ in _FIELD_ERRORS} \
+        == {path for path, *_ in cli._FIELDS}
+
+
+@pytest.mark.parametrize("path,val,message", _FIELD_ERRORS)
+def test_config_error_lines(tmp_path, capsys, path, val, message):
+    cfgp = tmp_path / "bad.json"
+    cfg = write_config(cfgp)
+    _set(cfg, path, val)
+    cfgp.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfgp), "--out",
+                     str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("psi,words", [
+    (10 ** 400, "must be finite"),       # once an OverflowError traceback
+    (True, "must be a number"),          # once run at psi = 1
+    ("82", "must be a number")],         # once run at psi = 82
+    ids=["int-past-floats", "true", "string"])
+def test_psi_must_be_a_finite_json_number(tmp_path, capsys, psi, words):
+    cfgp = tmp_path / "psi.json"
+    write_config(cfgp, certificate={"psi": psi})
+    assert cli.main(["simulate", "--config", str(cfgp), "--out",
+                     str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: certificate.psi {words}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_delay_off_the_step_grid_logs_one_warning(tmp_path, caplog):
+    # with delta/h not an integer, rzk verify reads x(t - delta) between
+    # CSV rows with estimated slopes; the run itself is unchanged
+    cfgp = tmp_path / "c.json"
+    for h, warned in ((1.7e-3, 1), (1e-3, 0)):
+        write_config(cfgp, integration={"h": h, "T": 0.05})
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="rzk.cli"):
+            assert cli.main(["simulate", "--config", str(cfgp),
+                             "--out", str(tmp_path / "o")]) == 0
+        assert sum("delta/h" in r.getMessage()
+                   for r in caplog.records) == warned
 
 
 def test_integration_grid_is_accepted_and_ignored(tmp_path, caplog):
