@@ -1,11 +1,13 @@
 """Scalar certificate fields: quadratic Lyapunov candidates, the example
 hazard/barrier pair, and the psi-weighted Lyapunov-barrier combination.
 
-Every field exposes value(x), grad(x) and vectorized value_many/grad_many,
-plus value_grad(*x) for both at one point in plain floats, returned flat as
-(value, *gradient); grad must track value to finite-difference accuracy
-(see finite_diff_check).  A row's value does not depend on its position in
-a batch.  Piecewise definitions cover all of R^n.
+A field is its batch form, value_many/grad_many on the rows of an array,
+and its point form, value_grad(*x), both at one point in plain floats
+returned flat as (value, *gradient) and bit for bit the batch row; value(x)
+and grad(x) are one-row batches.  grad must track value to
+finite-difference accuracy (see finite_diff_check).  A row's value does not
+depend on its position in a batch.  Piecewise definitions cover all of R^n;
+each field tests which piece a point lies on itself.
 """
 
 import numpy as np
@@ -21,37 +23,23 @@ FIELD_BLOCK = 4096
 
 
 class ScalarField:
-    """C^1 scalar function of the state with an analytic gradient.
+    """C^1 scalar function of the state with an analytic gradient, given by
+    its batch form and, optionally, its point form.
 
     value_grad(*x), for a point x given as its coordinates, returns the flat
     tuple (value, *gradient) of floats, bit for bit the value_many/grad_many
     row of x: a caller unpacks it without building or unpacking a nested
-    gradient tuple.  Fields built without a per-point form take it from
-    one-row batch calls.  value_many evaluates a long batch
-    FIELD_BLOCK rows at a time, which gives the same rows.
-
-    Declared capabilities, None where the field has none: quad2 holds the
-    rows of Q for a 2-D quadratic x^T Q x; box is the RegionBox on which a
-    piecewise field changes its formula, and value_in_box gives
-    value_many's rows for rows known to lie in it without testing it
-    again; exterior2 is the a of a 2-D field that is a ||x||^2, with
-    gradient 2 a x, off its box, and value_grad_in_box its value_grad at
-    a point known to lie in the box.
+    gradient tuple.  Fields built without a point form take it from one-row
+    batch calls.  value_many evaluates a long batch FIELD_BLOCK rows at a
+    time, which gives the same rows.
     """
 
-    quad2 = None
-    exterior2 = None
-    value_grad_in_box = None
-
-    def __init__(self, n, value_many, grad_many, name="", value_grad=None,
-                 box=None, value_in_box=None):
+    def __init__(self, n, value_many, grad_many, name="", value_grad=None):
         self.n = int(n)
         self._value_many = value_many
         self._grad_many = grad_many
         self.value_grad = value_grad or self._value_grad_row
         self.name = name
-        self.box = box
-        self._value_in_box = value_in_box or value_many
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -63,11 +51,6 @@ class ScalarField:
 
     def value_many(self, X):
         return _by_blocks(self._value_many, np.asarray(X, dtype=float))
-
-    def value_in_box(self, X):
-        """value_many's rows for rows X that all lie in self.box (any rows
-        when the field has no box), without the box test."""
-        return _by_blocks(self._value_in_box, np.asarray(X, dtype=float))
 
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -135,6 +118,13 @@ class RegionBox:
     def contains(self, x):
         return bool(self.contains_many(np.asarray(x, dtype=float)[None, :])[0])
 
+    def rows_in(self, X):
+        """Index of the rows of X inside the box (a plain slice when every
+        row is, so no copy is made) and those rows."""
+        inside = self.contains_many(X)
+        idx = slice(None) if inside.all() else np.flatnonzero(inside)
+        return idx, X[idx]
+
 
 # the example's obstacle region X = (-3,-1) x (0,2)
 EXAMPLE_BOX = RegionBox([(-3.0, -1.0), (0.0, 2.0)])
@@ -147,8 +137,7 @@ def quadratic_field(Q, name="quadratic"):
     sum_j Q_ij x_j and x^T Q x = sum_i x_i (Q x)_i, by the same arithmetic
     on a batch's columns, so a row's value does not depend on its place in
     the batch.  For n = 2 the per-point form is unrolled, in the same
-    operation order, and Q's rows are kept as quad2; otherwise the form is
-    ScalarField's one-row batch.
+    operation order; otherwise it is ScalarField's one-row batch.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -180,7 +169,7 @@ def quadratic_field(Q, name="quadratic"):
 
     field = ScalarField(n, value_many, grad_many, name=name)
     if n == 2:
-        (q00, q01), (q10, q11) = field.quad2 = rows
+        (q00, q01), (q10, q11) = rows
 
         def value_grad(x0, x1):
             y0 = q00 * x0 + q01 * x1
@@ -235,35 +224,26 @@ def _hazard_inbox(X, grad=True):
     return val, dval, g1, g2
 
 
-def _in_box(X):
-    """Index of the rows of X inside EXAMPLE_BOX (a plain slice when every
-    row is, so no copy is made) and those rows."""
-    inside = EXAMPLE_BOX.contains_many(X)
-    idx = slice(None) if inside.all() else np.flatnonzero(inside)
-    return idx, X[idx]
-
-
 def example_hazard():
     """H(x) = 1/(1-(x1+2)^2) + 1/(1-(x2-1)^2) inside the box, clamped at
     H_MAX with a C^1 quintic blend over [45, 50]; H == H_MAX outside."""
 
     def value_many(X):
         out = np.full(X.shape[0], H_MAX)
-        idx, Xin = _in_box(X)
+        idx, Xin = EXAMPLE_BOX.rows_in(X)
         if Xin.shape[0]:
             out[idx] = _hazard_inbox(Xin, grad=False)
         return out
 
     def grad_many(X):
         out = np.zeros(X.shape)
-        idx, Xin = _in_box(X)
+        idx, Xin = EXAMPLE_BOX.rows_in(X)
         if Xin.shape[0]:
             _, dval, g1, g2 = _hazard_inbox(Xin)
             out[idx] = np.stack([dval * g1, dval * g2], axis=-1)
         return out
 
-    return ScalarField(2, value_many, grad_many, name="H", box=EXAMPLE_BOX,
-                       value_in_box=lambda X: _hazard_inbox(X, grad=False))
+    return ScalarField(2, value_many, grad_many, name="H")
 
 
 _E4 = float(np.exp(-4.0))
@@ -293,7 +273,7 @@ def _barrier(X, value=True, grad=True):
         val = -_E4 * r2
     if grad:
         out = (-2.0 * _E4) * X
-    idx, Xin = _in_box(X)
+    idx, Xin = EXAMPLE_BOX.rows_in(X)
     if Xin.shape[0]:
         hz = _hazard_inbox(Xin, grad)
         eH = np.exp(-hz[0] if grad else -hz)
@@ -309,17 +289,16 @@ def _barrier(X, value=True, grad=True):
     return val, out
 
 
-def _barrier_inbox(X):
-    """_barrier's value on rows that all lie inside EXAMPLE_BOX."""
-    return (np.exp(-_hazard_inbox(X, grad=False)) - _E4) * _sq_norm(X)
-
-
-def _barrier_inbox_point(x1, x2):
-    """_barrier's value and gradient row at a point inside EXAMPLE_BOX,
-    flat, in floats: _hazard_inbox inlined, with the batch's operations in
-    its order.  On the plateau the batch's clipped blend gives H_MAX and
-    slope 0 exactly; e^{-H} goes through np.exp, which math.exp does not
-    match in the last bit."""
+def _barrier_point(x1, x2):
+    """_barrier's value and gradient row at the point (x1, x2), flat, in
+    floats.  In the box, _hazard_inbox is inlined with the batch's
+    operations in its order: on the plateau the batch's clipped blend gives
+    H_MAX and slope 0 exactly, and e^{-H} goes through np.exp, which
+    math.exp does not match in the last bit."""
+    if not (_BOX_LO[0] < x1 < _BOX_HI[0] and _BOX_LO[1] < x2 < _BOX_HI[1]):
+        r2 = x1 * x1 + x2 * x2
+        c = -2.0 * _E4
+        return -_E4 * r2, c * x1, c * x2
     t1, t2 = x1 + 2.0, x2 - 1.0
     d1, d2 = 1.0 - t1 * t1, 1.0 - t2 * t2
     # floored as in _hazard_inbox, by comparisons, not calls of max
@@ -344,16 +323,6 @@ def _barrier_inbox_point(x1, x2):
             c * x2 - e * (2.0 * t2 / (d2 * d2)) * r2)
 
 
-def _barrier_point(x1, x2):
-    """_barrier's value and gradient row at the point (x1, x2), flat, in
-    floats."""
-    if _BOX_LO[0] < x1 < _BOX_HI[0] and _BOX_LO[1] < x2 < _BOX_HI[1]:
-        return _barrier_inbox_point(x1, x2)
-    r2 = x1 * x1 + x2 * x2
-    c = -2.0 * _E4
-    return -_E4 * r2, c * x1, c * x2
-
-
 def example_barrier():
     """B = (e^{-H} - e^{-4})||x||^2 inside the box, -e^{-4}||x||^2 outside.
 
@@ -361,23 +330,18 @@ def example_barrier():
     the box.  C^1 via the hazard clamp (the e^{-H} term dies with zero
     gradient before the box boundary).
     """
-    field = ScalarField(2, lambda X: _barrier(X, grad=False)[0],
-                        lambda X: _barrier(X, value=False)[1], name="B",
-                        value_grad=_barrier_point, box=EXAMPLE_BOX,
-                        value_in_box=_barrier_inbox)
-    field.exterior2 = -_E4
-    field.value_grad_in_box = _barrier_inbox_point
-    return field
+    return ScalarField(2, lambda X: _barrier(X, grad=False)[0],
+                       lambda X: _barrier(X, value=False)[1], name="B",
+                       value_grad=_barrier_point)
 
 
 def combine_clbrf(V, B, psi):
     """W = V + psi*B, combined value and gradient (exactly affine).
 
-    When V is a 2-D quadratic and B a ||x||^2 off its box, the per-point
-    form inlines V's and B's off-box branch, with the batch's operations in
-    its order, and calls B's value_grad_in_box in the box; otherwise it is
-    ScalarField's one-row batch, which gives the same bits.  When V has no
-    box W takes B's, and its in-box form V's rows plus B's in-box ones."""
+    Both forms are composed of V's and B's own: a batch row is V's row plus
+    psi times B's, and for n = 2 the point form adds V's and B's point
+    forms in that order, which gives the same bits; for other n it is
+    ScalarField's one-row batch."""
     if V.n != B.n:
         raise ValueError("field dimensions differ")
     if psi <= 0:
@@ -391,33 +355,16 @@ def combine_clbrf(V, B, psi):
         return V.grad_many(X) + psi * B.grad_many(X)
 
     value_grad = None
-    if V.quad2 is not None and B.exterior2 is not None:
-        (q00, q01), (q10, q11) = V.quad2
-        (lo0, hi0), (lo1, hi1) = B.box._bounds
-        ea, c = B.exterior2, 2.0 * B.exterior2
-        b_point = B.value_grad_in_box
+    if V.n == 2:
+        v_point, b_point = V.value_grad, B.value_grad
 
         def value_grad(x0, x1):
-            y0 = q00 * x0 + q01 * x1
-            y1 = q10 * x0 + q11 * x1
-            if lo0 < x0 < hi0 and lo1 < x1 < hi1:
-                b, c0, c1 = b_point(x0, x1)
-            else:
-                b = ea * (x0 * x0 + x1 * x1)
-                c0, c1 = c * x0, c * x1
-            return (x0 * y0 + x1 * y1 + psi * b, 2.0 * y0 + psi * c0,
-                    2.0 * y1 + psi * c1)
-
-    box = value_in_box = None
-    if V.box is None:
-        box = B.box
-
-        def value_in_box(X):
-            return V.value_many(X) + psi * B.value_in_box(X)
+            v, g0, g1 = v_point(x0, x1)
+            b, c0, c1 = b_point(x0, x1)
+            return v + psi * b, g0 + psi * c0, g1 + psi * c1
 
     return ScalarField(V.n, value_many, grad_many, name="W",
-                       value_grad=value_grad, box=box,
-                       value_in_box=value_in_box)
+                       value_grad=value_grad)
 
 
 def finite_diff_check(field, x, h=1e-5):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import halanay
 from . import history as hist
-from .fields import EXAMPLE_BOX, FIELD_BLOCK, example_hazard
+from .fields import EXAMPLE_BOX, example_hazard
 
 HAZARD_THRESHOLD = 4.0
 SAFETY_TOL = 1e-3
@@ -34,8 +34,7 @@ class UnsafeSet:
     """Hazard sublevel region D = {x in region : hazard(x) < threshold}.
 
     Its predicates test the region once per call and evaluate a field only
-    on the rows inside it, through the field's in-box form when the region
-    is the field's own box."""
+    on the rows inside it."""
 
     def __init__(self, region, hazard, threshold=HAZARD_THRESHOLD):
         self.region = region
@@ -44,20 +43,11 @@ class UnsafeSet:
 
     def _test(self, X, field, keep):
         """keep(field's values) on the rows of X inside the region, False
-        on the others: (len(X),) bools.  FIELD_BLOCK rows at a time, so
-        that the rows inside are copied a block at a time."""
-        value = (field.value_in_box if field.box is self.region
-                 else field.value_many)
-        out = self.region.contains_many(X)
-        for start in range(0, X.shape[0], FIELD_BLOCK):
-            inside = out[start:start + FIELD_BLOCK]
-            Xb = X[start:start + FIELD_BLOCK]
-            if inside.all():
-                inside[:] = keep(value(Xb))
-                continue
-            idx = np.flatnonzero(inside)
-            if idx.size:
-                inside[idx] = keep(value(Xb[idx]))
+        on the others: (len(X),) bools."""
+        out = np.zeros(X.shape[0], dtype=bool)
+        idx, Xin = self.region.rows_in(X)
+        if Xin.shape[0]:
+            out[idx] = keep(field.value_many(Xin))
         return out
 
     def membership_many(self, X):
@@ -72,18 +62,15 @@ class UnsafeSet:
         return self.threshold - self.hazard.value_many(np.asarray(X, dtype=float))
 
     def refined_membership(self, field):
-        """Predicate for the enlarged set {x in region : field(x) > 0}.
+        """Predicate on rows X, (len(X),) bools, for the enlarged set
+        {x in region : field(x) > 0}.
 
         With field = W this is the region excluded from admissible initial
         data; it contains D whenever the construction checks pass.
         """
         def member(X):
-            X = np.asarray(X, dtype=float)
-            single = X.ndim == 1
-            if single:
-                X = X[None]
-            res = self._test(X, field, lambda v: v > 0.0)
-            return bool(res[0]) if single else res
+            return self._test(np.asarray(X, dtype=float), field,
+                              lambda v: v > 0.0)
         return member
 
 
@@ -735,7 +722,7 @@ def separation_check(unsafe, W, budget=4096):
     tvalues = {"eps": eps, "tol": tol, "budget": budget}
 
     anchor = 0.5 * (region.lo + region.hi)
-    if not member(anchor):
+    if not member(anchor[None])[0]:
         gx = np.linspace(region.lo[0], region.hi[0], 33)[1:-1]
         gy = np.linspace(region.lo[1], region.hi[1], 33)[1:-1]
         gpts = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)

@@ -299,27 +299,31 @@ def _by_a_wall(draw):
 _NAN = st.sampled_from([(np.nan, 1.0), (-2.0, np.nan), (np.nan, np.nan)])
 
 
+_Q2_NEG = [[-0.7, 0.4], [0.4, -1.3]]
 _Q3 = [[2.0, -0.3, 0.7], [-0.3, 1.5, 0.1], [0.7, 0.1, 0.9]]
 _Q3_NEG = [[-0.4, 0.2, 0.0], [0.2, -1.1, 0.3], [0.0, 0.3, -0.6]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL, _EDGE,
-                          _by_a_wall(), _NAN), min_size=1, max_size=40))
-def test_per_point_form_equals_batch_rows(points):
-    # V and W (unrolled for n = 2) and B have a native per-point form, a
-    # 3x3 quadratic and a W built from two of them the generic loops, the
-    # hazard the one-row fallback; each must give its batch row bit for
-    # bit, B's and W's in the box through B's flat in-box form
+                          _by_a_wall(), _NAN), min_size=1, max_size=40),
+       st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+def test_per_point_form_equals_batch_rows(points, psi):
+    # V (unrolled for n = 2) and B have a native per-point form, every 2-D
+    # W adds its V's and B's point forms, a 3x3 quadratic and a W built
+    # from two of them take the generic loops, the hazard the one-row
+    # fallback; each must give its batch row bit for bit, at any psi and
+    # for W on the example pair and on V with a second quadratic
     X = np.array(points, dtype=float)
     X3 = np.column_stack([X, X[:, 0] - 2.0 * X[:, 1]])
     V = rzk.example_lyapunov()
     B = rzk.example_barrier()
-    W = rzk.combine_clbrf(V, B, 82.0)
+    W = rzk.combine_clbrf(V, B, psi)
+    WQ = rzk.combine_clbrf(V, rzk.quadratic_field(np.array(_Q2_NEG)), psi)
     Q3 = rzk.quadratic_field(np.array(_Q3), name="Q3")
-    W3 = rzk.combine_clbrf(Q3, rzk.quadratic_field(np.array(_Q3_NEG)), 82.0)
-    for fld, pts in ((V, X), (B, X), (W, X), (rzk.example_hazard(), X),
-                     (Q3, X3), (W3, X3)):
+    W3 = rzk.combine_clbrf(Q3, rzk.quadratic_field(np.array(_Q3_NEG)), psi)
+    for fld, pts in ((V, X), (B, X), (W, X), (WQ, X),
+                     (rzk.example_hazard(), X), (Q3, X3), (W3, X3)):
         # huge coordinates overflow, on both forms alike
         with np.errstate(over="ignore", invalid="ignore"):
             val = fld.value_many(pts)
@@ -330,27 +334,6 @@ def test_per_point_form_equals_batch_rows(points):
             assert type(v) is float and type(g) is tuple
             assert all(type(c) is float for c in g)
             assert _bits(v, *g) == _bits(val[row], *grad[row]), (fld.name, p)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_IN, min_size=1, max_size=5),
-       st.lists(st.one_of(_WALL, _blend_band(), _NEAR_WALL, _EDGE),
-                max_size=40))
-def test_in_box_form_equals_batch_rows(inside, points):
-    # the in-box forms skip the box test on rows known to lie in the box:
-    # each must give value_many's rows bit for bit, and a field without a
-    # box has value_many itself as its in-box form
-    X = np.array(inside + points, dtype=float)
-    X = X[rzk.EXAMPLE_BOX.contains_many(X)]
-    V = rzk.example_lyapunov()
-    B = rzk.example_barrier()
-    W = rzk.combine_clbrf(V, B, 82.0)
-    assert V.box is None
-    for fld in (rzk.example_hazard(), B, W, V):
-        assert fld.box in (None, rzk.EXAMPLE_BOX)
-        assert _bits(*fld.value_in_box(X)) == _bits(*fld.value_many(X)), \
-            fld.name
-        assert fld.value_in_box(np.empty((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("Q", [

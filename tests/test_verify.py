@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzk
-from rzk import cli, io, history as hist, verify
+from rzk import cli, fields, io, history as hist, verify
 from rzk.simulate import IntegrationSettings, Trajectory
+from test_fields import (_COORD, _IN, _NAN, _NEAR_WALL, _OUT, _WALL,
+                         _blend_band, _by_a_wall)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,29 @@ def test_barrier_sign_tracks_membership(rng):
     B = rzk.example_barrier()
     X = rng.uniform(-4.0, 4.0, size=(500, 2))
     assert np.array_equal(B.value_many(X) > 0, unsafe.membership_many(X))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL,
+                          _by_a_wall(), st.tuples(_COORD, _COORD), _NAN),
+                min_size=1, max_size=40),
+       st.sampled_from([None, fields.FIELD_BLOCK + 7]),
+       st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+def test_membership_batches_equal_one_row_calls(example_setup, points, length,
+                                                psi):
+    # each predicate tests the region once and evaluates the field on the
+    # rows inside only: a row's verdict in a batch, short or longer than
+    # FIELD_BLOCK (the points repeated), is its verdict alone
+    unsafe = example_setup["unsafe"]
+    W = rzk.combine_clbrf(example_setup["V"], example_setup["B"], psi)
+    X = np.array(points, dtype=float)
+    rows = np.arange(len(X)) if length is None else np.resize(
+        np.arange(len(X)), length)
+    for pred in (unsafe.membership_many, unsafe.refined_membership(W)):
+        alone = np.array([pred(x[None])[0] for x in X])
+        batch = pred(X[rows])
+        assert batch.dtype == bool and batch.shape == rows.shape
+        assert np.array_equal(batch, alone[rows])
 
 
 def test_safety_check_vacuous_outside_region(example_setup):
