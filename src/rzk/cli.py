@@ -322,14 +322,11 @@ class _Run:
     """One run, fed its rows a block at a time as the lockstep or a CSV
     hands them on: its CSV when it has a path, the reductions of its
     run.json row (first and final state, steps, peak norm and its time,
-    peak |u|) when reduced, and, when checked, its per-trajectory checks;
-    it must also reach the configured T.  Unreduced, it keeps only its
-    first state."""
+    peak |u|), and, when checked, its per-trajectory checks; it must also
+    reach the configured T."""
 
-    def __init__(self, build, checked=True, file=None, path=None,
-                 reduced=True):
+    def __init__(self, build, checked=True, file=None, path=None):
         self.build, self.file, self.path = build, file, path
-        self.reduced = reduced
         self.start = self.final = self.peak = None
         self.peak_abs_u = 0.0
         # the run's row count and divergence, reported only when checked
@@ -353,15 +350,14 @@ class _Run:
             first = self.start is None
             if first:
                 self.start = block.xs[0].copy()
-            if self.reduced:
-                norms = np.linalg.norm(block.xs, axis=1)
-                k = int(np.argmax(norms))
-                if verify.beats(norms[k], self.peak and self.peak[0]):
-                    self.peak = float(norms[k]), float(block.ts[k])
-                u = float(np.max(np.abs(block.us), initial=0.0))
-                if verify.beats(u, self.peak_abs_u):
-                    self.peak_abs_u = u
-                self.final = block.xs[-1].copy()
+            norms = np.linalg.norm(block.xs, axis=1)
+            k = int(np.argmax(norms))
+            if verify.beats(norms[k], self.peak and self.peak[0]):
+                self.peak = float(norms[k]), float(block.ts[k])
+            u = float(np.max(np.abs(block.us), initial=0.0))
+            if verify.beats(u, self.peak_abs_u):
+                self.peak_abs_u = u
+            self.final = block.xs[-1].copy()
             if self.path is not None:
                 io.write_trajectory_csv(
                     self.path, *io.trajectory_columns(
@@ -381,9 +377,7 @@ class _Run:
         return {name: check.report() for name, check in self.checks.items()}
 
     def row(self):
-        """Its run.json row; unreduced, only its file."""
-        if not self.reduced:
-            return {"file": self.file}
+        """Its run.json row."""
         final_norm = float(np.linalg.norm(self.final))
         return {
             "file": self.file,
@@ -486,18 +480,21 @@ def _split(build, n, share):
 _CONSTRUCTION = (example_sandwich(), EXAMPLE_BOX, example_margin)
 
 
-def _point_checks(build, samples=None):
+def _samples(build):
+    """The construction check's psi-free samples for build's V, B, unsafe
+    set and seed."""
+    return verify.construction_samples(build.V, build.B, *_CONSTRUCTION,
+                                       unsafe=build.unsafe,
+                                       seed=build.cfg.seed)
+
+
+def _point_checks(build, samples):
     """Certificate-level checks, construction and separation, of a W run:
     they depend on psi, the gains and the seed, not on the starts.  samples
-    is the construction check's psi-free half from
-    `verify.construction_samples`, drawn afresh when None."""
-    if build.cfg.kind != "W":
-        return {}
+    is the construction check's psi-free half, `_samples`."""
     return {
         "construction": verify.clbrf_construction_check(
-            build.V, build.B, *_CONSTRUCTION,
-            psi=build.cfg.psi, gains=(build.gains, build.gains),
-            unsafe=build.unsafe, seed=build.cfg.seed, samples=samples),
+            samples, psi=build.cfg.psi, gains=(build.gains, build.gains)),
         "separation": verify.separation_check(build.unsafe, build.W),
     }
 
@@ -546,7 +543,8 @@ def _verdicts(build, out_dir, name, key, records, shown=()):
     name: the checks' reports and, under key, each run's file, the fields
     shown of its run.json row and its reports, from the runs' records
     (row, reports).  Exit 1, naming the failing checks on stderr, if any."""
-    point = _point_checks(build)
+    point = (_point_checks(build, _samples(build)) if build.cfg.kind == "W"
+             else {})
     bad = [n for n, rep in point.items() if not rep.passed]
     for n, rep in point.items():
         print(f"{n}: {'pass' if rep.passed else 'FAIL'}")
@@ -610,10 +608,11 @@ def _sweep_config(cfg, names, pt):
 def cmd_sweep(args):
     cfg = RunConfig.from_file(args.config)
     _require(cfg.sweep is not None, "config has no sweep section")
-    os.makedirs(args.out, exist_ok=True)
     names = [k for k in _SWEEP_KEYS if k in cfg.sweep]
     points = (list(itertools.product(*(cfg.sweep[k] for k in names)))
               if names else [])
+    _require(points, "sweep has no points")
+    os.makedirs(args.out, exist_ok=True)
     subs = [_sweep_config(cfg, names, pt) for pt in points]
     # points whose configs differ only in their start share one build.  The
     # starts axis comes last; the other axes' values are compared as JSON
@@ -644,12 +643,7 @@ def cmd_sweep(args):
     if cfg.kind == "W":
         for sub, build in zip(subs, builds):
             firsts.setdefault((sub.psi, sub.gamma, sub.eta), build)
-    samples = None
-    if firsts:
-        first = next(iter(firsts.values()))
-        samples = verify.construction_samples(
-            first.V, first.B, *_CONSTRUCTION, unsafe=first.unsafe,
-            seed=cfg.seed)
+    samples = _samples(next(iter(firsts.values()))) if firsts else None
 
     def locksteps():
         """Each point's runs as (run.json row, reports): a lane equals its
@@ -720,7 +714,7 @@ def cmd_verify(args):
     def check(k):
         w, file = cfg.windows[k], _trajectory_file(cfg.prefix, k)
         path = os.path.join(args.out, file)
-        run = _Run(build, file=file, reduced=False)
+        run = _Run(build, file=file)
         for block in blocks(path, w):
             if run.start is None and not np.array_equal(block.xs[0],
                                                         w.latest_state):

@@ -17,10 +17,6 @@ import numpy as np
 H_MAX = 50.0
 H_BLEND_LO = 45.0
 
-# rows per call of a field's batch form inside value_many: a long run's
-# temporaries stay small (and cache-sized) instead of whole-run arrays
-FIELD_BLOCK = 4096
-
 
 class ScalarField:
     """C^1 scalar function of the state with an analytic gradient, given by
@@ -30,8 +26,7 @@ class ScalarField:
     tuple (value, *gradient) of floats, bit for bit the value_many/grad_many
     row of x: a caller unpacks it without building or unpacking a nested
     gradient tuple.  Fields built without a point form take it from one-row
-    batch calls.  value_many evaluates a long batch FIELD_BLOCK rows at a
-    time, which gives the same rows.
+    batch calls.
     """
 
     def __init__(self, n, value_many, grad_many, name="", value_grad=None):
@@ -50,7 +45,7 @@ class ScalarField:
         return self._grad_many(x[None, :])[0]
 
     def value_many(self, X):
-        return _by_blocks(self._value_many, np.asarray(X, dtype=float))
+        return self._value_many(np.asarray(X, dtype=float))
 
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -59,17 +54,6 @@ class ScalarField:
     def _value_grad_row(self, *x):
         X = np.array(x, dtype=float)[None, :]
         return (float(self._value_many(X)[0]), *self._grad_many(X)[0].tolist())
-
-
-def _by_blocks(fn, X):
-    """fn's rows of X, FIELD_BLOCK rows per call."""
-    N = X.shape[0]
-    if N <= FIELD_BLOCK:
-        return fn(X)
-    out = np.empty(N)
-    for start in range(0, N, FIELD_BLOCK):
-        out[start:start + FIELD_BLOCK] = fn(X[start:start + FIELD_BLOCK])
-    return out
 
 
 class SandwichBounds:

@@ -12,10 +12,10 @@ lockstep's history reads are vectorized over lanes and blocks of steps,
 reads at t <= 0 going through each lane's own initial window, constant or
 sampled, while each RK stage runs per lane in plain floats on its
 certificate's per-point form and `controller.law`, so a lane's result does
-not depend on the other lanes.  A lane holds only the rows its reads still
-reach, in a ring, and hands its final rows on in blocks of
-BLOCK_LANE_ROWS lane-rows: to a sink that takes them as they come, or
-joined into one Trajectory per run.
+not depend on the other lanes.  A lane hands its final rows on in blocks of
+BLOCK_LANE_ROWS lane-rows, each headed by the rows before it that its reads
+still reach: to a sink that takes them as they come, or joined into one
+Trajectory per run.
 Each lane takes the sup's rows as a running max over anchored blocks, in
 O(1) per lane and step at any mu.  The history sup is taken on the run's
 own rows (see `history`): the read at theta = -Delta, every accepted row
@@ -222,7 +222,7 @@ def _integrate_general(dyn, ctrl, xi, settings):
 # ---------------------------------------------------------------------------
 # the lockstep engine for the example plant
 
-# lane-rows a lockstep holds in floats before it writes them to its ring
+# lane-rows a lockstep holds in floats before it writes them to its block
 ROW_FLUSH = 128
 # lane-rows per block a lockstep hands on, so that a block's memory does
 # not grow with the lanes either: 4096 rows at the demo's 4 lanes
@@ -264,10 +264,11 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
     through one stage closure per distinct controller; a lane's first
     stage of step i + 1 closes its step i, and its row goes into a float
     buffer that is written every few rows, and before each block of reads,
-    to a ring of the (state, slope, input, margin) rows the reads still
-    reach and to the block of rows being handed on.  `history.LaneWindowMax` takes the
-    weighted max over the rows behind each lane's read times, in anchored
-    blocks at any mu, in one pass over the lanes per step.
+    to the block of (state, slope, input, margin) rows being handed on,
+    which starts with the R rows before it that the reads still reach.
+    `history.LaneWindowMax` takes the weighted max over the rows behind
+    each lane's read times, in anchored blocks at any mu, in one pass over
+    the lanes per step.
 
     Every BLOCK_LANE_ROWS // K rows, and at the end, sink(k, block) takes
     lane k's block as a Trajectory of views into the block, which is not
@@ -310,12 +311,9 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
     # is clamped to i); after stage 0 of step r rows 0..r are final, so the
     # reads of steps r .. r + L - 1 can all be made then
     L = 1 - min(int(ri0.max()) + 1, 0)
-    # per lane the state, its k1, the input and the margin of the rows those
-    # reads reach, row r at r % R: the reads made at step r reach back to
-    # row r + min(ri0)
+    # the reads made at step r reach back to row r + min(ri0): the R rows
+    # before a block's first row come with it
     R = 1 - int(ri0.min())
-    ring = np.full((R, K, 6), np.nan)
-    xs, ms = ring[..., :2], ring[..., 2:4]
 
     closed = ctrls[0] is not None
     mu = ctrls[0].gains.mu if closed else 0.0
@@ -367,11 +365,11 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
     def block_reads(steps):
         """`reads` at t_i + h/2 and t_{i+1} for the steps i: (2, n, K)."""
         rows = np.maximum(steps + ri0[..., None], 0)       # (2, 2, n)
-        nxt = np.minimum(rows + 1, steps)
-        rows %= R
-        nxt %= R
+        nxt = np.minimum(rows + 1, steps) + (R - first)
+        rows += R - first
         return reads((steps + cs[:, None]) * h,
-                     hist.hermite_rows(rb, xs, ms, rows, nxt))
+                     hist.hermite_rows(rb, block[..., :2], block[..., 2:4],
+                                       rows, nxt))
 
     hh = 0.5 * h
     h6 = h / 6.0
@@ -426,47 +424,47 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
             certs[:] = lane_certs(
                 [q for q in range(K) if stages[q] is not cut_stage])
 
-    # the block of rows first .. being handed on, and what each lane's
-    # blocks carry
+    # per lane the (state, slope, input, margin) of the rows first - R ..
+    # of the block being handed on, row r at r - first + R (NaN before row
+    # 0), and what each lane's blocks carry
     md = dict(h=h, T=settings.T, delta=delta)
     ic_windows = [w.copy() for w in ics]
     live = list(range(K))
     B = max(1, BLOCK_LANE_ROWS // K)
-    block = np.empty((min(B, N), K, 6))
+    block = np.full((R + min(B, N), K, 6), np.nan)
     first = 0
 
     def write(buf, start, stop):
-        """The rows start .. stop - 1 from the buffer buf into the ring and
-        the block, emptying buf."""
-        rows = np.array(buf).reshape(stop - start, K, 7)[..., :6]
+        """The rows start .. stop - 1 from the buffer buf into the block,
+        emptying buf."""
+        block[start - first + R:stop - first + R] = np.array(buf).reshape(
+            stop - start, K, 7)[..., :6]
         buf.clear()
-        block[start - first:stop - first] = rows
-        p = start % R
-        q = min(R - p, stop - start)
-        ring[p:p + q] = rows[:q]
-        ring[:stop - start - q] = rows[q:]
 
     def hand_on(stop):
         """The rows first .. stop - 1 of each live lane to the sink, cut
         before a lane's first non-finite state, which is dropped from
-        then on; a fresh block for the rows after."""
+        then on; a fresh block for the rows after, behind the last R."""
         nonlocal block, first
         n = stop - first
         ts = (first + np.arange(n)) * h
+        rows = block[R:R + n]
         for k in list(live):
-            x = block[:n, k, :2]
+            x = rows[:, k, :2]
             bad = ~np.isfinite(x).all(axis=1)
             cut = int(np.argmax(bad)) if bad.any() else n
             if cut < n:
                 live.remove(k)
                 drop(k)
-            sink(k, Trajectory(ts[:cut], x[:cut], block[:cut, k, 4:5],
-                               block[:cut, k, 5], block[:cut, k, 2:4], md,
+            sink(k, Trajectory(ts[:cut], x[:cut], rows[:cut, k, 4:5],
+                               rows[:cut, k, 5], rows[:cut, k, 2:4], md,
                                ic_windows[k], cut < n))
         # the sink keeps no view of the block, unless it collects: the
         # last one goes before the next is made
-        first, block = stop, None
-        block = np.empty((min(B, N - stop), K, 6))
+        tail = block[n:n + R].copy()
+        first, block, rows = stop, None, None
+        block = np.empty((R + min(B, N - stop), K, 6))
+        block[:R] = tail
 
     # per-lane state and the stage-0 reads at t_i, which are those of
     # stage 3 of the previous step.  Stage 0 of step 0 reads the initial
@@ -480,7 +478,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
           for st, (x0, x1), f, g in zip(stages, x, f_end, g_end)]
     # the rows r0 .. not written yet, 7 floats per lane: the state, the
     # stage-0 derivative, input and margin, and the certificate value,
-    # which the ring does not keep
+    # which the block does not keep
     buf = [v for y, t in zip(x, k1) for v in y + t]
     r0 = 0
     flush = max(1, ROW_FLUSH // K)
@@ -496,7 +494,7 @@ def _lockstep_example(dyn, ctrl, ics, settings, sink=None):
                 hand_on(i + 1)
                 until = i + 1 + B
             if i == 0:
-                for w, m in zip(wins, ms[0]):
+                for w, m in zip(wins, block[R - first, :, 2:4]):
                     w.ms[w.count - 1] = m
         if j == 0:
             # a non-finite state stays non-finite, so a lane whose state is

@@ -512,12 +512,24 @@ def _unsafe_sample(rng, region, unsafe):
 
 def construction_samples(V, B, bounds, region, phi_m, boundary_grid=256,
                          unsafe=None, seed=0):
-    """The half of clbrf_construction_check that does not depend on psi,
-    as the dict its samples argument takes: the seeded exterior sample and
+    """The half of the construction check that does not depend on psi, as
+    the dict clbrf_construction_check reads: the seeded exterior sample and
     its worst slack B + phi_m, the boundary grid and psi_min, the
-    unsafe-set sample drawn after the exterior one, and V and B on all
-    three samples, keyed by the grid and the seed.  Every array is held
-    whole, with no rows beyond the sample's."""
+    unsafe-set sample drawn after the exterior one, V and B on all three
+    samples, and the grid size.  Every array is held whole, with no rows
+    beyond the sample's.
+
+    The unsafe-set sample is the first UNSAFE_SAMPLES members of
+    8 * UNSAFE_SAMPLES uniform candidates in the region.  They are drawn a
+    chunk at a time, stopping once that many members are found: the
+    generator's stream is sequential, so the chunks hold the rows of one
+    whole draw, and a row's membership does not depend on its batch, so the
+    sample is the one a whole draw would keep.  Nothing draws after it.
+    """
+    if boundary_grid < 100:
+        raise ValueError("need at least 100 boundary points per edge")
+    if region.n != 2:
+        raise ValueError("boundary grid construction assumes a planar box")
     rng = np.random.default_rng(seed)
     # (a) exterior bound: sample a dilated box, reject interior points
     span = region.hi - region.lo
@@ -541,13 +553,12 @@ def construction_samples(V, B, bounds, region, phi_m, boundary_grid=256,
             "grid": bpts, "grid_V": V.value_many(bpts),
             "grid_B": B.value_many(bpts), "psi_min": (kb, float(ratio[kb])),
             "unsafe": cand, "unsafe_V": V.value_many(cand),
-            "unsafe_B": B.value_many(cand), "key": (boundary_grid, seed)}
+            "unsafe_B": B.value_many(cand), "boundary_grid": boundary_grid}
 
 
-def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
-                             psi=None, gains=None, unsafe=None, seed=0,
-                             samples=None):
-    """Structural conditions for merging V and B into W = V + psi*B.
+def clbrf_construction_check(samples, psi=None, gains=None):
+    """Structural conditions for merging V and B into W = V + psi*B, on
+    the samples that construction_samples drew for V and B.
 
     (a) B <= -phi_m(|x|) on random exterior samples; (b) psi_min = max of
     alpha2(|x|)/phi_m(|x|) over a boundary grid; (c) optional gain-ordering
@@ -556,33 +567,14 @@ def clbrf_construction_check(V, B, bounds, region, phi_m, boundary_grid=256,
     be positive on a dense unsafe-set sample, and a state with W < 0 must
     exist.  The returned report carries psi_min as an attribute.
 
-    The unsafe-set sample is the first UNSAFE_SAMPLES members of
-    8 * UNSAFE_SAMPLES uniform candidates in the region.  They are drawn a
-    chunk at a time, stopping once that many members are found: the
-    generator's stream is sequential, so the chunks hold the rows of one
-    whole draw, and a row's membership does not depend on its batch, so the
-    sample is the one a whole draw would keep.  Nothing draws after it.
-
-    The samples, psi_min and V and B on the samples do not depend on psi;
-    W's values are V + psi B on them, the rows W.value_many gives.  They are
-    drawn by construction_samples when samples is None, and otherwise read
-    from samples, so a sweep over psi that passes one dict to every check
-    draws and evaluates once.  That dict must come from
-    construction_samples with the same V, B, bounds, region, phi_m, unsafe
-    set, grid and seed.
+    W's values are V + psi B on the samples, the rows W.value_many gives,
+    so a sweep over psi that passes one dict to every check draws and
+    evaluates once.
     """
-    if boundary_grid < 100:
-        raise ValueError("need at least 100 boundary points per edge")
-    if region.n != 2:
-        raise ValueError("boundary grid construction assumes a planar box")
     if psi is not None and psi <= 0:
         raise ValueError("psi must be positive")
-    if samples is None:
-        samples = construction_samples(V, B, bounds, region, phi_m,
-                                       boundary_grid, unsafe, seed)
-    elif samples["key"] != (boundary_grid, seed):
-        raise ValueError("samples were drawn for another grid or seed")
-    tvalues = {"exterior_slack": 1e-12, "boundary_grid": boundary_grid}
+    tvalues = {"exterior_slack": 1e-12,
+               "boundary_grid": samples["boundary_grid"]}
     details = {}
     passed = True
     witness = None

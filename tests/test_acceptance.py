@@ -35,17 +35,21 @@ def study(example_setup):
         2.0, [2e-3, 1e-3, 5e-4, 2.5e-4])
 
 
+def _construction(setup, psi, boundary_grid=256):
+    """The construction check at psi, the draw of its samples included."""
+    return verify.clbrf_construction_check(
+        verify.construction_samples(
+            setup["V"], setup["B"], rzk.example_sandwich(), rzk.EXAMPLE_BOX,
+            rzk.example_margin, boundary_grid=boundary_grid), psi=psi)
+
+
 def test_threshold_weight_is_cheap_and_grid_stable(example_setup):
     t0 = time.time()
-    rep = verify.clbrf_construction_check(
-        example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-        rzk.EXAMPLE_BOX, rzk.example_margin, boundary_grid=256, psi=82.0)
+    rep = _construction(example_setup, 82.0)
     elapsed = time.time() - t0
     assert elapsed < 1.0
     assert rep.psi_min == pytest.approx(81.8972, abs=5e-4)
-    rep2 = verify.clbrf_construction_check(
-        example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-        rzk.EXAMPLE_BOX, rzk.example_margin, boundary_grid=512, psi=82.0)
+    rep2 = _construction(example_setup, 82.0, boundary_grid=512)
     # refining the boundary grid must not move the threshold materially
     assert rep2.psi_min == pytest.approx(rep.psi_min, abs=1e-4)
 
@@ -149,9 +153,7 @@ def test_gradients_match_finite_differences(example_setup, rng):
 
 
 def test_low_weight_candidate_is_rejected(example_setup):
-    rep = verify.clbrf_construction_check(
-        example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-        rzk.EXAMPLE_BOX, rzk.example_margin, boundary_grid=256, psi=10.0)
+    rep = _construction(example_setup, 10.0)
     assert not rep.passed
     assert rep.witness is not None and rep.witness["state"] is not None
     assert rep.details["psi_above_min"] is False

@@ -383,15 +383,19 @@ def test_sweep_with_a_diverging_start_warns_nothing(tmp_path):
     assert [r.split(",")[8] for r in rows] == ["1", "0", "1", "0"]
 
 
-@pytest.mark.parametrize("sweep", [{}, {"psi": [], "tau": [0.3]}],
-                         ids=["no-axes", "empty-axis"])
-def test_sweep_empty_grid_writes_header_only(tmp_path, sweep):
+@pytest.mark.parametrize("sweep", [
+    {}, {"psi": []}, {"psi": [82.0], "initial_conditions": []}],
+    ids=["no-axes", "empty-axis", "no-starts"])
+def test_sweep_with_no_points_is_a_config_error(tmp_path, capsys, sweep):
+    # a sweep that checks nothing does not pass: exit 2, nothing written
     cfgp = tmp_path / "s.json"
     write_config(cfgp, sweep=sweep)
     out = tmp_path / "sw"
-    assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("index,")
+    assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "config error: sweep has no points\n"
+    assert not out.exists()
 
 
 def test_verify_recheck_of_demo(demo_run, tmp_path, capsys):

@@ -350,18 +350,6 @@ def test_quadratic_rows_do_not_depend_on_batch_position(rng, Q):
     assert grad.tobytes() == one_grad.tobytes()
 
 
-def test_value_many_in_blocks_equals_the_whole_batch(rng):
-    # a batch longer than FIELD_BLOCK is evaluated a block at a time; half
-    # the rows inside the box, so the barrier's in-box path runs per block
-    n = 2 * fields.FIELD_BLOCK + 3
-    X = np.concatenate([rng.normal(scale=3.0, size=(n // 2, 2)),
-                        rng.uniform((-3.0, 0.0), (-1.0, 2.0),
-                                    size=(n - n // 2, 2))])[rng.permutation(n)]
-    V, B = rzk.example_lyapunov(), rzk.example_barrier()
-    for fld in (V, B, rzk.combine_clbrf(V, B, 82.0), rzk.example_hazard()):
-        assert fld.value_many(X).tobytes() == fld._value_many(X).tobytes()
-
-
 # -- column forms against the row reductions they replace -----------------
 
 _EDGE = st.sampled_from([

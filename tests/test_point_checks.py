@@ -51,35 +51,35 @@ def _both(check, *args, **kw):
     return new, ref
 
 
+def _draw(setup, seed=0, unsafe=None):
+    return verify.construction_samples(
+        setup["V"], setup["B"], rzk.example_sandwich(), EXAMPLE_BOX,
+        rzk.example_margin, unsafe=unsafe or setup["unsafe"], seed=seed)
+
+
+def _check(setup, psi, seed=0, unsafe=None, samples=None):
+    """The construction check at psi, on samples or on a draw of its own."""
+    return verify.clbrf_construction_check(
+        samples or _draw(setup, seed, unsafe), psi=psi,
+        gains=(setup["gains"], setup["gains"]))
+
+
 def _construction(setup, psi, seed, unsafe=None):
-    return _both(verify.clbrf_construction_check, setup["V"], setup["B"],
-                 rzk.example_sandwich(), EXAMPLE_BOX, rzk.example_margin,
-                 psi=psi, gains=(setup["gains"], setup["gains"]),
-                 unsafe=unsafe or setup["unsafe"], seed=seed)
+    return _both(_check, setup, psi, seed, unsafe)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_shared_samples_equal_fresh_checks(example_setup, seed):
     # one dict of psi-free samples from construction_samples serves every
-    # psi, unchanged; the reports are those of fresh calls
-    setup = example_setup
-    args = (setup["V"], setup["B"], rzk.example_sandwich(), EXAMPLE_BOX,
-            rzk.example_margin)
-    kw = dict(gains=(setup["gains"], setup["gains"]), unsafe=setup["unsafe"],
-              seed=seed)
-    samples = verify.construction_samples(*args, unsafe=setup["unsafe"],
-                                          seed=seed)
+    # psi, unchanged; the reports are those on a second draw of the seed
+    samples = _draw(example_setup, seed)
     filled = dict(samples)
     for psi in (10.0, 27.0, 28.0, 79.3, 82.0, 85.1):
-        shared = verify.clbrf_construction_check(*args, psi=psi,
-                                                 samples=samples, **kw)
-        fresh = verify.clbrf_construction_check(*args, psi=psi, **kw)
+        shared = _check(example_setup, psi, samples=samples)
+        fresh = _check(example_setup, psi, seed)
         assert (json.dumps(shared.as_dict(), sort_keys=True)
                 == json.dumps(fresh.as_dict(), sort_keys=True)), psi
     assert all(samples[k] is v for k, v in filled.items())
-    with pytest.raises(ValueError):
-        verify.clbrf_construction_check(*args, psi=82.0, samples=samples,
-                                        **dict(kw, seed=seed + 1))
 
 
 def test_sweep_draws_the_construction_samples_once(tmp_path, monkeypatch):
@@ -144,9 +144,7 @@ def test_point_checks_test_half_the_points(example_setup):
     # the construction stops after two chunks of candidates, and the scan
     # of the shipped W stops well inside the wall
     unsafe = CountingUnsafe()
-    verify.clbrf_construction_check(
-        example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-        EXAMPLE_BOX, rzk.example_margin, psi=82.0, unsafe=unsafe)
+    _check(example_setup, 82.0, unsafe=unsafe)
     assert unsafe.points == 2 * verify.UNSAFE_SAMPLES
     counts = {}
     for name, scan in (("lazy", verify._outermost_member), ("full", full_scan)):

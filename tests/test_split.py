@@ -254,7 +254,7 @@ def test_sweeps_with_a_checks_child_equal_the_serial_ones(
     here = []
     point_checks = cli._point_checks
 
-    def counted(build, samples=None):
+    def counted(build, samples):
         here.append(build.cfg.psi)
         return point_checks(build, samples)
 

@@ -58,13 +58,13 @@ def test_barrier_sign_tracks_membership(rng):
 @given(st.lists(st.one_of(_IN, _OUT, _WALL, _blend_band(), _NEAR_WALL,
                           _by_a_wall(), st.tuples(_COORD, _COORD), _NAN),
                 min_size=1, max_size=40),
-       st.sampled_from([None, fields.FIELD_BLOCK + 7]),
+       st.sampled_from([None, 4103]),
        st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
 def test_membership_batches_equal_one_row_calls(example_setup, points, length,
                                                 psi):
     # each predicate tests the region once and evaluates the field on the
-    # rows inside only: a row's verdict in a batch, short or longer than
-    # FIELD_BLOCK (the points repeated), is its verdict alone
+    # rows inside only: a row's verdict in a batch, short or long (the
+    # points repeated), is its verdict alone
     unsafe = example_setup["unsafe"]
     W = rzk.combine_clbrf(example_setup["V"], example_setup["B"], psi)
     X = np.array(points, dtype=float)
@@ -156,13 +156,19 @@ def test_envelope_check_signed_form(runs, example_setup):
     assert rep.worst < 0.0
 
 
+def _samples(setup, region=rzk.EXAMPLE_BOX, **kw):
+    return verify.construction_samples(setup["V"], setup["B"],
+                                       rzk.example_sandwich(), region,
+                                       rzk.example_margin, **kw)
+
+
 def test_construction_check_full_pass(example_setup):
     rep = verify.clbrf_construction_check(
-        example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-        rzk.EXAMPLE_BOX, rzk.example_margin, boundary_grid=256, psi=82.0,
-        gains=(example_setup["gains"], example_setup["gains"]),
-        unsafe=example_setup["unsafe"])
+        _samples(example_setup, boundary_grid=256,
+                 unsafe=example_setup["unsafe"]),
+        psi=82.0, gains=(example_setup["gains"], example_setup["gains"]))
     assert rep.passed
+    assert rep.tolerances["boundary_grid"] == 256
     assert rep.psi_min == pytest.approx(81.89722504971638, abs=5e-4)
     assert rep.details["gain_ordering"]["pass"]
     assert rep.details["sublevel_witness"] is not None
@@ -171,8 +177,7 @@ def test_construction_check_full_pass(example_setup):
 
 def test_construction_check_flags_psi_at_threshold(example_setup):
     rep = verify.clbrf_construction_check(
-        example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-        rzk.EXAMPLE_BOX, rzk.example_margin, boundary_grid=128, psi=10.0)
+        _samples(example_setup, boundary_grid=128), psi=10.0)
     assert not rep.passed
     assert rep.witness is not None and rep.witness["state"] is not None
     assert rep.details["psi_above_min"] is False
@@ -181,10 +186,11 @@ def test_construction_check_flags_psi_at_threshold(example_setup):
 
 
 def test_construction_check_validates_grid(example_setup):
-    with pytest.raises(ValueError):
-        verify.clbrf_construction_check(
-            example_setup["V"], example_setup["B"], rzk.example_sandwich(),
-            rzk.EXAMPLE_BOX, rzk.example_margin, boundary_grid=64)
+    # fewer than 100 points per edge, or a box that is not planar
+    for grid, region in ((64, rzk.EXAMPLE_BOX),
+                         (256, fields.RegionBox([(-1.0, 1.0)] * 3))):
+        with pytest.raises(ValueError):
+            _samples(example_setup, region, boundary_grid=grid)
 
 
 def test_separation_check_passes_merged_candidate(example_setup):

@@ -26,6 +26,12 @@ spread between BEFORE's quartiles, and per side the runs perfbench found
 incorrect and the share of its operations that failed; with --out, writes
 all of it as JSON, each side of a pair with perfbench's `correct`,
 `failed` and `attempted`.
+
+Each end-to-end metric that the repository's BENCHMARK.json bounds also
+gets a verdict against its relative bound: `worse` when AFTER's median
+exceeds BEFORE's by more than the bound; `unresolved` when BEFORE's
+quartile spread exceeds the bound times its median and not every AFTER
+run is lower than every BEFORE run; `within bound` otherwise.
 """
 
 import argparse
@@ -39,6 +45,28 @@ import time
 
 METRICS = ("setup_s", "run_s", "peak_rss_mb", "round_s", "worker_cpu_s",
            "children_cpu_s", "children_peak_rss_mb")
+
+
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCHMARK.json")
+
+
+def bounds():
+    """The relative bound of each end-to-end metric of the benchmark."""
+    with open(BENCHMARK) as f:
+        return {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
+
+
+def verdict(before, after, bound):
+    """`worse`, `unresolved` or `within bound`: AFTER's runs against
+    BEFORE's, lower being better, at the relative bound."""
+    mb = statistics.median(before)
+    if statistics.median(after) - mb > bound * mb:
+        return "worse"
+    q = statistics.quantiles(before, n=4) if len(before) > 1 else [0, 0, 0]
+    if q[2] - q[0] > bound * mb and not max(after) < min(before):
+        return "unresolved"
+    return "within bound"
 
 
 def _cpu(usage):
@@ -121,10 +149,11 @@ def _has_bytecode(root):
                for _, dirs, _ in os.walk(os.path.join(root, sub)))
 
 
-def summary(pairs):
+def summary(pairs, limits):
     """Per metric: medians of both sides, change in per cent, pairs with
-    AFTER lower, and the spread between BEFORE's quartiles.  Per side:
-    the incorrect runs and the share of operations that failed."""
+    AFTER lower, the spread between BEFORE's quartiles, and, for a metric
+    limits bounds, its verdict.  Per side: the incorrect runs and the
+    share of operations that failed."""
     out = {}
     for side in ("before", "after"):
         runs = [p[side] for p in pairs]
@@ -143,6 +172,8 @@ def summary(pairs):
                     "change_pct": 100.0 * (ma - mb) / mb if mb else None,
                     "after_lower": sum(a < b for a, b in zip(after, before)),
                     "pairs": len(before), "before_iqr": q[2] - q[0]}
+        if key in limits:
+            out[key]["verdict"] = verdict(before, after, limits[key])
     return out
 
 
@@ -169,6 +200,7 @@ def main(argv=None):
     for root in roots.values():
         if _has_bytecode(root):
             ap.error(f"{root} holds bytecode caches: use a fresh copy")
+    limits = bounds()
     pairs = []
     for seed in _seeds(args.seeds):
         order = ("before", "after") if seed % 2 else ("after", "before")
@@ -182,7 +214,7 @@ def main(argv=None):
                 if k in pair[side]) + f" ({time.monotonic() - t0:.0f} s)",
                 flush=True)
         pairs.append(pair)
-    table = summary(pairs)
+    table = summary(pairs, limits)
     for key, row in table.items():
         if key not in METRICS:
             print(f"{key}: {row['incorrect']} incorrect runs, failed share "
@@ -192,7 +224,8 @@ def main(argv=None):
         print(f"{key}: {row['before']:.4g} -> {row['after']:.4g} ("
               + ("n/a" if pct is None else f"{pct:+.1f} %")
               + f"), lower in {row['after_lower']}/{row['pairs']}, "
-              f"before IQR {row['before_iqr']:.3g}")
+              f"before IQR {row['before_iqr']:.3g}"
+              + (f", {row['verdict']}" if "verdict" in row else ""))
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"workload": args.workload, "roots": roots,
